@@ -52,7 +52,6 @@ from .confsets import (
     interval_div,
     normal_quantile,
     score_invert_late,
-    theta_grid,
     wald_ci,
 )
 from .simulate import (

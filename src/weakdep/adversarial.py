@@ -56,6 +56,8 @@ class BaseLawSpec:
     per-stratum conditional densities.  The representer of the assembled
     product law must be non-constant in W on at least one stratum, otherwise
     no perturbation can move the functional and the base is rejected.
+    The minimum-norm tilt matrices ``M`` depend on the base alone and are
+    built once here.
     """
 
     support: SupportSpec
@@ -64,6 +66,7 @@ class BaseLawSpec:
     pi_y_given_x: np.ndarray      # (k_x, k_y) densities
     functional: FunctionalSpec
     alpha_tilde: np.ndarray = field(init=False)   # (k_w, k_x)
+    M: np.ndarray = field(init=False)             # (k_x, k_z, k_y)
 
     def __post_init__(self):
         s = self.support
@@ -96,6 +99,9 @@ class BaseLawSpec:
             raise DegenerateBase(
                 "base representer is constant in W on every stratum"
             )
+        M = build_M(alpha.T, s.iota_y, s.mu_y)
+        M.flags.writeable = False     # shared by every PerturbationParams
+        object.__setattr__(self, "M", M)
 
     @property
     def f_x(self):
@@ -156,7 +162,8 @@ def build_M(alpha_tilde_m, iota_y, mu_y) -> np.ndarray:
     Row r must satisfy <row, iota_y> = alpha[r] and <row, mu_y> = 0; the
     per-row minimum-norm solution is alpha[r] * u1 where u1 is the element
     of span(iota_y, mu_y) dual to iota_y, so M is the rank-one outer product
-    alpha u1^T.
+    alpha u1^T.  A stack of representers, shape (k_x, k_z), gives the stack
+    of matrices, shape (k_x, k_z, k_y), each checked against its own scale.
     """
     alpha_tilde_m = np.asarray(alpha_tilde_m, dtype=float)
     iota_y = np.asarray(iota_y, dtype=float)
@@ -169,11 +176,11 @@ def build_M(alpha_tilde_m, iota_y, mu_y) -> np.ndarray:
             "per-cell Y integrals are proportional to the Y cell measures"
         )
     u1 = basis.T @ np.linalg.solve(gram, np.array([1.0, 0.0]))
-    M = np.outer(alpha_tilde_m, u1)
-    alpha_scale = max(1.0, float(np.abs(alpha_tilde_m).max()))
-    if (
-        np.abs(M @ iota_y - alpha_tilde_m).max() > CONSTRAINT_TOL * alpha_scale
-        or np.abs(M @ mu_y).max() > CONSTRAINT_TOL * alpha_scale
+    M = alpha_tilde_m[..., None] * u1
+    alpha_scale = np.maximum(1.0, np.abs(alpha_tilde_m).max(axis=-1))
+    if np.any(
+        (np.abs(M @ iota_y - alpha_tilde_m).max(axis=-1) > CONSTRAINT_TOL * alpha_scale)
+        | (np.abs(M @ mu_y).max(axis=-1) > CONSTRAINT_TOL * alpha_scale)
     ):
         raise CollinearSupport("constraint residuals exceed solver precision")
     return M
@@ -201,11 +208,7 @@ class PerturbationParams:
 
 def default_params(base: BaseLawSpec, eta_w: float, gamma: float) -> PerturbationParams:
     """Params with the minimum-norm tilt matrix per stratum."""
-    s = base.support
-    M = np.stack([
-        build_M(base.alpha_tilde[:, m], s.iota_y, s.mu_y) for m in range(s.k_x)
-    ])
-    return PerturbationParams(eta_w=eta_w, gamma=gamma, M=M)
+    return PerturbationParams(eta_w=eta_w, gamma=gamma, M=base.M)
 
 
 def _w_kernels(base: BaseLawSpec, eta_w: float):
@@ -288,14 +291,7 @@ def sherman_morrison_inverse(pi_w_m, eta_w: float) -> np.ndarray:
 
 def _phi_closed(base: BaseLawSpec, eta_w: float, gamma: float) -> float:
     """Closed-form functional value of the perturbed law (no admissibility checks)."""
-    s = base.support
-    params = PerturbationParams(
-        eta_w=eta_w, gamma=gamma,
-        M=np.stack([
-            build_M(base.alpha_tilde[:, m], s.iota_y, s.mu_y)
-            for m in range(s.k_x)
-        ]),
-    )
+    params = PerturbationParams(eta_w=eta_w, gamma=gamma, M=base.M)
     return _phi_closed_params(base, params)
 
 
@@ -424,15 +420,12 @@ def _exact_gamma(base: BaseLawSpec, eta_w: float, zeta: float) -> float:
 
 def _max_eta(base: BaseLawSpec, gamma: float, margin: float) -> float:
     """Largest positive eta_w keeping all constraints satisfied with a margin."""
-    s = base.support
+    tilt = gamma * base.M
+    neg = tilt < 0.0
     bound = 1.0
-    for m in range(s.k_x):
-        M = build_M(base.alpha_tilde[:, m], s.iota_y, s.mu_y)
-        tilt = gamma * M
-        neg = tilt < 0.0
-        if np.any(neg):
-            pi = np.broadcast_to(base.pi_y_given_x[m][None, :], tilt.shape)
-            bound = min(bound, float(np.min(pi[neg] / -tilt[neg])))
+    if np.any(neg):
+        pi = np.broadcast_to(base.pi_y_given_x[:, None, :], tilt.shape)
+        bound = min(bound, float(np.min(pi[neg] / -tilt[neg])))
     return (1.0 - margin) * bound
 
 

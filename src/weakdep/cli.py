@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -47,20 +46,14 @@ def _parse(obj, builder, what):
         raise _InputError(f"bad {what}: {exc}") from exc
 
 
-def _resolve_threads(value):
-    if value is None:
-        raw = os.environ.get("WEAKDEP_THREADS", "0")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _InputError(f"WEAKDEP_THREADS={raw!r} is not an integer")
-    if value == 0:
-        value = os.cpu_count() or 1
-    return value
-
-
 def _emit(payload, pretty):
     print(json.dumps(payload, indent=2 if pretty else None))
+
+
+def _invalid(violations):
+    for violation in violations:
+        print(violation, file=sys.stderr)
+    return EXIT_INVALID
 
 
 def cmd_validate(args) -> int:
@@ -79,17 +72,17 @@ def cmd_solve(args) -> int:
                   "functional spec")
     violations = laws.validate(law)
     if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(violations)
     try:
         spec.validate_against(law.support)
     except ValueError as exc:
         raise _InputError(f"functional spec does not fit the law support: {exc}")
 
     report = functionals.check_model_membership(law, spec, args.tol)
-    phi = functionals.evaluate_phi(law, spec, args.tol)
-    if isinstance(phi, functionals.NoSolution) or not report.in_model:
+    # phi is only defined in the model (an empty conditioning cell would
+    # make evaluate_phi raise)
+    phi = functionals.evaluate_phi(law, spec, args.tol) if report.in_model else None
+    if phi is None or isinstance(phi, functionals.NoSolution):
         payload = {"phi": None, "diagnostics": report.to_dict()}
         if isinstance(phi, functionals.NoSolution):
             payload["no_solution"] = {
@@ -156,12 +149,15 @@ def cmd_coverage(args) -> int:
         plan_dict["methods"] = [
             m for m in plan_dict["methods"] if m.get("name") in wanted
         ]
-    if args.grid is not None:
-        for method in plan_dict.get("methods", []):
-            if method.get("name") == "score":
-                method["points"] = args.grid
     plan = _parse(plan_dict, simulate.plan_from_dict, "experiment plan")
-    report = simulate.run(plan, threads=_resolve_threads(args.threads))
+    violations = [
+        f"law {case.label!r}: {violation}"
+        for case in plan.laws
+        for violation in laws.validate(case.law)
+    ]
+    if violations:
+        return _invalid(violations)
+    report = simulate.run(plan)
     csv_text = report.to_csv()
     Path(args.out).write_text(csv_text, encoding="utf-8")
     if args.json:
@@ -219,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the plan seed")
     p.add_argument("--level", type=float, help="override the plan level")
     p.add_argument("--methods", help="comma-separated subset of plan methods")
-    p.add_argument("--grid", type=int, help="override the score-inversion grid size")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (0 = auto; falls back to WEAKDEP_THREADS)")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_coverage)
 

@@ -5,9 +5,10 @@ Three constructors:
 * :func:`wald_ci` -- plug-in estimate from the estimating function
   m(O,g) + q(Z,X){Y - g(W,X)}, plus/minus a normal quantile times the
   influence standard error;
-* :func:`score_invert_late` -- grid inversion of the score test for the
-  binary-instrument ratio target, robust to arbitrarily weak dependence
-  because the covariance factor cancels between numerator and variance;
+* :func:`score_invert_late` -- exact inversion of the score test for the
+  binary-instrument ratio target (the solution set of a quadratic
+  inequality), robust to arbitrarily weak dependence because the
+  covariance factor cancels between numerator and variance;
 * :func:`binary_union_set` -- component Wald intervals at split levels
   combined with exact interval arithmetic (ratio plus offset), valid by
   the union bound for binary Z, W, X.
@@ -354,15 +355,6 @@ def wald_ci(
     return RegionResult(region=region, estimate=phi_hat, stderr=sd / math.sqrt(n))
 
 
-def theta_grid(s: Interval, points: int = 4001) -> np.ndarray:
-    """Evenly spaced inversion grid over a bounded parameter range."""
-    if math.isinf(s.lo) or math.isinf(s.hi):
-        raise ValueError("score inversion needs a bounded parameter range")
-    if points < 2:
-        raise ValueError("need at least two grid points")
-    return np.linspace(s.lo, s.hi, points)
-
-
 def _check_binary(values, name):
     if not np.isin(values, (0, 1)).all():
         raise ValueError(f"{name} must be binary 0/1")
@@ -371,21 +363,17 @@ def _check_binary(values, name):
 def score_invert_late(
     dataset: Dataset,
     alpha: float,
-    grid: np.ndarray,
-    s: Interval | None = None,
+    s: Interval = FULL_LINE,
 ) -> RegionResult:
     """Invert the score test for the binary-instrument ratio target.
 
     The statistic is sqrt(n) times the mean of the estimating function over
     its second-moment norm; the dependence (covariance) factor cancels
     between the two, so the statistic stays well defined at arbitrarily weak
-    empirical dependence.  Each grid point represents the cell reaching to
-    the midpoints of its neighbours; accepted cells are merged into
-    intervals, and runs touching a grid end extend to the range boundary.
+    empirical dependence.  The acceptance region is the solution set of a
+    quadratic inequality in theta (the Fieller / Anderson-Rubin form): an
+    interval, two rays, the whole line or empty, clipped to s.
     """
-    grid = np.asarray(grid, dtype=float)
-    if s is None:
-        s = Interval(float(grid[0]), float(grid[-1]))
     n = len(dataset)
     if n == 0:
         raise EmptyDataset("score inversion needs at least one row")
@@ -405,35 +393,36 @@ def score_invert_late(
     cb = c * b_dev
     mean_a = ca.mean()
     mean_b = cb.mean()
-    q_aa = (ca * ca).mean()
-    q_ab = (ca * cb).mean()
-    q_bb = (cb * cb).mean()
 
-    z_crit = normal_quantile(1.0 - alpha / 2.0)
+    z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
     # |T(theta)| <= z  <=>  n (mean_a - theta mean_b)^2 <= z^2 E_n[(c(A - theta B))^2]
-    lhs = n * (mean_a - grid * mean_b) ** 2
-    rhs = z_crit**2 * (q_aa - 2.0 * grid * q_ab + grid**2 * q_bb)
-    accepted = lhs <= rhs
-    if not accepted.any():
-        return RegionResult(region=EMPTY_REGION)
-
-    intervals = []
-    start = None
-    for i, ok in enumerate(accepted):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            intervals.append((start, i - 1))
-            start = None
-    if start is not None:
-        intervals.append((start, len(grid) - 1))
-    mid = (grid[:-1] + grid[1:]) / 2.0
-    pieces = []
-    for i, j in intervals:
-        lo = s.lo if i == 0 else float(mid[i - 1])
-        hi = s.hi if j == len(grid) - 1 else float(mid[j])
-        pieces.append(Interval(lo, hi))
+    #                  <=>  q_bb theta^2 - 2 q_ab theta + q_aa <= 0.
+    # The three coefficients are formed alike: when cA = cB row by row
+    # (Y = W) the discriminant is then exactly zero, not a rounding error
+    # below it that would lose the accepted point theta = 1.
+    q_aa = float(n * mean_a * mean_a - z2 * (ca * ca).mean())
+    q_ab = float(n * mean_a * mean_b - z2 * (ca * cb).mean())
+    q_bb = float(n * mean_b * mean_b - z2 * (cb * cb).mean())
+    pieces = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
     return RegionResult(region=region_from_intervals(pieces, s))
+
+
+def _quadratic_sublevel(quad, lin, const):
+    """{theta : quad theta^2 + lin theta + const <= 0} as closed intervals."""
+    if quad == 0.0:
+        if lin == 0.0:
+            return [FULL_LINE] if const <= 0.0 else []
+        root = -const / lin
+        return [Interval(-INF, root)] if lin > 0.0 else [Interval(root, INF)]
+    disc = lin * lin - 4.0 * quad * const
+    if disc < 0.0:
+        return [] if quad > 0.0 else [FULL_LINE]
+    # roots as q/quad and const/q: neither subtracts nearly equal numbers
+    q = -0.5 * (lin + math.copysign(math.sqrt(disc), lin))
+    lo, hi = sorted((q / quad, const / q)) if q != 0.0 else (0.0, 0.0)
+    if quad > 0.0:
+        return [Interval(lo, hi)]
+    return [Interval(-INF, lo), Interval(hi, INF)]
 
 
 def _mean_with_influence(values):

@@ -3,10 +3,10 @@
 A plan pairs laws (each carrying its certified functional value) with
 region constructors; the harness samples, applies every constructor to the
 same draw, and tallies coverage, diameters, full-range fractions and
-degenerate-sample errors.  Per-replication seeds derive from the master
-seed and the (law, replication) indices through a counter-based seed
-sequence, so replications are independent, reproducible, and safe to
-execute concurrently.
+degenerate-sample errors.  Replications run serially; each one's seed
+derives from the master seed and the (law, replication) indices through a
+counter-based seed sequence, so replications are independent and
+reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ from .confsets import (
     normal_quantile,
     region_from_intervals,
     score_invert_late,
-    theta_grid,
     wald_ci,
 )
 from .errors import WeakdepError
@@ -115,21 +113,22 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
     alpha = 1.0 - plan.level
     opts = dict(cfg.options)
     if cfg.name == "wald":
+        if "functional" not in opts:
+            raise ValueError("method 'wald' needs a 'functional' option")
         func = opts.pop("functional")
-        if isinstance(func, dict):
+        if not isinstance(func, FunctionalSpec):
             func = FunctionalSpec.from_dict(func)
         cross_fit = bool(opts.pop("cross_fit", False))
         tol = float(opts.pop("tol", 1e-8))
         _reject_extra(cfg, opts)
         support = case.law.support
+        func.validate_against(support)
         return lambda ds: wald_ci(
             ds, func, support, alpha, s=plan.s, cross_fit=cross_fit, tol=tol
         )
     if cfg.name == "score":
-        points = int(opts.pop("points", 4001))
         _reject_extra(cfg, opts)
-        grid = theta_grid(plan.s, points)
-        return lambda ds: score_invert_late(ds, alpha, grid, s=plan.s)
+        return lambda ds: score_invert_late(ds, alpha, s=plan.s)
     if cfg.name == "union":
         variant = opts.pop("variant", "paper")
         _reject_extra(cfg, opts)
@@ -249,28 +248,17 @@ def _replicate(plan, case, law_idx, rep_idx, constructors):
     return out
 
 
-def run(plan: ExperimentPlan, threads: int = 0) -> CoverageReport:
-    """Execute the plan; deterministic given the master seed.
-
-    threads > 1 executes replications in a thread pool; aggregation is
-    index-assigned, so results are identical to the serial order.
-    """
+def run(plan: ExperimentPlan) -> CoverageReport:
+    """Execute the plan; deterministic given the master seed."""
     s_diam = plan.s.hi - plan.s.lo
     cells = []
     for law_idx, case in enumerate(plan.laws):
         constructors = [_bind_method(m, plan, case) for m in plan.methods]
         started = time.perf_counter()
-        results = [None] * plan.reps
-
-        def work(rep_idx, _case=case, _idx=law_idx, _ctors=constructors):
-            results[rep_idx] = _replicate(plan, _case, _idx, rep_idx, _ctors)
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, range(plan.reps)))
-        else:
-            for rep_idx in range(plan.reps):
-                work(rep_idx)
+        results = [
+            _replicate(plan, case, law_idx, rep_idx, constructors)
+            for rep_idx in range(plan.reps)
+        ]
         elapsed = time.perf_counter() - started
 
         for method_idx, method in enumerate(plan.methods):
@@ -317,7 +305,6 @@ def weak_dependence_sweep(
     seed: int,
     methods,
     s: Interval,
-    threads: int = 0,
 ):
     """Coverage along a generated weak-dependence sequence.
 
@@ -337,7 +324,7 @@ def weak_dependence_sweep(
         laws=laws, methods=tuple(methods), n=n, reps=reps,
         level=level, seed=seed, s=s,
     )
-    return sequence, run(plan, threads=threads)
+    return sequence, run(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +335,8 @@ _LAW_KEYS = {"label", "law", "true_phi"}
 
 
 def plan_from_dict(d) -> ExperimentPlan:
+    """Parse a plan and bind every method to every law, so that unknown or
+    missing method options fail here rather than midway through run."""
     unknown = set(d) - _PLAN_KEYS
     if unknown:
         raise ValueError(f"unknown plan keys {sorted(unknown)}")
@@ -370,7 +359,7 @@ def plan_from_dict(d) -> ExperimentPlan:
         name = entry.pop("name")
         methods.append(MethodConfig(name=name, options=entry))
     lo, hi = d["s"]
-    return ExperimentPlan(
+    plan = ExperimentPlan(
         laws=tuple(laws),
         methods=tuple(methods),
         n=int(d["n"]),
@@ -379,6 +368,10 @@ def plan_from_dict(d) -> ExperimentPlan:
         seed=int(d["seed"]),
         s=Interval(float(lo), float(hi)),
     )
+    for case in plan.laws:
+        for method in plan.methods:
+            _bind_method(method, plan, case)
+    return plan
 
 
 def plan_to_dict(plan: ExperimentPlan):

@@ -76,6 +76,18 @@ class TestBuildM:
         with pytest.raises(CollinearSupport):
             build_M(np.ones(2), np.array([1.0, 2.0]), np.array([2.0, 4.0]))
 
+    def test_base_stack_matches_per_stratum(self):
+        rng = np.random.default_rng(42)
+        base = random_base(rng, k=3, k_y=3, k_x=5)
+        s = base.support
+        per_stratum = np.stack([
+            build_M(base.alpha_tilde[:, m], s.iota_y, s.mu_y) for m in range(s.k_x)
+        ])
+        assert base.M.shape == (s.k_x, s.k_z, s.k_y)
+        np.testing.assert_array_equal(base.M, per_stratum)
+        assert default_params(base, 0.1, 1.0).M is base.M
+        assert not base.M.flags.writeable
+
 
 class TestPerturbKernels:
     def test_zero_perturbation_reproduces_base(self):

@@ -74,6 +74,16 @@ class TestSolve:
         assert payload["phi"] is None
         assert payload["diagnostics"]["g_residual"] > 1e-8
 
+    def test_empty_conditioning_cell_exit_three(self, tmp_path, late_spec_file,
+                                                 capsys):
+        path = tmp_path / "one_arm.json"
+        path.write_text(laws.law_to_json(wz_identity_late(p_z1=1.0)))
+        assert cli.main(["solve", str(path), str(late_spec_file)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["phi"] is None
+        assert payload["diagnostics"]["in_model"] is False
+        assert "zero probability" in payload["diagnostics"]["message"]
+
     def test_adversarial_law_matches_certificate(
         self, tmp_path, base_file, late_spec_file, capsys
     ):
@@ -188,15 +198,42 @@ class TestCoverage:
         js = tmp_path / "r.json"
         assert cli.main([
             "coverage", str(demo_plan), "--out", str(out), "--json", str(js),
-            "--threads", "4",
         ]) == 0
         payload = json.loads(js.read_text())
         assert len(payload["cells"]) == 3
-        serial = tmp_path / "serial.csv"
-        assert cli.main([
-            "coverage", str(demo_plan), "--out", str(serial), "--threads", "1",
-        ]) == 0
-        assert out.read_bytes() == serial.read_bytes()
+        # the thread pool and the score grid are gone, and so are their flags
+        for flag in (["--threads", "4"], ["--grid", "801"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["coverage", str(demo_plan), "--out", str(out), *flag])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("defect, code", [
+        ("mass_sums_to_0.8", 1),
+        ("negative_mass", 1),
+        ("unknown_method_option", 2),
+        ("wald_without_functional", 2),
+        ("score_points_option", 2),
+    ])
+    def test_invalid_plan_exit_code(self, demo_plan, tmp_path, capsys,
+                                    defect, code):
+        plan = json.loads(demo_plan.read_text())
+        mass = plan["laws"][0]["law"]["mass"]
+        if defect == "mass_sums_to_0.8":
+            mass[:] = [0.8 * m for m in mass]
+        elif defect == "negative_mass":
+            mass[0], mass[1] = mass[0] + mass[1] + 0.1, -0.1
+        elif defect == "unknown_method_option":
+            plan["methods"].append({"name": "union", "bogus": 1})
+        elif defect == "wald_without_functional":
+            plan["methods"] = [{"name": "wald"}]
+        else:
+            plan["methods"] = [{"name": "score", "points": 4001}]
+        demo_plan.write_text(json.dumps(plan))
+        out = tmp_path / "r.csv"
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_plan_exit_two(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

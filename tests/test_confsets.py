@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakdep import DiscreteLaw, FunctionalSpec, SupportSpec, estimate, sample
 from weakdep.confsets import (
     EMPTY_REGION,
+    FULL_LINE,
     FULL_REGION,
     Interval,
     binary_union_estimand,
@@ -20,8 +23,8 @@ from weakdep.confsets import (
     normal_quantile,
     region_from_intervals,
     score_invert_late,
-    theta_grid,
     wald_ci,
+    _quadratic_sublevel,
 )
 from weakdep.laws import Dataset
 
@@ -68,11 +71,11 @@ def _div_oracle(num, den, pieces, grid_points=300):
         (s_vals[:, None] / t[None, :]).ravel() for t in t_parts
     ])
     # every sampled ratio lies inside some piece
-    for r in ratios:
-        assert any(
-            iv.lo - 1e-9 * max(1, abs(r)) <= r <= iv.hi + 1e-9 * max(1, abs(r))
-            for iv in pieces
-        )
+    scale = np.maximum(1.0, np.abs(ratios))
+    inside = np.zeros(ratios.size, dtype=bool)
+    for iv in pieces:
+        inside |= (ratios >= iv.lo - 1e-9 * scale) & (ratios <= iv.hi + 1e-9 * scale)
+    assert inside.all()
     # every finite endpoint is attained by a sample
     for iv in pieces:
         for endpoint in (iv.lo, iv.hi):
@@ -231,16 +234,72 @@ class TestWaldCI:
         assert res.region.contains(res.estimate)
 
 
+def _score_accepts(ds, alpha, thetas):
+    """Score test evaluated directly at each theta: n mean(psi)^2 <= z^2 mean(psi^2).
+
+    Returns (accepted, tie): tie marks the thetas where the two sides agree
+    to within rounding of the terms they are summed from, so that either
+    answer is right.
+    """
+    n = len(ds)
+    f_z1 = ds.z.mean()
+    c = np.where(ds.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
+    a_dev = ds.y - ds.y[ds.z == 1].mean()
+    b_dev = ds.w - ds.w[ds.z == 1].mean()
+    psi = c[None, :] * (a_dev[None, :] - thetas[:, None] * b_dev[None, :])
+    z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
+    lhs = n * psi.mean(axis=1) ** 2
+    rhs = z2 * (psi * psi).mean(axis=1)
+    terms = np.abs(c)[None, :] * (
+        np.abs(a_dev)[None, :] + np.abs(thetas)[:, None] * np.abs(b_dev)[None, :]
+    )
+    scale = (n + z2) * (terms * terms).mean(axis=1)
+    return lhs <= rhs, np.abs(lhs - rhs) <= 1e-9 * scale
+
+
+_ENDS = st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-INF, INF]))
+
+
 class TestScoreInversion:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=2, max_size=80),
+        alpha=st.floats(0.001, 0.5),
+        ends=st.tuples(_ENDS, _ENDS).filter(lambda e: e[0] != e[1]),
+    )
+    def test_exact_set_matches_statistic(self, rows, alpha, ends):
+        """The exact set agrees with the directly evaluated score test at
+        dense probes (and far out on rays), except at endpoints and ties."""
+        y, z, w = (np.array(col) for col in zip(*rows))
+        ds = Dataset(y=y.astype(float), z=z, w=w, x=np.zeros(len(rows), int))
+        s = Interval(*sorted(ends))
+        res = score_invert_late(ds, alpha, s)
+        if z.min() == z.max():
+            assert res.degenerate and res.region.is_full
+            return
+        finite = [v for v in (s.lo, s.hi) if math.isfinite(v)]
+        lo = s.lo if math.isfinite(s.lo) else min(finite + [0.0]) - 100.0
+        hi = s.hi if math.isfinite(s.hi) else max(finite + [0.0]) + 100.0
+        far = np.array([-1e6, -1e3, 1e3, 1e6])
+        thetas = np.concatenate([np.linspace(lo, hi, 2001),
+                                 far[(far >= s.lo) & (far <= s.hi)]])
+        ends_seen = finite + [e for iv in res.region.intervals
+                              for e in (iv.lo, iv.hi) if math.isfinite(e)]
+        expected, tie = _score_accepts(ds, alpha, thetas)
+        clear = ~tie
+        for e in ends_seen:
+            clear &= np.abs(thetas - e) > 1e-9 * max(1.0, abs(e))
+        got = np.array([res.region.contains(float(th)) for th in thetas])
+        assert np.array_equal(got[clear], expected[clear])
+
     def test_wald_estimate_always_accepted(self):
         law = late_law()
         s = Interval(-2.0, 2.0)
-        grid = theta_grid(s)
         for seed in range(5):
             ds = sample(law, 500, seed=seed)
             emp = estimate(ds, law.support)
             theta_hat = wald_ratio(emp)
-            res = score_invert_late(ds, 0.05, grid, s)
+            res = score_invert_late(ds, 0.05, s)
             assert res.region.contains(theta_hat)
 
     def test_affine_rescaling_of_y(self):
@@ -248,23 +307,51 @@ class TestScoreInversion:
         a, b = 2.5, -1.0
         s1 = Interval(-2.0, 2.0)
         s2 = Interval(-5.0, 5.0)
-        grid1 = theta_grid(s1, 801)
-        grid2 = a * grid1
         ds = sample(law, 800, seed=11)
         scaled = Dataset(y=a * ds.y + b, z=ds.z, w=ds.w, x=ds.x)
-        r1 = score_invert_late(ds, 0.05, grid1, s1)
-        r2 = score_invert_late(scaled, 0.05, grid2, s2)
+        r1 = score_invert_late(ds, 0.05, s1)
+        r2 = score_invert_late(scaled, 0.05, s2)
         assert len(r1.region.intervals) == len(r2.region.intervals)
         for iv1, iv2 in zip(r1.region.intervals, r2.region.intervals):
             assert iv2.lo == pytest.approx(a * iv1.lo, abs=1e-9)
             assert iv2.hi == pytest.approx(a * iv1.hi, abs=1e-9)
+
+    def test_quadratic_sublevel_shapes(self):
+        cases = [
+            ((0.0, 2.0, -4.0), [Interval(-INF, 2.0)]),
+            ((0.0, -2.0, -4.0), [Interval(-2.0, INF)]),
+            ((0.0, 0.0, 1.0), []),
+            ((0.0, 0.0, 0.0), [FULL_LINE]),
+            ((1.0, 0.0, 1.0), []),
+            ((-1.0, 0.0, -1.0), [FULL_LINE]),
+            ((1.0, -3.0, 2.0), [Interval(1.0, 2.0)]),
+            ((-1.0, 3.0, -2.0), [Interval(-INF, 1.0), Interval(2.0, INF)]),
+            ((1.0, 0.0, 0.0), [Interval(0.0, 0.0)]),
+        ]
+        for coefs, expected in cases:
+            assert _quadratic_sublevel(*coefs) == expected
+        # the small root of theta^2 - 1e8 theta + 1 survives cancellation
+        (iv,) = _quadratic_sublevel(1.0, -1e8, 1.0)
+        assert iv.lo == pytest.approx(1e-8, rel=1e-15)
+        assert iv.hi == pytest.approx(1e8, rel=1e-15)
+
+    def test_outcome_equal_to_treatment_gives_point(self):
+        # strong instrument and Y = W: only theta = 1 zeroes every score term
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = 200
+            z = rng.integers(0, 2, n)
+            w = np.where(rng.random(n) < 0.9, z, 1 - z)
+            ds = Dataset(y=w.astype(float), z=z, w=w, x=np.zeros(n, int))
+            res = score_invert_late(ds, 0.05)
+            assert res.region.intervals == (Interval(1.0, 1.0),)
 
     def test_one_arm_missing_full_range(self):
         ds = Dataset(
             y=np.array([0.0, 1.0]), z=np.array([1, 1]), w=np.array([0, 1]),
             x=np.zeros(2, int),
         )
-        res = score_invert_late(ds, 0.05, theta_grid(Interval(-1, 1)))
+        res = score_invert_late(ds, 0.05)
         assert res.degenerate and res.region.is_full
 
     def test_weak_dependence_spans_range(self):
@@ -273,11 +360,10 @@ class TestScoreInversion:
 
         weak = perturb_kernels(base, default_params(base, 1e-4, 1.25))
         s = Interval(-20.0, 20.0)
-        grid = theta_grid(s)
         wide = 0
         for seed in range(20):
             ds = sample(weak, 2000, seed=seed)
-            res = score_invert_late(ds, 0.05, grid, s)
+            res = score_invert_late(ds, 0.05, s)
             wide += diameter(res.region, s) >= 0.9 * (s.hi - s.lo)
         assert wide >= 18
 
@@ -368,7 +454,6 @@ class TestLevelMonotonicity:
         law = late_law()
         law_x = binary_x_law(0.5, 0.5)
         s = Interval(-5.0, 5.0)
-        grid = theta_grid(s, 2001)
         for seed in range(10):
             ds = sample(law, 800, seed=seed)
             ds_x = sample(law_x, 800, seed=seed)
@@ -377,8 +462,8 @@ class TestLevelMonotonicity:
                 w1 = wald_ci(ds, FunctionalSpec.late(), law.support, a1, s=s)
                 w2 = wald_ci(ds, FunctionalSpec.late(), law.support, a2, s=s)
                 assert _region_contains(w1.region, w2.region, s)
-                r1 = score_invert_late(ds, a1, grid, s)
-                r2 = score_invert_late(ds, a2, grid, s)
+                r1 = score_invert_late(ds, a1, s)
+                r2 = score_invert_late(ds, a2, s)
                 assert _region_contains(r1.region, r2.region, s)
                 u1 = binary_union_set(ds_x, a1, s)
                 u2 = binary_union_set(ds_x, a2, s)

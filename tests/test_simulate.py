@@ -82,12 +82,6 @@ class TestDeterminism:
         assert a.to_csv() == b.to_csv()
         assert [c.diameters for c in a.cells] == [c.diameters for c in b.cells]
 
-    def test_threads_do_not_change_results(self):
-        methods = [MethodConfig("wald", {"functional": {"kind": "late"}})]
-        serial = run(small_plan(methods), threads=1)
-        pooled = run(small_plan(methods), threads=4)
-        assert serial.to_csv() == pooled.to_csv()
-
     def test_seed_changes_results(self):
         methods = [MethodConfig("wald", {"functional": {"kind": "late"}})]
         a = run(small_plan(methods, seed=5))
@@ -142,6 +136,15 @@ class TestPlanSerialization:
         plan = small_plan([MethodConfig("score", {"bogus": 1})])
         with pytest.raises(ValueError):
             run(plan)
+
+    def test_methods_bound_when_parsed(self):
+        for method in ({"name": "score", "points": 4001}, {"name": "wald"},
+                       {"name": "wald", "functional": {"kind": "ate_iv"},
+                        "bogus": 1}):
+            d = plan_to_dict(small_plan([MethodConfig("fullrange")]))
+            d["methods"] = [method]
+            with pytest.raises(ValueError):
+                plan_from_dict(d)
 
     def test_unknown_method_name_rejected(self):
         with pytest.raises(ValueError):
