@@ -17,7 +17,8 @@ As ``eta_w`` shrinks, the generated laws converge to the base in total
 variation while the functional stays pinned at ``zeta``: arbitrarily weak
 W-Z dependence with an arbitrary target value.  Every generated law is
 certified two ways: through the explicit rank-one inverse (closed form)
-and through the generic per-stratum solver.
+and through the generic stacked solver of ``functionals``, whose membership
+check supplies the solver value of the functional.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from .errors import (
     InvalidPerturbation,
     SingularPerturbation,
 )
-from .functionals import (
-    FunctionalSpec,
-    NoSolution,
-    alpha_from_wx_mass,
-    check_model_membership,
-    evaluate_phi,
-)
+from .functionals import FunctionalSpec, alpha_from_wx_mass, check_model_membership
 from .laws import DiscreteLaw, SupportSpec, support_from_dict, support_to_dict, tv_distance
 
 # strict inequalities of the construction are enforced with this slack
@@ -109,17 +104,9 @@ class BaseLawSpec:
 
     def _wx_mass(self, eta_w: float):
         """(W, X) marginal mass of the law perturbed at scale eta_w."""
-        s = self.support
-        if eta_w == 0.0:
-            dens = self.pi_w_given_x.T * (self.f_x / s.mu_x)[None, :]
-            return dens * s.mu_w[:, None] * s.mu_x[None, :]
-        mass = np.empty((s.k_w, s.k_x))
-        for m in range(s.k_x):
-            pi_w = self.pi_w_given_x[m]
-            kernel = np.outer(np.ones(s.k_z), pi_w) + eta_w * np.eye(s.k_z)
-            norm = 1.0 + eta_w * s.mu_w
-            mass[:, m] = s.mu_w * ((self.f_zx[:, m] / norm) @ kernel)
-        return mass
+        kernels, norm = _w_kernels(self, eta_w)
+        weights = self.f_zx.T / norm                  # (k_x, k_z)
+        return self.support.mu_w[:, None] * (weights[:, None, :] @ kernels)[:, 0, :].T
 
     def product_law(self) -> DiscreteLaw:
         """Assemble the base law tensor."""
@@ -214,22 +201,13 @@ def default_params(base: BaseLawSpec, eta_w: float, gamma: float) -> Perturbatio
 def _w_kernels(base: BaseLawSpec, eta_w: float):
     """Per-stratum raw W|Z kernels (before row normalization) and normalizers."""
     s = base.support
-    eye = np.eye(s.k_z)
-    ones = np.ones(s.k_z)
-    kernels = np.stack([
-        np.outer(ones, base.pi_w_given_x[m]) + eta_w * eye for m in range(s.k_x)
-    ])
+    kernels = base.pi_w_given_x[:, None, :] + eta_w * np.eye(s.k_z)
     norm = 1.0 + eta_w * s.mu_w   # indexed by the Z row (k_z = k_w)
     return kernels, norm
 
 
 def _y_kernels(base: BaseLawSpec, params: PerturbationParams):
-    s = base.support
-    ones = np.ones(s.k_z)
-    return np.stack([
-        np.outer(ones, base.pi_y_given_x[m]) + params.eta_y * params.M[m]
-        for m in range(s.k_x)
-    ])
+    return base.pi_y_given_x[:, None, :] + params.eta_y * params.M
 
 
 def check_params(base: BaseLawSpec, params: PerturbationParams):
@@ -249,14 +227,12 @@ def check_params(base: BaseLawSpec, params: PerturbationParams):
     y_kernels = _y_kernels(base, params)
     if y_kernels.min() <= POSITIVITY_SLACK:
         failures.append("y_kernel_positive")
-    alpha_scale = max(1.0, float(np.abs(base.alpha_tilde).max()))
-    for m in range(s.k_x):
-        if (
-            np.abs(params.M[m] @ s.iota_y - base.alpha_tilde[:, m]).max()
-            > CONSTRAINT_TOL * alpha_scale
-            or np.abs(params.M[m] @ s.mu_y).max() > CONSTRAINT_TOL * alpha_scale
-        ):
-            failures.append(f"tilt_constraints_stratum_{m}")
+    limit = CONSTRAINT_TOL * max(1.0, float(np.abs(base.alpha_tilde).max()))
+    off = (
+        (np.abs(params.M @ s.iota_y - base.alpha_tilde.T).max(axis=1) > limit)
+        | (np.abs(params.M @ s.mu_y).max(axis=1) > limit)
+    )
+    failures.extend(f"tilt_constraints_stratum_{m}" for m in np.flatnonzero(off))
     return failures
 
 
@@ -276,17 +252,20 @@ def perturb_kernels(base: BaseLawSpec, params: PerturbationParams) -> DiscreteLa
     return DiscreteLaw(s, mass)
 
 
-def sherman_morrison_inverse(pi_w_m, eta_w: float) -> np.ndarray:
-    """Exact inverse of outer(1, pi_w) + eta_w * I via the rank-one update formula."""
-    pi_w_m = np.asarray(pi_w_m, dtype=float)
+def sherman_morrison_inverse(pi_w, eta_w: float) -> np.ndarray:
+    """Exact inverse of outer(1, pi_w) + eta_w * I via the rank-one update formula.
+
+    A stack of rows, shape (k_x, k), gives the stack of inverses, shape
+    (k_x, k, k).
+    """
+    pi_w = np.asarray(pi_w, dtype=float)
     if eta_w == 0.0:
         raise SingularPerturbation("eta_w = 0 has no inverse")
-    total = float(pi_w_m.sum())
-    if abs(eta_w + total) <= 1e-14 * max(1.0, abs(total)):
+    total = pi_w.sum(axis=-1, keepdims=True)
+    if np.any(np.abs(eta_w + total) <= 1e-14 * np.maximum(1.0, np.abs(total))):
         raise SingularPerturbation("rank-one update factor vanished")
-    k = pi_w_m.size
     coef = 1.0 / (eta_w * total + eta_w ** 2)
-    return np.eye(k) / eta_w - coef * np.outer(np.ones(k), pi_w_m)
+    return np.eye(pi_w.shape[-1]) / eta_w - (coef * pi_w)[..., None, :]
 
 
 def _phi_closed(base: BaseLawSpec, eta_w: float, gamma: float) -> float:
@@ -302,16 +281,10 @@ def _phi_closed_params(base: BaseLawSpec, params: PerturbationParams) -> float:
     alpha = alpha_from_wx_mass(
         base.functional, s, base._wx_mass(params.eta_w)
     )
-    pi_zx = base.f_zx / (s.mu_z[:, None] * s.mu_x[None, :])
-    total = 0.0
-    for m in range(s.k_x):
-        inv = sherman_morrison_inverse(base.pi_w_given_x[m], params.eta_w)
-        g_dag = inv @ (norm * (y_kernels[m] @ s.iota_y))
-        row = pi_zx[:, m] * s.mu_z
-        total += s.mu_x[m] * float(
-            row @ ((w_kernels[m] / norm[:, None]) @ (alpha[:, m] * g_dag))
-        )
-    return total
+    inv = sherman_morrison_inverse(base.pi_w_given_x, params.eta_w)
+    g_dag = inv @ (norm * (y_kernels @ s.iota_y))[:, :, None]     # (k_x, k_w, 1)
+    cond = (w_kernels / norm[:, None]) @ (alpha.T[:, :, None] * g_dag)
+    return float(np.sum(base.f_zx.T * cond[:, :, 0]))
 
 
 def closed_form_phi(base: BaseLawSpec, params: PerturbationParams) -> float:
@@ -339,24 +312,18 @@ def limit_phi(base: BaseLawSpec, gamma: float) -> float:
 def limit_phi_coefficients(base: BaseLawSpec):
     """(slope, intercept) of the affine-in-gamma limit value."""
     s = base.support
-    f_x = base.f_x
-    slope = 0.0
-    intercept = 0.0
-    for m in range(s.k_x):
-        pi_w = base.pi_w_given_x[m]
-        alpha = base.alpha_tilde[:, m]
-        pw_sum = float(pi_w.sum())
-        a_m = float(pi_w @ alpha**2 - (pi_w @ alpha) ** 2 / pw_sum)
-        ey = float(base.pi_y_given_x[m] @ s.iota_y)
-        bracket = (
-            float(pi_w @ alpha)
-            + pw_sum * float(pi_w @ (alpha * s.mu_w))
-            - float(pi_w @ alpha) * float(pi_w @ s.mu_w)
-        )
-        b_m = bracket / pw_sum * ey
-        slope += f_x[m] * a_m
-        intercept += f_x[m] * b_m
-    return slope, intercept
+    pi_w = base.pi_w_given_x                      # (k_x, k_w)
+    alpha = base.alpha_tilde.T                    # (k_x, k_w)
+    pw_sum = pi_w.sum(axis=1)
+    pw_alpha = np.sum(pi_w * alpha, axis=1)
+    a = np.sum(pi_w * alpha**2, axis=1) - pw_alpha**2 / pw_sum
+    bracket = (
+        pw_alpha
+        + pw_sum * np.sum(pi_w * alpha * s.mu_w, axis=1)
+        - pw_alpha * (pi_w @ s.mu_w)
+    )
+    b = bracket / pw_sum * (base.pi_y_given_x @ s.iota_y)
+    return float(base.f_x @ a), float(base.f_x @ b)
 
 
 def gamma_for_target(base: BaseLawSpec, zeta: float) -> float:
@@ -478,13 +445,12 @@ def generate_sequence(
                 eta *= 0.5
                 continue
             phi_c = closed_form_phi(base, params)
-            phi_v = evaluate_phi(law, base.functional, cert_tol)
             report = check_model_membership(law, base.functional, cert_tol)
+            phi_v = report.phi
             certified = (
-                not isinstance(phi_v, NoSolution)
+                report.in_model
                 and abs(phi_c - zeta) <= cert_tol
                 and abs(phi_v - zeta) <= cert_tol
-                and report.in_model
             )
             if not certified:
                 # conditioning degrades as eta shrinks, so retrying smaller
@@ -497,7 +463,7 @@ def generate_sequence(
                 )
             steps.append(SequenceStep(
                 eta_w=eta, gamma=gamma, law=law,
-                phi_closed=phi_c, phi_verified=float(phi_v), tv_to_base=tv,
+                phi_closed=phi_c, phi_verified=phi_v, tv_to_base=tv,
                 g_residual=report.g_residual, q_residual=report.q_residual,
             ))
             prev_tv = tv

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation failure, 2 input parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -79,21 +80,8 @@ def cmd_solve(args) -> int:
         raise _InputError(f"functional spec does not fit the law support: {exc}")
 
     report = functionals.check_model_membership(law, spec, args.tol)
-    # phi is only defined in the model (an empty conditioning cell would
-    # make evaluate_phi raise)
-    phi = functionals.evaluate_phi(law, spec, args.tol) if report.in_model else None
-    if phi is None or isinstance(phi, functionals.NoSolution):
-        payload = {"phi": None, "diagnostics": report.to_dict()}
-        if isinstance(phi, functionals.NoSolution):
-            payload["no_solution"] = {
-                "equation": phi.equation,
-                "stratum": phi.stratum,
-                "residual": phi.residual,
-            }
-        _emit(payload, args.pretty)
-        return EXIT_NO_SOLUTION
-    _emit({"phi": phi, "diagnostics": report.to_dict()}, args.pretty)
-    return EXIT_OK
+    _emit({"phi": report.phi, "diagnostics": report.to_dict()}, args.pretty)
+    return EXIT_OK if report.in_model else EXIT_NO_SOLUTION
 
 
 def cmd_adversarial(args) -> int:
@@ -135,21 +123,19 @@ def cmd_adversarial(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    plan_dict = _load_json(args.plan)
+    plan = _parse(_load_json(args.plan), simulate.plan_from_dict, "experiment plan")
+    overrides = {}
     if args.seed is not None:
-        plan_dict["seed"] = args.seed
+        overrides["seed"] = args.seed
     if args.level is not None:
-        plan_dict["level"] = args.level
+        overrides["level"] = args.level
     if args.methods:
         wanted = [m.strip() for m in args.methods.split(",") if m.strip()]
-        available = {m.get("name") for m in plan_dict.get("methods", [])}
-        missing = [m for m in wanted if m not in available]
+        missing = [m for m in wanted if m not in {c.name for c in plan.methods}]
         if missing:
             raise _InputError(f"methods not in plan: {missing}")
-        plan_dict["methods"] = [
-            m for m in plan_dict["methods"] if m.get("name") in wanted
-        ]
-    plan = _parse(plan_dict, simulate.plan_from_dict, "experiment plan")
+        overrides["methods"] = tuple(c for c in plan.methods if c.name in wanted)
+    plan = _parse(overrides, lambda o: dataclasses.replace(plan, **o), "flag overrides")
     violations = [
         f"law {case.label!r}: {violation}"
         for case in plan.laws

@@ -1,9 +1,12 @@
 """Linear functionals of solutions to the conditional-moment equation.
 
 The target parameter is phi(P) = E[m(O, g)] where g, a function on the
-(W, X) grid, satisfies E[g(W,X) | Z,X] = E[Y | Z,X].  Per X-stratum the
-equation is a k_z-by-k_w linear system; the functional is evaluated through
-its representer alpha on the (W, X) grid, phi = E[alpha * g].
+(W, X) grid, satisfies E[g(W,X) | Z,X] = E[Y | Z,X].  The equation is a
+stack of k_x square k_z-by-k_w linear systems, one per X stratum (the
+support requires k_z == k_w); the operators are built as (k_x, k, k) stacks
+and solved together by one batched SVD, whose per-stratum singular values
+measure how weak the W-Z dependence is.  The functional is evaluated
+through its representer alpha on the (W, X) grid, phi = E[alpha * g].
 
 Supported functionals:
 
@@ -27,6 +30,7 @@ from .errors import PositivityViolation, ZeroConditioningMass
 from .laws import DiscreteLaw, Dataset, SupportSpec, marginal
 
 DEFAULT_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,71 +143,67 @@ class NoSolution:
         return False
 
 
-def _mass_tables(law: DiscreteLaw):
-    mass_zwx = law.mass.sum(axis=0)          # (k_z, k_w, k_x)
-    mass_zx = mass_zwx.sum(axis=1)           # (k_z, k_x)
-    mass_wx = mass_zwx.sum(axis=0)           # (k_w, k_x)
-    return mass_zwx, mass_zx, mass_wx
+def _condition_rows(joint: np.ndarray) -> np.ndarray:
+    """Rows of a (k_x, k_a, k_b) mass stack divided by their totals.
 
-
-def cond_mean_operator(law: DiscreteLaw, stratum: int) -> np.ndarray:
-    """Matrix of the conditional mean operator on stratum m.
-
-    Entry (l, j) is f(W=j | Z=l, X=m) * mu_w(j), i.e. the probability of the
-    j-th W cell given the l-th Z cell; rows sum to one.
+    Raises ZeroConditioningMass naming the first (row cell, stratum) without
+    mass, strata first.
     """
-    mass_zwx, mass_zx, _ = _mass_tables(law)
-    col = mass_zx[:, stratum]
-    if np.any(col <= 0.0):
-        raise ZeroConditioningMass((int(np.argmax(col <= 0.0)), stratum))
-    return mass_zwx[:, :, stratum] / col[:, None]
+    totals = joint.sum(axis=2)
+    empty = totals <= 0.0
+    if empty.any():
+        m, a = np.argwhere(empty)[0]
+        raise ZeroConditioningMass((int(a), int(m)))
+    return joint / totals[:, :, None]
 
 
-def response_vector(law: DiscreteLaw, stratum: int) -> np.ndarray:
-    """Conditional mean of Y given each Z cell on stratum m."""
-    mass_yzx = law.mass.sum(axis=2)          # (k_y, k_z, k_x)
-    mass_zx = mass_yzx.sum(axis=0)
-    col = mass_zx[:, stratum]
-    if np.any(col <= 0.0):
-        raise ZeroConditioningMass((int(np.argmax(col <= 0.0)), stratum))
-    ybar = law.support.y_cell_means
-    return (ybar @ mass_yzx[:, :, stratum]) / col
+def cond_mean_operator(law: DiscreteLaw) -> np.ndarray:
+    """Stack of the conditional mean operators, shape (k_x, k_z, k_w).
 
-
-def adjoint_mean_operator(law: DiscreteLaw, stratum: int) -> np.ndarray:
-    """Matrix of the adjoint operator on stratum m.
-
-    Entry (j, l) is f(Z=l | W=j, X=m) * mu_z(l); rows sum to one.
+    Entry (m, l, j) is f(W=j | Z=l, X=m) * mu_w(j), i.e. the probability of
+    the j-th W cell given the l-th Z cell on stratum m; rows sum to one.
     """
-    mass_zwx, _, mass_wx = _mass_tables(law)
-    row = mass_wx[:, stratum]
-    if np.any(row <= 0.0):
-        raise ZeroConditioningMass((int(np.argmax(row <= 0.0)), stratum))
-    return mass_zwx[:, :, stratum].T / row[:, None]
+    return _condition_rows(law.mass.sum(axis=0).transpose(2, 0, 1))
 
 
-def _residual_ok(residual, rhs_norm, tol):
-    return residual <= tol * max(1.0, rhs_norm)
+def response_vector(law: DiscreteLaw) -> np.ndarray:
+    """Conditional mean of Y given each (X, Z) cell, shape (k_x, k_z)."""
+    return _condition_rows(law.mass.sum(axis=2).T) @ law.support.y_cell_means
 
 
-def _solve_strata(law, build_lhs, build_rhs):
-    """Least-squares solve of one linear system per X stratum.
+def adjoint_mean_operator(law: DiscreteLaw) -> np.ndarray:
+    """Stack of the adjoint operators, shape (k_x, k_w, k_z).
 
-    Returns (solution matrix with one column per stratum, residual list).
-    Singular systems get the minimum-norm solution; the residual test decides
-    whether the system was consistent.
+    Entry (m, j, l) is f(Z=l | W=j, X=m) * mu_z(l); rows sum to one.
     """
-    k_x = law.support.k_x
-    cols = []
-    residuals = []
-    for m in range(k_x):
-        lhs = build_lhs(law, m)
-        rhs = build_rhs(law, m)
-        sol, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        res = float(np.linalg.norm(lhs @ sol - rhs))
-        cols.append(sol)
-        residuals.append(res)
-    return np.column_stack(cols), residuals
+    return _condition_rows(law.mass.sum(axis=0).T)
+
+
+def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
+    """Minimum-norm least-squares solve of a stack of per-stratum systems.
+
+    ``lhs`` has shape (k_x, r, c) and ``rhs`` (k_x, r).  One batched SVD;
+    singular values at or below numpy's default least-squares cutoff
+    eps * max(r, c) * sigma_max count as zero, so a singular system gets its
+    minimum-norm solution.
+    Returns the solutions (k_x, c), the residual norms (k_x,), the mask of
+    consistent strata (residual <= tol * max(1, |rhs|)) and the singular
+    values (k_x, min(r, c)), largest first.
+    """
+    u, sigma, vt = np.linalg.svd(lhs, full_matrices=False)
+    keep = sigma > _EPS * max(lhs.shape[1:]) * sigma[:, :1]
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
+    b = rhs[:, :, None]
+    sol = vt.mT @ (inv[:, :, None] * (u.mT @ b))
+    r = lhs @ sol - b
+    residuals = np.sqrt((r * r).sum(axis=(1, 2)))
+    ok = residuals <= tol * np.maximum(1.0, np.sqrt((rhs * rhs).sum(axis=1)))
+    return sol[:, :, 0], residuals, ok, sigma
+
+
+def _no_solution(residuals, ok, equation):
+    m = int(np.argmin(ok))
+    return NoSolution(stratum=m, residual=float(residuals[m]), equation=equation)
 
 
 def solve_g(law: DiscreteLaw, tol: float = DEFAULT_TOL):
@@ -213,12 +213,10 @@ def solve_g(law: DiscreteLaw, tol: float = DEFAULT_TOL):
     stratum whose residual exceeds tol (relative to the response norm):
     the response is then outside the operator range.
     """
-    g, residuals = _solve_strata(law, cond_mean_operator, response_vector)
-    for m, res in enumerate(residuals):
-        rhs_norm = float(np.linalg.norm(response_vector(law, m)))
-        if not _residual_ok(res, rhs_norm, tol):
-            return NoSolution(stratum=m, residual=res, equation="g")
-    return g
+    g, residuals, ok, _ = _solve_strata(
+        cond_mean_operator(law), response_vector(law), tol
+    )
+    return g.T if ok.all() else _no_solution(residuals, ok, "g")
 
 
 def solve_q(law: DiscreteLaw, alpha: np.ndarray, tol: float = DEFAULT_TOL):
@@ -228,14 +226,8 @@ def solve_q(law: DiscreteLaw, alpha: np.ndarray, tol: float = DEFAULT_TOL):
     the adjoint range on some stratum.
     """
     alpha = np.asarray(alpha, dtype=float)
-    q, residuals = _solve_strata(
-        law, adjoint_mean_operator, lambda _law, m: alpha[:, m]
-    )
-    for m, res in enumerate(residuals):
-        rhs_norm = float(np.linalg.norm(alpha[:, m]))
-        if not _residual_ok(res, rhs_norm, tol):
-            return NoSolution(stratum=m, residual=res, equation="q")
-    return q
+    q, residuals, ok, _ = _solve_strata(adjoint_mean_operator(law), alpha.T, tol)
+    return q.T if ok.all() else _no_solution(residuals, ok, "q")
 
 
 def alpha_from_wx_mass(
@@ -298,8 +290,7 @@ def riesz_alpha(law: DiscreteLaw, spec: FunctionalSpec) -> np.ndarray:
 
     Raises PositivityViolation when a denominator density vanishes.
     """
-    _, _, mass_wx = _mass_tables(law)
-    return alpha_from_wx_mass(spec, law.support, mass_wx)
+    return alpha_from_wx_mass(spec, law.support, marginal(law, ("W", "X")))
 
 
 def m_cell_values(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.ndarray:
@@ -319,26 +310,36 @@ def m_cell_values(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> 
     return spec.alpha * g
 
 
+def _phi(law: DiscreteLaw, alpha: np.ndarray, g: np.ndarray) -> float:
+    return float(np.sum(alpha * g * marginal(law, ("W", "X"))))
+
+
 def evaluate_phi(law: DiscreteLaw, spec: FunctionalSpec, tol: float = DEFAULT_TOL):
     """phi(P) = sum over (W, X) cells of alpha * g * P(W, X); or NoSolution."""
     g = solve_g(law, tol)
     if isinstance(g, NoSolution):
         return g
-    alpha = riesz_alpha(law, spec)
-    _, _, mass_wx = _mass_tables(law)
-    return float(np.sum(alpha * g * mass_wx))
+    return _phi(law, riesz_alpha(law, spec), g)
 
 
 @dataclass(frozen=True)
 class ModelReport:
-    """Diagnostics of membership in the weak dependence model."""
+    """Diagnostics of membership in the weak dependence model.
+
+    A residual is None when its equation was never solved.  ``sigma_min``
+    holds the smallest singular value of the conditional mean operator on
+    each stratum, the strength of the W-Z dependence there; ``phi`` is the
+    functional from the same solve of the g equation, set in the model only.
+    """
 
     in_model: bool
-    g_residual: float
+    g_residual: float | None
     q_residual: float | None
     positivity_ok: bool
     g_residuals: tuple = ()
     q_residuals: tuple = ()
+    sigma_min: tuple = ()
+    phi: float | None = None
     message: str = ""
 
     def to_dict(self):
@@ -350,6 +351,7 @@ class ModelReport:
             "per_stratum": {
                 "g": list(self.g_residuals),
                 "q": list(self.q_residuals),
+                "sigma_min": list(self.sigma_min),
             },
             "message": self.message,
         }
@@ -360,47 +362,43 @@ def check_model_membership(
 ) -> ModelReport:
     """Aggregate solvability of both equations plus representer positivity."""
     try:
-        _, g_residuals = _solve_strata(law, cond_mean_operator, response_vector)
+        g, g_res, g_ok, sigma = _solve_strata(
+            cond_mean_operator(law), response_vector(law), tol
+        )
     except ZeroConditioningMass as exc:
         return ModelReport(
-            in_model=False, g_residual=float("nan"), q_residual=None,
+            in_model=False, g_residual=None, q_residual=None,
             positivity_ok=True, message=str(exc),
         )
-    g_ok = all(
-        _residual_ok(res, float(np.linalg.norm(response_vector(law, m))), tol)
-        for m, res in enumerate(g_residuals)
+    g_diag = dict(
+        g_residual=float(g_res.max()), g_residuals=tuple(g_res.tolist()),
+        sigma_min=tuple(sigma[:, -1].tolist()),
     )
 
     try:
         alpha = riesz_alpha(law, spec)
     except (PositivityViolation, ValueError) as exc:
         return ModelReport(
-            in_model=False, g_residual=max(g_residuals), q_residual=None,
-            positivity_ok=False, g_residuals=tuple(g_residuals),
-            message=str(exc),
+            in_model=False, q_residual=None, positivity_ok=False,
+            message=str(exc), **g_diag,
         )
 
     try:
-        _, q_residuals = _solve_strata(
-            law, adjoint_mean_operator, lambda _law, m: alpha[:, m]
-        )
+        _, q_res, q_ok, _ = _solve_strata(adjoint_mean_operator(law), alpha.T, tol)
     except ZeroConditioningMass as exc:
         return ModelReport(
-            in_model=False, g_residual=max(g_residuals), q_residual=float("nan"),
-            positivity_ok=True, g_residuals=tuple(g_residuals), message=str(exc),
+            in_model=False, q_residual=None, positivity_ok=True,
+            message=str(exc), **g_diag,
         )
-    q_ok = all(
-        _residual_ok(res, float(np.linalg.norm(alpha[:, m])), tol)
-        for m, res in enumerate(q_residuals)
-    )
 
+    in_model = bool(g_ok.all() and q_ok.all())
     return ModelReport(
-        in_model=g_ok and q_ok,
-        g_residual=max(g_residuals),
-        q_residual=max(q_residuals),
+        in_model=in_model,
+        q_residual=float(q_res.max()),
         positivity_ok=True,
-        g_residuals=tuple(g_residuals),
-        q_residuals=tuple(q_residuals),
+        q_residuals=tuple(q_res.tolist()),
+        phi=_phi(law, alpha, g.T) if in_model else None,
+        **g_diag,
     )
 
 

@@ -13,8 +13,6 @@ representative points; for sampling, Y is summarized by its cell mean
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -395,29 +393,3 @@ def law_to_json(law: DiscreteLaw, indent=None) -> str:
 def law_from_json(text: str) -> DiscreteLaw:
     return law_from_dict(json.loads(text))
 
-
-def dataset_to_csv(dataset: Dataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["y", "z", "w", "x"])
-    for i in range(len(dataset)):
-        writer.writerow(
-            [repr(float(dataset.y[i])), int(dataset.z[i]), int(dataset.w[i]),
-             int(dataset.x[i])]
-        )
-    return buf.getvalue()
-
-
-def dataset_from_csv(text: str) -> Dataset:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["y", "z", "w", "x"]:
-        raise ValueError("expected CSV header y,z,w,x")
-    rows = [r for r in reader if r]
-    if not rows:
-        raise EmptyDataset("CSV contains no data rows")
-    y = np.array([float(r[0]) for r in rows])
-    z = np.array([int(r[1]) for r in rows])
-    w = np.array([int(r[2]) for r in rows])
-    x = np.array([int(r[3]) for r in rows])
-    return Dataset(y, z, w, x)

@@ -99,7 +99,7 @@ def test_criterion_1_solver_oracle_equivalence():
         assert not isinstance(g, NoSolution)
         for m in range(support.k_x):
             res = float(np.linalg.norm(
-                cond_mean_operator(law, m) @ g[:, m] - response_vector(law, m)
+                cond_mean_operator(law)[m] @ g[:, m] - response_vector(law)[m]
             ))
             worst_residual = max(worst_residual, res)
         if spec.kind == "late":

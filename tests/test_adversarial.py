@@ -297,6 +297,21 @@ class TestGenerateSequence:
             assert report.in_model
         assert [s.tv_to_base for s in seq.steps] <= [0.05, 0.01, 0.002]
 
+    def test_sigma_min_tracks_eta_w(self):
+        # the certificates' eta_w really makes every stratum nearly singular:
+        # the smallest singular value of each conditional mean operator lies
+        # in [eta_w / 2, eta_w] (it is eta_w / (1 + eta_w) on the ratio base)
+        bases = (acceptance_base(),
+                 random_base(np.random.default_rng(0), k=2, k_y=3, k_x=16, tame=True))
+        for base in bases:
+            seq = generate_sequence(base, 5.0, (0.05, 0.01, 0.002))
+            for step in seq.steps:
+                report = check_model_membership(step.law, base.functional, 1e-8)
+                sigma = np.array(report.sigma_min)
+                assert sigma.shape == (base.support.k_x,)
+                assert np.all(sigma >= 0.5 * step.eta_w)
+                assert np.all(sigma <= step.eta_w)
+
     def test_unattainable_tv_target_fails_loudly(self):
         base = acceptance_base()
         with pytest.raises(BracketingFailure):
@@ -366,7 +381,7 @@ class TestDegenerateLimit:
         from weakdep import DiscreteLaw
 
         tilted = DiscreteLaw(s, mass)
-        T = cond_mean_operator(tilted, 0)
+        T = cond_mean_operator(tilted)[0]
         assert np.linalg.matrix_rank(T, tol=1e-10) == 1
         result = solve_g(tilted, tol=1e-8)
         assert isinstance(result, NoSolution)

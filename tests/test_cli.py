@@ -14,6 +14,13 @@ from helpers import acceptance_base, late_law
 from test_functionals import w_indep_z_law, wz_identity_late
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON: a bare NaN or Infinity fails the test."""
+    def reject(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def valid_law_file(tmp_path):
     path = tmp_path / "law.json"
@@ -62,27 +69,48 @@ class TestValidate:
 class TestSolve:
     def test_identity_law_phi(self, valid_law_file, late_spec_file, capsys):
         assert cli.main(["solve", str(valid_law_file), str(late_spec_file)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_json(capsys.readouterr().out)
         assert payload["phi"] == pytest.approx(0.4, abs=1e-10)
         assert payload["diagnostics"]["in_model"] is True
+        # W = Z: the operator is the identity, both singular values are one
+        assert payload["diagnostics"]["per_stratum"]["sigma_min"] == \
+            pytest.approx([1.0], abs=1e-12)
 
     def test_out_of_model_exit_three(self, tmp_path, late_spec_file, capsys):
         path = tmp_path / "indep.json"
         path.write_text(laws.law_to_json(w_indep_z_law()))
         assert cli.main(["solve", str(path), str(late_spec_file)]) == 3
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_json(capsys.readouterr().out)
         assert payload["phi"] is None
         assert payload["diagnostics"]["g_residual"] > 1e-8
+        # W independent of Z: the operator is rank one
+        assert payload["diagnostics"]["per_stratum"]["sigma_min"][0] < 1e-12
 
     def test_empty_conditioning_cell_exit_three(self, tmp_path, late_spec_file,
                                                  capsys):
         path = tmp_path / "one_arm.json"
         path.write_text(laws.law_to_json(wz_identity_late(p_z1=1.0)))
         assert cli.main(["solve", str(path), str(late_spec_file)]) == 3
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_json(capsys.readouterr().out)
         assert payload["phi"] is None
         assert payload["diagnostics"]["in_model"] is False
+        assert payload["diagnostics"]["g_residual"] is None
         assert "zero probability" in payload["diagnostics"]["message"]
+
+    def test_empty_adjoint_cell_reports_null_q_residual(self, tmp_path, capsys):
+        # W = 0 always: every Z cell has mass but the W = 1 cell has none, so
+        # the g equation is solved and the adjoint equation is not
+        law = wz_identity_late()
+        mass = law.mass.sum(axis=2, keepdims=True) * np.array([1.0, 0.0])[:, None]
+        path = tmp_path / "one_w.json"
+        path.write_text(laws.law_to_json(laws.DiscreteLaw(law.support, mass)))
+        spec = tmp_path / "generic.json"
+        spec.write_text(FunctionalSpec.generic(np.array([[1.0], [2.0]])).to_json())
+        assert cli.main(["solve", str(path), str(spec)]) == 3
+        diagnostics = _strict_json(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["g_residual"] is not None
+        assert diagnostics["q_residual"] is None
+        assert "zero probability" in diagnostics["message"]
 
     def test_adversarial_law_matches_certificate(
         self, tmp_path, base_file, late_spec_file, capsys
@@ -96,7 +124,7 @@ class TestSolve:
         law_file = out_dir / "law_01.json"
         payload = json.loads(law_file.read_text())
         assert cli.main(["solve", str(law_file), str(late_spec_file)]) == 0
-        solved = json.loads(capsys.readouterr().out)
+        solved = _strict_json(capsys.readouterr().out)
         assert solved["phi"] == pytest.approx(
             payload["certificate"]["phi_verified"], abs=1e-8
         )
@@ -213,11 +241,14 @@ class TestCoverage:
         ("unknown_method_option", 2),
         ("wald_without_functional", 2),
         ("score_points_option", 2),
+        ("plan_is_array_with_seed_flag", 2),
+        ("method_not_object_with_methods_flag", 2),
     ])
     def test_invalid_plan_exit_code(self, demo_plan, tmp_path, capsys,
                                     defect, code):
         plan = json.loads(demo_plan.read_text())
         mass = plan["laws"][0]["law"]["mass"]
+        flags = []
         if defect == "mass_sums_to_0.8":
             mass[:] = [0.8 * m for m in mass]
         elif defect == "negative_mass":
@@ -226,11 +257,16 @@ class TestCoverage:
             plan["methods"].append({"name": "union", "bogus": 1})
         elif defect == "wald_without_functional":
             plan["methods"] = [{"name": "wald"}]
-        else:
+        elif defect == "score_points_option":
             plan["methods"] = [{"name": "score", "points": 4001}]
+        elif defect == "plan_is_array_with_seed_flag":
+            plan, flags = [plan], ["--seed", "3"]
+        else:
+            plan["methods"].append("wald")
+            flags = ["--methods", "wald"]
         demo_plan.write_text(json.dumps(plan))
         out = tmp_path / "r.csv"
-        assert cli.main(["coverage", str(demo_plan), "--out", str(out)]) == code
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out), *flags]) == code
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
         assert not out.exists()

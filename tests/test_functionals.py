@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakdep import (
     DiscreteLaw,
@@ -20,6 +22,8 @@ from weakdep import (
 )
 from weakdep.errors import PositivityViolation
 from weakdep.functionals import (
+    DEFAULT_TOL,
+    _solve_strata,
     adjoint_mean_operator,
     m_cell_values,
     psi1_expectation,
@@ -69,15 +73,80 @@ def binary_kernel_law(p_w=(0.2, 0.6), r=(0.3, 0.7)):
     return DiscreteLaw(support, mass)
 
 
+@st.composite
+def stratum_systems(draw):
+    """A law with 1-8 strata of k x k systems (k = 2..4) and a representer.
+
+    Each stratum is regular (with some empty off-diagonal cells), exactly
+    singular with a consistent response (Z row 1 duplicates Z row 0), or
+    exactly singular with a response outside the range (row 1 has the W
+    profile of row 0 but the Y profile reversed).  Each representer column
+    is constant in W (inside every adjoint range) or random.
+    """
+    k_x = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 4))
+    kinds = draw(st.lists(st.sampled_from(("regular", "consistent", "inconsistent")),
+                          min_size=k_x, max_size=k_x))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = random_support(rng, 3, k, k, k_x)
+    mass = rng.integers(1, 6, size=support.shape).astype(float)
+    for m, kind in enumerate(kinds):
+        if kind == "regular":
+            empty = (rng.random((k, k)) < 0.3) & ~np.eye(k, dtype=bool)
+            mass[:, empty, m] = 0.0
+        elif kind == "consistent":
+            mass[:, 1, :, m] = mass[:, 0, :, m]
+        else:
+            mass[:, 1, :, m] = mass[::-1, 0, :, m]
+    alpha = rng.normal(size=(k, k_x))
+    constant = rng.random(k_x) < 0.5
+    alpha[:, constant] = alpha[0, constant]
+    return DiscreteLaw(support, mass / mass.sum()), alpha
+
+
+class TestBatchedSolver:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=stratum_systems())
+    def test_matches_per_stratum_lstsq(self, case):
+        # reference: one lstsq call per stratum, as the solver used to do
+        law, alpha = case
+        equations = (
+            (cond_mean_operator(law), response_vector(law), solve_g, ()),
+            (adjoint_mean_operator(law), alpha.T, solve_q, (alpha,)),
+        )
+        for lhs, rhs, solve, extra in equations:
+            sol, residuals, ok, sigma = _solve_strata(lhs, rhs, DEFAULT_TOL)
+            ref = np.array([np.linalg.lstsq(a, b, rcond=None)[0]
+                            for a, b in zip(lhs, rhs)])
+            ref_res = np.linalg.norm(
+                np.einsum("mij,mj->mi", lhs, ref) - rhs, axis=1
+            )
+            scale = max(1.0, float(np.abs(ref).max()))
+            np.testing.assert_allclose(sol, ref, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(residuals, ref_res, rtol=0, atol=1e-12 * scale)
+            ref_ok = ref_res <= DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+            np.testing.assert_array_equal(ok, ref_ok)
+            np.testing.assert_allclose(
+                sigma, [np.linalg.svd(a, compute_uv=False) for a in lhs],
+                rtol=1e-12, atol=1e-15,
+            )
+            result = solve(law, *extra)
+            if ref_ok.all():
+                np.testing.assert_array_equal(result, sol.T)
+            else:
+                assert isinstance(result, NoSolution)
+                assert result.stratum == int(np.flatnonzero(~ref_ok)[0])
+
+
 class TestCondMeanOperator:
     def test_wz_deterministic_is_identity(self):
         law = wz_identity_late()
-        T = cond_mean_operator(law, 0)
+        T = cond_mean_operator(law)[0]
         np.testing.assert_allclose(T, np.eye(2), atol=1e-14)
 
     def test_independence_gives_rank_one(self):
         law = w_indep_z_law()
-        T = cond_mean_operator(law, 0)
+        T = cond_mean_operator(law)[0]
         np.testing.assert_allclose(T[0], T[1], atol=1e-14)
         assert np.linalg.matrix_rank(T, tol=1e-10) == 1
 
@@ -86,7 +155,7 @@ class TestCondMeanOperator:
         for _ in range(10):
             law = random_law(rng, 3, 3, 3, 2)
             for m in range(2):
-                T = cond_mean_operator(law, m)
+                T = cond_mean_operator(law)[m]
                 np.testing.assert_allclose(
                     T @ np.full(3, 2.5), 2.5, atol=1e-12
                 )
@@ -100,12 +169,12 @@ class TestResponseVector:
         pzw = rng.dirichlet(np.ones(4)).reshape(2, 2)
         mass = np.einsum("h,lj->hlj", py, pzw)[..., None]
         law = DiscreteLaw(support, mass)
-        r = response_vector(law, 0)
+        r = response_vector(law)[0]
         assert r[0] == pytest.approx(r[1], abs=1e-12)
 
     def test_binary_probabilities(self):
         law = binary_kernel_law(r=(0.25, 0.65))
-        r = response_vector(law, 0)
+        r = response_vector(law)[0]
         np.testing.assert_allclose(r, [0.25, 0.65], atol=1e-14)
 
     def test_matches_brute_force(self):
@@ -113,7 +182,7 @@ class TestResponseVector:
         law = random_law(rng, 4, 3, 3, 2)
         ybar = law.support.y_cell_means
         for m in range(2):
-            r = response_vector(law, m)
+            r = response_vector(law)[m]
             for l in range(3):
                 num = sum(
                     law.mass[h, l, j, m] * ybar[h]
@@ -133,8 +202,8 @@ class TestSolveG:
         # slope (0.7-0.3)/(0.6-0.2) = 1, so g = (0.1, 1.1)
         law = binary_kernel_law(p_w=(0.2, 0.6), r=(0.3, 0.7))
         g = solve_g(law)
-        T = cond_mean_operator(law, 0)
-        r = response_vector(law, 0)
+        T = cond_mean_operator(law)[0]
+        r = response_vector(law)[0]
         direct = np.linalg.solve(T, r)
         np.testing.assert_allclose(g[:, 0], direct, atol=1e-12)
         np.testing.assert_allclose(g[:, 0], [0.1, 1.1], atol=1e-12)
@@ -309,8 +378,8 @@ class TestStructuralInvariants:
             g = rng.normal(size=(3, 2))
             q = rng.normal(size=(3, 2))
             for m in range(2):
-                T = cond_mean_operator(law, m)
-                A = adjoint_mean_operator(law, m)
+                T = cond_mean_operator(law)[m]
+                A = adjoint_mean_operator(law)[m]
                 lhs = float(q[:, m] @ (T @ g[:, m] * mass_zx[:, m]))
                 rhs = float((A @ q[:, m] * mass_wx[:, m]) @ g[:, m])
                 assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -326,7 +395,7 @@ class TestStructuralInvariants:
         alpha = riesz_alpha(law, spec)
         q = solve_q(law, alpha)
         assert not isinstance(q, NoSolution)
-        T = cond_mean_operator(law, 0)
+        T = cond_mean_operator(law)[0]
         # kernel direction of the rank-one operator
         null = np.array([1.0, -T[0, 0] / T[0, 1]])
         assert np.linalg.norm(T @ null) < 1e-12

@@ -25,7 +25,7 @@ from weakdep.errors import (
     SupportMismatch,
     ZeroConditioningMass,
 )
-from weakdep.laws import Dataset, dataset_from_csv, dataset_to_csv
+from weakdep.laws import Dataset
 
 from helpers import late_law, random_law, random_support
 
@@ -366,11 +366,3 @@ class TestSerialization:
         assert back.support == law.support
         np.testing.assert_array_equal(back.mass, law.mass)
 
-    def test_dataset_csv_round_trip(self):
-        law = late_law()
-        ds = sample(law, 100, seed=7)
-        back = dataset_from_csv(dataset_to_csv(ds))
-        np.testing.assert_array_equal(back.y, ds.y)
-        np.testing.assert_array_equal(back.z, ds.z)
-        np.testing.assert_array_equal(back.w, ds.w)
-        np.testing.assert_array_equal(back.x, ds.x)
