@@ -13,6 +13,13 @@ Three constructors:
   combined with exact interval arithmetic (ratio plus offset), valid by
   the union bound for binary Z, W, X.
 
+Each constructor reads a sample only through its empirical law: the rows
+become cell counts once (per cross-fit fold) with :func:`~weakdep.laws.estimate`,
+and everything after that is a mass-weighted sum over the (Y, Z, W, X)
+cells.  The score set needs binary Z and W and no X (k_x = 1); the union
+set needs binary Z and W and takes its target from k_x: the ratio when
+k_x = 1, the X = 1 arm when k_x = 2.
+
 Regions are finite unions of closed intervals, the full parameter range,
 or empty.  Degenerate-sample failures conservatively return the full range.
 """
@@ -24,13 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateSample,
-    EmptyDataset,
-    EmptyStratum,
-    PositivityViolation,
-    ZeroConditioningMass,
-)
+from .errors import DegenerateSample, PositivityViolation, ZeroConditioningMass
 from .functionals import (
     FunctionalSpec,
     NoSolution,
@@ -39,7 +40,7 @@ from .functionals import (
     solve_g,
     solve_q,
 )
-from .laws import Dataset, DiscreteLaw, SupportSpec, estimate, marginal
+from .laws import Dataset, DiscreteLaw, SupportSpec, estimate
 
 INF = float("inf")
 
@@ -219,12 +220,6 @@ def interval_add(pieces, offset: Interval):
     return tuple(Interval(iv.lo + offset.lo, iv.hi + offset.hi) for iv in pieces)
 
 
-def interval_mul(a: Interval, b: Interval) -> Interval:
-    """Exact product image of two finite intervals."""
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(min(products), max(products))
-
-
 def interval_div(num: Interval, den: Interval):
     """Exact image of {s / t : s in num, t in den, t != 0} as disjoint intervals.
 
@@ -307,6 +302,16 @@ def _nuisances(law: DiscreteLaw, spec: FunctionalSpec, tol: float):
     return g, q
 
 
+def require_binary_support(support: SupportSpec, max_k_x: int, what: str):
+    """Raise ValueError unless Z and W are binary and X has at most max_k_x cells."""
+    if support.k_z != 2 or support.k_x > max_k_x:
+        x_need = "k_x = 1" if max_k_x == 1 else f"k_x <= {max_k_x}"
+        raise ValueError(
+            f"{what} needs k_z = k_w = 2 and {x_need}; got k_z = k_w = "
+            f"{support.k_z}, k_x = {support.k_x}"
+        )
+
+
 def wald_ci(
     dataset: Dataset,
     spec: FunctionalSpec,
@@ -319,35 +324,36 @@ def wald_ci(
     """Plug-in estimate with a normal-quantile interval, clipped to s.
 
     The estimate is the sample mean of m(O, g) + q(Z,X){Y - g(W,X)} with
-    nuisances solved on the empirical law (or on the opposite fold when
-    cross_fit is set); the standard error is the sample standard deviation
-    of those values over sqrt(n).  Degenerate samples (empty conditioning
-    cells, inconsistent empirical systems) return the full range.
+    nuisances solved on the empirical law (or, when cross_fit is set, on the
+    empirical law of the opposite half of the rows); the standard error is
+    the sample standard deviation of those values over sqrt(n).  Both are
+    mass-weighted sums over the cells.  Degenerate samples (empty
+    conditioning cells, inconsistent empirical systems) return the full
+    range.
     """
     n = len(dataset)
-    if n == 0:
-        raise EmptyDataset("wald_ci needs at least one row")
     z = normal_quantile(1.0 - alpha / 2.0)
     try:
         if cross_fit:
             half = n // 2
-            idx_a = np.arange(half)
-            idx_b = np.arange(half, n)
-            values = np.empty(n)
-            for fit_idx, eval_idx in ((idx_a, idx_b), (idx_b, idx_a)):
-                law = estimate(dataset.subset(fit_idx), support)
-                g, q = _nuisances(law, spec, tol)
-                values[eval_idx] = psi1_values(
-                    dataset.subset(eval_idx), support, spec, g, q, 0.0
-                )
+            fold_a = estimate(dataset.subset(slice(0, half)), support)
+            fold_b = estimate(dataset.subset(slice(half, n)), support)
+            folds = ((fold_a, fold_b, (n - half) / n), (fold_b, fold_a, half / n))
         else:
             law = estimate(dataset, support)
-            g, q = _nuisances(law, spec, tol)
-            values = psi1_values(dataset, support, spec, g, q, 0.0)
+            folds = ((law, law, 1.0),)
+        parts = []
+        for fit, held_out, share in folds:
+            g, q = _nuisances(fit, spec, tol)
+            parts.append((held_out.mass * share, psi1_values(support, spec, g, q)))
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
         return _full_result(str(exc))
-    phi_hat = float(values.mean())
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
+    phi_hat = float(sum((weight * values).sum() for weight, values in parts))
+    if n > 1:
+        ss = sum((weight * (values - phi_hat) ** 2).sum() for weight, values in parts)
+        sd = math.sqrt(float(ss) * n / (n - 1))
+    else:
+        sd = 0.0
     half_width = z * sd / math.sqrt(n)
     region = region_from_intervals(
         [Interval(phi_hat - half_width, phi_hat + half_width)], s
@@ -355,13 +361,9 @@ def wald_ci(
     return RegionResult(region=region, estimate=phi_hat, stderr=sd / math.sqrt(n))
 
 
-def _check_binary(values, name):
-    if not np.isin(values, (0, 1)).all():
-        raise ValueError(f"{name} must be binary 0/1")
-
-
 def score_invert_late(
     dataset: Dataset,
+    support: SupportSpec,
     alpha: float,
     s: Interval = FULL_LINE,
 ) -> RegionResult:
@@ -372,37 +374,38 @@ def score_invert_late(
     between the two, so the statistic stays well defined at arbitrarily weak
     empirical dependence.  The acceptance region is the solution set of a
     quadratic inequality in theta (the Fieller / Anderson-Rubin form): an
-    interval, two rays, the whole line or empty, clipped to s.
+    interval, two rays, the whole line or empty, clipped to s.  Its
+    coefficients are moments of the cell counts.
     """
-    n = len(dataset)
-    if n == 0:
-        raise EmptyDataset("score inversion needs at least one row")
-    _check_binary(dataset.z, "z")
-    _check_binary(dataset.w, "w")
-    if np.any(dataset.x != dataset.x[0]):
-        raise ValueError("the ratio target admits no X stratification")
-    n1 = int(dataset.z.sum())
-    if n1 == 0 or n1 == n:
+    require_binary_support(support, 1, "score inversion")
+    # cell counts (k_y, 2, 2), as exact integers
+    counts = np.rint(estimate(dataset, support).mass[..., 0] * len(dataset))
+    n0, n1 = counts.sum(axis=(0, 2))
+    if n1 == 0 or n0 == 0:
         return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
 
-    f_z1 = n1 / n
-    c = np.where(dataset.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
-    a_dev = dataset.y - dataset.y[dataset.z == 1].mean()
-    b_dev = dataset.w - dataset.w[dataset.z == 1].mean()
-    ca = c * a_dev
-    cb = c * b_dev
-    mean_a = ca.mean()
-    mean_b = cb.mean()
+    # Per row, the estimating function is c(Z) (A - theta B) with A and B
+    # centred by their Z=1 means.  Scaled by a positive constant, c is
+    # (-n1, n0) and A, B are centred on the n1 scale: n1 Y - sum_{Z=1} Y.
+    # With integer cell values these are exact integers, so data with
+    # Y = W or Y = 1 - W give cA = +-cB exactly and a discriminant of
+    # exactly zero, keeping the single accepted point.
+    y = support.y_cell_means
+    w = np.arange(2.0)
+    a = n1 * y - counts[:, 1].sum(axis=1) @ y
+    b = n1 * w - counts[:, 1].sum(axis=0) @ w
+    c = np.array([-n1, n0])
+    ca = c[None, :, None] * a[:, None, None]
+    cb = c[None, :, None] * b[None, None, :]
+    sum_a = float((counts * ca).sum())
+    sum_b = float((counts * cb).sum())
 
     z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
-    # |T(theta)| <= z  <=>  n (mean_a - theta mean_b)^2 <= z^2 E_n[(c(A - theta B))^2]
+    # |T(theta)| <= z  <=>  (sum cA - theta sum cB)^2 <= z^2 sum (c(A - theta B))^2
     #                  <=>  q_bb theta^2 - 2 q_ab theta + q_aa <= 0.
-    # The three coefficients are formed alike: when cA = cB row by row
-    # (Y = W) the discriminant is then exactly zero, not a rounding error
-    # below it that would lose the accepted point theta = 1.
-    q_aa = float(n * mean_a * mean_a - z2 * (ca * ca).mean())
-    q_ab = float(n * mean_a * mean_b - z2 * (ca * cb).mean())
-    q_bb = float(n * mean_b * mean_b - z2 * (cb * cb).mean())
+    q_aa = sum_a * sum_a - z2 * float((counts * ca * ca).sum())
+    q_ab = sum_a * sum_b - z2 * float((counts * ca * cb).sum())
+    q_bb = sum_b * sum_b - z2 * float((counts * cb * cb).sum())
     pieces = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
     return RegionResult(region=region_from_intervals(pieces, s))
 
@@ -425,29 +428,57 @@ def _quadratic_sublevel(quad, lin, const):
     return [Interval(-INF, lo), Interval(hi, INF)]
 
 
-def _mean_with_influence(values):
-    est = float(values.mean())
-    return est, values - est
+def _cond_mean(mass, values, event):
+    """E[V | event] and its influence values per cell.
 
-
-def _cond_mean_with_influence(values, mask):
-    """Conditional sample mean and its per-row influence values.
-
-    Raises EmptyStratum when the conditioning event is unobserved.
+    ``event`` is a boolean mask over the cells; raises ZeroConditioningMass
+    naming its (Z, X) cell when the event has no mass.
     """
-    count = int(mask.sum())
-    if count == 0:
-        raise EmptyStratum("conditioning stratum unobserved in sample")
-    p_hat = count / mask.size
-    est = float(values[mask].mean())
-    infl = np.where(mask, values - est, 0.0) / p_hat
-    return est, infl
+    p = float((mass * event).sum())
+    if p <= 0.0:
+        _, l, _, m = np.argwhere(event)[0]
+        raise ZeroConditioningMass((int(l), int(m)))
+    est = float((mass * event * values).sum()) / p
+    return est, np.where(event, values - est, 0.0) / p
 
 
-def _wald_component(est, infl, alpha):
-    n = infl.size
+def _union_components(mass: np.ndarray, support: SupportSpec) -> dict:
+    """Estimates of the union-bound components with their influence values.
+
+    Maps each component name to (estimate, influence values per cell) under
+    the cell mass ``mass``.  Without X ("de", "num") are the Z contrasts of
+    the conditional means of W and Y.  With binary X these contrasts are
+    taken on X = 1, "num" becomes the Y contrast times E[W] - E[W|Z=1,X=1],
+    and "offset" is E[Y|Z=1,X=1].
+    """
+    y = support.y_cell_means.reshape(-1, 1, 1, 1)
+    w = np.arange(support.k_w, dtype=float).reshape(1, 1, -1, 1)
+    z = np.arange(support.k_z).reshape(1, -1, 1, 1)
+    arm = np.arange(support.k_x).reshape(1, 1, 1, -1) == support.k_x - 1
+
+    def contrast(values):
+        est1, infl1 = _cond_mean(mass, values, (z == 1) & arm)
+        est0, infl0 = _cond_mean(mass, values, (z == 0) & arm)
+        return est1 - est0, infl1 - infl0
+
+    de = contrast(w)
+    nu_est, nu_infl = contrast(y)
+    if support.k_x == 1:
+        return {"de": de, "num": (nu_est, nu_infl)}
+    ew_est = float((mass * w).sum())
+    w11_est, w11_infl = _cond_mean(mass, w, (z == 1) & arm)
+    diff_est = ew_est - w11_est
+    diff_infl = (w - ew_est) - w11_infl
+    return {
+        "de": de,
+        "num": (nu_est * diff_est, diff_est * nu_infl + nu_est * diff_infl),
+        "offset": _cond_mean(mass, y, (z == 1) & arm),
+    }
+
+
+def _wald_component(est, infl, mass, n, alpha):
     z = normal_quantile(1.0 - alpha / 2.0)
-    se = math.sqrt(float((infl * infl).mean()) / max(n - 1, 1))
+    se = math.sqrt(float((mass * infl * infl).sum()) / max(n - 1, 1))
     return Interval(est - z * se, est + z * se)
 
 
@@ -458,107 +489,42 @@ def binary_union_estimand(law: DiscreteLaw) -> float:
     ratio-times-offset plus a conditional mean; without X it reduces to the
     plain ratio of conditional-mean differences.
     """
-    support = law.support
-    mass = law.mass
-    ybar = support.y_cell_means
-
-    def cond_mean(values_by_h, z_cell, x_cells):
-        sub = mass[:, z_cell, :, :][:, :, x_cells].sum(axis=(1, 2))
-        total = sub.sum()
-        if total <= 0:
-            raise ZeroConditioningMass((z_cell, tuple(x_cells)))
-        return float(values_by_h @ sub / total)
-
-    def cond_mean_w(z_cell, x_cells):
-        sub = mass[:, z_cell, :, :][:, :, x_cells].sum(axis=(0, 2))
-        total = sub.sum()
-        if total <= 0:
-            raise ZeroConditioningMass((z_cell, tuple(x_cells)))
-        w_values = np.arange(support.k_w, dtype=float)
-        return float(w_values @ sub / total)
-
-    if support.k_x == 1:
-        x_cells = [0]
-        nu = cond_mean(ybar, 1, x_cells) - cond_mean(ybar, 0, x_cells)
-        de = cond_mean_w(1, x_cells) - cond_mean_w(0, x_cells)
-        return nu / de
-
-    x_cells = [1]
-    nu = cond_mean(ybar, 1, x_cells) - cond_mean(ybar, 0, x_cells)
-    de = cond_mean_w(1, x_cells) - cond_mean_w(0, x_cells)
-    mass_w = marginal(law, ("W",))
-    e_w = float(np.arange(support.k_w) @ mass_w)
-    return nu / de * (e_w - cond_mean_w(1, x_cells)) + cond_mean(ybar, 1, x_cells)
+    require_binary_support(law.support, 2, "the union target")
+    parts = _union_components(law.mass, law.support)
+    offset = parts["offset"][0] if "offset" in parts else 0.0
+    return parts["num"][0] / parts["de"][0] + offset
 
 
 def binary_union_set(
     dataset: Dataset,
+    support: SupportSpec,
     alpha: float,
     s: Interval,
-    variant: str = "paper",
 ) -> RegionResult:
     """Union-bound set: component Wald intervals combined by interval arithmetic.
 
-    With binary X (the counterfactual-mean target) the components are the
-    denominator contrast, the numerator-times-weight product, and the offset
-    conditional mean, each at level 1 - alpha/3; variant "split_w" instead
-    builds four components at 1 - alpha/4, keeping the numerator contrast
-    and the weight separate.  Without X the target is the plain ratio and
-    the two components get alpha/2 each.  When the denominator interval
-    straddles zero strictly and the numerator is not identically zero the
-    set is the whole range.
+    The support decides the target.  Without X (k_x = 1) it is the plain
+    ratio and the denominator and numerator components get alpha/2 each.
+    With binary X (k_x = 2) it is the counterfactual mean of the X = 1 arm:
+    the denominator contrast, the numerator-times-weight product and the
+    offset conditional mean each get alpha/3.  When the denominator
+    interval straddles zero strictly and the numerator is not identically
+    zero the set is the whole range.
     """
-    if variant not in ("paper", "split_w"):
-        raise ValueError(f"unknown grouping variant {variant!r}")
+    require_binary_support(support, 2, "the union set")
     n = len(dataset)
-    if n == 0:
-        raise EmptyDataset("union set needs at least one row")
-    _check_binary(dataset.z, "z")
-    _check_binary(dataset.w, "w")
-    y = dataset.y
-    w = dataset.w.astype(float)
-    z = dataset.z
-
-    has_x = bool(np.any(dataset.x != dataset.x[0]))
+    law = estimate(dataset, support)
     try:
-        if not has_x:
-            level = alpha / 2.0
-            de_est, de_infl = _cond_pair_contrast(w, z, np.ones(n, dtype=bool))
-            nu_est, nu_infl = _cond_pair_contrast(y, z, np.ones(n, dtype=bool))
-            b_de = _wald_component(de_est, de_infl, level)
-            b_num = _wald_component(nu_est, nu_infl, level)
-            offset = Interval(0.0, 0.0)
-            components = {"de": b_de, "num": b_num}
-        else:
-            _check_binary(dataset.x, "x")
-            x1 = dataset.x == 1
-            de_est, de_infl = _cond_pair_contrast(w, z, x1)
-            nu_est, nu_infl = _cond_pair_contrast(y, z, x1)
-            ew_est, ew_infl = _mean_with_influence(w)
-            w11_est, w11_infl = _cond_mean_with_influence(w, (z == 1) & x1)
-            y11_est, y11_infl = _cond_mean_with_influence(y, (z == 1) & x1)
-            diff_est = ew_est - w11_est
-            diff_infl = ew_infl - w11_infl
-            if variant == "paper":
-                level = alpha / 3.0
-                gw_est = nu_est * diff_est
-                gw_infl = diff_est * nu_infl + nu_est * diff_infl
-                b_de = _wald_component(de_est, de_infl, level)
-                b_num = _wald_component(gw_est, gw_infl, level)
-                offset = _wald_component(y11_est, y11_infl, level)
-                components = {"de": b_de, "num": b_num, "offset": offset}
-            else:
-                level = alpha / 4.0
-                b_de = _wald_component(de_est, de_infl, level)
-                b_nu = _wald_component(nu_est, nu_infl, level)
-                b_diff = _wald_component(diff_est, diff_infl, level)
-                offset = _wald_component(y11_est, y11_infl, level)
-                b_num = interval_mul(b_nu, b_diff)
-                components = {
-                    "de": b_de, "nu": b_nu, "diff": b_diff, "offset": offset,
-                }
-    except EmptyStratum as exc:
+        parts = _union_components(law.mass, support)
+    except ZeroConditioningMass as exc:
         return _full_result(str(exc))
+    level = alpha / len(parts)
+    components = {
+        name: _wald_component(est, infl, law.mass, n, level)
+        for name, (est, infl) in parts.items()
+    }
+    b_de, b_num = components["de"], components["num"]
+    offset = components.get("offset", Interval(0.0, 0.0))
 
     if b_de.lo < 0.0 < b_de.hi and not (b_num.lo == 0.0 == b_num.hi):
         return RegionResult(
@@ -570,10 +536,3 @@ def binary_union_set(
         return _full_result("denominator interval degenerate at zero")
     region = region_from_intervals(interval_add(pieces, offset), s)
     return RegionResult(region=region, components=components)
-
-
-def _cond_pair_contrast(values, z, stratum_mask):
-    """Estimate and influence of E(V | Z=1, stratum) - E(V | Z=0, stratum)."""
-    est1, infl1 = _cond_mean_with_influence(values, (z == 1) & stratum_mask)
-    est0, infl0 = _cond_mean_with_influence(values, (z == 0) & stratum_mask)
-    return est1 - est0, infl1 - infl0

@@ -7,6 +7,9 @@ support requires k_z == k_w); the operators are built as (k_x, k, k) stacks
 and solved together by one batched SVD, whose per-stratum singular values
 measure how weak the W-Z dependence is.  The functional is evaluated
 through its representer alpha on the (W, X) grid, phi = E[alpha * g].
+The estimating function is tabulated on the cells of the support
+(:func:`psi1_values`), so estimators see a sample only through its
+empirical law.
 
 Supported functionals:
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation, ZeroConditioningMass
-from .laws import DiscreteLaw, Dataset, SupportSpec, marginal
+from .laws import DiscreteLaw, SupportSpec, marginal
 
 DEFAULT_TOL = 1e-8
 _EPS = np.finfo(float).eps
@@ -403,34 +406,18 @@ def check_model_membership(
 
 
 def psi1_values(
-    dataset: Dataset,
     support: SupportSpec,
     spec: FunctionalSpec,
     g: np.ndarray,
     q: np.ndarray,
     theta: float = 0.0,
 ) -> np.ndarray:
-    """Per-row values of the estimating function m(O,g) + q(Z,X){Y - g(W,X)} - theta."""
-    mcell = m_cell_values(spec, g, support)
-    mvals = mcell[dataset.w, dataset.x]
-    return mvals + q[dataset.z, dataset.x] * (dataset.y - g[dataset.w, dataset.x]) - theta
+    """Estimating function m(O,g) + q(Z,X){Y - g(W,X)} - theta on every cell.
 
-
-def psi1_expectation(
-    law: DiscreteLaw,
-    spec: FunctionalSpec,
-    g: np.ndarray,
-    q: np.ndarray,
-    theta: float = 0.0,
-) -> float:
-    """Exact expectation of the estimating function under the law."""
-    support = law.support
+    The result has the support's (k_y, k_z, k_w, k_x) shape; its mean under a
+    law is the mass-weighted sum, so a sample enters only through its cell
+    counts.
+    """
     mcell = m_cell_values(spec, g, support)
-    mass_wx = marginal(law, ("W", "X"))
-    ybar = support.y_cell_means
-    # E[q(Z,X) (Y - g(W,X))] by direct summation over the full grid
-    corr = np.einsum(
-        "hljm,lm,hjm->", law.mass, q,
-        ybar[:, None, None] - g[None, :, :],
-    )
-    return float(np.sum(mcell * mass_wx) + corr - theta)
+    ybar = support.y_cell_means[:, None, None, None]
+    return mcell + q[None, :, None, :] * (ybar - g[None, None]) - theta

@@ -320,13 +320,11 @@ def _y_cell_index(dataset: Dataset, support: SupportSpec):
     return h
 
 
-def estimate(dataset: Dataset, support: SupportSpec, smoothing: float = 0.0) -> DiscreteLaw:
-    """Plug-in law: (count + smoothing) / (n + smoothing * n_cells)."""
+def estimate(dataset: Dataset, support: SupportSpec) -> DiscreteLaw:
+    """Empirical law of the rows: cell counts over n."""
     n = len(dataset)
     if n == 0:
         raise EmptyDataset("cannot estimate a law from zero rows")
-    if smoothing < 0.0:
-        raise ValueError("smoothing must be nonnegative")
     h = _y_cell_index(dataset, support)
     for name, k in (("z", support.k_z), ("w", support.k_w), ("x", support.k_x)):
         col = getattr(dataset, name)
@@ -336,7 +334,7 @@ def estimate(dataset: Dataset, support: SupportSpec, smoothing: float = 0.0) -> 
         (h, dataset.z, dataset.w, dataset.x), support.shape
     )
     counts = np.bincount(flat, minlength=support.n_cells).astype(float)
-    mass = (counts + smoothing) / (n + smoothing * support.n_cells)
+    mass = counts / n
     return DiscreteLaw(support, mass.reshape(support.shape))
 
 

@@ -30,6 +30,7 @@ from .confsets import (
     diameter,
     normal_quantile,
     region_from_intervals,
+    require_binary_support,
     score_invert_late,
     wald_ci,
 )
@@ -111,6 +112,7 @@ class ExperimentPlan:
 def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
     """Turn a method config into dataset -> RegionResult."""
     alpha = 1.0 - plan.level
+    support = case.law.support
     opts = dict(cfg.options)
     if cfg.name == "wald":
         if "functional" not in opts:
@@ -121,18 +123,18 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
         cross_fit = bool(opts.pop("cross_fit", False))
         tol = float(opts.pop("tol", 1e-8))
         _reject_extra(cfg, opts)
-        support = case.law.support
         func.validate_against(support)
         return lambda ds: wald_ci(
             ds, func, support, alpha, s=plan.s, cross_fit=cross_fit, tol=tol
         )
     if cfg.name == "score":
         _reject_extra(cfg, opts)
-        return lambda ds: score_invert_late(ds, alpha, s=plan.s)
+        require_binary_support(support, 1, "method 'score'")
+        return lambda ds: score_invert_late(ds, support, alpha, s=plan.s)
     if cfg.name == "union":
-        variant = opts.pop("variant", "paper")
         _reject_extra(cfg, opts)
-        return lambda ds: binary_union_set(ds, alpha, plan.s, variant=variant)
+        require_binary_support(support, 2, "method 'union'")
+        return lambda ds: binary_union_set(ds, support, alpha, plan.s)
     if cfg.name == "fullrange":
         _reject_extra(cfg, opts)
         return lambda ds: RegionResult(region=FULL_REGION)

@@ -1,8 +1,32 @@
-"""Shared law builders and generators for the test suite."""
+"""Shared law builders, generators and row-level reference constructors
+for the test suite."""
+
+import math
 
 import numpy as np
 
-from weakdep import BaseLawSpec, DiscreteLaw, FunctionalSpec, SupportSpec
+from weakdep import BaseLawSpec, DiscreteLaw, FunctionalSpec, SupportSpec, estimate
+from weakdep.confsets import (
+    FULL_LINE,
+    FULL_REGION,
+    Interval,
+    RegionResult,
+    _full_result,
+    _nuisances,
+    _quadratic_sublevel,
+    interval_add,
+    interval_div,
+    normal_quantile,
+    region_from_intervals,
+)
+from weakdep.errors import (
+    DegenerateSample,
+    EmptyDataset,
+    EmptyStratum,
+    PositivityViolation,
+    ZeroConditioningMass,
+)
+from weakdep.functionals import m_cell_values
 
 
 def late_support():
@@ -135,3 +159,167 @@ def random_base(rng, k=2, k_y=2, k_x=1, tame=False):
         support=support, f_zx=f_zx, pi_w_given_x=pi_w, pi_y_given_x=pi_y,
         functional=functional,
     )
+
+
+# ---------------------------------------------------------------------------
+# Row-level reference constructors.  These evaluate the three confidence sets
+# row by row, with n-row masks and per-row influence arrays, exactly as the
+# package did before its constructors moved to cell counts; tests check the
+# cell path against them on the same data.
+
+
+def _check_binary(values, name):
+    if not np.isin(values, (0, 1)).all():
+        raise ValueError(f"{name} must be binary 0/1")
+
+
+def row_psi1_values(dataset, support, spec, g, q, theta=0.0):
+    """Per-row values of the estimating function m(O,g) + q(Z,X){Y - g(W,X)} - theta."""
+    mcell = m_cell_values(spec, g, support)
+    mvals = mcell[dataset.w, dataset.x]
+    return mvals + q[dataset.z, dataset.x] * (dataset.y - g[dataset.w, dataset.x]) - theta
+
+
+def row_wald_ci(dataset, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e-8):
+    """Row-level Wald interval: mean and ddof=1 deviation of the per-row values."""
+    n = len(dataset)
+    if n == 0:
+        raise EmptyDataset("wald_ci needs at least one row")
+    z = normal_quantile(1.0 - alpha / 2.0)
+    try:
+        if cross_fit:
+            half = n // 2
+            idx_a = np.arange(half)
+            idx_b = np.arange(half, n)
+            values = np.empty(n)
+            for fit_idx, eval_idx in ((idx_a, idx_b), (idx_b, idx_a)):
+                law = estimate(dataset.subset(fit_idx), support)
+                g, q = _nuisances(law, spec, tol)
+                values[eval_idx] = row_psi1_values(
+                    dataset.subset(eval_idx), support, spec, g, q, 0.0
+                )
+        else:
+            law = estimate(dataset, support)
+            g, q = _nuisances(law, spec, tol)
+            values = row_psi1_values(dataset, support, spec, g, q, 0.0)
+    except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
+        return _full_result(str(exc))
+    phi_hat = float(values.mean())
+    sd = float(values.std(ddof=1)) if n > 1 else 0.0
+    half_width = z * sd / math.sqrt(n)
+    region = region_from_intervals(
+        [Interval(phi_hat - half_width, phi_hat + half_width)], s
+    )
+    return RegionResult(region=region, estimate=phi_hat, stderr=sd / math.sqrt(n))
+
+
+def row_score_invert_late(dataset, alpha, s=FULL_LINE):
+    """Row-level score inversion, centring Y and W by their Z=1 means."""
+    n = len(dataset)
+    if n == 0:
+        raise EmptyDataset("score inversion needs at least one row")
+    _check_binary(dataset.z, "z")
+    _check_binary(dataset.w, "w")
+    if np.any(dataset.x != dataset.x[0]):
+        raise ValueError("the ratio target admits no X stratification")
+    n1 = int(dataset.z.sum())
+    if n1 == 0 or n1 == n:
+        return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
+
+    f_z1 = n1 / n
+    c = np.where(dataset.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
+    a_dev = dataset.y - dataset.y[dataset.z == 1].mean()
+    b_dev = dataset.w - dataset.w[dataset.z == 1].mean()
+    ca = c * a_dev
+    cb = c * b_dev
+    mean_a = ca.mean()
+    mean_b = cb.mean()
+
+    z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
+    q_aa = float(n * mean_a * mean_a - z2 * (ca * ca).mean())
+    q_ab = float(n * mean_a * mean_b - z2 * (ca * cb).mean())
+    q_bb = float(n * mean_b * mean_b - z2 * (cb * cb).mean())
+    pieces = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
+    return RegionResult(region=region_from_intervals(pieces, s))
+
+
+def _mean_with_influence(values):
+    est = float(values.mean())
+    return est, values - est
+
+
+def _cond_mean_with_influence(values, mask):
+    count = int(mask.sum())
+    if count == 0:
+        raise EmptyStratum("conditioning stratum unobserved in sample")
+    p_hat = count / mask.size
+    est = float(values[mask].mean())
+    infl = np.where(mask, values - est, 0.0) / p_hat
+    return est, infl
+
+
+def _cond_pair_contrast(values, z, stratum_mask):
+    est1, infl1 = _cond_mean_with_influence(values, (z == 1) & stratum_mask)
+    est0, infl0 = _cond_mean_with_influence(values, (z == 0) & stratum_mask)
+    return est1 - est0, infl1 - infl0
+
+
+def _row_wald_component(est, infl, alpha):
+    n = infl.size
+    z = normal_quantile(1.0 - alpha / 2.0)
+    se = math.sqrt(float((infl * infl).mean()) / max(n - 1, 1))
+    return Interval(est - z * se, est + z * se)
+
+
+def row_binary_union_set(dataset, alpha, s):
+    """Row-level union-bound set (the paper's grouping); the X form is used
+    only when the sample holds more than one X value."""
+    n = len(dataset)
+    if n == 0:
+        raise EmptyDataset("union set needs at least one row")
+    _check_binary(dataset.z, "z")
+    _check_binary(dataset.w, "w")
+    y = dataset.y
+    w = dataset.w.astype(float)
+    z = dataset.z
+
+    has_x = bool(np.any(dataset.x != dataset.x[0]))
+    try:
+        if not has_x:
+            level = alpha / 2.0
+            de_est, de_infl = _cond_pair_contrast(w, z, np.ones(n, dtype=bool))
+            nu_est, nu_infl = _cond_pair_contrast(y, z, np.ones(n, dtype=bool))
+            b_de = _row_wald_component(de_est, de_infl, level)
+            b_num = _row_wald_component(nu_est, nu_infl, level)
+            offset = Interval(0.0, 0.0)
+            components = {"de": b_de, "num": b_num}
+        else:
+            _check_binary(dataset.x, "x")
+            x1 = dataset.x == 1
+            de_est, de_infl = _cond_pair_contrast(w, z, x1)
+            nu_est, nu_infl = _cond_pair_contrast(y, z, x1)
+            ew_est, ew_infl = _mean_with_influence(w)
+            w11_est, w11_infl = _cond_mean_with_influence(w, (z == 1) & x1)
+            y11_est, y11_infl = _cond_mean_with_influence(y, (z == 1) & x1)
+            diff_est = ew_est - w11_est
+            diff_infl = ew_infl - w11_infl
+            level = alpha / 3.0
+            gw_est = nu_est * diff_est
+            gw_infl = diff_est * nu_infl + nu_est * diff_infl
+            b_de = _row_wald_component(de_est, de_infl, level)
+            b_num = _row_wald_component(gw_est, gw_infl, level)
+            offset = _row_wald_component(y11_est, y11_infl, level)
+            components = {"de": b_de, "num": b_num, "offset": offset}
+    except EmptyStratum as exc:
+        return _full_result(str(exc))
+
+    if b_de.lo < 0.0 < b_de.hi and not (b_num.lo == 0.0 == b_num.hi):
+        return RegionResult(
+            region=FULL_REGION, components=components,
+            message="denominator interval straddles zero",
+        )
+    pieces = interval_div(b_num, b_de)
+    if not pieces:
+        return _full_result("denominator interval degenerate at zero")
+    region = region_from_intervals(interval_add(pieces, offset), s)
+    return RegionResult(region=region, components=components)

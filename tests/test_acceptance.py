@@ -254,7 +254,7 @@ def test_criterion_5_strong_instrument_calibration():
         seed = np.random.SeedSequence(entropy=105, spawn_key=(0, r))
         ds = sample(law, n, seed)
         wald_cov += wald_ci(ds, spec, law.support, 0.05, s=s).region.contains(phi)
-        score_cov += score_invert_late(ds, 0.05, s).region.contains(phi)
+        score_cov += score_invert_late(ds, law.support, 0.05, s).region.contains(phi)
     elapsed = time.perf_counter() - started
     ok = True
     details = []
@@ -308,7 +308,7 @@ def test_criterion_7_union_bound_conservative():
             for r in range(reps):
                 seed = np.random.SeedSequence(entropy=107, spawn_key=(3 * i + j, r))
                 ds = sample(law, n, seed)
-                cov += binary_union_set(ds, 0.05, s).region.contains(phi)
+                cov += binary_union_set(ds, law.support, 0.05, s).region.contains(phi)
             rate = cov / reps
             lo, hi = wilson_interval(cov, reps)
             half = (hi - lo) / 2.0
@@ -324,7 +324,7 @@ def test_criterion_7_union_bound_conservative():
     for r in range(reps):
         seed = np.random.SeedSequence(entropy=108, spawn_key=(9, r))
         ds = sample(weakest, n, seed)
-        res = binary_union_set(ds, 0.05, su)
+        res = binary_union_set(ds, weakest.support, 0.05, su)
         full += res.region.is_full
         cov += res.region.contains(5.0)
     record(

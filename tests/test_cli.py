@@ -9,7 +9,7 @@ import pytest
 from weakdep import cli, laws
 from weakdep.functionals import FunctionalSpec
 
-from helpers import acceptance_base, late_law
+from helpers import acceptance_base, late_law, random_law
 
 from test_functionals import w_indep_z_law, wz_identity_late
 
@@ -235,6 +235,14 @@ class TestCoverage:
                 cli.main(["coverage", str(demo_plan), "--out", str(out), *flag])
             assert exc.value.code == 2
 
+    # method and (k_y, k_z, k_w, k_x) of a law whose support the method cannot use
+    _UNSUPPORTED = {
+        "score_on_binary_x": ("score", (2, 2, 2, 2)),
+        "union_on_three_x": ("union", (2, 2, 2, 3)),
+        "score_on_three_zw": ("score", (2, 3, 3, 1)),
+        "union_on_three_zw": ("union", (2, 3, 3, 1)),
+    }
+
     @pytest.mark.parametrize("defect, code", [
         ("mass_sums_to_0.8", 1),
         ("negative_mass", 1),
@@ -243,6 +251,10 @@ class TestCoverage:
         ("score_points_option", 2),
         ("plan_is_array_with_seed_flag", 2),
         ("method_not_object_with_methods_flag", 2),
+        ("score_on_binary_x", 2),
+        ("union_on_three_x", 2),
+        ("score_on_three_zw", 2),
+        ("union_on_three_zw", 2),
     ])
     def test_invalid_plan_exit_code(self, demo_plan, tmp_path, capsys,
                                     defect, code):
@@ -259,6 +271,11 @@ class TestCoverage:
             plan["methods"] = [{"name": "wald"}]
         elif defect == "score_points_option":
             plan["methods"] = [{"name": "score", "points": 4001}]
+        elif defect in self._UNSUPPORTED:
+            method, shape = self._UNSUPPORTED[defect]
+            law = random_law(np.random.default_rng(3), *shape, unit_zw=True)
+            plan["laws"][0]["law"] = laws.law_to_dict(law)
+            plan["methods"] = [{"name": method}]
         elif defect == "plan_is_array_with_seed_flag":
             plan, flags = [plan], ["--seed", "3"]
         else:

@@ -19,7 +19,6 @@ from weakdep.confsets import (
     diameter,
     interval_add,
     interval_div,
-    interval_mul,
     normal_quantile,
     region_from_intervals,
     score_invert_late,
@@ -28,7 +27,16 @@ from weakdep.confsets import (
 )
 from weakdep.laws import Dataset
 
-from helpers import acceptance_base, binary_x_law, late_law, wald_ratio
+from helpers import (
+    acceptance_base,
+    binary_x_law,
+    late_law,
+    late_support,
+    row_binary_union_set,
+    row_score_invert_late,
+    row_wald_ci,
+    wald_ratio,
+)
 
 INF = float("inf")
 
@@ -121,20 +129,6 @@ class TestIntervalArithmetic:
             c, d = sorted(rng.choice(endpoints, 2, replace=True))
             num, den = Interval(a, b), Interval(c, d)
             _div_oracle(num, den, interval_div(num, den))
-
-    def test_mul_is_exact_hull(self):
-        rng = np.random.default_rng(62)
-        for _ in range(50):
-            a = Interval(*sorted(rng.uniform(-2, 2, 2)))
-            b = Interval(*sorted(rng.uniform(-2, 2, 2)))
-            piece = interval_mul(a, b)
-            s = np.linspace(a.lo, a.hi, 101)
-            t = np.linspace(b.lo, b.hi, 101)
-            prods = np.outer(s, t)
-            assert prods.min() >= piece.lo - 1e-12
-            assert prods.max() <= piece.hi + 1e-12
-            assert abs(prods.min() - piece.lo) < 1e-9
-            assert abs(prods.max() - piece.hi) < 1e-9
 
     def test_add_shifts_pieces(self):
         pieces = (Interval(-INF, -1.0), Interval(1.0, INF))
@@ -273,7 +267,7 @@ class TestScoreInversion:
         y, z, w = (np.array(col) for col in zip(*rows))
         ds = Dataset(y=y.astype(float), z=z, w=w, x=np.zeros(len(rows), int))
         s = Interval(*sorted(ends))
-        res = score_invert_late(ds, alpha, s)
+        res = score_invert_late(ds, late_support(), alpha, s)
         if z.min() == z.max():
             assert res.degenerate and res.region.is_full
             return
@@ -299,7 +293,7 @@ class TestScoreInversion:
             ds = sample(law, 500, seed=seed)
             emp = estimate(ds, law.support)
             theta_hat = wald_ratio(emp)
-            res = score_invert_late(ds, 0.05, s)
+            res = score_invert_late(ds, law.support, 0.05, s)
             assert res.region.contains(theta_hat)
 
     def test_affine_rescaling_of_y(self):
@@ -309,8 +303,13 @@ class TestScoreInversion:
         s2 = Interval(-5.0, 5.0)
         ds = sample(law, 800, seed=11)
         scaled = Dataset(y=a * ds.y + b, z=ds.z, w=ds.w, x=ds.x)
-        r1 = score_invert_late(ds, 0.05, s1)
-        r2 = score_invert_late(scaled, 0.05, s2)
+        support = law.support
+        scaled_support = SupportSpec(
+            mu_y=support.mu_y, mu_z=support.mu_z, mu_w=support.mu_w,
+            mu_x=support.mu_x, iota_y=(a * support.y_cell_means + b) * support.mu_y,
+        )
+        r1 = score_invert_late(ds, support, 0.05, s1)
+        r2 = score_invert_late(scaled, scaled_support, 0.05, s2)
         assert len(r1.region.intervals) == len(r2.region.intervals)
         for iv1, iv2 in zip(r1.region.intervals, r2.region.intervals):
             assert iv2.lo == pytest.approx(a * iv1.lo, abs=1e-9)
@@ -336,22 +335,24 @@ class TestScoreInversion:
         assert iv.hi == pytest.approx(1e8, rel=1e-15)
 
     def test_outcome_equal_to_treatment_gives_point(self):
-        # strong instrument and Y = W: only theta = 1 zeroes every score term
+        # strong instrument and Y = W (Y = 1 - W): only theta = 1 (theta = -1)
+        # zeroes every score term
         for seed in range(20):
             rng = np.random.default_rng(seed)
             n = 200
             z = rng.integers(0, 2, n)
             w = np.where(rng.random(n) < 0.9, z, 1 - z)
-            ds = Dataset(y=w.astype(float), z=z, w=w, x=np.zeros(n, int))
-            res = score_invert_late(ds, 0.05)
-            assert res.region.intervals == (Interval(1.0, 1.0),)
+            for y, theta in ((w, 1.0), (1 - w, -1.0)):
+                ds = Dataset(y=y.astype(float), z=z, w=w, x=np.zeros(n, int))
+                res = score_invert_late(ds, late_support(), 0.05)
+                assert res.region.intervals == (Interval(theta, theta),)
 
     def test_one_arm_missing_full_range(self):
         ds = Dataset(
             y=np.array([0.0, 1.0]), z=np.array([1, 1]), w=np.array([0, 1]),
             x=np.zeros(2, int),
         )
-        res = score_invert_late(ds, 0.05)
+        res = score_invert_late(ds, late_support(), 0.05)
         assert res.degenerate and res.region.is_full
 
     def test_weak_dependence_spans_range(self):
@@ -363,7 +364,7 @@ class TestScoreInversion:
         wide = 0
         for seed in range(20):
             ds = sample(weak, 2000, seed=seed)
-            res = score_invert_late(ds, 0.05, s)
+            res = score_invert_late(ds, weak.support, 0.05, s)
             wide += diameter(res.region, s) >= 0.9 * (s.hi - s.lo)
         assert wide >= 18
 
@@ -387,7 +388,7 @@ class TestBinaryUnionSet:
             w=rng.integers(0, 2, n),
             x=np.zeros(n, int),
         )
-        res = binary_union_set(ds, 0.05, Interval(-10.0, 10.0))
+        res = binary_union_set(ds, late_support(), 0.05, Interval(-10.0, 10.0))
         assert res.region.is_full
         assert "straddles zero" in res.message
 
@@ -398,20 +399,9 @@ class TestBinaryUnionSet:
         covered = 0
         for seed in range(40):
             ds = sample(law, 1500, seed=seed)
-            res = binary_union_set(ds, 0.05, s)
+            res = binary_union_set(ds, law.support, 0.05, s)
             covered += res.region.contains(phi)
         assert covered >= 38
-
-    def test_split_variant_also_covers(self):
-        law = binary_x_law(dep=0.6, py=0.4)
-        phi = binary_union_estimand(law)
-        s = Interval(-5.0, 5.0)
-        covered = 0
-        for seed in range(30):
-            ds = sample(law, 1500, seed=seed)
-            res = binary_union_set(ds, 0.05, s, variant="split_w")
-            covered += res.region.contains(phi)
-        assert covered >= 28
 
     def test_empty_stratum_full_range(self):
         ds = Dataset(
@@ -420,15 +410,25 @@ class TestBinaryUnionSet:
             w=np.array([0, 1, 0, 1]),
             x=np.array([0, 1, 0, 1]),
         )
-        res = binary_union_set(ds, 0.05, Interval(-5.0, 5.0))
+        res = binary_union_set(ds, binary_x_law().support, 0.05, Interval(-5.0, 5.0))
         assert res.degenerate and res.region.is_full
+
+    def test_x_form_when_sample_holds_one_x_value(self):
+        # the support, not the drawn X values, decides the target
+        law = binary_x_law(dep=0.7, py=0.5)
+        ds = sample(law, 2000, seed=4)
+        keep = np.flatnonzero(ds.x == 1)
+        only_x1 = ds.subset(keep)
+        res = binary_union_set(only_x1, law.support, 0.05, Interval(-5.0, 5.0))
+        assert set(res.components) == {"de", "num", "offset"}
+        assert not res.degenerate
 
     def test_contains_plug_in_when_denominator_clear(self):
         law = binary_x_law(dep=0.7, py=0.5)
         s = Interval(-5.0, 5.0)
         for seed in range(20):
             ds = sample(law, 2000, seed=seed)
-            res = binary_union_set(ds, 0.05, s)
+            res = binary_union_set(ds, law.support, 0.05, s)
             if res.degenerate or "straddles" in res.message:
                 continue
             emp = estimate(ds, law.support)
@@ -449,6 +449,59 @@ class TestBinaryUnionSet:
             assert binary_union_estimand(law) == pytest.approx(phi, abs=1e-10)
 
 
+def _binary_support(k_x):
+    return SupportSpec(mu_y=[1.0, 1.0], mu_z=[1.0, 1.0], mu_w=[1.0, 1.0],
+                       mu_x=[1.0] * k_x, iota_y=[0.0, 1.0])
+
+
+def _assert_same_result(cell, row):
+    assert cell.region.kind == row.region.kind
+    assert len(cell.region.intervals) == len(row.region.intervals)
+    assert cell.degenerate == row.degenerate
+    pairs = [(cell.estimate, row.estimate), (cell.stderr, row.stderr)]
+    pairs += [(a, b) for ic, ir in zip(cell.region.intervals, row.region.intervals)
+              for a, b in ((ic.lo, ir.lo), (ic.hi, ir.hi))]
+    for a, b in pairs:
+        if a is None or b is None or math.isinf(a) or math.isinf(b):
+            assert a == b
+        else:
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+class TestCellPathMatchesRows:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(
+        k_x=st.sampled_from([1, 2]),
+        rows=st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=2, max_size=80),
+        alpha=st.floats(0.001, 0.5),
+        ends=st.tuples(_ENDS, _ENDS).filter(lambda e: e[0] != e[1]),
+    )
+    def test_same_regions_as_row_reference(self, k_x, rows, alpha, ends):
+        """Every constructor gives on the cell counts the region the row-level
+        reference gives on the rows themselves."""
+        y, z, w, x = (np.array(col) for col in zip(*rows))
+        x = x if k_x == 2 else np.zeros_like(x)
+        ds = Dataset(y=y.astype(float), z=z, w=w, x=x)
+        support = _binary_support(k_x)
+        s = Interval(*sorted(ends))
+        kinds = ["ate_iv"] + (["late"] if k_x == 1 else [])
+        for kind in kinds:
+            spec = FunctionalSpec(kind=kind)
+            for cross_fit in (False, True):
+                _assert_same_result(
+                    wald_ci(ds, spec, support, alpha, s, cross_fit=cross_fit),
+                    row_wald_ci(ds, spec, support, alpha, s, cross_fit=cross_fit),
+                )
+        # Y = 1 - W rows are the rounding case the row reference gets wrong
+        if k_x == 1 and not np.array_equal(y, 1 - w):
+            _assert_same_result(score_invert_late(ds, support, alpha, s),
+                                row_score_invert_late(ds, alpha, s))
+        # the row reference picks the ratio form when one X value is drawn
+        if k_x == 1 or x.min() != x.max():
+            _assert_same_result(binary_union_set(ds, support, alpha, s),
+                                row_binary_union_set(ds, alpha, s))
+
+
 class TestLevelMonotonicity:
     def test_regions_nest_in_alpha(self):
         law = late_law()
@@ -462,11 +515,11 @@ class TestLevelMonotonicity:
                 w1 = wald_ci(ds, FunctionalSpec.late(), law.support, a1, s=s)
                 w2 = wald_ci(ds, FunctionalSpec.late(), law.support, a2, s=s)
                 assert _region_contains(w1.region, w2.region, s)
-                r1 = score_invert_late(ds, a1, s)
-                r2 = score_invert_late(ds, a2, s)
+                r1 = score_invert_late(ds, law.support, a1, s)
+                r2 = score_invert_late(ds, law.support, a2, s)
                 assert _region_contains(r1.region, r2.region, s)
-                u1 = binary_union_set(ds_x, a1, s)
-                u2 = binary_union_set(ds_x, a2, s)
+                u1 = binary_union_set(ds_x, law_x.support, a1, s)
+                u2 = binary_union_set(ds_x, law_x.support, a2, s)
                 assert _region_contains(u1.region, u2.region, s)
 
 

@@ -26,7 +26,7 @@ from weakdep.functionals import (
     _solve_strata,
     adjoint_mean_operator,
     m_cell_values,
-    psi1_expectation,
+    psi1_values,
 )
 from weakdep.laws import marginal
 
@@ -414,12 +414,9 @@ class TestStructuralInvariants:
             alpha = riesz_alpha(law, spec)
             q = solve_q(law, alpha)
             phi = evaluate_phi(law, spec)
-            assert psi1_expectation(law, spec, g, q, theta=phi) == pytest.approx(
-                0.0, abs=1e-10
-            )
-            assert psi1_expectation(law, spec, g, q, theta=phi + 0.5) == pytest.approx(
-                -0.5, abs=1e-10
-            )
+            for theta, expected in ((phi, 0.0), (phi + 0.5, -0.5)):
+                psi = psi1_values(support, spec, g, q, theta=theta)
+                assert (law.mass * psi).sum() == pytest.approx(expected, abs=1e-10)
 
     def test_m_cell_values_consistent_with_phi(self):
         # E[m(O, g)] must agree with E[alpha g] for every variant

@@ -303,7 +303,7 @@ class TestSample:
         law = random_law(rng, 2, 2, 2, 2)
         n = 10**5
         ds = sample(law, n, seed=123)
-        emp = estimate(ds, law.support, smoothing=0.0)
+        emp = estimate(ds, law.support)
         p = law.mass
         band = 4.0 * np.sqrt(p * (1.0 - p) / n)
         assert np.all(np.abs(emp.mass - p) <= band)
@@ -325,17 +325,9 @@ class TestEstimate:
             y=np.ones(20), z=np.zeros(20, int), w=np.ones(20, int),
             x=np.zeros(20, int),
         )
-        law = estimate(ds, support, smoothing=0.0)
+        law = estimate(ds, support)
         assert law.mass[1, 0, 1, 0] == 1.0
         assert law.mass.sum() == pytest.approx(1.0)
-
-    def test_huge_smoothing_approaches_uniform(self):
-        law = late_law()
-        ds = sample(law, 1000, seed=5)
-        smoothed = estimate(ds, law.support, smoothing=1e9)
-        np.testing.assert_allclose(
-            smoothed.mass, 1.0 / law.support.n_cells, atol=1e-6
-        )
 
     def test_round_trip_tv(self):
         rng = np.random.default_rng(17)

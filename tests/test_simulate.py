@@ -118,12 +118,13 @@ class TestPlanSerialization:
     def test_round_trip(self):
         plan = small_plan(
             [MethodConfig("wald", {"functional": {"kind": "late"}}),
-             MethodConfig("union", {"variant": "split_w"})],
+             MethodConfig("wald", {"functional": {"kind": "late"}, "cross_fit": True})],
         )
         back = plan_from_dict(plan_to_dict(plan))
         assert back.n == plan.n and back.seed == plan.seed
-        assert [m.name for m in back.methods] == ["wald", "union"]
-        assert back.methods[1].options == {"variant": "split_w"}
+        assert [m.name for m in back.methods] == ["wald", "wald"]
+        assert back.methods[1].options == {"functional": {"kind": "late"},
+                                           "cross_fit": True}
         assert run(back).to_csv() == run(plan).to_csv()
 
     def test_unknown_plan_keys_rejected(self):
