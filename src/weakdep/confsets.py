@@ -13,12 +13,13 @@ Three constructors:
   combined with exact interval arithmetic (ratio plus offset), valid by
   the union bound for binary Z, W, X.
 
-Each constructor reads a sample only through its empirical law: the rows
-become cell counts once (per cross-fit fold) with :func:`~weakdep.laws.estimate`,
-and everything after that is a mass-weighted sum over the (Y, Z, W, X)
-cells.  The score set needs binary Z and W and no X (k_x = 1); the union
-set needs binary Z and W and takes its target from k_x: the ratio when
-k_x = 1, the X = 1 arm when k_x = 2.
+Each constructor reads a sample, which is its per-fold cell counts, only
+through its empirical law: :func:`~weakdep.laws.estimate` divides the
+counts by n once (per cross-fit fold), and everything after that is a
+mass-weighted sum over the (Y, Z, W, X) cells.  The score set needs
+binary Z and W and no X (k_x = 1); the union set needs binary Z and W
+and takes its target from k_x: the ratio when k_x = 1, the X = 1 arm
+when k_x = 2.
 
 Regions are finite unions of closed intervals, the full parameter range,
 or empty.  Degenerate-sample failures conservatively return the full range.
@@ -325,7 +326,7 @@ def wald_ci(
 
     The estimate is the sample mean of m(O, g) + q(Z,X){Y - g(W,X)} with
     nuisances solved on the empirical law (or, when cross_fit is set, on the
-    empirical law of the opposite half of the rows); the standard error is
+    empirical law of the opposite fold of the sample); the standard error is
     the sample standard deviation of those values over sqrt(n).  Both are
     mass-weighted sums over the cells.  Degenerate samples (empty
     conditioning cells, inconsistent empirical systems) return the full
@@ -335,10 +336,11 @@ def wald_ci(
     z = normal_quantile(1.0 - alpha / 2.0)
     try:
         if cross_fit:
-            half = n // 2
-            fold_a = estimate(dataset.subset(slice(0, half)), support)
-            fold_b = estimate(dataset.subset(slice(half, n)), support)
-            folds = ((fold_a, fold_b, (n - half) / n), (fold_b, fold_a, half / n))
+            part_a, part_b = dataset.fold(0), dataset.fold(1)
+            fold_a = estimate(part_a, support)
+            fold_b = estimate(part_b, support)
+            folds = ((fold_a, fold_b, len(part_b) / n),
+                     (fold_b, fold_a, len(part_a) / n))
         else:
             law = estimate(dataset, support)
             folds = ((law, law, 1.0),)

@@ -71,11 +71,3 @@ class BracketingFailure(WeakdepError):
 
 class DegenerateSample(WeakdepError):
     """The empirical law does not support the plug-in construction."""
-
-
-class AllZOneArm(DegenerateSample):
-    """An instrument arm is unobserved in the sample."""
-
-
-class EmptyStratum(DegenerateSample):
-    """A conditioning stratum is unobserved in the sample."""

@@ -7,8 +7,13 @@ throughout, row-major on disk.
 
 The Y axis additionally carries per-cell integrals of the identity,
 ``iota_y[h]``, so conditional means of Y are computable without fixing
-representative points; for sampling, Y is summarized by its cell mean
-``iota_y[h] / mu_y[h]`` (exact when Y cells are singletons).
+representative points; where a single value is needed, Y is summarized
+by its cell mean ``iota_y[h] / mu_y[h]`` (exact when Y cells are
+singletons).
+
+A sample is its per-fold cell counts (:class:`Dataset`): every confidence
+set reads a sample only through its empirical law, so no rows and no Y
+values are ever drawn.
 """
 
 from __future__ import annotations
@@ -274,68 +279,70 @@ def kl_divergence(a: DiscreteLaw, b: DiscreteLaw) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sampled rows: real outcome y and 0-based cell indices z, w, x."""
+    """A sample as its cell counts: ``counts[f, h, l, j, m]`` draws of fold f
+    fell on cell (h, l, j, m).
 
-    y: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-    x: np.ndarray
+    :func:`sample` puts the first ``n // 2`` draws in fold 0 and the rest in
+    fold 1, so that cross-fitting splits a sample without rows.  Counts are
+    read-only non-negative integers.
+    """
+
+    counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _ro(self.y, dtype=float))
-        for name in ("z", "w", "x"):
-            object.__setattr__(self, name, _ro(getattr(self, name), dtype=np.int64))
-        n = self.y.size
-        if any(getattr(self, f).size != n for f in ("z", "w", "x")):
-            raise ValueError("column lengths differ")
+        raw = np.asarray(self.counts)
+        if raw.ndim != 5 or raw.shape[0] != 2:
+            raise ValueError(
+                f"counts must have shape (2, k_y, k_z, k_w, k_x), got {raw.shape}"
+            )
+        if raw.dtype.kind not in "iu" and not (
+            np.all(np.isfinite(raw)) and np.array_equal(raw, np.round(raw))
+        ):
+            raise ValueError("counts must be integers")
+        if (raw < 0).any():
+            raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "counts", _ro(raw, dtype=np.int64))
 
     def __len__(self):
-        return self.y.size
+        return int(self.counts.sum())
 
-    def subset(self, idx):
-        return Dataset(self.y[idx], self.z[idx], self.w[idx], self.x[idx])
+    def fold(self, i):
+        """The one-fold dataset holding fold i's counts (the other fold empty)."""
+        counts = np.zeros_like(self.counts)
+        counts[i] = self.counts[i]
+        return Dataset(counts)
 
 
 def sample(law: DiscreteLaw, n: int, seed) -> Dataset:
-    """Draw n i.i.d. rows; the emitted y is the Y-cell mean. Deterministic in seed."""
+    """Draw n i.i.d. observations as per-fold cell counts. Deterministic in seed.
+
+    The two folds are independent multinomials of sizes ``n // 2`` and
+    ``n - n // 2``, which is the law of binned i.i.d. rows split at
+    ``n // 2``.  Zero-mass cells take no draw.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     flat = law.mass.ravel()
-    idx = rng.choice(flat.size, size=n, p=flat / flat.sum())
-    h, l, j, m = np.unravel_index(idx, law.mass.shape)
-    ybar = law.support.y_cell_means
-    return Dataset(y=ybar[h], z=l, w=j, x=m)
-
-
-def _y_cell_index(dataset: Dataset, support: SupportSpec):
-    ybar = support.y_cell_means
-    diff = np.abs(dataset.y[:, None] - ybar[None, :])
-    h = diff.argmin(axis=1)
-    worst = diff[np.arange(len(dataset)), h]
-    scale = np.maximum(1.0, np.abs(ybar[h]))
-    if np.any(worst > 1e-8 * scale):
-        bad = int(np.argmax(worst > 1e-8 * scale))
-        raise ValueError(f"row {bad}: y={dataset.y[bad]} matches no Y cell mean")
-    return h
+    live = np.flatnonzero(flat)
+    p = flat[live] / flat[live].sum()
+    counts = np.zeros((2, flat.size), dtype=np.int64)
+    for fold, size in enumerate((n // 2, n - n // 2)):
+        counts[fold, live] = rng.multinomial(size, p)
+    return Dataset(counts.reshape((2,) + law.mass.shape))
 
 
 def estimate(dataset: Dataset, support: SupportSpec) -> DiscreteLaw:
-    """Empirical law of the rows: cell counts over n."""
-    n = len(dataset)
+    """Empirical law of the sample: cell counts over n.
+
+    Raises ValueError (from DiscreteLaw) when the counts do not lie on the
+    support's grid, and EmptyDataset when n is zero.
+    """
+    counts = dataset.counts.sum(axis=0)
+    n = counts.sum()
     if n == 0:
-        raise EmptyDataset("cannot estimate a law from zero rows")
-    h = _y_cell_index(dataset, support)
-    for name, k in (("z", support.k_z), ("w", support.k_w), ("x", support.k_x)):
-        col = getattr(dataset, name)
-        if col.min() < 0 or col.max() >= k:
-            raise ValueError(f"{name} index outside support")
-    flat = np.ravel_multi_index(
-        (h, dataset.z, dataset.w, dataset.x), support.shape
-    )
-    counts = np.bincount(flat, minlength=support.n_cells).astype(float)
-    mass = counts / n
-    return DiscreteLaw(support, mass.reshape(support.shape))
+        raise EmptyDataset("cannot estimate a law from an empty sample")
+    return DiscreteLaw(support, counts / n)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .laws import DiscreteLaw, law_from_dict, law_to_dict, sample
 CSV_COLUMNS = (
     "label", "method", "n", "reps", "coverage", "wilson_lo", "wilson_hi",
     "diam_mean", "diam_p50", "diam_p90", "frac_fullrange", "frac_error",
+    "frac_diam_ge_s",
 )
 
 
@@ -176,7 +177,7 @@ class CellReport:
     frac_fullrange: float
     frac_error: float
     frac_diam_ge_s: float
-    runtime: float
+    runtime: float          # seconds spent in this method's constructor calls
     diameters: tuple
     outcomes: tuple
 
@@ -197,7 +198,7 @@ class CellReport:
         d = {c: clean(getattr(self, c)) for c in CSV_COLUMNS}
         d.update(
             covered=self.covered, missed=self.missed, errors=self.errors,
-            frac_diam_ge_s=self.frac_diam_ge_s, runtime=self.runtime,
+            runtime=self.runtime,
             diameters=[clean(v) for v in self.diameters],
             outcomes=list(self.outcomes),
         )
@@ -230,15 +231,20 @@ class CoverageReport:
 
 
 def _replicate(plan, case, law_idx, rep_idx, constructors):
-    """One replication: draw once, apply every method to the same dataset."""
+    """One replication: draw once, apply every method to the same dataset.
+
+    Returns (outcome, diameter, is_full, seconds in the constructor) per method.
+    """
     seed = np.random.SeedSequence(entropy=plan.seed, spawn_key=(law_idx, rep_idx))
     dataset = sample(case.law, plan.n, seed)
     out = []
     for method in constructors:
+        started = time.perf_counter()
         try:
             result = method(dataset)
         except WeakdepError as exc:
             result = RegionResult(region=FULL_REGION, degenerate=True, message=str(exc))
+        elapsed = time.perf_counter() - started
         diam = diameter(result.region, plan.s)
         if result.degenerate:
             outcome = "error"
@@ -246,7 +252,7 @@ def _replicate(plan, case, law_idx, rep_idx, constructors):
             outcome = "cover"
         else:
             outcome = "miss"
-        out.append((outcome, diam, result.region.is_full))
+        out.append((outcome, diam, result.region.is_full, elapsed))
     return out
 
 
@@ -256,17 +262,13 @@ def run(plan: ExperimentPlan) -> CoverageReport:
     cells = []
     for law_idx, case in enumerate(plan.laws):
         constructors = [_bind_method(m, plan, case) for m in plan.methods]
-        started = time.perf_counter()
         results = [
             _replicate(plan, case, law_idx, rep_idx, constructors)
             for rep_idx in range(plan.reps)
         ]
-        elapsed = time.perf_counter() - started
 
         for method_idx, method in enumerate(plan.methods):
-            outcomes = tuple(results[r][method_idx][0] for r in range(plan.reps))
-            diams = tuple(results[r][method_idx][1] for r in range(plan.reps))
-            fulls = sum(results[r][method_idx][2] for r in range(plan.reps))
+            outcomes, diams, fulls, seconds = zip(*(rep[method_idx] for rep in results))
             covered = sum(o == "cover" for o in outcomes)
             errors = sum(o == "error" for o in outcomes)
             missed = plan.reps - covered - errors
@@ -287,10 +289,10 @@ def run(plan: ExperimentPlan) -> CoverageReport:
                 diam_mean=float(diam_arr.mean()),
                 diam_p50=_quantile(diam_arr, 50),
                 diam_p90=_quantile(diam_arr, 90),
-                frac_fullrange=fulls / plan.reps,
+                frac_fullrange=sum(fulls) / plan.reps,
                 frac_error=errors / plan.reps,
                 frac_diam_ge_s=float(np.mean(diam_arr >= s_diam)),
-                runtime=elapsed,
+                runtime=sum(seconds),
                 diameters=diams,
                 outcomes=outcomes,
             ))

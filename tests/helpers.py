@@ -2,10 +2,18 @@
 for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from weakdep import BaseLawSpec, DiscreteLaw, FunctionalSpec, SupportSpec, estimate
+from weakdep import (
+    BaseLawSpec,
+    Dataset,
+    DiscreteLaw,
+    FunctionalSpec,
+    SupportSpec,
+    estimate,
+)
 from weakdep.confsets import (
     FULL_LINE,
     FULL_REGION,
@@ -22,7 +30,6 @@ from weakdep.confsets import (
 from weakdep.errors import (
     DegenerateSample,
     EmptyDataset,
-    EmptyStratum,
     PositivityViolation,
     ZeroConditioningMass,
 )
@@ -162,10 +169,67 @@ def random_base(rng, k=2, k_y=2, k_x=1, tame=False):
 
 
 # ---------------------------------------------------------------------------
+# Rows and their binning.  The package draws samples as cell counts; tests
+# that write data out by hand give rows and bin them here.
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Sampled rows: real outcome y and 0-based cell indices z, w, x."""
+
+    y: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("y", float), ("z", int), ("w", int), ("x", int)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if any(getattr(self, f).size != self.y.size for f in ("z", "w", "x")):
+            raise ValueError("column lengths differ")
+
+    def __len__(self):
+        return self.y.size
+
+    def subset(self, idx):
+        return Rows(self.y[idx], self.z[idx], self.w[idx], self.x[idx])
+
+
+def dataset_from_rows(y, z, w, x, support):
+    """Bin rows into a Dataset: the first n // 2 rows are fold 0, the rest fold 1.
+
+    Each y must equal one of the support's Y cell means (to 1e-8 relative)
+    and each index must lie inside the support.
+    """
+    rows = Rows(y, z, w, x)
+    n = len(rows)
+    ybar = support.y_cell_means
+    diff = np.abs(rows.y[:, None] - ybar[None, :])
+    h = diff.argmin(axis=1)
+    worst = diff[np.arange(n), h]
+    scale = np.maximum(1.0, np.abs(ybar[h]))
+    if np.any(worst > 1e-8 * scale):
+        bad = int(np.argmax(worst > 1e-8 * scale))
+        raise ValueError(f"row {bad}: y={rows.y[bad]} matches no Y cell mean")
+    for name, k in (("z", support.k_z), ("w", support.k_w), ("x", support.k_x)):
+        col = getattr(rows, name)
+        if n and (col.min() < 0 or col.max() >= k):
+            raise ValueError(f"{name} index outside support")
+    flat = np.ravel_multi_index((h, rows.z, rows.w, rows.x), support.shape)
+    fold = (np.arange(n) >= n // 2).astype(np.int64)
+    counts = np.bincount(fold * support.n_cells + flat, minlength=2 * support.n_cells)
+    return Dataset(counts.reshape((2,) + support.shape))
+
+
+# ---------------------------------------------------------------------------
 # Row-level reference constructors.  These evaluate the three confidence sets
 # row by row, with n-row masks and per-row influence arrays, exactly as the
 # package did before its constructors moved to cell counts; tests check the
-# cell path against them on the same data.
+# cell path against them on the same rows.
+
+
+class EmptyStratum(DegenerateSample):
+    """A conditioning stratum is unobserved in the rows."""
 
 
 def _check_binary(values, name):
@@ -173,16 +237,20 @@ def _check_binary(values, name):
         raise ValueError(f"{name} must be binary 0/1")
 
 
-def row_psi1_values(dataset, support, spec, g, q, theta=0.0):
+def row_psi1_values(rows, support, spec, g, q, theta=0.0):
     """Per-row values of the estimating function m(O,g) + q(Z,X){Y - g(W,X)} - theta."""
     mcell = m_cell_values(spec, g, support)
-    mvals = mcell[dataset.w, dataset.x]
-    return mvals + q[dataset.z, dataset.x] * (dataset.y - g[dataset.w, dataset.x]) - theta
+    mvals = mcell[rows.w, rows.x]
+    return mvals + q[rows.z, rows.x] * (rows.y - g[rows.w, rows.x]) - theta
 
 
-def row_wald_ci(dataset, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e-8):
+def _row_law(rows, support):
+    return estimate(dataset_from_rows(rows.y, rows.z, rows.w, rows.x, support), support)
+
+
+def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e-8):
     """Row-level Wald interval: mean and ddof=1 deviation of the per-row values."""
-    n = len(dataset)
+    n = len(rows)
     if n == 0:
         raise EmptyDataset("wald_ci needs at least one row")
     z = normal_quantile(1.0 - alpha / 2.0)
@@ -193,15 +261,15 @@ def row_wald_ci(dataset, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol
             idx_b = np.arange(half, n)
             values = np.empty(n)
             for fit_idx, eval_idx in ((idx_a, idx_b), (idx_b, idx_a)):
-                law = estimate(dataset.subset(fit_idx), support)
+                law = _row_law(rows.subset(fit_idx), support)
                 g, q = _nuisances(law, spec, tol)
                 values[eval_idx] = row_psi1_values(
-                    dataset.subset(eval_idx), support, spec, g, q, 0.0
+                    rows.subset(eval_idx), support, spec, g, q, 0.0
                 )
         else:
-            law = estimate(dataset, support)
+            law = _row_law(rows, support)
             g, q = _nuisances(law, spec, tol)
-            values = row_psi1_values(dataset, support, spec, g, q, 0.0)
+            values = row_psi1_values(rows, support, spec, g, q, 0.0)
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
         return _full_result(str(exc))
     phi_hat = float(values.mean())
@@ -213,23 +281,23 @@ def row_wald_ci(dataset, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol
     return RegionResult(region=region, estimate=phi_hat, stderr=sd / math.sqrt(n))
 
 
-def row_score_invert_late(dataset, alpha, s=FULL_LINE):
+def row_score_invert_late(rows, alpha, s=FULL_LINE):
     """Row-level score inversion, centring Y and W by their Z=1 means."""
-    n = len(dataset)
+    n = len(rows)
     if n == 0:
         raise EmptyDataset("score inversion needs at least one row")
-    _check_binary(dataset.z, "z")
-    _check_binary(dataset.w, "w")
-    if np.any(dataset.x != dataset.x[0]):
+    _check_binary(rows.z, "z")
+    _check_binary(rows.w, "w")
+    if np.any(rows.x != rows.x[0]):
         raise ValueError("the ratio target admits no X stratification")
-    n1 = int(dataset.z.sum())
+    n1 = int(rows.z.sum())
     if n1 == 0 or n1 == n:
         return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
 
     f_z1 = n1 / n
-    c = np.where(dataset.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
-    a_dev = dataset.y - dataset.y[dataset.z == 1].mean()
-    b_dev = dataset.w - dataset.w[dataset.z == 1].mean()
+    c = np.where(rows.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
+    a_dev = rows.y - rows.y[rows.z == 1].mean()
+    b_dev = rows.w - rows.w[rows.z == 1].mean()
     ca = c * a_dev
     cb = c * b_dev
     mean_a = ca.mean()
@@ -271,19 +339,19 @@ def _row_wald_component(est, infl, alpha):
     return Interval(est - z * se, est + z * se)
 
 
-def row_binary_union_set(dataset, alpha, s):
+def row_binary_union_set(rows, alpha, s):
     """Row-level union-bound set (the paper's grouping); the X form is used
     only when the sample holds more than one X value."""
-    n = len(dataset)
+    n = len(rows)
     if n == 0:
         raise EmptyDataset("union set needs at least one row")
-    _check_binary(dataset.z, "z")
-    _check_binary(dataset.w, "w")
-    y = dataset.y
-    w = dataset.w.astype(float)
-    z = dataset.z
+    _check_binary(rows.z, "z")
+    _check_binary(rows.w, "w")
+    y = rows.y
+    w = rows.w.astype(float)
+    z = rows.z
 
-    has_x = bool(np.any(dataset.x != dataset.x[0]))
+    has_x = bool(np.any(rows.x != rows.x[0]))
     try:
         if not has_x:
             level = alpha / 2.0
@@ -294,8 +362,8 @@ def row_binary_union_set(dataset, alpha, s):
             offset = Interval(0.0, 0.0)
             components = {"de": b_de, "num": b_num}
         else:
-            _check_binary(dataset.x, "x")
-            x1 = dataset.x == 1
+            _check_binary(rows.x, "x")
+            x1 = rows.x == 1
             de_est, de_infl = _cond_pair_contrast(w, z, x1)
             nu_est, nu_infl = _cond_pair_contrast(y, z, x1)
             ew_est, ew_infl = _mean_with_influence(w)

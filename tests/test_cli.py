@@ -190,7 +190,8 @@ class TestCoverage:
         assert cli.main(["coverage", str(demo_plan), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == ("label,method,n,reps,coverage,wilson_lo,wilson_hi,"
-                            "diam_mean,diam_p50,diam_p90,frac_fullrange,frac_error")
+                            "diam_mean,diam_p50,diam_p90,frac_fullrange,frac_error,"
+                            "frac_diam_ge_s")
         assert len(lines) == 4   # three methods, one law
 
     def test_same_seed_bitwise_identical(self, demo_plan, tmp_path, capsys):

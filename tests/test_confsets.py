@@ -28,8 +28,10 @@ from weakdep.confsets import (
 from weakdep.laws import Dataset
 
 from helpers import (
+    Rows,
     acceptance_base,
     binary_x_law,
+    dataset_from_rows,
     late_law,
     late_support,
     row_binary_union_set,
@@ -197,13 +199,14 @@ class TestWaldCI:
 
     def test_zero_sample_dependence_degenerates(self):
         # empirical cov(W, Z) exactly zero, response varying with Z
-        ds = Dataset(
+        support = late_law().support
+        ds = dataset_from_rows(
             y=np.array([0.0, 0.0, 1.0, 1.0]),
             z=np.array([0, 0, 1, 1]),
             w=np.array([0, 1, 0, 1]),
             x=np.zeros(4, int),
+            support=support,
         )
-        support = late_law().support
         res = wald_ci(ds, FunctionalSpec.late(), support, 0.05)
         assert res.degenerate
         assert res.region.is_full
@@ -228,18 +231,19 @@ class TestWaldCI:
         assert res.region.contains(res.estimate)
 
 
-def _score_accepts(ds, alpha, thetas):
-    """Score test evaluated directly at each theta: n mean(psi)^2 <= z^2 mean(psi^2).
+def _score_accepts(obs, alpha, thetas):
+    """Score test evaluated directly on the rows obs at each theta:
+    n mean(psi)^2 <= z^2 mean(psi^2).
 
     Returns (accepted, tie): tie marks the thetas where the two sides agree
     to within rounding of the terms they are summed from, so that either
     answer is right.
     """
-    n = len(ds)
-    f_z1 = ds.z.mean()
-    c = np.where(ds.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
-    a_dev = ds.y - ds.y[ds.z == 1].mean()
-    b_dev = ds.w - ds.w[ds.z == 1].mean()
+    n = len(obs)
+    f_z1 = obs.z.mean()
+    c = np.where(obs.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
+    a_dev = obs.y - obs.y[obs.z == 1].mean()
+    b_dev = obs.w - obs.w[obs.z == 1].mean()
     psi = c[None, :] * (a_dev[None, :] - thetas[:, None] * b_dev[None, :])
     z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
     lhs = n * psi.mean(axis=1) ** 2
@@ -265,7 +269,8 @@ class TestScoreInversion:
         """The exact set agrees with the directly evaluated score test at
         dense probes (and far out on rays), except at endpoints and ties."""
         y, z, w = (np.array(col) for col in zip(*rows))
-        ds = Dataset(y=y.astype(float), z=z, w=w, x=np.zeros(len(rows), int))
+        obs = Rows(y=y.astype(float), z=z, w=w, x=np.zeros(len(rows), int))
+        ds = dataset_from_rows(obs.y, obs.z, obs.w, obs.x, late_support())
         s = Interval(*sorted(ends))
         res = score_invert_late(ds, late_support(), alpha, s)
         if z.min() == z.max():
@@ -279,7 +284,7 @@ class TestScoreInversion:
                                  far[(far >= s.lo) & (far <= s.hi)]])
         ends_seen = finite + [e for iv in res.region.intervals
                               for e in (iv.lo, iv.hi) if math.isfinite(e)]
-        expected, tie = _score_accepts(ds, alpha, thetas)
+        expected, tie = _score_accepts(obs, alpha, thetas)
         clear = ~tie
         for e in ends_seen:
             clear &= np.abs(thetas - e) > 1e-9 * max(1.0, abs(e))
@@ -302,14 +307,14 @@ class TestScoreInversion:
         s1 = Interval(-2.0, 2.0)
         s2 = Interval(-5.0, 5.0)
         ds = sample(law, 800, seed=11)
-        scaled = Dataset(y=a * ds.y + b, z=ds.z, w=ds.w, x=ds.x)
+        # the rescaled Y values live in the support; the cell counts stay
         support = law.support
         scaled_support = SupportSpec(
             mu_y=support.mu_y, mu_z=support.mu_z, mu_w=support.mu_w,
             mu_x=support.mu_x, iota_y=(a * support.y_cell_means + b) * support.mu_y,
         )
         r1 = score_invert_late(ds, support, 0.05, s1)
-        r2 = score_invert_late(scaled, scaled_support, 0.05, s2)
+        r2 = score_invert_late(ds, scaled_support, 0.05, s2)
         assert len(r1.region.intervals) == len(r2.region.intervals)
         for iv1, iv2 in zip(r1.region.intervals, r2.region.intervals):
             assert iv2.lo == pytest.approx(a * iv1.lo, abs=1e-9)
@@ -343,14 +348,15 @@ class TestScoreInversion:
             z = rng.integers(0, 2, n)
             w = np.where(rng.random(n) < 0.9, z, 1 - z)
             for y, theta in ((w, 1.0), (1 - w, -1.0)):
-                ds = Dataset(y=y.astype(float), z=z, w=w, x=np.zeros(n, int))
+                ds = dataset_from_rows(y=y.astype(float), z=z, w=w,
+                                       x=np.zeros(n, int), support=late_support())
                 res = score_invert_late(ds, late_support(), 0.05)
                 assert res.region.intervals == (Interval(theta, theta),)
 
     def test_one_arm_missing_full_range(self):
-        ds = Dataset(
+        ds = dataset_from_rows(
             y=np.array([0.0, 1.0]), z=np.array([1, 1]), w=np.array([0, 1]),
-            x=np.zeros(2, int),
+            x=np.zeros(2, int), support=late_support(),
         )
         res = score_invert_late(ds, late_support(), 0.05)
         assert res.degenerate and res.region.is_full
@@ -382,11 +388,12 @@ class TestBinaryUnionSet:
         # independent W and Z: the denominator interval straddles zero
         rng = np.random.default_rng(63)
         n = 2000
-        ds = Dataset(
+        ds = dataset_from_rows(
             y=rng.integers(0, 2, n).astype(float),
             z=rng.integers(0, 2, n),
             w=rng.integers(0, 2, n),
             x=np.zeros(n, int),
+            support=late_support(),
         )
         res = binary_union_set(ds, late_support(), 0.05, Interval(-10.0, 10.0))
         assert res.region.is_full
@@ -404,11 +411,12 @@ class TestBinaryUnionSet:
         assert covered >= 38
 
     def test_empty_stratum_full_range(self):
-        ds = Dataset(
+        ds = dataset_from_rows(
             y=np.array([0.0, 1.0, 1.0, 0.0]),
             z=np.array([1, 1, 1, 1]),          # Z = 0 unobserved
             w=np.array([0, 1, 0, 1]),
             x=np.array([0, 1, 0, 1]),
+            support=binary_x_law().support,
         )
         res = binary_union_set(ds, binary_x_law().support, 0.05, Interval(-5.0, 5.0))
         assert res.degenerate and res.region.is_full
@@ -417,8 +425,9 @@ class TestBinaryUnionSet:
         # the support, not the drawn X values, decides the target
         law = binary_x_law(dep=0.7, py=0.5)
         ds = sample(law, 2000, seed=4)
-        keep = np.flatnonzero(ds.x == 1)
-        only_x1 = ds.subset(keep)
+        counts = ds.counts.copy()
+        counts[..., 0] = 0
+        only_x1 = Dataset(counts)
         res = binary_union_set(only_x1, law.support, 0.05, Interval(-5.0, 5.0))
         assert set(res.components) == {"de", "num", "offset"}
         assert not res.degenerate
@@ -481,8 +490,9 @@ class TestCellPathMatchesRows:
         reference gives on the rows themselves."""
         y, z, w, x = (np.array(col) for col in zip(*rows))
         x = x if k_x == 2 else np.zeros_like(x)
-        ds = Dataset(y=y.astype(float), z=z, w=w, x=x)
         support = _binary_support(k_x)
+        obs = Rows(y=y.astype(float), z=z, w=w, x=x)
+        ds = dataset_from_rows(obs.y, obs.z, obs.w, obs.x, support)
         s = Interval(*sorted(ends))
         kinds = ["ate_iv"] + (["late"] if k_x == 1 else [])
         for kind in kinds:
@@ -490,16 +500,16 @@ class TestCellPathMatchesRows:
             for cross_fit in (False, True):
                 _assert_same_result(
                     wald_ci(ds, spec, support, alpha, s, cross_fit=cross_fit),
-                    row_wald_ci(ds, spec, support, alpha, s, cross_fit=cross_fit),
+                    row_wald_ci(obs, spec, support, alpha, s, cross_fit=cross_fit),
                 )
         # Y = 1 - W rows are the rounding case the row reference gets wrong
         if k_x == 1 and not np.array_equal(y, 1 - w):
             _assert_same_result(score_invert_late(ds, support, alpha, s),
-                                row_score_invert_late(ds, alpha, s))
+                                row_score_invert_late(obs, alpha, s))
         # the row reference picks the ratio form when one X value is drawn
         if k_x == 1 or x.min() != x.max():
             _assert_same_result(binary_union_set(ds, support, alpha, s),
-                                row_binary_union_set(ds, alpha, s))
+                                row_binary_union_set(obs, alpha, s))
 
 
 class TestLevelMonotonicity:

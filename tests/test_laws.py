@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakdep import (
     DiscreteLaw,
@@ -27,7 +29,7 @@ from weakdep.errors import (
 )
 from weakdep.laws import Dataset
 
-from helpers import late_law, random_law, random_support
+from helpers import dataset_from_rows, late_law, random_law, random_support
 
 
 def unit_support():
@@ -286,17 +288,14 @@ class TestSample:
         mass = np.zeros(support.shape)
         mass[1, 0, 1, 0] = 1.0
         ds = sample(DiscreteLaw(support, mass), 50, seed=0)
-        assert np.all(ds.y == 1.0)
-        assert np.all(ds.z == 0)
-        assert np.all(ds.w == 1)
-        assert np.all(ds.x == 0)
+        assert len(ds) == 50
+        assert ds.counts[:, 1, 0, 1, 0].tolist() == [25, 25]
 
     def test_same_seed_identical(self):
         law = late_law()
         a = sample(law, 1000, seed=42)
         b = sample(law, 1000, seed=42)
-        for col in ("y", "z", "w", "x"):
-            np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
+        np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_frequencies_within_clt_band(self):
         rng = np.random.default_rng(15)
@@ -308,22 +307,80 @@ class TestSample:
         band = 4.0 * np.sqrt(p * (1.0 - p) / n)
         assert np.all(np.abs(emp.mass - p) <= band)
 
-    def test_emitted_y_is_cell_mean(self):
+    def test_counts_on_the_support_grid(self):
         rng = np.random.default_rng(16)
         support = random_support(rng, 3, 2, 2, 1)
         law = random_law(rng, support=support)
         ds = sample(law, 500, seed=3)
-        assert set(np.round(ds.y, 12)) <= set(
-            np.round(support.y_cell_means, 12)
-        )
+        assert ds.counts.shape == (2,) + support.shape
+        assert ds.counts.dtype == np.int64
+        assert not ds.counts.flags.writeable
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(1, 3)),
+        law_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_folds_and_support_of_a_draw(self, shape, law_seed, n, seed):
+        """Fold sizes are n // 2 and n - n // 2 (and fold() splits the counts
+        into them), zero-mass cells take no draw, and the same seed gives
+        the same counts."""
+        k_y, k, k_x = shape
+        rng = np.random.default_rng(law_seed)
+        support = random_support(rng, k_y, k, k, k_x)
+        raw = rng.gamma(2.0, size=support.shape) * (rng.random(support.shape) < 0.5)
+        raw.flat[rng.integers(raw.size)] += 1.0
+        law = DiscreteLaw(support, raw / raw.sum())
+        ds = sample(law, n, seed)
+        a, b = ds.fold(0), ds.fold(1)
+        assert (len(a), len(b)) == (n // 2, n - n // 2)
+        assert not a.counts[1].any() and not b.counts[0].any()
+        np.testing.assert_array_equal(a.counts + b.counts, ds.counts)
+        assert not ds.counts[:, law.mass == 0.0].any()
+        np.testing.assert_array_equal(sample(law, n, seed).counts, ds.counts)
+
+    def test_moments_over_many_draws(self):
+        """Over 4,000 draws each cell's empirical mass averages to the law's
+        mass, and the two folds' counts are uncorrelated, both within 4
+        standard errors."""
+        rng = np.random.default_rng(19)
+        law = random_law(rng, 2, 2, 2, 2)
+        n, reps = 31, 4000
+        draws = [sample(law, n, seed=(19, r)) for r in range(reps)]
+        mass = np.array([estimate(ds, law.support).mass for ds in draws])
+        p = law.mass
+        se = np.sqrt(p * (1.0 - p) / n / reps)
+        assert np.all(np.abs(mass.mean(axis=0) - p) <= 4.0 * se)
+        folds = np.array([ds.counts.reshape(2, -1) for ds in draws], dtype=float)
+        centred = folds - folds.mean(axis=0)
+        cov = np.einsum("ra,rb->ab", centred[:, 0], centred[:, 1]) / reps
+        sd = centred.std(axis=0)
+        corr = cov / np.outer(sd[0], sd[1])
+        assert np.all(np.abs(corr) <= 4.0 / np.sqrt(reps))
+
+
+class TestDataset:
+    def test_rejects_negative_or_fractional_counts(self):
+        shape = (2, 2, 2, 2, 1)
+        for bad in (-1, 0.5, np.nan, np.inf):
+            counts = np.zeros(shape)
+            counts[1, 0, 1, 0, 0] = bad
+            with pytest.raises(ValueError):
+                Dataset(counts)
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((3, 2, 2, 2, 1), int))
+        ds = Dataset(np.full(shape, 2.0))
+        assert ds.counts.dtype == np.int64 and len(ds) == 32
 
 
 class TestEstimate:
     def test_identical_rows_point_mass(self):
         support = unit_support()
-        ds = Dataset(
+        ds = dataset_from_rows(
             y=np.ones(20), z=np.zeros(20, int), w=np.ones(20, int),
-            x=np.zeros(20, int),
+            x=np.zeros(20, int), support=support,
         )
         law = estimate(ds, support)
         assert law.mass[1, 0, 1, 0] == 1.0
@@ -337,17 +394,24 @@ class TestEstimate:
 
     def test_empty_dataset(self):
         support = unit_support()
-        ds = Dataset(y=np.zeros(0), z=np.zeros(0, int), w=np.zeros(0, int),
-                     x=np.zeros(0, int))
+        ds = dataset_from_rows(y=np.zeros(0), z=np.zeros(0, int), w=np.zeros(0, int),
+                               x=np.zeros(0, int), support=support)
         with pytest.raises(EmptyDataset):
             estimate(ds, support)
 
     def test_rows_outside_support_rejected(self):
         support = unit_support()
-        ds = Dataset(y=np.array([0.37]), z=np.array([0]), w=np.array([0]),
-                     x=np.array([0]))
         with pytest.raises(ValueError):
-            estimate(ds, support)
+            dataset_from_rows(y=np.array([0.37]), z=np.array([0]), w=np.array([0]),
+                              x=np.array([0]), support=support)
+        with pytest.raises(ValueError):
+            dataset_from_rows(y=np.array([1.0]), z=np.array([2]), w=np.array([0]),
+                              x=np.array([0]), support=support)
+
+    def test_counts_must_match_the_support(self):
+        ds = sample(late_law(), 10, seed=0)
+        with pytest.raises(ValueError):
+            estimate(ds, random_support(np.random.default_rng(0), 3, 2, 2, 1))
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """The Monte Carlo harness: tallies, determinism, seeds, plan handling."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ class TestTrivialMethods:
         cell = run(plan).cell("late_strong", "oracle")
         assert cell.coverage == 1.0
         assert max(cell.diameters) == pytest.approx(0.02)
+
+
+class TestRuntime:
+    def test_per_method_runtime_within_wall_time(self):
+        """Each method's runtime is its own constructor time: positive, and
+        summed over every cell no more than the wall time of the run."""
+        law = late_law()
+        plan = ExperimentPlan(
+            laws=(LawCase("a", law, wald_ratio(law)), LawCase("b", law, 0.0)),
+            methods=(MethodConfig("wald", {"functional": {"kind": "late"}}),
+                     MethodConfig("score"), MethodConfig("union"),
+                     MethodConfig("fullrange")),
+            n=200, reps=15, level=0.95, seed=3, s=Interval(-20.0, 20.0),
+        )
+        started = time.perf_counter()
+        report = run(plan)
+        wall = time.perf_counter() - started
+        assert len(report.cells) == 8
+        assert all(cell.runtime > 0.0 for cell in report.cells)
+        assert sum(cell.runtime for cell in report.cells) <= wall
 
 
 class TestTallies:
@@ -105,7 +127,8 @@ class TestReportFormats:
         plan = small_plan([MethodConfig("fullrange")], reps=2)
         header = run(plan).to_csv().splitlines()[0]
         assert header == ("label,method,n,reps,coverage,wilson_lo,wilson_hi,"
-                          "diam_mean,diam_p50,diam_p90,frac_fullrange,frac_error")
+                          "diam_mean,diam_p50,diam_p90,frac_fullrange,frac_error,"
+                          "frac_diam_ge_s")
 
     def test_json_carries_per_rep_diameters(self):
         plan = small_plan([MethodConfig("fullrange")], reps=3)
