@@ -4,15 +4,10 @@ adversarial law sequences, and confidence-set coverage experiments."""
 from .laws import (
     Dataset,
     DiscreteLaw,
-    Kernel,
     SupportSpec,
-    conditional_kernel,
     estimate,
-    kl_divergence,
     law_from_dict,
-    law_from_json,
     law_to_dict,
-    law_to_json,
     marginal,
     sample,
     tv_distance,
@@ -60,7 +55,6 @@ from .simulate import (
     LawCase,
     MethodConfig,
     run,
-    weak_dependence_sweep,
     wilson_interval,
 )
 

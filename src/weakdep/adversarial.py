@@ -23,7 +23,6 @@ check supplies the solver value of the functional.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,10 +136,6 @@ class BaseLawSpec:
             pi_y_given_x=d["pi_y_given_x"],
             functional=FunctionalSpec.from_dict(d["functional"]),
         )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def build_M(alpha_tilde_m, iota_y, mu_y) -> np.ndarray:

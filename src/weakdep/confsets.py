@@ -23,16 +23,24 @@ when k_x = 2.
 
 Regions are finite unions of closed intervals, the full parameter range,
 or empty.  Degenerate-sample failures conservatively return the full range.
+The one special function all three need, the normal quantile, is the
+standard library's.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSample, PositivityViolation, ZeroConditioningMass
+from .errors import (
+    DegenerateSample,
+    EmptyDataset,
+    PositivityViolation,
+    ZeroConditioningMass,
+)
 from .functionals import (
     FunctionalSpec,
     NoSolution,
@@ -48,61 +56,20 @@ INF = float("inf")
 
 # ---------------------------------------------------------------------------
 # normal quantile
-#
-# Rational approximation of Wichura's algorithm AS 241 (PPND16); absolute
-# error below 1e-15 on (0, 1), far inside the 1e-9 contract.
 
-_A = (3.3871328727963666080e0, 1.3314166789178437745e2,
-      1.9715909503065514427e3, 1.3731693765509461125e4,
-      4.5921953931549871457e4, 6.7265770927008700853e4,
-      3.3430575583588128105e4, 2.5090809287301226727e3)
-_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-      5.3941960214247511077e3, 2.1213794301586595867e4,
-      3.9307895800092710610e4, 2.8729085735721942674e4,
-      5.2264952788528545610e3)
-_C = (1.42343711074968357734e0, 4.63033784615654529590e0,
-      5.76949722146069140550e0, 3.64784832476320460504e0,
-      1.27045825245236838258e0, 2.41780725177450611770e-1,
-      2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-      6.89767334985100004550e-1, 1.48103976427480074590e-1,
-      1.51986665636164571966e-2, 5.47593808499534494600e-4,
-      1.05075007164441684324e-9)
-_E = (6.65790464350110377720e0, 5.46378491116411436990e0,
-      1.78482653991729133580e0, 2.96560571828504891230e-1,
-      2.65321895265761230930e-2, 1.24266094738807843860e-3,
-      2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-      1.48753612908506148525e-2, 7.86869131145613259100e-4,
-      1.84631831751005468180e-5, 1.42151175831644588870e-7,
-      2.04426310338993978564e-15)
-
-
-def _ratpoly(num, den, r):
-    n = 0.0
-    d = 0.0
-    for c in reversed(num):
-        n = n * r + c
-    for c in reversed(den):
-        d = d * r + c
-    return n / d
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile function on (0, 1)."""
+    """Standard normal quantile function on (0, 1).
+
+    The standard library's :class:`statistics.NormalDist` (Wichura's AS 241)
+    does the work; the guard also rejects NaN, which ``inv_cdf`` would pass
+    through.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1); got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _ratpoly(_A, _B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        value = _ratpoly(_C, _D, r - 1.6)
-    else:
-        value = _ratpoly(_E, _F, r - 5.0)
-    return -value if q < 0.0 else value
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +296,19 @@ def wald_ci(
     empirical law of the opposite fold of the sample); the standard error is
     the sample standard deviation of those values over sqrt(n).  Both are
     mass-weighted sums over the cells.  Degenerate samples (empty
-    conditioning cells, inconsistent empirical systems) return the full
-    range.
+    conditioning cells, inconsistent empirical systems, an empty
+    cross-fitting fold) return the full range; an empty sample raises
+    EmptyDataset.
     """
     n = len(dataset)
+    if n == 0:
+        raise EmptyDataset("cannot build an interval from an empty sample")
     z = normal_quantile(1.0 - alpha / 2.0)
     try:
         if cross_fit:
             part_a, part_b = dataset.fold(0), dataset.fold(1)
+            if len(part_a) == 0 or len(part_b) == 0:
+                return _full_result("a cross-fitting fold is empty")
             fold_a = estimate(part_a, support)
             fold_b = estimate(part_b, support)
             folds = ((fold_a, fold_b, len(part_b) / n),

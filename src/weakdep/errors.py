@@ -21,14 +21,6 @@ class ZeroConditioningMass(WeakdepError):
         super().__init__(message or f"zero probability on conditioning cell {cell}")
 
 
-class AbsoluteContinuityViolation(WeakdepError):
-    """KL divergence requested where the first law puts mass outside the second."""
-
-    def __init__(self, cell):
-        self.cell = cell
-        super().__init__(f"mass at cell {cell} has zero reference probability")
-
-
 class EmptyDataset(WeakdepError):
     """An estimator was fed zero rows."""
 

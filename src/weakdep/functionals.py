@@ -24,7 +24,6 @@ Supported functionals:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +124,6 @@ class FunctionalSpec:
     @classmethod
     def from_dict(cls, d):
         return cls(kind=d["kind"], omega=d.get("omega"), alpha=d.get("alpha"))
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -14,27 +14,23 @@ singletons).
 A sample is its per-fold cell counts (:class:`Dataset`): every confidence
 set reads a sample only through its empirical law, so no rows and no Y
 values are ever drawn.
+
+Besides laws and samples the module holds what the rest of the package
+uses of them: marginals, the total variation distance, and the dict form
+(:func:`law_to_dict` / :func:`law_from_dict`) that the CLI reads and writes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AbsoluteContinuityViolation,
-    CollinearSupport,
-    EmptyDataset,
-    SupportMismatch,
-    ZeroConditioningMass,
-)
+from .errors import CollinearSupport, EmptyDataset, SupportMismatch
 
 AXES = ("Y", "Z", "W", "X")
 
 MASS_TOL = 1e-12        # construction-time normalization slack
-DERIVED_TOL = 1e-10     # slack on derived quantities (kernel rows, marginals)
 
 # relative scale below which two vectors count as collinear
 _COLLINEAR_TOL = 1e-12
@@ -158,27 +154,6 @@ class DiscreteLaw:
         return self.mass / self.support.cell_measure()
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Conditional density of one variable given a subset of the others.
-
-    ``values`` is indexed by the conditioning axes (in Y, Z, W, X order)
-    followed by the target axis; each conditioning row integrates to one
-    against the target cell measure.
-    """
-
-    of: str
-    given: tuple
-    values: np.ndarray
-    col_measure: np.ndarray
-
-    def stratum(self, m):
-        """Matrix view for X-stratum m (X must be the last conditioning axis)."""
-        if not self.given or self.given[-1] != "X":
-            raise ValueError("stratum() needs X as final conditioning axis")
-        return self.values[..., m, :]
-
-
 def validate(law: DiscreteLaw):
     """Return a list of human-readable invariant violations (empty if valid)."""
     violations = []
@@ -216,65 +191,11 @@ def marginal(law: DiscreteLaw, which):
     return law.mass.sum(axis=drop) if drop else law.mass.copy()
 
 
-_AXIS_MEASURE = {"Y": "mu_y", "Z": "mu_z", "W": "mu_w", "X": "mu_x"}
-
-
-def conditional_kernel(law: DiscreteLaw, target: str) -> Kernel:
-    """Conditional density kernel for a target like ``"W|Z,X"`` or ``"Z"``.
-
-    The part before ``|`` is the target variable; the names after it (comma
-    separated, possibly absent) are the conditioning variables.  Raises
-    ZeroConditioningMass when some conditioning cell has zero probability.
-    """
-    if "|" in target:
-        of, given_str = target.split("|", 1)
-        given = tuple(g.strip() for g in given_str.split(",") if g.strip())
-    else:
-        of, given = target.strip(), ()
-    of = of.strip()
-    if of not in AXES or any(g not in AXES for g in given) or of in given:
-        raise ValueError(f"malformed kernel target {target!r}")
-    given = tuple(a for a in AXES if a in given)
-
-    mu_of = getattr(law.support, _AXIS_MEASURE[of])
-    joint = marginal(law, given + (of,))
-    if not given:
-        values = joint / mu_of
-        return Kernel(of=of, given=(), values=values, col_measure=mu_of)
-
-    # joint axes follow canonical order; move the target axis last
-    order = tuple(a for a in AXES if a in given + (of,))
-    joint = np.moveaxis(joint, order.index(of), -1)
-    cond = joint.sum(axis=-1)
-    zero = np.argwhere(cond <= 0.0)
-    if zero.size:
-        cell = tuple(int(i) for i in zero[0])
-        raise ZeroConditioningMass(cell)
-    values = joint / cond[..., None] / mu_of
-    return Kernel(of=of, given=given, values=values, col_measure=mu_of)
-
-
 def tv_distance(a: DiscreteLaw, b: DiscreteLaw) -> float:
     """Total variation distance, exact for discrete laws: half the L1 gap."""
     if a.support != b.support:
         raise SupportMismatch("laws live on different supports")
     return 0.5 * float(np.abs(a.mass - b.mass).sum())
-
-
-def kl_divergence(a: DiscreteLaw, b: DiscreteLaw) -> float:
-    """Kullback-Leibler divergence of a from b; cells with zero a-mass drop out."""
-    if a.support != b.support:
-        raise SupportMismatch("laws live on different supports")
-    pa = a.mass.ravel()
-    pb = b.mass.ravel()
-    bad = (pa > 0.0) & (pb <= 0.0)
-    if np.any(bad):
-        flat = int(np.argmax(bad))
-        raise AbsoluteContinuityViolation(
-            tuple(int(i) for i in np.unravel_index(flat, a.mass.shape))
-        )
-    pos = pa > 0.0
-    return float(np.sum(pa[pos] * np.log(pa[pos] / pb[pos])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,12 +310,4 @@ def law_from_dict(d) -> DiscreteLaw:
             f"mass array has {mass.size} entries, support has {support.n_cells} cells"
         )
     return DiscreteLaw(support, mass.reshape(support.shape))
-
-
-def law_to_json(law: DiscreteLaw, indent=None) -> str:
-    return json.dumps(law_to_dict(law), indent=indent)
-
-
-def law_from_json(text: str) -> DiscreteLaw:
-    return law_from_dict(json.loads(text))
 

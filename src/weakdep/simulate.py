@@ -6,7 +6,8 @@ same draw, and tallies coverage, diameters, full-range fractions and
 degenerate-sample errors.  Replications run serially; each one's seed
 derives from the master seed and the (law, replication) indices through a
 counter-based seed sequence, so replications are independent and
-reproducible.
+reproducible.  Coverage along a weak-dependence sequence is a plan with one
+:class:`LawCase` per step of :func:`~weakdep.adversarial.generate_sequence`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import BaseLawSpec, generate_sequence
 from .confsets import (
     EMPTY_REGION,
     FULL_REGION,
@@ -297,38 +297,6 @@ def run(plan: ExperimentPlan) -> CoverageReport:
                 outcomes=outcomes,
             ))
     return CoverageReport(cells=tuple(cells))
-
-
-def weak_dependence_sweep(
-    base: BaseLawSpec,
-    zeta: float,
-    tv_targets,
-    n: int,
-    reps: int,
-    level: float,
-    seed: int,
-    methods,
-    s: Interval,
-):
-    """Coverage along a generated weak-dependence sequence.
-
-    Returns (sequence, report); report labels carry the per-step distance
-    to the base so coverage-versus-closeness curves can be read off.
-    """
-    sequence = generate_sequence(base, zeta, tv_targets)
-    laws = tuple(
-        LawCase(
-            label=f"step{t + 1}_tv{step.tv_to_base:.3g}",
-            law=step.law,
-            true_phi=zeta,
-        )
-        for t, step in enumerate(sequence.steps)
-    )
-    plan = ExperimentPlan(
-        laws=laws, methods=tuple(methods), n=n, reps=reps,
-        level=level, seed=seed, s=s,
-    )
-    return sequence, run(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,14 @@ def _strict_json(text):
 @pytest.fixture
 def valid_law_file(tmp_path):
     path = tmp_path / "law.json"
-    path.write_text(laws.law_to_json(wz_identity_late()))
+    path.write_text(json.dumps(laws.law_to_dict(wz_identity_late())))
     return path
 
 
 @pytest.fixture
 def late_spec_file(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(FunctionalSpec.late().to_json())
+    path.write_text(json.dumps(FunctionalSpec.late().to_dict()))
     return path
 
 
@@ -51,7 +51,7 @@ class TestValidate:
         law = wz_identity_late()
         bad = laws.DiscreteLaw(law.support, law.mass * 0.98)
         path = tmp_path / "bad.json"
-        path.write_text(laws.law_to_json(bad))
+        path.write_text(json.dumps(laws.law_to_dict(bad)))
         assert cli.main(["validate", str(path)]) == 1
         assert "total mass" in capsys.readouterr().out
 
@@ -78,7 +78,7 @@ class TestSolve:
 
     def test_out_of_model_exit_three(self, tmp_path, late_spec_file, capsys):
         path = tmp_path / "indep.json"
-        path.write_text(laws.law_to_json(w_indep_z_law()))
+        path.write_text(json.dumps(laws.law_to_dict(w_indep_z_law())))
         assert cli.main(["solve", str(path), str(late_spec_file)]) == 3
         payload = _strict_json(capsys.readouterr().out)
         assert payload["phi"] is None
@@ -89,7 +89,7 @@ class TestSolve:
     def test_empty_conditioning_cell_exit_three(self, tmp_path, late_spec_file,
                                                  capsys):
         path = tmp_path / "one_arm.json"
-        path.write_text(laws.law_to_json(wz_identity_late(p_z1=1.0)))
+        path.write_text(json.dumps(laws.law_to_dict(wz_identity_late(p_z1=1.0))))
         assert cli.main(["solve", str(path), str(late_spec_file)]) == 3
         payload = _strict_json(capsys.readouterr().out)
         assert payload["phi"] is None
@@ -103,9 +103,11 @@ class TestSolve:
         law = wz_identity_late()
         mass = law.mass.sum(axis=2, keepdims=True) * np.array([1.0, 0.0])[:, None]
         path = tmp_path / "one_w.json"
-        path.write_text(laws.law_to_json(laws.DiscreteLaw(law.support, mass)))
+        one_w = laws.DiscreteLaw(law.support, mass)
+        path.write_text(json.dumps(laws.law_to_dict(one_w)))
         spec = tmp_path / "generic.json"
-        spec.write_text(FunctionalSpec.generic(np.array([[1.0], [2.0]])).to_json())
+        generic = FunctionalSpec.generic(np.array([[1.0], [2.0]]))
+        spec.write_text(json.dumps(generic.to_dict()))
         assert cli.main(["solve", str(path), str(spec)]) == 3
         diagnostics = _strict_json(capsys.readouterr().out)["diagnostics"]
         assert diagnostics["g_residual"] is not None

@@ -25,6 +25,7 @@ from weakdep.confsets import (
     wald_ci,
     _quadratic_sublevel,
 )
+from weakdep.errors import EmptyDataset
 from weakdep.laws import Dataset
 
 from helpers import (
@@ -64,6 +65,8 @@ class TestNormalQuantile:
             normal_quantile(0.0)
         with pytest.raises(ValueError):
             normal_quantile(1.0)
+        with pytest.raises(ValueError):
+            normal_quantile(float("nan"))
 
 
 def _div_oracle(num, den, pieces, grid_points=300):
@@ -94,7 +97,40 @@ def _div_oracle(num, den, pieces, grid_points=300):
                 assert gap <= 1e-9 * max(1.0, abs(endpoint))
 
 
+def _ordered(pair):
+    return Interval(min(pair), max(pair))
+
+
+_ENDS = st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-INF, INF]))
+# finite endpoints, zero among them often enough to reach every branch
+_FINITE = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+_FINITE_INTERVALS = st.tuples(_FINITE, _FINITE).map(_ordered)
+
+
+def _points(iv, fractions):
+    """The endpoints of iv and the points at the given fractions of its length."""
+    inner = [min(max(iv.lo + f * (iv.hi - iv.lo), iv.lo), iv.hi) for f in fractions]
+    return [iv.lo, iv.hi] + inner
+
+
 class TestIntervalArithmetic:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        num=_FINITE_INTERVALS,
+        den=_FINITE_INTERVALS,
+        u=st.lists(st.floats(0.0, 1.0), max_size=4),
+        v=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_div_contains_every_quotient(self, num, den, u, v):
+        # division rounds monotonically, so the computed quotients lie in the
+        # computed pieces without any tolerance
+        pieces = interval_div(num, den)
+        for t in _points(den, v):
+            if t == 0.0:
+                continue
+            for s in _points(num, u):
+                assert any(iv.contains(s / t) for iv in pieces), (num, den, s, t)
+
     def test_positive_denominator(self):
         (piece,) = interval_div(Interval(0.1, 0.2), Interval(0.2, 0.4))
         assert piece.lo == pytest.approx(0.25, abs=1e-15)
@@ -139,6 +175,23 @@ class TestIntervalArithmetic:
 
 
 class TestRegions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        raw=st.lists(st.tuples(_ENDS, _ENDS).map(_ordered), max_size=6),
+        s=st.tuples(_ENDS, _ENDS).map(_ordered),
+    )
+    def test_normal_form_is_idempotent_and_covers_the_input(self, raw, s):
+        region = region_from_intervals(raw, s)
+        # a full region carries no intervals; as a set it is s itself
+        again = region_from_intervals((s,) if region.is_full else region.intervals, s)
+        assert again == region
+        pieces = region.intervals
+        assert all(a.hi < b.lo for a, b in zip(pieces, pieces[1:]))
+        for iv in raw:
+            cut = iv.intersect(s)
+            if cut is not None:
+                assert region.contains(cut.lo) and region.contains(cut.hi)
+
     def test_merge_and_clip(self):
         region = region_from_intervals(
             [Interval(0.0, 1.0), Interval(0.5, 2.0), Interval(3.0, 4.0)],
@@ -223,6 +276,27 @@ class TestWaldCI:
             covered += res.region.contains(phi)
         assert 0.92 <= covered / reps <= 0.98
 
+    def test_empty_cross_fit_fold_gives_full_range(self):
+        # n = 1 puts its one draw in fold 1 and leaves fold 0 empty
+        law = late_law()
+        ds = sample(law, 1, seed=0)
+        res = wald_ci(ds, FunctionalSpec.late(), law.support, 0.05, cross_fit=True)
+        assert res.degenerate
+        assert res.region.is_full
+        assert res.estimate is None
+
+    def test_empty_sample_raises(self):
+        support = late_support()
+        empty = Dataset(np.zeros((2,) + support.shape, dtype=np.int64))
+        for cross_fit in (False, True):
+            with pytest.raises(EmptyDataset):
+                wald_ci(empty, FunctionalSpec.late(), support, 0.05,
+                        cross_fit=cross_fit)
+        with pytest.raises(EmptyDataset):
+            score_invert_late(empty, support, 0.05)
+        with pytest.raises(EmptyDataset):
+            binary_union_set(empty, support, 0.05, FULL_LINE)
+
     def test_cross_fit_runs(self):
         law = late_law()
         ds = sample(law, 1000, seed=9)
@@ -253,9 +327,6 @@ def _score_accepts(obs, alpha, thetas):
     )
     scale = (n + z2) * (terms * terms).mean(axis=1)
     return lhs <= rhs, np.abs(lhs - rhs) <= 1e-9 * scale
-
-
-_ENDS = st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-INF, INF]))
 
 
 class TestScoreInversion:

@@ -1,6 +1,4 @@
-"""Law representation, transforms, divergences, sampling, estimation."""
-
-import itertools
+"""Law representation, marginals, TV distance, sampling, estimation."""
 
 import numpy as np
 import pytest
@@ -10,22 +8,16 @@ from hypothesis import strategies as st
 from weakdep import (
     DiscreteLaw,
     SupportSpec,
-    conditional_kernel,
     estimate,
-    kl_divergence,
-    law_from_json,
-    law_to_json,
     marginal,
     sample,
     tv_distance,
     validate,
 )
 from weakdep.errors import (
-    AbsoluteContinuityViolation,
     CollinearSupport,
     EmptyDataset,
     SupportMismatch,
-    ZeroConditioningMass,
 )
 from weakdep.laws import Dataset
 
@@ -41,18 +33,6 @@ def unit_support():
 def uniform_law():
     support = unit_support()
     return DiscreteLaw(support, np.full(support.shape, 1.0 / 8.0))
-
-
-def wz_deterministic_law(rng=None):
-    """W = Z per stratum, arbitrary measures, random Z and Y weights."""
-    rng = rng or np.random.default_rng(0)
-    support = random_support(rng, k_y=3, k_z=3, k_w=3, k_x=2)
-    mass = np.zeros(support.shape)
-    pz = rng.dirichlet(np.ones(3 * 2)).reshape(3, 2)
-    py = rng.dirichlet(np.ones(3))
-    for h, l, m in itertools.product(range(3), range(3), range(2)):
-        mass[h, l, l, m] = py[h] * pz[l, m]
-    return DiscreteLaw(support, mass)
 
 
 class TestSupportSpec:
@@ -134,82 +114,6 @@ class TestMarginal:
                 assert abs(out.sum() - 1.0) < 1e-10
 
 
-class TestConditionalKernel:
-    def test_wz_deterministic_identity_pattern(self):
-        law = wz_deterministic_law()
-        kernel = conditional_kernel(law, "W|Z,X")
-        mu_w = law.support.mu_w
-        for m in range(law.support.k_x):
-            K = kernel.stratum(m)
-            for l in range(3):
-                for j in range(3):
-                    expected = 1.0 / mu_w[j] if j == l else 0.0
-                    assert K[l, j] == pytest.approx(expected, abs=1e-12)
-
-    def test_independent_rows_identical(self):
-        rng = np.random.default_rng(7)
-        support = random_support(rng, 2, 3, 3, 2)
-        pz = rng.dirichlet(np.ones(3), size=2).T         # (k_z, k_x)
-        pw = rng.dirichlet(np.ones(3), size=2)           # (k_x, k_w)
-        py = rng.dirichlet(np.ones(2))
-        px = rng.dirichlet(np.ones(2))
-        mass = np.einsum("h,lm,mj,m->hljm", py, pz, pw, px)
-        law = DiscreteLaw(support, mass)
-        kernel = conditional_kernel(law, "W|Z,X")
-        for m in range(2):
-            K = kernel.stratum(m)
-            for l in range(1, 3):
-                np.testing.assert_allclose(K[l], K[0], atol=1e-12)
-
-    def test_matches_ratio_of_marginals_oracle(self):
-        rng = np.random.default_rng(8)
-        law = random_law(rng, 3, 3, 3, 2)
-        kernel = conditional_kernel(law, "W|Z,X")
-        mass_zwx = marginal(law, ("Z", "W", "X"))
-        mass_zx = marginal(law, ("Z", "X"))
-        mu_w = law.support.mu_w
-        for m in range(2):
-            for l in range(3):
-                for j in range(3):
-                    expect = mass_zwx[l, j, m] / mass_zx[l, m] / mu_w[j]
-                    assert kernel.stratum(m)[l, j] == pytest.approx(expect, rel=1e-12)
-
-    def test_rows_integrate_to_one(self):
-        rng = np.random.default_rng(9)
-        law = random_law(rng, 3, 3, 3, 2)
-        for target in ("W|Z,X", "Y|Z,X", "Z|W,X", "W|X", "Y|X"):
-            kernel = conditional_kernel(law, target)
-            sums = kernel.values @ kernel.col_measure
-            np.testing.assert_allclose(sums, 1.0, atol=1e-10)
-
-    def test_marginal_reconstruction(self):
-        # f(W|Z,X) * mass(Z,X) recovers mass(Z,W,X) cellwise
-        rng = np.random.default_rng(10)
-        law = random_law(rng, 2, 3, 3, 2)
-        kernel = conditional_kernel(law, "W|Z,X")
-        mass_zx = marginal(law, ("Z", "X"))
-        mu_w = law.support.mu_w
-        rebuilt = np.einsum(
-            "lmj,j,lm->ljm", kernel.values, mu_w, mass_zx
-        )
-        np.testing.assert_allclose(
-            rebuilt, marginal(law, ("Z", "W", "X")), atol=1e-12
-        )
-
-    def test_zero_conditioning_mass(self):
-        support = unit_support()
-        mass = np.zeros(support.shape)
-        mass[:, 0, :, :] = 1.0 / 4.0   # Z = 1 never occurs
-        law = DiscreteLaw(support, mass)
-        with pytest.raises(ZeroConditioningMass):
-            conditional_kernel(law, "W|Z,X")
-
-    def test_unconditional_vector(self):
-        law = uniform_law()
-        kernel = conditional_kernel(law, "Z")
-        np.testing.assert_allclose(kernel.values, [0.5, 0.5])
-
-
 class TestDivergences:
     def test_tv_identical_zero(self):
         law = uniform_law()
@@ -241,36 +145,6 @@ class TestDivergences:
                 for mask in range(1 << diff.size)
             )
             assert tv_distance(a, b) == pytest.approx(best, abs=1e-12)
-
-    def test_kl_identical_zero(self):
-        law = uniform_law()
-        assert kl_divergence(law, law) == 0.0
-
-    def test_kl_two_cell_closed_form(self):
-        support = SupportSpec(
-            mu_y=[1, 1], mu_z=[1], mu_w=[1], mu_x=[1], iota_y=[0.0, 1.0]
-        )
-        a = DiscreteLaw(support, np.array([0.5, 0.5]).reshape(2, 1, 1, 1))
-        b = DiscreteLaw(support, np.array([0.25, 0.75]).reshape(2, 1, 1, 1))
-        expect = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-        assert kl_divergence(a, b) == pytest.approx(expect, abs=1e-15)
-
-    def test_kl_absolute_continuity(self):
-        support = unit_support()
-        a = np.zeros(support.shape)
-        a[0, 0, 0, 0] = 1.0
-        b = np.zeros(support.shape)
-        b[1, 1, 1, 0] = 1.0
-        with pytest.raises(AbsoluteContinuityViolation):
-            kl_divergence(DiscreteLaw(support, a), DiscreteLaw(support, b))
-
-    def test_pinsker_bound(self):
-        rng = np.random.default_rng(13)
-        support = random_support(rng, 3, 2, 2, 2)
-        for _ in range(50):
-            a = random_law(rng, support=support)
-            b = random_law(rng, support=support)
-            assert tv_distance(a, b) <= np.sqrt(kl_divergence(a, b) / 2.0) + 1e-12
 
     def test_tv_metric_properties(self):
         rng = np.random.default_rng(14)
@@ -412,13 +286,3 @@ class TestEstimate:
         ds = sample(late_law(), 10, seed=0)
         with pytest.raises(ValueError):
             estimate(ds, random_support(np.random.default_rng(0), 3, 2, 2, 1))
-
-
-class TestSerialization:
-    def test_law_json_round_trip(self):
-        rng = np.random.default_rng(18)
-        law = random_law(rng, 3, 2, 2, 2)
-        back = law_from_json(law_to_json(law))
-        assert back.support == law.support
-        np.testing.assert_array_equal(back.mass, law.mass)
-

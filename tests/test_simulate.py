@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from weakdep.adversarial import generate_sequence
 from weakdep.confsets import Interval
 from weakdep.simulate import (
     CSV_COLUMNS,
@@ -14,7 +15,6 @@ from weakdep.simulate import (
     plan_from_dict,
     plan_to_dict,
     run,
-    weak_dependence_sweep,
     wilson_interval,
 )
 
@@ -177,14 +177,17 @@ class TestPlanSerialization:
 
 class TestSweep:
     def test_sweep_structure_and_wald_decay(self):
-        base = acceptance_base()
-        sequence, report = weak_dependence_sweep(
-            base, zeta=5.0, tv_targets=(0.05, 0.005), n=800, reps=60,
-            level=0.95, seed=3,
-            methods=[MethodConfig("wald", {"functional": {"kind": "late"}}),
-                     MethodConfig("union")],
-            s=Interval(-20.0, 20.0),
+        sequence = generate_sequence(acceptance_base(), 5.0, (0.05, 0.005))
+        cases = tuple(
+            LawCase(f"step{t + 1}_tv{step.tv_to_base:.3g}", step.law, 5.0)
+            for t, step in enumerate(sequence.steps)
         )
+        report = run(ExperimentPlan(
+            laws=cases,
+            methods=(MethodConfig("wald", {"functional": {"kind": "late"}}),
+                     MethodConfig("union")),
+            n=800, reps=60, level=0.95, seed=3, s=Interval(-20.0, 20.0),
+        ))
         assert len(sequence.steps) == 2
         assert len(report.cells) == 4
         wald_cells = [c for c in report.cells if c.method == "wald"]
