@@ -14,15 +14,19 @@ Three constructors:
   the union bound for binary Z, W, X.
 
 Each constructor reads a sample, which is its per-fold cell counts, only
-through its empirical law: :func:`~weakdep.laws.estimate` divides the
-counts by n once (per cross-fit fold), and everything after that is a
-mass-weighted sum over the (Y, Z, W, X) cells.  The score set needs
-binary Z and W and no X (k_x = 1); the union set needs binary Z and W
-and takes its target from k_x: the ratio when k_x = 1, the X = 1 arm
+through its empirical law: the counts divided by n once (per cross-fit
+fold), after which everything is a mass-weighted sum over the (Y, Z, W, X)
+cells; the score set works on the integer counts themselves.  Wald also
+takes the counts of a stack of R samples, (R, 2, k_y, k_z, k_w, k_x), and
+evaluates them with leading batch axes throughout (one batched SVD per
+equation for the whole stack); one sample is the R = 1 case.  The score
+set needs binary Z and W and no X (k_x = 1); the union set needs binary Z
+and W and takes its target from k_x: the ratio when k_x = 1, the X = 1 arm
 when k_x = 2.
 
 Regions are finite unions of closed intervals, the full parameter range,
-or empty.  Degenerate-sample failures conservatively return the full range.
+or empty.  Degenerate-sample failures conservatively return the full range
+and say why in ``reason``.
 The one special function all three need, the normal quantile, is the
 standard library's.
 """
@@ -43,11 +47,12 @@ from .errors import (
 )
 from .functionals import (
     FunctionalSpec,
-    NoSolution,
+    _adjoint_rows,
+    _cond_mean_rows,
+    _representer,
+    _response_rows,
+    _solve_strata,
     psi1_values,
-    riesz_alpha,
-    solve_g,
-    solve_q,
 )
 from .laws import Dataset, DiscreteLaw, SupportSpec, estimate
 
@@ -239,7 +244,12 @@ def interval_div(num: Interval, den: Interval):
 
 @dataclass(frozen=True)
 class RegionResult:
-    """Region plus diagnostics common to all three constructors."""
+    """Region plus diagnostics common to all three constructors.
+
+    A degenerate result carries the full range and, in ``reason``, why it
+    degenerated: the name of the error class, or ``empty_fold`` for a
+    cross-fitting fold without draws.
+    """
 
     region: ConfidenceRegion
     estimate: float | None = None
@@ -247,27 +257,12 @@ class RegionResult:
     degenerate: bool = False
     message: str = ""
     components: dict = field(default_factory=dict)
+    reason: str = ""
 
 
-def _full_result(message):
-    return RegionResult(region=FULL_REGION, degenerate=True, message=message)
-
-
-def _nuisances(law: DiscreteLaw, spec: FunctionalSpec, tol: float):
-    g = solve_g(law, tol)
-    if isinstance(g, NoSolution):
-        raise DegenerateSample(
-            f"equation for g inconsistent on stratum {g.stratum} "
-            f"(residual {g.residual:.3g})"
-        )
-    alpha = riesz_alpha(law, spec)
-    q = solve_q(law, alpha, tol)
-    if isinstance(q, NoSolution):
-        raise DegenerateSample(
-            f"adjoint equation inconsistent on stratum {q.stratum} "
-            f"(residual {q.residual:.3g})"
-        )
-    return g, q
+def _full_result(message, reason=DegenerateSample.__name__):
+    return RegionResult(region=FULL_REGION, degenerate=True, message=message,
+                        reason=reason)
 
 
 def require_binary_support(support: SupportSpec, max_k_x: int, what: str):
@@ -280,59 +275,173 @@ def require_binary_support(support: SupportSpec, max_k_x: int, what: str):
         )
 
 
+# Why a Wald replication degenerated, by index; 0 is a regular replication.
+WALD_REASONS = ("", "empty_fold", ZeroConditioningMass.__name__,
+                PositivityViolation.__name__, DegenerateSample.__name__)
+_EMPTY_FOLD, _ZERO_MASS, _POSITIVITY, _INCONSISTENT = 1, 2, 3, 4
+_WALD_MESSAGES = (
+    "",
+    "a cross-fitting fold is empty",
+    "zero probability on a conditioning cell of the fitted law",
+    "zero density in a representer denominator of the fitted law",
+    "an empirical equation is inconsistent on some stratum",
+)
+
+# region kinds of WaldArrays, by index
+_EMPTY, _UNION, _FULL = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class WaldArrays:
+    """Wald regions of a stack of replications, entry r for replication r.
+
+    ``kind`` is 0 for an empty region, 1 for the one interval [lo, hi]
+    (already clipped to ``s``) and 2 for the full range; ``reason`` indexes
+    :data:`WALD_REASONS`, and a degenerate entry (reason nonzero) has the
+    full range and NaN in every float array.
+    """
+
+    s: Interval
+    estimate: np.ndarray
+    stderr: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    kind: np.ndarray
+    reason: np.ndarray
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether some replication of the stack degenerated."""
+        return bool(self.reason.any())
+
+    def is_full(self) -> np.ndarray:
+        return self.kind == _FULL
+
+    def contains(self, value: float) -> np.ndarray:
+        inside = (self.lo <= value) & (value <= self.hi)
+        return (self.kind == _FULL) | ((self.kind == _UNION) & inside)
+
+    def diameters(self) -> np.ndarray:
+        """:func:`diameter` of every region."""
+        return np.where(self.kind == _FULL, self.s.hi - self.s.lo,
+                        np.where(self.kind == _UNION, self.hi - self.lo, 0.0))
+
+    def result(self, r: int) -> RegionResult:
+        """The RegionResult of replication r."""
+        if self.reason[r]:
+            return _full_result(_WALD_MESSAGES[self.reason[r]],
+                                WALD_REASONS[self.reason[r]])
+        if self.kind[r] == _EMPTY:
+            region = EMPTY_REGION
+        else:
+            region = region_from_intervals(
+                [Interval(float(self.lo[r]), float(self.hi[r]))], self.s
+            )
+        return RegionResult(region=region, estimate=float(self.estimate[r]),
+                            stderr=float(self.stderr[r]))
+
+
 def wald_ci(
-    dataset: Dataset,
+    dataset: Dataset | np.ndarray,
     spec: FunctionalSpec,
     support: SupportSpec,
     alpha: float,
     s: Interval = FULL_LINE,
     cross_fit: bool = False,
     tol: float = 1e-8,
-) -> RegionResult:
+) -> RegionResult | WaldArrays:
     """Plug-in estimate with a normal-quantile interval, clipped to s.
 
     The estimate is the sample mean of m(O, g) + q(Z,X){Y - g(W,X)} with
     nuisances solved on the empirical law (or, when cross_fit is set, on the
     empirical law of the opposite fold of the sample); the standard error is
     the sample standard deviation of those values over sqrt(n).  Both are
-    mass-weighted sums over the cells.  Degenerate samples (empty
-    conditioning cells, inconsistent empirical systems, an empty
-    cross-fitting fold) return the full range; an empty sample raises
-    EmptyDataset.
+    mass-weighted sums over the cells.
+
+    ``dataset`` is one sample (a :class:`~weakdep.laws.Dataset`), for which
+    the result is a RegionResult, or the counts of a stack of R samples,
+    shape (R, 2, k_y, k_z, k_w, k_x), for which it is a :class:`WaldArrays`.
+    Both go through the same arithmetic: every stratum system of every
+    replication and fold is solved by one batched SVD for g and one for q.
+    Degenerate samples (empty conditioning cells, inconsistent empirical
+    systems, vanishing representer densities, an empty cross-fitting fold)
+    get the full range and a reason, never an exception; an empty single
+    sample raises EmptyDataset.
     """
-    n = len(dataset)
-    if n == 0:
-        raise EmptyDataset("cannot build an interval from an empty sample")
+    if isinstance(dataset, Dataset):
+        if len(dataset) == 0:
+            raise EmptyDataset("cannot build an interval from an empty sample")
+        return _wald_arrays(dataset.counts[None], spec, support, alpha, s,
+                            cross_fit, tol).result(0)
+    return _wald_arrays(np.asarray(dataset), spec, support, alpha, s,
+                        cross_fit, tol)
+
+
+def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> WaldArrays:
+    spec.validate_against(support)
+    if counts.ndim != 6 or counts.shape[1:] != (2,) + support.shape:
+        raise ValueError(
+            f"counts must have shape (R, 2) + {support.shape}, got {counts.shape}"
+        )
     z = normal_quantile(1.0 - alpha / 2.0)
-    try:
-        if cross_fit:
-            part_a, part_b = dataset.fold(0), dataset.fold(1)
-            if len(part_a) == 0 or len(part_b) == 0:
-                return _full_result("a cross-fitting fold is empty")
-            fold_a = estimate(part_a, support)
-            fold_b = estimate(part_b, support)
-            folds = ((fold_a, fold_b, len(part_b) / n),
-                     (fold_b, fold_a, len(part_a) / n))
-        else:
-            law = estimate(dataset, support)
-            folds = ((law, law, 1.0),)
-        parts = []
-        for fit, held_out, share in folds:
-            g, q = _nuisances(fit, spec, tol)
-            parts.append((held_out.mass * share, psi1_values(support, spec, g, q)))
-    except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
-        return _full_result(str(exc))
-    phi_hat = float(sum((weight * values).sum() for weight, values in parts))
-    if n > 1:
-        ss = sum((weight * (values - phi_hat) ** 2).sum() for weight, values in parts)
-        sd = math.sqrt(float(ss) * n / (n - 1))
+    cells = (None,) * 4                                 # broadcast over the cells
+    fold_n = counts.sum(axis=(-4, -3, -2, -1))          # (R, 2)
+    n = fold_n.sum(axis=-1)                             # (R,)
+    if cross_fit:
+        # fold f fits the nuisances and fold 1 - f weighs their values
+        fits = counts / np.maximum(fold_n, 1)[(...,) + cells]
+        share = fold_n[:, [1, 0]] / np.maximum(n, 1)[:, None]
+        weights = fits[:, [1, 0]] * share[(...,) + cells]
+        empty_fold = (fold_n == 0).any(axis=-1)
     else:
-        sd = 0.0
-    half_width = z * sd / math.sqrt(n)
-    region = region_from_intervals(
-        [Interval(phi_hat - half_width, phi_hat + half_width)], s
+        fits = (counts.sum(axis=1) / np.maximum(n, 1)[(...,) + cells])[:, None]
+        weights = fits
+        empty_fold = np.zeros(n.shape, dtype=bool)
+
+    lhs, empty_g = _cond_mean_rows(fits)
+    rhs, _ = _response_rows(fits, support.y_cell_means)   # same (Z, X) rows
+    g, _, g_ok, _ = _solve_strata(lhs, rhs, tol)
+    alpha_wx, positivity = _representer(spec, support, fits.sum(axis=(-4, -3)))
+    adj, empty_q = _adjoint_rows(fits)
+    q, _, q_ok, _ = _solve_strata(adj, alpha_wx.swapaxes(-1, -2), tol)
+
+    # first failure of each (replication, fold), in the order a serial
+    # solve meets them: g's conditioning cells, g's consistency, the
+    # representer, q's conditioning cells, q's consistency
+    failure = np.select(
+        [empty_g.any(axis=(-2, -1)), ~g_ok.all(axis=-1),
+         positivity.any(axis=(-2, -1)), empty_q.any(axis=(-2, -1)),
+         ~q_ok.all(axis=-1)],
+        [_ZERO_MASS, _INCONSISTENT, _POSITIVITY, _ZERO_MASS, _INCONSISTENT],
+        default=0,
     )
-    return RegionResult(region=region, estimate=phi_hat, stderr=sd / math.sqrt(n))
+    reason = np.where(failure[:, 0] > 0, failure[:, 0], failure[:, -1])
+    reason = np.where(empty_fold, _EMPTY_FOLD, reason)
+
+    def total(terms):
+        # each fold's cells summed as one contiguous run, the order in which
+        # numpy sums one replication's cell array, then the folds
+        return terms.reshape(terms.shape[:2] + (-1,)).sum(axis=-1).sum(axis=-1)
+
+    values = psi1_values(support, spec, g.swapaxes(-1, -2), q.swapaxes(-1, -2))
+    phi_hat = total(weights * values)
+    ss = total(weights * (values - phi_hat[(..., None) + cells]) ** 2)
+    sd = np.sqrt(np.divide(ss * n, n - 1, out=np.zeros_like(ss), where=n > 1))
+    root_n = np.sqrt(np.maximum(n, 1))
+    half_width = z * sd / root_n
+    bad = reason > 0
+    lo = np.where(bad, np.nan, np.maximum(phi_hat - half_width, s.lo))
+    hi = np.where(bad, np.nan, np.minimum(phi_hat + half_width, s.hi))
+    full = bad | ((lo <= s.lo) & (hi >= s.hi))
+    return WaldArrays(
+        s=s,
+        estimate=np.where(bad, np.nan, phi_hat),
+        stderr=np.where(bad, np.nan, sd / root_n),
+        lo=lo,
+        hi=hi,
+        kind=np.where(full, _FULL, np.where(lo > hi, _EMPTY, _UNION)),
+        reason=reason,
+    )
 
 
 def score_invert_late(
@@ -352,8 +461,14 @@ def score_invert_late(
     coefficients are moments of the cell counts.
     """
     require_binary_support(support, 1, "score inversion")
-    # cell counts (k_y, 2, 2), as exact integers
-    counts = np.rint(estimate(dataset, support).mass[..., 0] * len(dataset))
+    if dataset.counts.shape[1:] != support.shape:
+        raise ValueError(
+            f"counts shape {dataset.counts.shape[1:]} does not match "
+            f"support shape {support.shape}"
+        )
+    counts = dataset.counts.sum(axis=0)[..., 0]         # (k_y, 2, 2) integers
+    if not counts.any():
+        raise EmptyDataset("cannot invert the score test on an empty sample")
     n0, n1 = counts.sum(axis=(0, 2))
     if n1 == 0 or n0 == 0:
         return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
@@ -491,7 +606,7 @@ def binary_union_set(
     try:
         parts = _union_components(law.mass, support)
     except ZeroConditioningMass as exc:
-        return _full_result(str(exc))
+        return _full_result(str(exc), type(exc).__name__)
     level = alpha / len(parts)
     components = {
         name: _wald_component(est, infl, law.mass, n, level)

@@ -11,6 +11,13 @@ The estimating function is tabulated on the cells of the support
 (:func:`psi1_values`), so estimators see a sample only through its
 empirical law.
 
+The building blocks (conditioning, the stratum solve, the representer,
+m(O, g) and the estimating function) accept leading batch axes, so a stack
+of empirical laws is solved in the same calls as one law.  The law-level
+functions (:func:`solve_g`, :func:`solve_q`, :func:`check_model_membership`,
+:func:`evaluate_phi`) use them with no batch axis and raise on an empty
+conditioning cell or a vanishing density; on a stack these are masks.
+
 Supported functionals:
 
 * ``late``         -- binary W and Z, no X; m(O,g) = g(1) - g(0)
@@ -138,18 +145,43 @@ class NoSolution:
         return False
 
 
-def _condition_rows(joint: np.ndarray) -> np.ndarray:
-    """Rows of a (k_x, k_a, k_b) mass stack divided by their totals.
+def _condition_rows(joint: np.ndarray):
+    """Rows of a (..., k_x, k_a, k_b) mass stack divided by their totals.
 
-    Raises ZeroConditioningMass naming the first (row cell, stratum) without
-    mass, strata first.
+    Returns the conditioned rows and the (..., k_x, k_a) mask of rows
+    without mass, which are left zero.
     """
-    totals = joint.sum(axis=2)
+    totals = joint.sum(axis=-1, keepdims=True)
     empty = totals <= 0.0
+    rows = np.divide(joint, totals, out=np.zeros_like(joint), where=~empty)
+    return rows, empty[..., 0]
+
+
+def _nonempty(rows: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    """The rows of one law; raises ZeroConditioningMass naming the first
+    (row cell, stratum) without mass, strata first."""
     if empty.any():
         m, a = np.argwhere(empty)[0]
         raise ZeroConditioningMass((int(a), int(m)))
-    return joint / totals[:, :, None]
+    return rows
+
+
+def _cond_mean_rows(mass: np.ndarray):
+    """f(W=j | Z=l, X=m) mu_w(j) as (..., k_x, k_z, k_w), with the empty
+    (X, Z) rows, from (..., k_y, k_z, k_w, k_x) masses."""
+    return _condition_rows(np.moveaxis(mass.sum(axis=-4), -1, -3))
+
+
+def _response_rows(mass: np.ndarray, y_cell_means: np.ndarray):
+    """E[Y | Z=l, X=m] as (..., k_x, k_z), with the empty (X, Z) rows."""
+    rows, empty = _condition_rows(mass.sum(axis=-2).swapaxes(-1, -3))
+    return rows @ y_cell_means, empty
+
+
+def _adjoint_rows(mass: np.ndarray):
+    """f(Z=l | W=j, X=m) mu_z(l) as (..., k_x, k_w, k_z), with the empty
+    (X, W) rows."""
+    return _condition_rows(mass.sum(axis=-4).swapaxes(-1, -3))
 
 
 def cond_mean_operator(law: DiscreteLaw) -> np.ndarray:
@@ -158,12 +190,12 @@ def cond_mean_operator(law: DiscreteLaw) -> np.ndarray:
     Entry (m, l, j) is f(W=j | Z=l, X=m) * mu_w(j), i.e. the probability of
     the j-th W cell given the l-th Z cell on stratum m; rows sum to one.
     """
-    return _condition_rows(law.mass.sum(axis=0).transpose(2, 0, 1))
+    return _nonempty(*_cond_mean_rows(law.mass))
 
 
 def response_vector(law: DiscreteLaw) -> np.ndarray:
     """Conditional mean of Y given each (X, Z) cell, shape (k_x, k_z)."""
-    return _condition_rows(law.mass.sum(axis=2).T) @ law.support.y_cell_means
+    return _nonempty(*_response_rows(law.mass, law.support.y_cell_means))
 
 
 def adjoint_mean_operator(law: DiscreteLaw) -> np.ndarray:
@@ -171,29 +203,29 @@ def adjoint_mean_operator(law: DiscreteLaw) -> np.ndarray:
 
     Entry (m, j, l) is f(Z=l | W=j, X=m) * mu_z(l); rows sum to one.
     """
-    return _condition_rows(law.mass.sum(axis=0).T)
+    return _nonempty(*_adjoint_rows(law.mass))
 
 
 def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
     """Minimum-norm least-squares solve of a stack of per-stratum systems.
 
-    ``lhs`` has shape (k_x, r, c) and ``rhs`` (k_x, r).  One batched SVD;
-    singular values at or below numpy's default least-squares cutoff
-    eps * max(r, c) * sigma_max count as zero, so a singular system gets its
-    minimum-norm solution.
-    Returns the solutions (k_x, c), the residual norms (k_x,), the mask of
-    consistent strata (residual <= tol * max(1, |rhs|)) and the singular
-    values (k_x, min(r, c)), largest first.
+    ``lhs`` has shape (..., k_x, r, c) and ``rhs`` (..., k_x, r).  One
+    batched SVD; singular values at or below numpy's default least-squares
+    cutoff eps * max(r, c) * sigma_max count as zero, so a singular system
+    gets its minimum-norm solution.
+    Returns the solutions (..., k_x, c), the residual norms (..., k_x), the
+    mask of consistent strata (residual <= tol * max(1, |rhs|)) and the
+    singular values (..., k_x, min(r, c)), largest first.
     """
     u, sigma, vt = np.linalg.svd(lhs, full_matrices=False)
-    keep = sigma > _EPS * max(lhs.shape[1:]) * sigma[:, :1]
+    keep = sigma > _EPS * max(lhs.shape[-2:]) * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
-    b = rhs[:, :, None]
-    sol = vt.mT @ (inv[:, :, None] * (u.mT @ b))
+    b = rhs[..., None]
+    sol = vt.mT @ (inv[..., None] * (u.mT @ b))
     r = lhs @ sol - b
-    residuals = np.sqrt((r * r).sum(axis=(1, 2)))
-    ok = residuals <= tol * np.maximum(1.0, np.sqrt((rhs * rhs).sum(axis=1)))
-    return sol[:, :, 0], residuals, ok, sigma
+    residuals = np.sqrt((r * r).sum(axis=(-2, -1)))
+    ok = residuals <= tol * np.maximum(1.0, np.sqrt((rhs * rhs).sum(axis=-1)))
+    return sol[..., 0], residuals, ok, sigma
 
 
 def _no_solution(residuals, ok, equation):
@@ -225,6 +257,46 @@ def solve_q(law: DiscreteLaw, alpha: np.ndarray, tol: float = DEFAULT_TOL):
     return q.T if ok.all() else _no_solution(residuals, ok, "q")
 
 
+def _representer(spec: FunctionalSpec, support: SupportSpec, mass_wx: np.ndarray):
+    """Representer coefficients from (..., k_w, k_x) marginal masses.
+
+    Returns alpha (..., k_w, k_x) and the mask of the cells whose denominator
+    density vanishes; alpha is zero there.  For ate_iv a stratum without
+    mass marks its whole column.
+    """
+    if spec.kind == "generic":
+        return (np.broadcast_to(spec.alpha, mass_wx.shape).copy(),
+                np.zeros(mass_wx.shape, dtype=bool))
+    signs = 2.0 * np.arange(2) - 1.0
+    if spec.kind in ("late", "npiv"):
+        if spec.kind == "late":            # counting measure: density = mass
+            f_w, top = mass_wx[..., :1], signs[:, None]
+        else:
+            f_w, top = mass_wx[..., :1] / support.mu_w[:, None], spec.omega[:, None]
+        bad = f_w <= 0.0
+        return np.divide(top, f_w, out=np.zeros_like(f_w), where=~bad), bad
+
+    if spec.kind == "ate_iv":
+        mass_x = mass_wx.sum(axis=-2, keepdims=True)
+        p_w_given_x = np.divide(mass_wx, mass_x, out=np.zeros_like(mass_wx),
+                                where=mass_x > 0.0)
+        bad = p_w_given_x <= 0.0                # zero where X has no mass
+        alpha = np.divide(signs[:, None], p_w_given_x,
+                          out=np.zeros_like(mass_wx), where=~bad)
+        return alpha, bad
+
+    # proximal_ate: X interleaves (A, L); compare the two arms of each L cell
+    dens_wx = mass_wx / (support.mu_w[:, None] * support.mu_x[None, :])
+    f0 = dens_wx[..., 0::2]
+    f1 = dens_wx[..., 1::2]
+    both = f0 + f1
+    p1 = np.divide(f1, both, out=np.zeros_like(f1), where=both > 0.0)
+    prob = np.stack([1.0 - p1, p1], axis=-1)      # (..., k_w, k_L, 2), X = 2L + A
+    bad = (prob <= 0.0) | (both <= 0.0)[..., None]
+    alpha = np.divide(signs, prob, out=np.zeros_like(prob), where=~bad)
+    return alpha.reshape(mass_wx.shape), bad.reshape(mass_wx.shape)
+
+
 def alpha_from_wx_mass(
     spec: FunctionalSpec, support: SupportSpec, mass_wx: np.ndarray
 ) -> np.ndarray:
@@ -232,51 +304,20 @@ def alpha_from_wx_mass(
 
     Every supported functional determines its representer through the
     (W, X) marginal, so callers that know the marginal in closed form can
-    bypass assembling the full tensor.
+    bypass assembling the full tensor.  ``mass_wx`` may carry leading batch
+    axes.  Raises PositivityViolation naming the first (W, X) cell whose
+    denominator density vanishes (for ate_iv, an X stratum without mass
+    comes first, as (None, m)).
     """
     spec.validate_against(support)
-
-    if spec.kind == "generic":
-        return spec.alpha.copy()
-
-    if spec.kind == "late":
-        f_w = mass_wx[:, 0]                  # counting measure: density = mass
-        if np.any(f_w <= 0.0):
-            raise PositivityViolation((int(np.argmax(f_w <= 0.0)), 0))
-        signs = 2.0 * np.arange(2) - 1.0
-        return (signs / f_w)[:, None]
-
-    if spec.kind == "ate_iv":
-        mass_x = mass_wx.sum(axis=0)
-        if np.any(mass_x <= 0.0):
-            raise PositivityViolation((None, int(np.argmax(mass_x <= 0.0))))
-        p_w_given_x = mass_wx / mass_x[None, :]
-        if np.any(p_w_given_x <= 0.0):
-            j, m = np.argwhere(p_w_given_x <= 0.0)[0]
-            raise PositivityViolation((int(j), int(m)))
-        signs = 2.0 * np.arange(2) - 1.0
-        return signs[:, None] / p_w_given_x
-
-    if spec.kind == "npiv":
-        f_w = mass_wx[:, 0] / support.mu_w
-        if np.any(f_w <= 0.0):
-            raise PositivityViolation((int(np.argmax(f_w <= 0.0)), 0))
-        return (spec.omega / f_w)[:, None]
-
-    # proximal_ate: X interleaves (A, L); compare the two arms of each L cell
-    dens_wx = mass_wx / (support.mu_w[:, None] * support.mu_x[None, :])
-    f0 = dens_wx[:, 0::2]
-    f1 = dens_wx[:, 1::2]
-    both = f0 + f1
-    p1 = np.divide(f1, both, out=np.zeros_like(f1), where=both > 0.0)
-    alpha = np.empty((support.k_w, support.k_x))
-    prob = np.stack([1.0 - p1, p1], axis=-1)      # (k_w, k_L, 2)
-    if np.any(both <= 0.0) or np.any(prob <= 0.0):
-        bad = np.argwhere((prob <= 0.0) | (both <= 0.0)[..., None])[0]
-        j, lcell, a = (int(v) for v in bad)
-        raise PositivityViolation((j, 2 * lcell + a))
-    alpha[:, 0::2] = -1.0 / prob[..., 0]
-    alpha[:, 1::2] = 1.0 / prob[..., 1]
+    alpha, bad = _representer(spec, support, mass_wx)
+    if bad.any():
+        empty_x = bad.all(axis=-2)
+        if spec.kind == "ate_iv" and empty_x.any():
+            cell = (None, int(np.argwhere(empty_x)[0][-1]))
+        else:
+            cell = tuple(int(v) for v in np.argwhere(bad)[0][-2:])
+        raise PositivityViolation(cell)
     return alpha
 
 
@@ -289,19 +330,22 @@ def riesz_alpha(law: DiscreteLaw, spec: FunctionalSpec) -> np.ndarray:
 
 
 def m_cell_values(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.ndarray:
-    """Value of m(O, g) as a function of the observed (W, X) cell."""
+    """Value of m(O, g) as a function of the observed (W, X) cell.
+
+    ``g`` is (..., k_w, k_x), with any leading batch axes; so is the result.
+    """
     spec.validate_against(support)
-    k_w, k_x = support.k_w, support.k_x
     if spec.kind == "late":
-        return np.full((k_w, k_x), g[1, 0] - g[0, 0])
+        return np.broadcast_to((g[..., 1:, :1] - g[..., :1, :1]), g.shape)
     if spec.kind == "ate_iv":
-        return np.tile(g[1, :] - g[0, :], (k_w, 1))
+        return np.broadcast_to((g[..., 1:, :] - g[..., :1, :]), g.shape)
     if spec.kind == "proximal_ate":
-        contrast = g[:, 1::2] - g[:, 0::2]
-        return np.repeat(contrast, 2, axis=1)
+        contrast = g[..., 1::2] - g[..., 0::2]
+        return np.repeat(contrast, 2, axis=-1)
     if spec.kind == "npiv":
-        value = float(np.sum(g[:, 0] * spec.omega * support.mu_w))
-        return np.full((k_w, k_x), value)
+        value = np.sum(g[..., :, :1] * spec.omega[:, None] * support.mu_w[:, None],
+                       axis=-2, keepdims=True)
+        return np.broadcast_to(value, g.shape)
     return spec.alpha * g
 
 
@@ -406,10 +450,12 @@ def psi1_values(
 ) -> np.ndarray:
     """Estimating function m(O,g) + q(Z,X){Y - g(W,X)} - theta on every cell.
 
-    The result has the support's (k_y, k_z, k_w, k_x) shape; its mean under a
-    law is the mass-weighted sum, so a sample enters only through its cell
-    counts.
+    ``g`` is (..., k_w, k_x) and ``q`` (..., k_z, k_x), with the same leading
+    batch axes.  The result has shape (..., k_y, k_z, k_w, k_x); its mean
+    under a law is the mass-weighted sum, so a sample enters only through
+    its cell counts.
     """
-    mcell = m_cell_values(spec, g, support)
+    mcell = m_cell_values(spec, g, support)[..., None, None, :, :]
     ybar = support.y_cell_means[:, None, None, None]
-    return mcell + q[None, :, None, :] * (ybar - g[None, None]) - theta
+    g = g[..., None, None, :, :]
+    return mcell + q[..., None, :, None, :] * (ybar - g) - theta

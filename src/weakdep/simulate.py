@@ -3,10 +3,16 @@
 A plan pairs laws (each carrying its certified functional value) with
 region constructors; the harness samples, applies every constructor to the
 same draw, and tallies coverage, diameters, full-range fractions and
-degenerate-sample errors.  Replications run serially; each one's seed
-derives from the master seed and the (law, replication) indices through a
+degenerate-sample errors (also by reason).  Each replication's seed derives
+from the master seed and the (law, replication) indices through a
 counter-based seed sequence, so replications are independent and
-reproducible.  Coverage along a weak-dependence sequence is a plan with one
+reproducible.  Replications run serially in blocks, in replication order:
+a block's samples are drawn one by one, each from its own seed, then Wald
+evaluates the stack of the block's counts in one call and every other
+method evaluates the block's samples one at a time.  A block holds at most
+:data:`BLOCK_BYTES` of float cell counts, so memory does not grow with the
+number of replications, and the report does not depend on the block size.
+Coverage along a weak-dependence sequence is a plan with one
 :class:`LawCase` per step of :func:`~weakdep.adversarial.generate_sequence`.
 """
 
@@ -17,6 +23,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +33,8 @@ from .confsets import (
     FULL_REGION,
     Interval,
     RegionResult,
+    WALD_REASONS,
+    WaldArrays,
     binary_union_set,
     diameter,
     normal_quantile,
@@ -43,6 +52,10 @@ CSV_COLUMNS = (
     "diam_mean", "diam_p50", "diam_p90", "frac_fullrange", "frac_error",
     "frac_diam_ge_s",
 )
+
+# Bytes of one float copy of a block's per-fold cell counts; the block
+# size follows from it and the support, and results do not depend on it.
+BLOCK_BYTES = 1 << 20
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -111,7 +124,12 @@ class ExperimentPlan:
 
 
 def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
-    """Turn a method config into dataset -> RegionResult."""
+    """Turn a method config into (stacked, constructor).
+
+    A stacked constructor (Wald) maps a block's counts, shape
+    (R, 2, k_y, k_z, k_w, k_x), to WaldArrays; every other constructor maps
+    one Dataset to a RegionResult.
+    """
     alpha = 1.0 - plan.level
     support = case.law.support
     opts = dict(cfg.options)
@@ -125,30 +143,30 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
         tol = float(opts.pop("tol", 1e-8))
         _reject_extra(cfg, opts)
         func.validate_against(support)
-        return lambda ds: wald_ci(
-            ds, func, support, alpha, s=plan.s, cross_fit=cross_fit, tol=tol
+        return True, lambda counts: wald_ci(
+            counts, func, support, alpha, s=plan.s, cross_fit=cross_fit, tol=tol
         )
     if cfg.name == "score":
         _reject_extra(cfg, opts)
         require_binary_support(support, 1, "method 'score'")
-        return lambda ds: score_invert_late(ds, support, alpha, s=plan.s)
+        return False, lambda ds: score_invert_late(ds, support, alpha, s=plan.s)
     if cfg.name == "union":
         _reject_extra(cfg, opts)
         require_binary_support(support, 2, "method 'union'")
-        return lambda ds: binary_union_set(ds, support, alpha, plan.s)
+        return False, lambda ds: binary_union_set(ds, support, alpha, plan.s)
     if cfg.name == "fullrange":
         _reject_extra(cfg, opts)
-        return lambda ds: RegionResult(region=FULL_REGION)
+        return False, lambda ds: RegionResult(region=FULL_REGION)
     if cfg.name == "empty":
         _reject_extra(cfg, opts)
-        return lambda ds: RegionResult(region=EMPTY_REGION)
+        return False, lambda ds: RegionResult(region=EMPTY_REGION)
     if cfg.name == "oracle":
         eps = float(opts.pop("epsilon", 0.0))
         _reject_extra(cfg, opts)
         region = region_from_intervals(
             [Interval(case.true_phi - eps, case.true_phi + eps)], plan.s
         )
-        return lambda ds: RegionResult(region=region)
+        return False, lambda ds: RegionResult(region=region)
     raise AssertionError(cfg.name)
 
 
@@ -180,6 +198,7 @@ class CellReport:
     runtime: float          # seconds spent in this method's constructor calls
     diameters: tuple
     outcomes: tuple
+    errors_by_kind: dict    # reason -> count of degenerate replications
 
     def csv_row(self):
         def fmt(v):
@@ -201,6 +220,7 @@ class CellReport:
             runtime=self.runtime,
             diameters=[clean(v) for v in self.diameters],
             outcomes=list(self.outcomes),
+            errors_by_kind=dict(self.errors_by_kind),
         )
         return d
 
@@ -230,72 +250,109 @@ class CoverageReport:
         raise KeyError((label, method))
 
 
-def _replicate(plan, case, law_idx, rep_idx, constructors):
-    """One replication: draw once, apply every method to the same dataset.
+class _Tally:
+    """Per-replication outcomes of one (law, method) pair, in replication order."""
 
-    Returns (outcome, diameter, is_full, seconds in the constructor) per method.
-    """
-    seed = np.random.SeedSequence(entropy=plan.seed, spawn_key=(law_idx, rep_idx))
-    dataset = sample(case.law, plan.n, seed)
-    out = []
-    for method in constructors:
-        started = time.perf_counter()
-        try:
-            result = method(dataset)
-        except WeakdepError as exc:
-            result = RegionResult(region=FULL_REGION, degenerate=True, message=str(exc))
-        elapsed = time.perf_counter() - started
-        diam = diameter(result.region, plan.s)
+    def __init__(self, true_phi: float, s: Interval):
+        self.true_phi = true_phi
+        self.s = s
+        self.outcomes = []
+        self.diameters = []
+        self.fulls = []
+        self.errors_by_kind = Counter()
+        self.seconds = 0.0
+
+    def add(self, result: RegionResult):
         if result.degenerate:
             outcome = "error"
-        elif result.region.contains(case.true_phi):
+            self.errors_by_kind[result.reason] += 1
+        elif result.region.contains(self.true_phi):
             outcome = "cover"
         else:
             outcome = "miss"
-        out.append((outcome, diam, result.region.is_full, elapsed))
-    return out
+        self.outcomes.append(outcome)
+        self.diameters.append(diameter(result.region, self.s))
+        self.fulls.append(result.region.is_full)
+
+    def add_stack(self, arrays: WaldArrays):
+        degenerate = arrays.reason > 0
+        covered = arrays.contains(self.true_phi)
+        self.outcomes += np.where(
+            degenerate, "error", np.where(covered, "cover", "miss")
+        ).tolist()
+        self.diameters += arrays.diameters().tolist()
+        self.fulls += arrays.is_full().tolist()
+        self.errors_by_kind.update(WALD_REASONS[code] for code in arrays.reason[degenerate])
+
+    def report(self, label: str, method: str, plan: ExperimentPlan) -> CellReport:
+        outcomes = tuple(self.outcomes)
+        covered = outcomes.count("cover")
+        errors = outcomes.count("error")
+        missed = plan.reps - covered - errors
+        wl, wh = wilson_interval(covered + errors, plan.reps)
+        diam_arr = np.array(self.diameters)
+        return CellReport(
+            label=label,
+            method=method,
+            n=plan.n,
+            reps=plan.reps,
+            covered=covered,
+            missed=missed,
+            errors=errors,
+            coverage=(covered + errors) / plan.reps,
+            wilson_lo=wl,
+            wilson_hi=wh,
+            diam_mean=float(diam_arr.mean()),
+            diam_p50=_quantile(diam_arr, 50),
+            diam_p90=_quantile(diam_arr, 90),
+            frac_fullrange=sum(self.fulls) / plan.reps,
+            frac_error=errors / plan.reps,
+            frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
+            runtime=self.seconds,
+            diameters=tuple(self.diameters),
+            outcomes=outcomes,
+            errors_by_kind=dict(sorted(self.errors_by_kind.items())),
+        )
+
+
+def _evaluate(stacked, construct, block, tally):
+    """Apply one method to every dataset of a block, timing only the
+    constructor calls; a constructor's WeakdepError is a degenerate outcome."""
+    if stacked:
+        counts = np.stack([dataset.counts for dataset in block])
+        started = time.perf_counter()
+        arrays = construct(counts)
+        tally.seconds += time.perf_counter() - started
+        tally.add_stack(arrays)
+        return
+    for dataset in block:
+        started = time.perf_counter()
+        try:
+            result = construct(dataset)
+        except WeakdepError as exc:
+            result = RegionResult(region=FULL_REGION, degenerate=True,
+                                  message=str(exc), reason=type(exc).__name__)
+        tally.seconds += time.perf_counter() - started
+        tally.add(result)
 
 
 def run(plan: ExperimentPlan) -> CoverageReport:
     """Execute the plan; deterministic given the master seed."""
-    s_diam = plan.s.hi - plan.s.lo
     cells = []
     for law_idx, case in enumerate(plan.laws):
-        constructors = [_bind_method(m, plan, case) for m in plan.methods]
-        results = [
-            _replicate(plan, case, law_idx, rep_idx, constructors)
-            for rep_idx in range(plan.reps)
-        ]
-
-        for method_idx, method in enumerate(plan.methods):
-            outcomes, diams, fulls, seconds = zip(*(rep[method_idx] for rep in results))
-            covered = sum(o == "cover" for o in outcomes)
-            errors = sum(o == "error" for o in outcomes)
-            missed = plan.reps - covered - errors
-            coverage = (covered + errors) / plan.reps
-            wl, wh = wilson_interval(covered + errors, plan.reps)
-            diam_arr = np.array(diams)
-            cells.append(CellReport(
-                label=case.label,
-                method=method.name,
-                n=plan.n,
-                reps=plan.reps,
-                covered=covered,
-                missed=missed,
-                errors=errors,
-                coverage=coverage,
-                wilson_lo=wl,
-                wilson_hi=wh,
-                diam_mean=float(diam_arr.mean()),
-                diam_p50=_quantile(diam_arr, 50),
-                diam_p90=_quantile(diam_arr, 90),
-                frac_fullrange=sum(fulls) / plan.reps,
-                frac_error=errors / plan.reps,
-                frac_diam_ge_s=float(np.mean(diam_arr >= s_diam)),
-                runtime=sum(seconds),
-                diameters=diams,
-                outcomes=outcomes,
-            ))
+        methods = [_bind_method(m, plan, case) for m in plan.methods]
+        tallies = [_Tally(case.true_phi, plan.s) for _ in plan.methods]
+        block_reps = max(1, BLOCK_BYTES // (16 * case.law.support.n_cells))
+        for start in range(0, plan.reps, block_reps):
+            block = [
+                sample(case.law, plan.n, np.random.SeedSequence(
+                    entropy=plan.seed, spawn_key=(law_idx, rep_idx)))
+                for rep_idx in range(start, min(start + block_reps, plan.reps))
+            ]
+            for (stacked, construct), tally in zip(methods, tallies):
+                _evaluate(stacked, construct, block, tally)
+        cells.extend(tally.report(case.label, method.name, plan)
+                     for method, tally in zip(plan.methods, tallies))
     return CoverageReport(cells=tuple(cells))
 
 

@@ -20,7 +20,6 @@ from weakdep.confsets import (
     Interval,
     RegionResult,
     _full_result,
-    _nuisances,
     _quadratic_sublevel,
     interval_add,
     interval_div,
@@ -33,7 +32,14 @@ from weakdep.errors import (
     PositivityViolation,
     ZeroConditioningMass,
 )
-from weakdep.functionals import m_cell_values
+from weakdep.functionals import (
+    NoSolution,
+    m_cell_values,
+    psi1_values,
+    riesz_alpha,
+    solve_g,
+    solve_q,
+)
 
 
 def late_support():
@@ -122,6 +128,56 @@ def spec_for_support(rng, support):
     return FunctionalSpec.generic(
         rng.uniform(-2.0, 2.0, size=(support.k_w, support.k_x))
     )
+
+
+def kind_support(rng, kind, k, k_y, k_x):
+    """A random support on which the functional kind is defined.
+
+    Binary-W kinds get counting measures on Z and W; proximal_ate gets equal
+    X measures on the two arms of each L cell.
+    """
+    unit = kind in ("late", "ate_iv")
+    support = random_support(rng, k_y, k, k, k_x, unit_zw=unit)
+    if kind == "proximal_ate":
+        mu_x = np.repeat(support.mu_x[0::2], 2)
+        support = SupportSpec(mu_y=support.mu_y, mu_z=support.mu_z,
+                              mu_w=support.mu_w, mu_x=mu_x, iota_y=support.iota_y)
+    return support
+
+
+def kind_spec(rng, kind, support):
+    if kind == "npiv":
+        return FunctionalSpec.npiv(rng.uniform(-1.0, 1.0, size=support.k_w))
+    if kind == "generic":
+        return FunctionalSpec.generic(
+            rng.uniform(-2.0, 2.0, size=(support.k_w, support.k_x))
+        )
+    return FunctionalSpec(kind=kind)
+
+
+def compositions(n, k):
+    """Every vector of k non-negative integers summing to n, one per row, in
+    lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for _ in range(k - 1):
+        choices = n - used + 1
+        parent = np.repeat(np.arange(len(rows)), choices)
+        first = np.repeat(np.cumsum(choices) - choices, choices)
+        value = np.arange(choices.sum()) - first
+        rows = np.column_stack([rows[parent], value])
+        used = used[parent] + value
+    return np.column_stack([rows, n - used])
+
+
+def multinomial_pmf(counts, p):
+    """Multinomial probability of each row of counts under cell probabilities p."""
+    n = int(counts[0].sum())
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
+    log_p = np.log(np.where(p > 0.0, p, 1.0))
+    impossible = ((counts > 0) & (p <= 0.0)).any(axis=1)
+    log_pmf = log_fact[n] - log_fact[counts].sum(axis=1) + counts @ log_p
+    return np.where(impossible, 0.0, np.exp(log_pmf))
 
 
 def acceptance_base():
@@ -222,6 +278,69 @@ def dataset_from_rows(y, z, w, x, support):
 
 
 # ---------------------------------------------------------------------------
+# Serial reference Wald.  This is the package's wald_ci as it was before it
+# evaluated stacks of replications: one replication at a time, with the
+# nuisances solved through the law-level solve_g, riesz_alpha and solve_q and
+# every degenerate sample caught as an exception.  Tests check the stacked
+# path against it on the same counts.
+
+
+def _nuisances(law, spec, tol):
+    g = solve_g(law, tol)
+    if isinstance(g, NoSolution):
+        raise DegenerateSample(
+            f"equation for g inconsistent on stratum {g.stratum} "
+            f"(residual {g.residual:.3g})"
+        )
+    alpha = riesz_alpha(law, spec)
+    q = solve_q(law, alpha, tol)
+    if isinstance(q, NoSolution):
+        raise DegenerateSample(
+            f"adjoint equation inconsistent on stratum {q.stratum} "
+            f"(residual {q.residual:.3g})"
+        )
+    return g, q
+
+
+def serial_wald_ci(dataset, spec, support, alpha, s=FULL_LINE, cross_fit=False,
+                   tol=1e-8):
+    """Wald interval of one sample, solved fold by fold (the reference)."""
+    n = len(dataset)
+    if n == 0:
+        raise EmptyDataset("cannot build an interval from an empty sample")
+    z = normal_quantile(1.0 - alpha / 2.0)
+    try:
+        if cross_fit:
+            part_a, part_b = dataset.fold(0), dataset.fold(1)
+            if len(part_a) == 0 or len(part_b) == 0:
+                return _full_result("a cross-fitting fold is empty", "empty_fold")
+            fold_a = estimate(part_a, support)
+            fold_b = estimate(part_b, support)
+            folds = ((fold_a, fold_b, len(part_b) / n),
+                     (fold_b, fold_a, len(part_a) / n))
+        else:
+            law = estimate(dataset, support)
+            folds = ((law, law, 1.0),)
+        parts = []
+        for fit, held_out, share in folds:
+            g, q = _nuisances(fit, spec, tol)
+            parts.append((held_out.mass * share, psi1_values(support, spec, g, q)))
+    except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
+        return _full_result(str(exc), type(exc).__name__)
+    phi_hat = float(sum((weight * values).sum() for weight, values in parts))
+    if n > 1:
+        ss = sum((weight * (values - phi_hat) ** 2).sum() for weight, values in parts)
+        sd = math.sqrt(float(ss) * n / (n - 1))
+    else:
+        sd = 0.0
+    half_width = z * sd / math.sqrt(n)
+    region = region_from_intervals(
+        [Interval(phi_hat - half_width, phi_hat + half_width)], s
+    )
+    return RegionResult(region=region, estimate=phi_hat, stderr=sd / math.sqrt(n))
+
+
+# ---------------------------------------------------------------------------
 # Row-level reference constructors.  These evaluate the three confidence sets
 # row by row, with n-row masks and per-row influence arrays, exactly as the
 # package did before its constructors moved to cell counts; tests check the
@@ -271,7 +390,7 @@ def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e
             g, q = _nuisances(law, spec, tol)
             values = row_psi1_values(rows, support, spec, g, q, 0.0)
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
-        return _full_result(str(exc))
+        return _full_result(str(exc), type(exc).__name__)
     phi_hat = float(values.mean())
     sd = float(values.std(ddof=1)) if n > 1 else 0.0
     half_width = z * sd / math.sqrt(n)

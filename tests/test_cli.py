@@ -1,15 +1,21 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakdep import cli, laws
 from weakdep.functionals import FunctionalSpec
 
-from helpers import acceptance_base, late_law, random_law
+from helpers import acceptance_base, kind_spec, kind_support, late_law, random_law
 
 from test_functionals import w_indep_z_law, wz_identity_late
 
@@ -295,3 +301,60 @@ class TestCoverage:
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"laws": []}))
         assert cli.main(["coverage", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def _functional_dict(spec):
+    return {"kind": spec.kind, **{key: value for key, value in spec.to_dict().items()
+                                  if key != "kind"}}
+
+
+@st.composite
+def fuzzed_plans(draw):
+    """Small coverage plans: laws with zero-mass cells on k_x = 1 to 3, Wald
+    on a functional kind the support suits, plain or cross-fit, and more
+    methods (Wald on any kind, score, union) that may not suit it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(FunctionalSpec.KINDS))
+    k = 2 if kind in ("late", "ate_iv") else draw(st.integers(2, 3))
+    k_x = {"late": 1, "npiv": 1, "proximal_ate": 2}.get(kind, draw(st.integers(1, 3)))
+    support = kind_support(rng, kind, k, draw(st.integers(2, 3)), k_x)
+    laws_ = []
+    for t in range(draw(st.integers(1, 2))):
+        keep = rng.random(support.shape) >= draw(st.floats(0.0, 0.8))
+        raw = rng.gamma(1.0, size=support.shape) * keep
+        if not raw.any():
+            raw.flat[0] = 1.0
+        law = laws.DiscreteLaw(support, raw / raw.sum())
+        laws_.append({"label": f"law{t}", "law": laws.law_to_dict(law),
+                      "true_phi": draw(st.floats(-5.0, 5.0))})
+    kinds = [kind] + draw(st.lists(st.sampled_from(FunctionalSpec.KINDS), max_size=2))
+    methods = [{"name": "wald", "functional": _functional_dict(kind_spec(rng, name, support)),
+                "cross_fit": draw(st.booleans())} for name in kinds]
+    methods += [{"name": name} for name in draw(
+        st.lists(st.sampled_from(["score", "union"]), max_size=2, unique=True))]
+    return {
+        "laws": laws_, "methods": methods,
+        "n": draw(st.sampled_from([1, 2, 3, 8, 40, 300])),
+        "reps": draw(st.integers(1, 20)),
+        "level": 0.95, "seed": draw(st.integers(0, 99)), "s": [-10.0, 10.0],
+    }
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(plan=fuzzed_plans())
+def test_fuzzed_coverage_plans_never_raise(plan):
+    """`weakdep coverage` on any such plan exits 0, 1 or 2 with no traceback:
+    a degenerate replication is a tallied outcome, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.json"
+        path.write_text(json.dumps(plan))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["coverage", str(path), "--out", str(Path(tmp) / "r.csv"),
+                             "--json", str(Path(tmp) / "r.json")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 0:
+            report = json.loads((Path(tmp) / "r.json").read_text())
+            for cell in report["cells"]:
+                assert sum(cell["errors_by_kind"].values()) == cell["errors"]

@@ -32,12 +32,16 @@ from helpers import (
     Rows,
     acceptance_base,
     binary_x_law,
+    compositions,
     dataset_from_rows,
+    kind_spec,
+    kind_support,
     late_law,
     late_support,
     row_binary_union_set,
     row_score_invert_late,
     row_wald_ci,
+    serial_wald_ci,
     wald_ratio,
 )
 
@@ -610,3 +614,102 @@ def _region_contains(outer, inner, s, probes=2000):
         if inner.contains(theta) and not outer.contains(theta):
             return False
     return True
+
+
+def _assert_stack_matches_serial(counts, spec, support, alpha, s, cross_fit,
+                                 single=False):
+    """Entry r of the stacked Wald is the serial reference's result on
+    replication r: same degenerate flag and reason, same region; with
+    ``single``, so is wald_ci on replication r alone."""
+    stack = wald_ci(counts, spec, support, alpha, s, cross_fit=cross_fit)
+    for r in range(len(counts)):
+        got = stack.result(r)
+        dataset = Dataset(counts[r])
+        if len(dataset) == 0:
+            # the serial constructor refuses an empty sample outright
+            assert got.reason == ("empty_fold" if cross_fit else "ZeroConditioningMass")
+            continue
+        ref = serial_wald_ci(dataset, spec, support, alpha, s, cross_fit=cross_fit)
+        assert got.reason == ref.reason
+        _assert_same_result(got, ref)
+        if single:
+            _assert_same_result(wald_ci(dataset, spec, support, alpha, s,
+                                        cross_fit=cross_fit), ref)
+
+
+class TestStackedWald:
+    """The stacked Wald against the serial reference, exhaustively on small
+    samples of the ratio law's 8 cells."""
+
+    S = Interval(-20.0, 20.0)
+
+    def test_every_plain_sample_of_ten(self):
+        support = late_support()
+        comps = compositions(10, support.n_cells)          # 19,448 samples
+        counts = np.zeros((len(comps), 2, support.n_cells), dtype=np.int64)
+        counts[:, 1] = comps
+        counts = counts.reshape((len(comps), 2) + support.shape)
+        _assert_stack_matches_serial(counts, FunctionalSpec.late(), support,
+                                     0.05, self.S, cross_fit=False)
+
+    def test_every_cross_fit_sample_of_three_plus_three(self):
+        support = late_support()
+        fold = compositions(3, support.n_cells)            # 120 per fold
+        first, second = np.meshgrid(np.arange(len(fold)), np.arange(len(fold)),
+                                    indexing="ij")
+        counts = np.stack([fold[first.ravel()], fold[second.ravel()]], axis=1)
+        counts = counts.reshape((len(counts), 2) + support.shape)   # 14,400 pairs
+        _assert_stack_matches_serial(counts, FunctionalSpec.late(), support,
+                                     0.05, self.S, cross_fit=True)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(FunctionalSpec.KINDS),
+        k=st.integers(2, 3),
+        k_y=st.integers(2, 3),
+        k_x=st.integers(1, 4),
+        reps=st.integers(1, 6),
+        draws=st.sampled_from([0, 1, 2, 5, 40]),
+        sparsity=st.floats(0.0, 0.9),
+        cross_fit=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_kind_matches_serial(self, kind, k, k_y, k_x, reps, draws,
+                                       sparsity, cross_fit, seed):
+        """Every functional kind, k_x up to 4, zero-mass cells, empty folds
+        and samples of 0, 1 and 2 draws."""
+        if kind in ("late", "ate_iv"):
+            k = 2
+        if kind in ("late", "npiv"):
+            k_x = 1
+        if kind == "proximal_ate":
+            k_x = 2 * (1 + k_x // 3)
+        rng = np.random.default_rng(seed)
+        support = kind_support(rng, kind, k, k_y, k_x)
+        spec = kind_spec(rng, kind, support)
+        mass = rng.gamma(1.0, size=support.shape) * (rng.random(support.shape) >= sparsity)
+        if not mass.any():
+            mass.flat[0] = 1.0
+        p = (mass / mass.sum()).ravel()
+        counts = rng.multinomial(draws, p, size=(reps, 2))
+        if draws:
+            counts[rng.random(reps) < 0.3, rng.integers(0, 2)] = 0   # empty folds
+        counts = counts.reshape((reps, 2) + support.shape)
+        _assert_stack_matches_serial(counts, spec, support, 0.05, self.S, cross_fit,
+                                     single=True)
+
+    def test_stack_is_not_an_exception_path(self):
+        """A stack mixing regular, degenerate and empty replications returns
+        one entry per replication; a single empty sample still raises."""
+        law = late_law()
+        counts = np.stack([sample(law, 400, seed=1).counts,
+                           sample(law, 1, seed=2).counts,
+                           np.zeros((2,) + law.support.shape, dtype=np.int64)])
+        stack = wald_ci(counts, FunctionalSpec.late(), law.support, 0.05,
+                        cross_fit=True)
+        assert stack.reason.tolist() == [0, 1, 1]
+        assert stack.degenerate
+        assert stack.is_full().tolist() == [False, True, True]
+        assert np.isnan(stack.estimate[1:]).all()
+        with pytest.raises(EmptyDataset):
+            wald_ci(Dataset(counts[2]), FunctionalSpec.late(), law.support, 0.05)

@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
+from weakdep import DiscreteLaw, FunctionalSpec, simulate
 from weakdep.adversarial import generate_sequence
-from weakdep.confsets import Interval
+from weakdep.confsets import Interval, wald_ci
 from weakdep.simulate import (
     CSV_COLUMNS,
     ExperimentPlan,
@@ -18,7 +19,14 @@ from weakdep.simulate import (
     wilson_interval,
 )
 
-from helpers import acceptance_base, late_law, wald_ratio
+from helpers import (
+    acceptance_base,
+    compositions,
+    late_law,
+    late_support,
+    multinomial_pmf,
+    wald_ratio,
+)
 
 
 def small_plan(methods, reps=20, n=200, seed=5):
@@ -199,3 +207,114 @@ class TestSweep:
         for cell in union_cells:
             half = (cell.wilson_hi - cell.wilson_lo) / 2.0
             assert cell.coverage >= 0.95 - 2.0 * half
+
+
+WALD = MethodConfig("wald", {"functional": {"kind": "late"}})
+WALD_CF = MethodConfig("wald", {"functional": {"kind": "late"}, "cross_fit": True})
+S = Interval(-20.0, 20.0)
+
+
+class TestBlocks:
+    def test_report_independent_of_block_budget(self, monkeypatch):
+        """One replication per block, five, or all of them: the same report."""
+        law = late_law()
+        plan = ExperimentPlan(
+            laws=(LawCase("a", law, wald_ratio(law)), LawCase("b", law, 0.0)),
+            methods=(WALD, WALD_CF, MethodConfig("score"), MethodConfig("union"),
+                     MethodConfig("fullrange")),
+            n=12, reps=23, level=0.95, seed=4, s=S,
+        )
+        per_rep = 16 * law.support.n_cells
+        seen = []
+        for budget in (1, 5 * per_rep, simulate.BLOCK_BYTES):
+            monkeypatch.setattr(simulate, "BLOCK_BYTES", budget)
+            report = run(plan)
+            payload = report.to_dict()
+            for cell in payload["cells"]:
+                cell.pop("runtime")
+            seen.append((report.to_csv(), payload))
+        assert seen[0] == seen[1] == seen[2]
+        # n = 12 on this law degenerates some replications
+        assert sum(cell["errors"] for cell in seen[0][1]["cells"]) > 0
+
+
+def _binary_law(cells):
+    """Law on the ratio support with the given mass per (y, z, w) cell."""
+    mass = np.zeros(late_support().shape)
+    for (h, l, j), m in cells.items():
+        mass[h, l, j, 0] = m
+    return DiscreteLaw(late_support(), mass)
+
+
+class TestErrorsByKind:
+    def test_degenerate_replications_tallied_by_reason(self):
+        cases = (
+            # Z = 1 never drawn
+            LawCase("z1_unobserved", _binary_law(
+                {(0, 0, 0): 0.3, (1, 0, 1): 0.3, (0, 0, 1): 0.2, (1, 0, 0): 0.2}), 0.0),
+            # W constant while Y moves with Z: the g equation is inconsistent
+            LawCase("w_constant", _binary_law(
+                {(0, 0, 0): 0.45, (1, 0, 0): 0.05, (0, 1, 0): 0.05, (1, 1, 0): 0.45}), 0.0),
+            # W = 1 never drawn and Y constant: g solves, its representer does not
+            LawCase("w1_unobserved", _binary_law({(0, 0, 0): 0.5, (0, 1, 0): 0.5}), 0.0),
+        )
+        plan = ExperimentPlan(
+            laws=cases,
+            methods=(WALD, WALD_CF, MethodConfig("score"), MethodConfig("union")),
+            n=40, reps=5, level=0.95, seed=2, s=S,
+        )
+        report = run(plan)
+        expected = {
+            "z1_unobserved": ("ZeroConditioningMass", "ZeroConditioningMass",
+                              "DegenerateSample", "ZeroConditioningMass"),
+            "w_constant": ("DegenerateSample", "DegenerateSample", None,
+                           "DegenerateSample"),
+            "w1_unobserved": ("PositivityViolation", "PositivityViolation", None,
+                              "DegenerateSample"),
+        }
+        for label, reasons in expected.items():
+            cells = [c for c in report.cells if c.label == label]
+            for cell, reason in zip(cells, reasons):
+                want = {reason: 5} if reason else {}
+                assert cell.errors_by_kind == want, (label, cell.method)
+                assert cell.to_dict()["errors_by_kind"] == want
+                assert cell.errors == sum(want.values())
+
+    def test_empty_fold_tallied(self):
+        law = late_law()
+        plan = ExperimentPlan(laws=(LawCase("a", law, 0.0),), methods=(WALD_CF,),
+                              n=1, reps=7, level=0.95, seed=1, s=S)
+        cell = run(plan).cell("a", "wald")
+        assert cell.errors_by_kind == {"empty_fold": 7}
+        assert cell.coverage == 1.0
+
+
+class TestExactCoverage:
+    N = 20      # the largest n whose 888,030 samples the stacked Wald runs in about 5 s
+
+    def test_monte_carlo_inside_wilson_of_exact_coverage(self):
+        """Plain Wald's exact coverage at n = 20, summed over every sample of
+        the 8 cells weighted by its multinomial probability (degenerate
+        samples cover, as run counts them), lies inside the Wilson interval
+        of run's Monte Carlo coverage."""
+        law = late_law()
+        phi = wald_ratio(law)
+        support = law.support
+        comps = compositions(self.N, support.n_cells)
+        pmf = multinomial_pmf(comps, law.mass.ravel())
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        exact = 0.0
+        for start in range(0, len(comps), 100_000):
+            part = comps[start:start + 100_000]
+            counts = np.zeros((len(part), 2, support.n_cells), dtype=np.int64)
+            counts[:, 1] = part
+            stack = wald_ci(counts.reshape((len(part), 2) + support.shape),
+                            FunctionalSpec.late(), support, 0.05, S)
+            covers = (stack.reason > 0) | stack.contains(phi)
+            exact += float(pmf[start:start + 100_000][covers].sum())
+
+        plan = ExperimentPlan(laws=(LawCase("late", law, phi),), methods=(WALD,),
+                              n=self.N, reps=4000, level=0.95, seed=17, s=S)
+        cell = run(plan).cell("late", "wald")
+        lo, hi = wilson_interval(cell.covered + cell.errors, cell.reps, 1.0 - 1e-6)
+        assert lo <= exact <= hi, (exact, cell.coverage)
