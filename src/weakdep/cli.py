@@ -13,13 +13,14 @@ Exit codes: 0 success, 1 validation failure, 2 input parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import adversarial, confsets, functionals, laws, simulate
-from .errors import BracketingFailure, DegenerateBase, WeakdepError
+from .errors import WeakdepError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -47,6 +48,11 @@ def _parse(obj, builder, what):
         raise _InputError(f"bad {what}: {exc}") from exc
 
 
+def _check_tol(tol):
+    if not 0.0 <= tol < float("inf"):
+        raise _InputError(f"bad --tol: must be a finite number >= 0; got {tol}")
+
+
 def _emit(payload, pretty):
     print(json.dumps(payload, indent=2 if pretty else None))
 
@@ -68,6 +74,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_tol(args.tol)
     law = _parse(_load_json(args.law), laws.law_from_dict, "law file")
     spec = _parse(_load_json(args.spec), functionals.FunctionalSpec.from_dict,
                   "functional spec")
@@ -85,39 +92,45 @@ def cmd_solve(args) -> int:
 
 
 def cmd_adversarial(args) -> int:
+    _check_tol(args.tol)
     base = _parse(_load_json(args.base), adversarial.BaseLawSpec.from_dict,
                   "base law spec")
     try:
-        tv_targets = [float(t) for t in args.tv_targets.split(",") if t]
+        tv_targets = [float(t) for t in args.tv_targets.split(",")]
     except ValueError as exc:
         raise _InputError(f"bad --tv-targets: {exc}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         sequence = adversarial.generate_sequence(
             base, args.zeta, tv_targets, cert_tol=args.tol
         )
-    except (BracketingFailure, DegenerateBase, WeakdepError) as exc:
+    except ValueError as exc:
+        raise _InputError(f"bad --zeta or --tv-targets: {exc}")
+    except WeakdepError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
 
     indent = 2 if args.pretty else None
     certificates = []
-    for t, step in enumerate(sequence.steps):
-        name = f"law_{t + 1:02d}.json"
-        payload = laws.law_to_dict(step.law)
-        payload["certificate"] = step.certificate()
-        (out_dir / name).write_text(
-            json.dumps(payload, indent=indent), encoding="utf-8"
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for t, step in enumerate(sequence.steps):
+            name = f"law_{t + 1:02d}.json"
+            payload = laws.law_to_dict(step.law)
+            payload["certificate"] = step.certificate()
+            (out_dir / name).write_text(
+                json.dumps(payload, indent=indent), encoding="utf-8"
+            )
+            certificates.append({"file": name, **step.certificate()})
+        summary = {
+            "target_zeta": sequence.target_zeta,
+            "steps": certificates,
+        }
+        (out_dir / "certificates.json").write_text(
+            json.dumps(summary, indent=indent), encoding="utf-8"
         )
-        certificates.append({"file": name, **step.certificate()})
-    summary = {
-        "target_zeta": sequence.target_zeta,
-        "steps": certificates,
-    }
-    (out_dir / "certificates.json").write_text(
-        json.dumps(summary, indent=indent), encoding="utf-8"
-    )
+    except OSError as exc:
+        raise _InputError(f"cannot write --out: {exc}") from exc
     _emit(summary, args.pretty)
     return EXIT_OK
 
@@ -143,11 +156,17 @@ def cmd_coverage(args) -> int:
     ]
     if violations:
         return _invalid(violations)
-    report = simulate.run(plan)
-    csv_text = report.to_csv()
-    Path(args.out).write_text(csv_text, encoding="utf-8")
-    if args.json:
-        Path(args.json).write_text(report.to_json(), encoding="utf-8")
+    with contextlib.ExitStack() as stack:
+        try:
+            # opened before the run, so an unwritable path costs no replications
+            outputs = [stack.enter_context(open(path, "w", encoding="utf-8"))
+                       for path in (args.out, args.json) if path]
+        except OSError as exc:
+            raise _InputError(f"cannot write report: {exc}") from exc
+        report = simulate.run(plan)
+        outputs[0].write(report.to_csv())
+        if args.json:
+            outputs[1].write(report.to_json())
     if args.pretty:
         _print_table(report)
     else:

@@ -95,10 +95,6 @@ class Interval:
     def contains(self, value):
         return self.lo <= value <= self.hi
 
-    @property
-    def length(self):
-        return self.hi - self.lo
-
     def intersect(self, other):
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -196,46 +192,27 @@ def interval_add(pieces, offset: Interval):
 def interval_div(num: Interval, den: Interval):
     """Exact image of {s / t : s in num, t in den, t != 0} as disjoint intervals.
 
-    The image is a single interval when the denominator has constant sign,
-    empty when the denominator is the single point 0, and otherwise one or
-    two unbounded pieces (the whole line when the numerator reaches through
-    zero).
+    The denominator splits into its negative part [lo, -0] and its positive
+    part [+0, hi]; t has constant sign on each, so each maps onto the hull of
+    its four endpoint quotients, where s / ±0 is ±inf (0 when s is 0).  The
+    image is empty when the denominator is the single point 0.
     """
-    if den.lo == 0.0 and den.hi == 0.0:
-        return ()
-    if den.lo > 0.0 or den.hi < 0.0:
-        ratios = (num.lo / den.lo, num.lo / den.hi, num.hi / den.lo, num.hi / den.hi)
-        return (Interval(min(ratios), max(ratios)),)
-    if num.lo == 0.0 and num.hi == 0.0:
-        return (Interval(0.0, 0.0),)
+    parts = []
+    if den.lo < 0.0:
+        parts.append((den.lo, den.hi if den.hi < 0.0 else -0.0))
+    if den.hi > 0.0:
+        parts.append((den.lo if den.lo > 0.0 else 0.0, den.hi))
+    pieces = []
+    for a, b in parts:
+        quotients = [_quotient(s, t) for s in (num.lo, num.hi) for t in (a, b)]
+        pieces.append(Interval(min(quotients), max(quotients)))
+    return tuple(_merge(pieces))
 
-    if den.lo == 0.0:                      # t ranges over (0, den.hi]
-        if num.lo > 0.0:
-            return (Interval(num.lo / den.hi, INF),)
-        if num.hi < 0.0:
-            return (Interval(-INF, num.hi / den.hi),)
-        if num.lo == 0.0:
-            return (Interval(0.0, INF),)
-        if num.hi == 0.0:
-            return (Interval(-INF, 0.0),)
-        return (FULL_LINE,)
-    if den.hi == 0.0:                      # t ranges over [den.lo, 0)
-        if num.lo > 0.0:
-            return (Interval(-INF, num.lo / den.lo),)
-        if num.hi < 0.0:
-            return (Interval(num.hi / den.lo, INF),)
-        if num.lo == 0.0:
-            return (Interval(-INF, 0.0),)
-        if num.hi == 0.0:
-            return (Interval(0.0, INF),)
-        return (FULL_LINE,)
 
-    # zero strictly interior to the denominator
-    if num.lo > 0.0:
-        return (Interval(-INF, num.lo / den.lo), Interval(num.lo / den.hi, INF))
-    if num.hi < 0.0:
-        return (Interval(-INF, num.hi / den.hi), Interval(num.hi / den.lo, INF))
-    return (FULL_LINE,)
+def _quotient(s, t):
+    if t != 0.0:
+        return s / t
+    return 0.0 if s == 0.0 else math.copysign(INF, s) * math.copysign(1.0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +231,17 @@ class RegionResult:
     region: ConfidenceRegion
     estimate: float | None = None
     stderr: float | None = None
-    degenerate: bool = False
     message: str = ""
     components: dict = field(default_factory=dict)
     reason: str = ""
 
+    @property
+    def degenerate(self) -> bool:
+        return bool(self.reason)
+
 
 def _full_result(message, reason=DegenerateSample.__name__):
-    return RegionResult(region=FULL_REGION, degenerate=True, message=message,
-                        reason=reason)
+    return RegionResult(region=FULL_REGION, message=message, reason=reason)
 
 
 def require_binary_support(support: SupportSpec, max_k_x: int, what: str):

@@ -115,12 +115,6 @@ class SupportSpec:
         """Representative Y value per cell: iota_y / mu_y."""
         return self.iota_y / self.mu_y
 
-    def cell_measure(self):
-        """4-index tensor of per-cell product measures."""
-        return np.einsum(
-            "h,l,j,m->hljm", self.mu_y, self.mu_z, self.mu_w, self.mu_x
-        )
-
     def __eq__(self, other):
         if not isinstance(other, SupportSpec):
             return NotImplemented
@@ -148,10 +142,6 @@ class DiscreteLaw:
                 f"mass tensor shape {self.mass.shape} does not match "
                 f"support shape {self.support.shape}"
             )
-
-    def density(self):
-        """Density tensor with respect to the product cell measure."""
-        return self.mass / self.support.cell_measure()
 
 
 def validate(law: DiscreteLaw):

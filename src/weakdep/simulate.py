@@ -35,6 +35,7 @@ from .confsets import (
     RegionResult,
     WALD_REASONS,
     WaldArrays,
+    _full_result,
     binary_union_set,
     diameter,
     normal_quantile,
@@ -330,8 +331,7 @@ def _evaluate(stacked, construct, block, tally):
         try:
             result = construct(dataset)
         except WeakdepError as exc:
-            result = RegionResult(region=FULL_REGION, degenerate=True,
-                                  message=str(exc), reason=type(exc).__name__)
+            result = _full_result(str(exc), type(exc).__name__)
         tally.seconds += time.perf_counter() - started
         tally.add(result)
 

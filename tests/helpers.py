@@ -510,3 +510,48 @@ def row_binary_union_set(rows, alpha, s):
         return _full_result("denominator interval degenerate at zero")
     region = region_from_intervals(interval_add(pieces, offset), s)
     return RegionResult(region=region, components=components)
+
+
+# ---------------------------------------------------------------------------
+# Reference interval division: the sign-by-sign case analysis the package
+# used before it divided by the limits at the endpoints of the denominator.
+
+
+def case_interval_div(num, den):
+    """Image of {s / t : s in num, t in den, t != 0}, case by case."""
+    inf = float("inf")
+    if den.lo == 0.0 and den.hi == 0.0:
+        return ()
+    if den.lo > 0.0 or den.hi < 0.0:
+        ratios = (num.lo / den.lo, num.lo / den.hi, num.hi / den.lo, num.hi / den.hi)
+        return (Interval(min(ratios), max(ratios)),)
+    if num.lo == 0.0 and num.hi == 0.0:
+        return (Interval(0.0, 0.0),)
+
+    if den.lo == 0.0:                      # t ranges over (0, den.hi]
+        if num.lo > 0.0:
+            return (Interval(num.lo / den.hi, inf),)
+        if num.hi < 0.0:
+            return (Interval(-inf, num.hi / den.hi),)
+        if num.lo == 0.0:
+            return (Interval(0.0, inf),)
+        if num.hi == 0.0:
+            return (Interval(-inf, 0.0),)
+        return (FULL_LINE,)
+    if den.hi == 0.0:                      # t ranges over [den.lo, 0)
+        if num.lo > 0.0:
+            return (Interval(-inf, num.lo / den.lo),)
+        if num.hi < 0.0:
+            return (Interval(num.hi / den.lo, inf),)
+        if num.lo == 0.0:
+            return (Interval(-inf, 0.0),)
+        if num.hi == 0.0:
+            return (Interval(0.0, inf),)
+        return (FULL_LINE,)
+
+    # zero strictly interior to the denominator
+    if num.lo > 0.0:
+        return (Interval(-inf, num.lo / den.lo), Interval(num.lo / den.hi, inf))
+    if num.hi < 0.0:
+        return (Interval(-inf, num.hi / den.hi), Interval(num.hi / den.lo, inf))
+    return (FULL_LINE,)

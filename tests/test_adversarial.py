@@ -3,6 +3,8 @@ rank-one inverse, closed-form functional, limits, targeting, sequences."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weakdep import (
     BaseLawSpec,
@@ -84,7 +86,6 @@ class TestBuildM:
         ])
         assert base.M.shape == (s.k_x, s.k_z, s.k_y)
         np.testing.assert_array_equal(base.M, per_stratum)
-        assert default_params(base, 0.1, 1.0).M is base.M
         assert not base.M.flags.writeable
 
 
@@ -125,14 +126,35 @@ class TestPerturbKernels:
             ) / (1.0 + eta * s.mu_w)[:, None]
             np.testing.assert_allclose(kernel[m], expect, atol=1e-12)
 
-    def test_zx_marginal_preserved_exactly(self):
-        rng = np.random.default_rng(44)
-        base = random_base(rng, k=4, k_y=3, k_x=2)
-        params = small_params(base, eta_w=0.02, gamma=-0.6)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 4), k_y=st.integers(2, 4), k_x=st.integers(1, 3),
+        gamma=st.floats(-3.0, 3.0),
+        scale=st.floats(0.01, 1.0),
+    )
+    def test_zx_marginal_preserved_exactly(self, seed, k, k_y, k_x, gamma, scale):
+        """On random bases at admissible (eta_w, gamma): the (Z, X) marginal
+        is the base's, every W and Y kernel row integrates to one, and the TV
+        distance to the base is at most the sum over (Z, X) cells of the W
+        bump eta_w * mu_w and half the L1 mass of the Y tilt."""
+        base = random_base(np.random.default_rng(seed), k=k, k_y=k_y, k_x=k_x)
+        s = base.support
+        # eta_w up to one, or up to where pi_y + eta_w * gamma * M turns negative
+        ratio = -gamma * base.M / base.pi_y_given_x[:, None, :]
+        params = default_params(base, scale / max(1.0, float(ratio.max())), gamma)
+        assume(not check_params(base, params))
         law = perturb_kernels(base, params)
-        np.testing.assert_allclose(
-            marginal(law, ("Z", "X")), base.f_zx, atol=1e-14
-        )
+        np.testing.assert_allclose(marginal(law, ("Z", "X")), base.f_zx,
+                                   rtol=0.0, atol=1e-14)
+        zx = law.mass.sum(axis=(0, 2))                          # (k_z, k_x)
+        w_rows = law.mass.sum(axis=0) / zx[:, None, :]          # (k_z, k_w, k_x)
+        y_rows = law.mass.sum(axis=2) / zx                      # (k_y, k_z, k_x)
+        np.testing.assert_allclose(w_rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(y_rows.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        y_tilt = 0.5 * abs(params.eta_y) * (np.abs(base.M) @ s.mu_y)    # (k_x, k_z)
+        tv_bound = np.sum(base.f_zx * (params.eta_w * s.mu_w[:, None] + y_tilt.T))
+        assert tv_distance(law, base.product_law()) <= tv_bound * (1 + 1e-12)
 
     def test_invalid_perturbation_rejected(self):
         base = acceptance_base()
@@ -312,6 +334,14 @@ class TestGenerateSequence:
                 assert np.all(sigma >= 0.5 * step.eta_w)
                 assert np.all(sigma <= step.eta_w)
 
+    @pytest.mark.parametrize("zeta, targets", [
+        (np.nan, (0.05,)), (-np.inf, (0.05,)), (5.0, (np.nan,)),
+        (5.0, (np.inf, 0.05)), (5.0, (0.01, 0.05)), (5.0, (0.0,)), (5.0, ()),
+    ])
+    def test_malformed_arguments_rejected(self, zeta, targets):
+        with pytest.raises(ValueError):
+            generate_sequence(acceptance_base(), zeta, targets)
+
     def test_unattainable_tv_target_fails_loudly(self):
         base = acceptance_base()
         with pytest.raises(BracketingFailure):
@@ -344,11 +374,32 @@ class TestGenerateSequence:
             params = default_params(base, step.eta_w, step.gamma)
             y_kernels = np.stack([
                 np.outer(np.ones(2), base.pi_y_given_x[m])
-                + params.eta_y * params.M[m]
+                + params.eta_y * base.M[m]
                 for m in range(s.k_x)
             ])
             assert y_kernels.min() > 1e-12
             assert (1.0 + step.eta_w * s.mu_w).min() > 1e-12
+
+    @pytest.mark.parametrize("name, cell, value, message", [
+        ("f_zx", (0, 0), -0.1, "strictly positive masses"),
+        ("pi_w_given_x", (0, 1), 0.0, "strictly positive"),
+        ("pi_y_given_x", (0, 0), 0.6, "integrate to 1"),
+        ("f_zx", (1, 0), np.nan, "f_zx must be finite"),
+        ("pi_w_given_x", (0, 0), np.nan, "pi_w_given_x must be finite"),
+        ("pi_y_given_x", (0, 1), np.nan, "pi_y_given_x must be finite"),
+        ("pi_y_given_x", (0, 1), np.inf, "pi_y_given_x must be finite"),
+    ])
+    def test_bad_base_inputs_rejected(self, name, cell, value, message):
+        # NaN passes every "<= 0" and "|sum - 1| > tol" check, so it is caught
+        # first and named, not reported as a constant representer
+        fields = {"f_zx": [[0.4], [0.6]], "pi_w_given_x": [[0.3, 0.7]],
+                  "pi_y_given_x": [[0.5, 0.5]]}
+        bad = np.array(fields[name])
+        bad[cell] = value
+        fields[name] = bad
+        with pytest.raises(ValueError, match=message):
+            BaseLawSpec(support=acceptance_base().support,
+                        functional=FunctionalSpec.late(), **fields)
 
     def test_degenerate_base_rejected(self):
         # constant representer: uniform W with a generic constant alpha
@@ -376,7 +427,7 @@ class TestDegenerateLimit:
             y_kernel, s.mu_y, base.pi_w_given_x[0], s.mu_w, base.f_zx[:, 0],
         )[..., None]
         law = perturb_kernels(
-            base, PerturbationParams(eta_w=0.0, gamma=0.0, M=M[None])
+            base, PerturbationParams(eta_w=0.0, gamma=0.0)
         )
         from weakdep import DiscreteLaw
 

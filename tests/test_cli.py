@@ -185,6 +185,49 @@ class TestAdversarial:
         assert outs[0] == outs[1]
 
 
+# argv (after the subcommand's file arguments) that must exit 2 with a
+# one-line message; "{file}" and "{dir}" name an existing file and directory
+_BAD_FLAGS = {
+    "tv_targets_increasing": ("adversarial", ["--tv-targets", "0.01,0.05"]),
+    "tv_targets_negative": ("adversarial", ["--tv-targets", "-0.01"]),
+    "tv_targets_nan": ("adversarial", ["--tv-targets", "nan"]),
+    "tv_targets_empty": ("adversarial", ["--tv-targets", ""]),
+    "tv_targets_empty_item": ("adversarial", ["--tv-targets", "0.05,,0.01"]),
+    "zeta_nan": ("adversarial", ["--zeta", "nan"]),
+    "zeta_inf": ("adversarial", ["--zeta", "inf"]),
+    "adversarial_tol_nan": ("adversarial", ["--tol", "nan"]),
+    "adversarial_out_is_file": ("adversarial", ["--out", "{file}"]),
+    "solve_tol_nan": ("solve", ["--tol", "nan"]),
+    "solve_tol_negative": ("solve", ["--tol", "-1"]),
+    "coverage_out_missing_dir": ("coverage", ["--out", "{dir}/missing/r.csv"]),
+    "coverage_out_is_dir": ("coverage", ["--out", "{dir}"]),
+    "coverage_json_missing_dir": ("coverage", ["--json", "{dir}/missing/r.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FLAGS))
+def test_bad_flag_exit_two(case, tmp_path, base_file, valid_law_file,
+                           late_spec_file, capsys):
+    command, flags = _BAD_FLAGS[case]
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep")
+    flags = [f.format(file=existing, dir=tmp_path) for f in flags]
+    plan = tmp_path / "plan.json"
+    plan.write_text(resources.files("weakdep").joinpath("data/demo_plan.json").read_text())
+    argv = {
+        "adversarial": ["adversarial", str(base_file), "--zeta", "5",
+                        "--tv-targets", "0.05,0.01", "--out", str(tmp_path / "seq")],
+        "solve": ["solve", str(valid_law_file), str(late_spec_file)],
+        "coverage": ["coverage", str(plan), "--out", str(tmp_path / "r.csv")],
+    }[command]
+    assert cli.main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert existing.read_text() == "keep"
+
+
 class TestCoverage:
     @pytest.fixture
     def demo_plan(self, tmp_path):

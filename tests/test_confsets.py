@@ -32,6 +32,7 @@ from helpers import (
     Rows,
     acceptance_base,
     binary_x_law,
+    case_interval_div,
     compositions,
     dataset_from_rows,
     kind_spec,
@@ -171,6 +172,17 @@ class TestIntervalArithmetic:
             c, d = sorted(rng.choice(endpoints, 2, replace=True))
             num, den = Interval(a, b), Interval(c, d)
             _div_oracle(num, den, interval_div(num, den))
+
+    def test_regions_match_case_analysis_on_endpoint_grid(self):
+        # signed zeros, subnormal-scale and huge endpoints: the two forms may
+        # split a full line differently when a quotient underflows to a signed
+        # zero, but they give the same region
+        values = [-1e300, -2.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 3.0, 1e300]
+        intervals = [Interval(a, b) for a in values for b in values if a <= b]
+        for num in intervals:
+            for den in intervals:
+                assert region_from_intervals(interval_div(num, den)) == \
+                    region_from_intervals(case_interval_div(num, den)), (num, den)
 
     def test_add_shifts_pieces(self):
         pieces = (Interval(-INF, -1.0), Interval(1.0, INF))
