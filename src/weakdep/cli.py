@@ -142,8 +142,10 @@ def cmd_coverage(args) -> int:
         overrides["seed"] = args.seed
     if args.level is not None:
         overrides["level"] = args.level
-    if args.methods:
-        wanted = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if args.methods is not None:
+        wanted = [m.strip() for m in args.methods.split(",")]
+        if "" in wanted:
+            raise _InputError(f"bad --methods: empty item in {args.methods!r}")
         missing = [m for m in wanted if m not in {c.name for c in plan.methods}]
         if missing:
             raise _InputError(f"methods not in plan: {missing}")
@@ -158,9 +160,14 @@ def cmd_coverage(args) -> int:
         return _invalid(violations)
     with contextlib.ExitStack() as stack:
         try:
-            # opened before the run, so an unwritable path costs no replications
-            outputs = [stack.enter_context(open(path, "w", encoding="utf-8"))
+            # opened before the run, so an unwritable path costs no
+            # replications, and without truncating, so a report path that
+            # cannot be opened leaves the others as they were
+            outputs = [stack.enter_context(open(path, "a", encoding="utf-8"))
                        for path in (args.out, args.json) if path]
+            for output in outputs:
+                output.seek(0)
+                output.truncate()
         except OSError as exc:
             raise _InputError(f"cannot write report: {exc}") from exc
         report = simulate.run(plan)

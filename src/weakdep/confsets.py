@@ -16,17 +16,21 @@ Three constructors:
 Each constructor reads a sample, which is its per-fold cell counts, only
 through its empirical law: the counts divided by n once (per cross-fit
 fold), after which everything is a mass-weighted sum over the (Y, Z, W, X)
-cells; the score set works on the integer counts themselves.  Wald also
-takes the counts of a stack of R samples, (R, 2, k_y, k_z, k_w, k_x), and
-evaluates them with leading batch axes throughout (one batched SVD per
-equation for the whole stack); one sample is the R = 1 case.  The score
-set needs binary Z and W and no X (k_x = 1); the union set needs binary Z
-and W and takes its target from k_x: the ratio when k_x = 1, the X = 1 arm
-when k_x = 2.
+cells; the score set works on the integer counts themselves.  Every
+constructor also takes the counts of a stack of R samples,
+(R, 2, k_y, k_z, k_w, k_x), and evaluates them in one pass with a leading
+replication axis throughout: Wald with one batched SVD per equation, the
+score set as a quadratic sublevel set per replication, and the union set
+with its interval arithmetic elementwise.  The result is a
+:class:`RegionArrays`; one sample is the R = 1 case of the same
+arithmetic, and every replication's cells are summed in the order numpy
+sums one sample's, so both give the same bits.  The score set needs binary
+Z and W and no X (k_x = 1); the union set needs binary Z and W and takes
+its target from k_x: the ratio when k_x = 1, the X = 1 arm when k_x = 2.
 
 Regions are finite unions of closed intervals, the full parameter range,
-or empty.  Degenerate-sample failures conservatively return the full range
-and say why in ``reason``.
+or empty.  Degenerate samples conservatively get the full range and a
+reason, never an exception; only an empty single sample raises.
 The one special function all three need, the normal quantile, is the
 standard library's.
 """
@@ -181,12 +185,68 @@ def diameter(region: ConfidenceRegion, s: Interval) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact interval arithmetic
+# exact interval arithmetic, elementwise
+#
+# A batch holds at most two pieces per entry: arrays lo and hi of shape
+# (..., 2), NaN marking an absent piece.  Each comparison mirrors the scalar
+# form it stands for (Python's min, max and sorted keep the first of equal
+# values), so the endpoints, signed zeros included, are the scalar ones.
 
 
-def interval_add(pieces, offset: Interval):
-    """Minkowski sum of each piece with a finite interval."""
-    return tuple(Interval(iv.lo + offset.lo, iv.hi + offset.hi) for iv in pieces)
+def _first_min(a, b):
+    """min(a, b) as Python takes it: a unless b is smaller."""
+    return np.where(b < a, b, a)
+
+
+def _first_max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _merge_pairs(lo, hi):
+    """:func:`_merge` of the pieces of every entry."""
+    lo0, lo1, hi0, hi1 = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
+    # sorted by (lo, hi), stably; an absent first piece gives way
+    swap = (lo1 < lo0) | ((lo1 == lo0) & (hi1 < hi0)) | np.isnan(lo0)
+    lo0, lo1 = np.where(swap, lo1, lo0), np.where(swap, lo0, lo1)
+    hi0, hi1 = np.where(swap, hi1, hi0), np.where(swap, hi0, hi1)
+    join = lo1 <= hi0
+    return (np.stack([lo0, np.where(join, np.nan, lo1)], axis=-1),
+            np.stack([np.where(join, _first_max(hi0, hi1), hi0),
+                      np.where(join, np.nan, hi1)], axis=-1))
+
+
+def _one_piece(lo, hi):
+    """Pieces arrays holding the one interval [lo, hi] per entry."""
+    absent = np.full(np.shape(lo), np.nan)
+    return np.stack([lo, absent], axis=-1), np.stack([hi, absent], axis=-1)
+
+
+def _pieces(lo, hi):
+    """The intervals of one entry's pieces."""
+    return [Interval(float(a), float(b)) for a, b in zip(lo, hi) if not math.isnan(a)]
+
+
+def _quotient(s, t):
+    """s / t elementwise, where s / ±0 is ±inf (0 when s is 0)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.divide(s, t)
+    signed_inf = np.copysign(INF, s) * np.copysign(1.0, t)
+    return np.where(t != 0.0, ratio, np.where(s == 0.0, 0.0, signed_inf))
+
+
+def _divide(num_lo, num_hi, den_lo, den_hi):
+    """:func:`interval_div` of every entry, as pieces arrays."""
+    # the negative part [lo, -0] and the positive part [+0, hi], stacked
+    a = np.stack([den_lo, np.where(den_lo > 0.0, den_lo, 0.0)], axis=-1)
+    b = np.stack([np.where(den_hi < 0.0, den_hi, -0.0), den_hi], axis=-1)
+    # each part's four endpoint quotients, in the order the scalar form takes them
+    quotients = _quotient(np.expand_dims([num_lo, num_lo, num_hi, num_hi], -1),
+                          np.stack([a, b, a, b]))
+    lo = hi = quotients[0]
+    for q in quotients[1:]:
+        lo, hi = _first_min(lo, q), _first_max(hi, q)
+    present = np.stack([den_lo < 0.0, den_hi > 0.0], axis=-1)
+    return _merge_pairs(np.where(present, lo, np.nan), np.where(present, hi, np.nan))
 
 
 def interval_div(num: Interval, den: Interval):
@@ -195,24 +255,37 @@ def interval_div(num: Interval, den: Interval):
     The denominator splits into its negative part [lo, -0] and its positive
     part [+0, hi]; t has constant sign on each, so each maps onto the hull of
     its four endpoint quotients, where s / ±0 is ±inf (0 when s is 0).  The
-    image is empty when the denominator is the single point 0.
+    image is empty when the denominator is the single point 0.  This is one
+    entry of the elementwise division the union set uses.
     """
-    parts = []
-    if den.lo < 0.0:
-        parts.append((den.lo, den.hi if den.hi < 0.0 else -0.0))
-    if den.hi > 0.0:
-        parts.append((den.lo if den.lo > 0.0 else 0.0, den.hi))
-    pieces = []
-    for a, b in parts:
-        quotients = [_quotient(s, t) for s in (num.lo, num.hi) for t in (a, b)]
-        pieces.append(Interval(min(quotients), max(quotients)))
-    return tuple(_merge(pieces))
+    lo, hi = _divide(num.lo, num.hi, den.lo, den.hi)
+    return tuple(_pieces(lo, hi))
 
 
-def _quotient(s, t):
-    if t != 0.0:
-        return s / t
-    return 0.0 if s == 0.0 else math.copysign(INF, s) * math.copysign(1.0, t)
+def _quadratic_sublevel(quad, lin, const):
+    """{theta : quad theta^2 + lin theta + const <= 0} of every entry, as
+    pieces arrays: empty, one interval, two rays or the whole line."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = -const / lin
+        disc = lin * lin - 4.0 * quad * const
+        # roots as q/quad and const/q: neither subtracts nearly equal numbers
+        q = -0.5 * (lin + np.copysign(np.sqrt(disc), lin))
+        r1, r2 = q / quad, const / q
+    small = np.where(q != 0.0, _first_min(r1, r2), 0.0)      # sorted((r1, r2))
+    large = np.where(q != 0.0, np.where(r2 < r1, r1, r2), 0.0)
+    # the set's shape: 0 empty, 1 the line, 2 (-inf, root], 3 [root, inf),
+    # 4 [small, large], 5 (-inf, small] and [large, inf)
+    shape = np.where(
+        quad == 0.0,
+        np.where(lin == 0.0, np.where(const <= 0.0, 1, 0), np.where(lin > 0.0, 2, 3)),
+        np.where(disc < 0.0, np.where(quad > 0.0, 0, 1), np.where(quad > 0.0, 4, 5)),
+    )
+    none = np.full(np.shape(quad), np.nan)
+    two_rays = shape == 5
+    lo = np.choose(shape, [none, -INF, -INF, root, small, -INF])
+    hi = np.choose(shape, [none, INF, root, INF, large, small])
+    return (np.stack([lo, np.where(two_rays, large, none)], axis=-1),
+            np.stack([hi, np.where(two_rays, INF, none)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -254,39 +327,38 @@ def require_binary_support(support: SupportSpec, max_k_x: int, what: str):
         )
 
 
-# Why a Wald replication degenerated, by index; 0 is a regular replication.
-WALD_REASONS = ("", "empty_fold", ZeroConditioningMass.__name__,
-                PositivityViolation.__name__, DegenerateSample.__name__)
-_EMPTY_FOLD, _ZERO_MASS, _POSITIVITY, _INCONSISTENT = 1, 2, 3, 4
-_WALD_MESSAGES = (
-    "",
-    "a cross-fitting fold is empty",
-    "zero probability on a conditioning cell of the fitted law",
-    "zero density in a representer denominator of the fitted law",
-    "an empirical equation is inconsistent on some stratum",
-)
+# Why a replication degenerated, by index; 0 is a regular replication.
+REASONS = ("", "empty_fold", ZeroConditioningMass.__name__,
+           PositivityViolation.__name__, DegenerateSample.__name__)
+_EMPTY_FOLD, _ZERO_MASS, _POSITIVITY, _DEGENERATE = 1, 2, 3, 4
 
-# region kinds of WaldArrays, by index
+# region kinds of RegionArrays, by index
 _EMPTY, _UNION, _FULL = 0, 1, 2
 
 
 @dataclass(frozen=True)
-class WaldArrays:
-    """Wald regions of a stack of replications, entry r for replication r.
+class RegionArrays:
+    """Regions of a stack of replications, entry r for replication r.
 
-    ``kind`` is 0 for an empty region, 1 for the one interval [lo, hi]
-    (already clipped to ``s``) and 2 for the full range; ``reason`` indexes
-    :data:`WALD_REASONS`, and a degenerate entry (reason nonzero) has the
-    full range and NaN in every float array.
+    ``kind`` is 0 for an empty region, 1 for the union of the pieces
+    [lo[r, i], hi[r, i]] and 2 for the full range; the pieces (at most two,
+    NaN where absent) are clipped to ``s``, sorted and disjoint.  ``reason``
+    indexes :data:`REASONS`, and a degenerate entry (reason nonzero) has the
+    full range; ``message`` indexes ``messages``.  Wald also gives its
+    ``estimate`` and ``stderr`` (NaN where degenerate), and the union set its
+    component intervals, name -> (lo, hi) arrays.
     """
 
     s: Interval
-    estimate: np.ndarray
-    stderr: np.ndarray
+    kind: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    kind: np.ndarray
     reason: np.ndarray
+    message: np.ndarray
+    messages: tuple = ("",)
+    estimate: np.ndarray | None = None
+    stderr: np.ndarray | None = None
+    components: dict = field(default_factory=dict)
 
     @property
     def degenerate(self) -> bool:
@@ -297,27 +369,82 @@ class WaldArrays:
         return self.kind == _FULL
 
     def contains(self, value: float) -> np.ndarray:
-        inside = (self.lo <= value) & (value <= self.hi)
+        inside = ((self.lo <= value) & (value <= self.hi)).any(axis=-1)
         return (self.kind == _FULL) | ((self.kind == _UNION) & inside)
 
     def diameters(self) -> np.ndarray:
         """:func:`diameter` of every region."""
+        last_hi = np.where(np.isnan(self.hi[:, 1]), self.hi[:, 0], self.hi[:, 1])
         return np.where(self.kind == _FULL, self.s.hi - self.s.lo,
-                        np.where(self.kind == _UNION, self.hi - self.lo, 0.0))
+                        np.where(self.kind == _UNION, last_hi - self.lo[:, 0], 0.0))
 
     def result(self, r: int) -> RegionResult:
         """The RegionResult of replication r."""
+        message = self.messages[self.message[r]]
         if self.reason[r]:
-            return _full_result(_WALD_MESSAGES[self.reason[r]],
-                                WALD_REASONS[self.reason[r]])
-        if self.kind[r] == _EMPTY:
-            region = EMPTY_REGION
+            return _full_result(message, REASONS[self.reason[r]])
+        if self.kind[r] == _UNION:
+            region = ConfidenceRegion("union", tuple(_pieces(self.lo[r], self.hi[r])))
         else:
-            region = region_from_intervals(
-                [Interval(float(self.lo[r]), float(self.hi[r]))], self.s
-            )
-        return RegionResult(region=region, estimate=float(self.estimate[r]),
-                            stderr=float(self.stderr[r]))
+            region = FULL_REGION if self.kind[r] == _FULL else EMPTY_REGION
+        return RegionResult(
+            region=region,
+            estimate=None if self.estimate is None else float(self.estimate[r]),
+            stderr=None if self.stderr is None else float(self.stderr[r]),
+            message=message,
+            components={name: Interval(float(lo[r]), float(hi[r]))
+                        for name, (lo, hi) in self.components.items()},
+        )
+
+
+def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
+    """RegionArrays of raw pieces: clipped to s, merged and classified as
+    :func:`region_from_intervals` does; degenerate entries get the full range."""
+    lo = _first_max(lo, s.lo)                                # Interval.intersect
+    hi = _first_min(hi, s.hi)
+    keep = lo <= hi
+    lo, hi = _merge_pairs(np.where(keep, lo, np.nan), np.where(keep, hi, np.nan))
+    pieces = (~np.isnan(lo)).sum(axis=-1)
+    full = (reason > 0) | ((pieces == 1) & (lo[:, 0] <= s.lo) & (hi[:, 0] >= s.hi))
+    kind = np.where(full, _FULL, np.where(pieces > 0, _UNION, _EMPTY))
+    return RegionArrays(s=s, kind=kind, lo=lo, hi=hi, reason=reason,
+                        message=reason if message is None else message, **fields)
+
+
+def fixed_arrays(intervals, s: Interval, reps: int) -> RegionArrays:
+    """The region of ``intervals`` (at most two) for each of ``reps``
+    replications."""
+    pieces = [(iv.lo, iv.hi) for iv in intervals]
+    pieces += [(np.nan, np.nan)] * (2 - len(pieces))
+    lo, hi = (np.tile(ends, (reps, 1)) for ends in zip(*pieces))
+    return _region_arrays(lo, hi, s, np.zeros(reps, dtype=np.int64))
+
+
+def _check_counts(counts, support):
+    if counts.ndim != 6 or counts.shape[1:] != (2,) + support.shape:
+        raise ValueError(
+            f"counts must have shape (R, 2) + {support.shape}, got {counts.shape}"
+        )
+
+
+def _cells(values):
+    """Per-replication values broadcast over the cells."""
+    return values.reshape(values.shape + (1,) * 4)
+
+
+def _total(terms, lead=1):
+    """Sum over every axis after the first ``lead``, as one contiguous run
+    per entry: the order in which numpy sums one sample's cell array."""
+    return terms.reshape(terms.shape[:lead] + (-1,)).sum(axis=-1)
+
+
+_WALD_MESSAGES = (
+    "",
+    "a cross-fitting fold is empty",
+    "zero probability on a conditioning cell of the fitted law",
+    "zero density in a representer denominator of the fitted law",
+    "an empirical equation is inconsistent on some stratum",
+)
 
 
 def wald_ci(
@@ -328,7 +455,7 @@ def wald_ci(
     s: Interval = FULL_LINE,
     cross_fit: bool = False,
     tol: float = 1e-8,
-) -> RegionResult | WaldArrays:
+) -> RegionResult | RegionArrays:
     """Plug-in estimate with a normal-quantile interval, clipped to s.
 
     The estimate is the sample mean of m(O, g) + q(Z,X){Y - g(W,X)} with
@@ -339,7 +466,7 @@ def wald_ci(
 
     ``dataset`` is one sample (a :class:`~weakdep.laws.Dataset`), for which
     the result is a RegionResult, or the counts of a stack of R samples,
-    shape (R, 2, k_y, k_z, k_w, k_x), for which it is a :class:`WaldArrays`.
+    shape (R, 2, k_y, k_z, k_w, k_x), for which it is a :class:`RegionArrays`.
     Both go through the same arithmetic: every stratum system of every
     replication and fold is solved by one batched SVD for g and one for q.
     Degenerate samples (empty conditioning cells, inconsistent empirical
@@ -356,12 +483,9 @@ def wald_ci(
                         cross_fit, tol)
 
 
-def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> WaldArrays:
+def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> RegionArrays:
     spec.validate_against(support)
-    if counts.ndim != 6 or counts.shape[1:] != (2,) + support.shape:
-        raise ValueError(
-            f"counts must have shape (R, 2) + {support.shape}, got {counts.shape}"
-        )
+    _check_counts(counts, support)
     z = normal_quantile(1.0 - alpha / 2.0)
     cells = (None,) * 4                                 # broadcast over the cells
     fold_n = counts.sum(axis=(-4, -3, -2, -1))          # (R, 2)
@@ -391,15 +515,14 @@ def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> WaldArrays:
         [empty_g.any(axis=(-2, -1)), ~g_ok.all(axis=-1),
          positivity.any(axis=(-2, -1)), empty_q.any(axis=(-2, -1)),
          ~q_ok.all(axis=-1)],
-        [_ZERO_MASS, _INCONSISTENT, _POSITIVITY, _ZERO_MASS, _INCONSISTENT],
+        [_ZERO_MASS, _DEGENERATE, _POSITIVITY, _ZERO_MASS, _DEGENERATE],
         default=0,
     )
     reason = np.where(failure[:, 0] > 0, failure[:, 0], failure[:, -1])
     reason = np.where(empty_fold, _EMPTY_FOLD, reason)
 
     def total(terms):
-        # each fold's cells summed as one contiguous run, the order in which
-        # numpy sums one replication's cell array, then the folds
+        # each fold's cells summed as one contiguous run, then the folds
         return terms.reshape(terms.shape[:2] + (-1,)).sum(axis=-1).sum(axis=-1)
 
     values = psi1_values(support, spec, g.swapaxes(-1, -2), q.swapaxes(-1, -2))
@@ -409,26 +532,23 @@ def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> WaldArrays:
     root_n = np.sqrt(np.maximum(n, 1))
     half_width = z * sd / root_n
     bad = reason > 0
-    lo = np.where(bad, np.nan, np.maximum(phi_hat - half_width, s.lo))
-    hi = np.where(bad, np.nan, np.minimum(phi_hat + half_width, s.hi))
-    full = bad | ((lo <= s.lo) & (hi >= s.hi))
-    return WaldArrays(
-        s=s,
+    lo, hi = _one_piece(phi_hat - half_width, phi_hat + half_width)
+    return _region_arrays(
+        lo, hi, s, reason, messages=_WALD_MESSAGES,
         estimate=np.where(bad, np.nan, phi_hat),
         stderr=np.where(bad, np.nan, sd / root_n),
-        lo=lo,
-        hi=hi,
-        kind=np.where(full, _FULL, np.where(lo > hi, _EMPTY, _UNION)),
-        reason=reason,
     )
 
 
+_SCORE_MESSAGES = ("", "instrument arm z=0 unobserved", "instrument arm z=1 unobserved")
+
+
 def score_invert_late(
-    dataset: Dataset,
+    dataset: Dataset | np.ndarray,
     support: SupportSpec,
     alpha: float,
     s: Interval = FULL_LINE,
-) -> RegionResult:
+) -> RegionResult | RegionArrays:
     """Invert the score test for the binary-instrument ratio target.
 
     The statistic is sqrt(n) times the mean of the estimating function over
@@ -438,19 +558,25 @@ def score_invert_late(
     quadratic inequality in theta (the Fieller / Anderson-Rubin form): an
     interval, two rays, the whole line or empty, clipped to s.  Its
     coefficients are moments of the cell counts.
+
+    ``dataset`` is one sample, for which the result is a RegionResult, or
+    the counts of a stack of R samples, shape (R, 2, k_y, k_z, k_w, k_x), for
+    which it is a :class:`RegionArrays`; one sample is the R = 1 case of the
+    same arithmetic.  A sample missing an instrument arm gets the full range;
+    an empty single sample raises EmptyDataset.
     """
     require_binary_support(support, 1, "score inversion")
-    if dataset.counts.shape[1:] != support.shape:
-        raise ValueError(
-            f"counts shape {dataset.counts.shape[1:]} does not match "
-            f"support shape {support.shape}"
-        )
-    counts = dataset.counts.sum(axis=0)[..., 0]         # (k_y, 2, 2) integers
-    if not counts.any():
-        raise EmptyDataset("cannot invert the score test on an empty sample")
-    n0, n1 = counts.sum(axis=(0, 2))
-    if n1 == 0 or n0 == 0:
-        return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
+    if isinstance(dataset, Dataset):
+        if len(dataset) == 0:
+            raise EmptyDataset("cannot invert the score test on an empty sample")
+        return _score_arrays(dataset.counts[None], support, alpha, s).result(0)
+    return _score_arrays(np.asarray(dataset), support, alpha, s)
+
+
+def _score_arrays(counts, support, alpha, s) -> RegionArrays:
+    _check_counts(counts, support)
+    counts = counts.sum(axis=1)[..., 0]                 # (R, k_y, 2, 2) integers
+    n0, n1 = np.moveaxis(counts.sum(axis=(1, 3)), -1, 0)
 
     # Per row, the estimating function is c(Z) (A - theta B) with A and B
     # centred by their Z=1 means.  Scaled by a positive constant, c is
@@ -460,94 +586,68 @@ def score_invert_late(
     # exactly zero, keeping the single accepted point.
     y = support.y_cell_means
     w = np.arange(2.0)
-    a = n1 * y - counts[:, 1].sum(axis=1) @ y
-    b = n1 * w - counts[:, 1].sum(axis=0) @ w
-    c = np.array([-n1, n0])
-    ca = c[None, :, None] * a[:, None, None]
-    cb = c[None, :, None] * b[None, None, :]
-    sum_a = float((counts * ca).sum())
-    sum_b = float((counts * cb).sum())
+    a = n1[:, None] * y - (counts[:, :, 1].sum(axis=2) @ y)[:, None]    # (R, k_y)
+    b = n1[:, None] * w - (counts[:, :, 1].sum(axis=1) @ w)[:, None]    # (R, 2)
+    c = np.stack([-n1, n0], axis=-1)[:, None, :, None]
+    ca = c * a[:, :, None, None]
+    cb = c * b[:, None, None, :]
+    sum_a = _total(counts * ca)
+    sum_b = _total(counts * cb)
 
     z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
     # |T(theta)| <= z  <=>  (sum cA - theta sum cB)^2 <= z^2 sum (c(A - theta B))^2
     #                  <=>  q_bb theta^2 - 2 q_ab theta + q_aa <= 0.
-    q_aa = sum_a * sum_a - z2 * float((counts * ca * ca).sum())
-    q_ab = sum_a * sum_b - z2 * float((counts * ca * cb).sum())
-    q_bb = sum_b * sum_b - z2 * float((counts * cb * cb).sum())
-    pieces = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
-    return RegionResult(region=region_from_intervals(pieces, s))
+    q_aa = sum_a * sum_a - z2 * _total(counts * ca * ca)
+    q_ab = sum_a * sum_b - z2 * _total(counts * ca * cb)
+    q_bb = sum_b * sum_b - z2 * _total(counts * cb * cb)
+    lo, hi = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
+    message = np.where(n1 == 0, 2, np.where(n0 == 0, 1, 0))
+    return _region_arrays(lo, hi, s, np.where(message > 0, _DEGENERATE, 0), message,
+                          messages=_SCORE_MESSAGES)
 
 
-def _quadratic_sublevel(quad, lin, const):
-    """{theta : quad theta^2 + lin theta + const <= 0} as closed intervals."""
-    if quad == 0.0:
-        if lin == 0.0:
-            return [FULL_LINE] if const <= 0.0 else []
-        root = -const / lin
-        return [Interval(-INF, root)] if lin > 0.0 else [Interval(root, INF)]
-    disc = lin * lin - 4.0 * quad * const
-    if disc < 0.0:
-        return [] if quad > 0.0 else [FULL_LINE]
-    # roots as q/quad and const/q: neither subtracts nearly equal numbers
-    q = -0.5 * (lin + math.copysign(math.sqrt(disc), lin))
-    lo, hi = sorted((q / quad, const / q)) if q != 0.0 else (0.0, 0.0)
-    if quad > 0.0:
-        return [Interval(lo, hi)]
-    return [Interval(-INF, lo), Interval(hi, INF)]
-
-
-def _cond_mean(mass, values, event):
-    """E[V | event] and its influence values per cell.
-
-    ``event`` is a boolean mask over the cells; raises ZeroConditioningMass
-    naming its (Z, X) cell when the event has no mass.
-    """
-    p = float((mass * event).sum())
-    if p <= 0.0:
-        _, l, _, m = np.argwhere(event)[0]
-        raise ZeroConditioningMass((int(l), int(m)))
-    est = float((mass * event * values).sum()) / p
-    return est, np.where(event, values - est, 0.0) / p
-
-
-def _union_components(mass: np.ndarray, support: SupportSpec) -> dict:
+def _union_components(mass: np.ndarray, support: SupportSpec):
     """Estimates of the union-bound components with their influence values.
 
-    Maps each component name to (estimate, influence values per cell) under
-    the cell mass ``mass``.  Without X ("de", "num") are the Z contrasts of
-    the conditional means of W and Y.  With binary X these contrasts are
-    taken on X = 1, "num" becomes the Y contrast times E[W] - E[W|Z=1,X=1],
-    and "offset" is E[Y|Z=1,X=1].
+    ``mass`` holds the cell masses of R replications, shape (R,) + the
+    support's shape.  Returns the component names, their estimates (R, C)
+    and influence values per cell (R, C) + the support's shape, and per
+    replication the Z value of the first conditioning cell (Z, X = k_x - 1)
+    without mass, or -1.  Without X ("de", "num") are the Z contrasts of the
+    conditional means of W and Y.  With binary X these contrasts are taken
+    on X = 1, "num" becomes the Y contrast times E[W] - E[W|Z=1,X=1], and
+    "offset" is E[Y|Z=1,X=1].
     """
     y = support.y_cell_means.reshape(-1, 1, 1, 1)
     w = np.arange(support.k_w, dtype=float).reshape(1, 1, -1, 1)
     z = np.arange(support.k_z).reshape(1, -1, 1, 1)
     arm = np.arange(support.k_x).reshape(1, 1, 1, -1) == support.k_x - 1
+    # E[V | Z = z, X = arm] for V in (W, Y) and z in (1, 0): axes
+    # (replication, V, z) + cells; each is a sum over the cells as one run
+    values = np.stack(np.broadcast_arrays(w, y))[:, None]
+    events = np.stack([(z == 1) & arm, (z == 0) & arm])
+    weighted = mass[:, None, None] * events
+    p = _total(weighted, lead=3)
+    p_safe = np.where(p > 0.0, p, 1.0)
+    est = _total(weighted * values, lead=3) / p_safe
+    infl = np.where(events, values - _cells(est), 0.0) / _cells(p_safe)
+    empty_z = np.where(p[:, 0, 0] <= 0.0, 1, np.where(p[:, 0, 1] <= 0.0, 0, -1))
 
-    def contrast(values):
-        est1, infl1 = _cond_mean(mass, values, (z == 1) & arm)
-        est0, infl0 = _cond_mean(mass, values, (z == 0) & arm)
-        return est1 - est0, infl1 - infl0
-
-    de = contrast(w)
-    nu_est, nu_infl = contrast(y)
+    contrast = est[:, :, 0] - est[:, :, 1]
+    contrast_infl = infl[:, :, 0] - infl[:, :, 1]
     if support.k_x == 1:
-        return {"de": de, "num": (nu_est, nu_infl)}
-    ew_est = float((mass * w).sum())
-    w11_est, w11_infl = _cond_mean(mass, w, (z == 1) & arm)
-    diff_est = ew_est - w11_est
-    diff_infl = (w - ew_est) - w11_infl
-    return {
-        "de": de,
-        "num": (nu_est * diff_est, diff_est * nu_infl + nu_est * diff_infl),
-        "offset": _cond_mean(mass, y, (z == 1) & arm),
-    }
-
-
-def _wald_component(est, infl, mass, n, alpha):
-    z = normal_quantile(1.0 - alpha / 2.0)
-    se = math.sqrt(float((mass * infl * infl).sum()) / max(n - 1, 1))
-    return Interval(est - z * se, est + z * se)
+        return ("de", "num"), contrast, contrast_infl, empty_z
+    ew_est = _total(mass * w)
+    diff_est = ew_est - est[:, 0, 0]
+    diff_infl = (w - _cells(ew_est)) - infl[:, 0, 0]
+    nu_est, nu_infl = contrast[:, 1], contrast_infl[:, 1]
+    num_infl = _cells(diff_est) * nu_infl + _cells(nu_est) * diff_infl
+    return (
+        ("de", "num", "offset"),
+        np.stack([contrast[:, 0], nu_est * diff_est, est[:, 1, 0]], axis=1),
+        np.stack([contrast_infl[:, 0], num_infl, infl[:, 1, 0]], axis=1),
+        empty_z,
+    )
 
 
 def binary_union_estimand(law: DiscreteLaw) -> float:
@@ -558,17 +658,19 @@ def binary_union_estimand(law: DiscreteLaw) -> float:
     plain ratio of conditional-mean differences.
     """
     require_binary_support(law.support, 2, "the union target")
-    parts = _union_components(law.mass, law.support)
-    offset = parts["offset"][0] if "offset" in parts else 0.0
-    return parts["num"][0] / parts["de"][0] + offset
+    _, est, _, empty_z = _union_components(law.mass[None], law.support)
+    if empty_z[0] >= 0:
+        raise ZeroConditioningMass((int(empty_z[0]), law.support.k_x - 1))
+    de, num, *offset = est[0].tolist()
+    return num / de + sum(offset)
 
 
 def binary_union_set(
-    dataset: Dataset,
+    dataset: Dataset | np.ndarray,
     support: SupportSpec,
     alpha: float,
     s: Interval,
-) -> RegionResult:
+) -> RegionResult | RegionArrays:
     """Union-bound set: component Wald intervals combined by interval arithmetic.
 
     The support decides the target.  Without X (k_x = 1) it is the plain
@@ -578,29 +680,48 @@ def binary_union_set(
     offset conditional mean each get alpha/3.  When the denominator
     interval straddles zero strictly and the numerator is not identically
     zero the set is the whole range.
+
+    ``dataset`` is one sample, for which the result is a RegionResult with
+    the component intervals, or the counts of a stack of R samples, shape
+    (R, 2, k_y, k_z, k_w, k_x), for which it is a :class:`RegionArrays`; one
+    sample is the R = 1 case of the same arithmetic.  An empty conditioning
+    cell gives the full range; an empty single sample raises EmptyDataset.
     """
     require_binary_support(support, 2, "the union set")
-    n = len(dataset)
-    law = estimate(dataset, support)
-    try:
-        parts = _union_components(law.mass, support)
-    except ZeroConditioningMass as exc:
-        return _full_result(str(exc), type(exc).__name__)
-    level = alpha / len(parts)
-    components = {
-        name: _wald_component(est, infl, law.mass, n, level)
-        for name, (est, infl) in parts.items()
-    }
-    b_de, b_num = components["de"], components["num"]
-    offset = components.get("offset", Interval(0.0, 0.0))
+    if isinstance(dataset, Dataset):
+        law = estimate(dataset, support)
+        return _union_arrays(law.mass[None], np.array([len(dataset)]), support,
+                             alpha, s).result(0)
+    counts = np.asarray(dataset)
+    _check_counts(counts, support)
+    n = counts.sum(axis=(1, 2, 3, 4, 5))
+    mass = counts.sum(axis=1) / _cells(np.maximum(n, 1))
+    return _union_arrays(mass, n, support, alpha, s)
 
-    if b_de.lo < 0.0 < b_de.hi and not (b_num.lo == 0.0 == b_num.hi):
-        return RegionResult(
-            region=FULL_REGION, components=components,
-            message="denominator interval straddles zero",
-        )
-    pieces = interval_div(b_num, b_de)
-    if not pieces:
-        return _full_result("denominator interval degenerate at zero")
-    region = region_from_intervals(interval_add(pieces, offset), s)
-    return RegionResult(region=region, components=components)
+
+def _union_arrays(mass, n, support, alpha, s) -> RegionArrays:
+    names, est, infl, empty_z = _union_components(mass, support)
+    level = alpha / len(names)
+    z = normal_quantile(1.0 - level / 2.0)
+    se = np.sqrt(_total(mass[:, None] * infl * infl, lead=2)
+                 / np.maximum(n - 1, 1)[:, None])
+    lo, hi = est - z * se, est + z * se                  # (R, components)
+    components = {name: (lo[:, i], hi[:, i]) for i, name in enumerate(names)}
+    (de_lo, de_hi), (num_lo, num_hi) = components["de"], components["num"]
+    zero = np.zeros(len(n))
+    off_lo, off_hi = components.get("offset", (zero, zero))
+
+    straddle = (de_lo < 0.0) & (0.0 < de_hi) & ~((num_lo == 0.0) & (0.0 == num_hi))
+    lo, hi = _divide(num_lo, num_hi, de_lo, de_hi)
+    no_pieces = np.isnan(lo[:, 0]) & ~straddle
+    lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
+    hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
+    zero_mass = empty_z >= 0
+    reason = np.where(zero_mass, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))
+    message = np.where(zero_mass, 3 + empty_z, np.where(straddle, 1, 2 * no_pieces))
+    arm = support.k_x - 1
+    messages = ("", "denominator interval straddles zero",
+                "denominator interval degenerate at zero",
+                str(ZeroConditioningMass((0, arm))), str(ZeroConditioningMass((1, arm))))
+    return _region_arrays(lo, hi, s, reason, message, messages=messages,
+                          components=components)

@@ -7,11 +7,12 @@ degenerate-sample errors (also by reason).  Each replication's seed derives
 from the master seed and the (law, replication) indices through a
 counter-based seed sequence, so replications are independent and
 reproducible.  Replications run serially in blocks, in replication order:
-a block's samples are drawn one by one, each from its own seed, then Wald
-evaluates the stack of the block's counts in one call and every other
-method evaluates the block's samples one at a time.  A block holds at most
-:data:`BLOCK_BYTES` of float cell counts, so memory does not grow with the
-number of replications, and the report does not depend on the block size.
+a block's samples are drawn one by one, each from its own seed, and every
+method then evaluates the stack of the block's counts in one call, giving
+one :class:`~weakdep.confsets.RegionArrays` per block.  A block holds at
+most :data:`BLOCK_BYTES` of float cell counts, so memory does not grow with
+the number of replications, and the report does not depend on the block
+size.
 Coverage along a weak-dependence sequence is a plan with one
 :class:`LawCase` per step of :func:`~weakdep.adversarial.generate_sequence`.
 """
@@ -29,22 +30,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confsets import (
-    EMPTY_REGION,
-    FULL_REGION,
+    FULL_LINE,
+    REASONS,
     Interval,
-    RegionResult,
-    WALD_REASONS,
-    WaldArrays,
-    _full_result,
+    RegionArrays,
     binary_union_set,
-    diameter,
+    fixed_arrays,
     normal_quantile,
-    region_from_intervals,
     require_binary_support,
     score_invert_late,
     wald_ci,
 )
-from .errors import WeakdepError
 from .functionals import FunctionalSpec
 from .laws import DiscreteLaw, law_from_dict, law_to_dict, sample
 
@@ -125,12 +121,8 @@ class ExperimentPlan:
 
 
 def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
-    """Turn a method config into (stacked, constructor).
-
-    A stacked constructor (Wald) maps a block's counts, shape
-    (R, 2, k_y, k_z, k_w, k_x), to WaldArrays; every other constructor maps
-    one Dataset to a RegionResult.
-    """
+    """Turn a method config into a constructor that maps a block's counts,
+    shape (R, 2, k_y, k_z, k_w, k_x), to RegionArrays."""
     alpha = 1.0 - plan.level
     support = case.law.support
     opts = dict(cfg.options)
@@ -144,31 +136,26 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
         tol = float(opts.pop("tol", 1e-8))
         _reject_extra(cfg, opts)
         func.validate_against(support)
-        return True, lambda counts: wald_ci(
+        return lambda counts: wald_ci(
             counts, func, support, alpha, s=plan.s, cross_fit=cross_fit, tol=tol
         )
     if cfg.name == "score":
         _reject_extra(cfg, opts)
         require_binary_support(support, 1, "method 'score'")
-        return False, lambda ds: score_invert_late(ds, support, alpha, s=plan.s)
+        return lambda counts: score_invert_late(counts, support, alpha, s=plan.s)
     if cfg.name == "union":
         _reject_extra(cfg, opts)
         require_binary_support(support, 2, "method 'union'")
-        return False, lambda ds: binary_union_set(ds, support, alpha, plan.s)
+        return lambda counts: binary_union_set(counts, support, alpha, plan.s)
     if cfg.name == "fullrange":
-        _reject_extra(cfg, opts)
-        return False, lambda ds: RegionResult(region=FULL_REGION)
-    if cfg.name == "empty":
-        _reject_extra(cfg, opts)
-        return False, lambda ds: RegionResult(region=EMPTY_REGION)
-    if cfg.name == "oracle":
+        intervals = [FULL_LINE]
+    elif cfg.name == "empty":
+        intervals = []
+    else:
         eps = float(opts.pop("epsilon", 0.0))
-        _reject_extra(cfg, opts)
-        region = region_from_intervals(
-            [Interval(case.true_phi - eps, case.true_phi + eps)], plan.s
-        )
-        return False, lambda ds: RegionResult(region=region)
-    raise AssertionError(cfg.name)
+        intervals = [Interval(case.true_phi - eps, case.true_phi + eps)]
+    _reject_extra(cfg, opts)
+    return lambda counts: fixed_arrays(intervals, plan.s, len(counts))
 
 
 def _reject_extra(cfg, leftover):
@@ -254,28 +241,15 @@ class CoverageReport:
 class _Tally:
     """Per-replication outcomes of one (law, method) pair, in replication order."""
 
-    def __init__(self, true_phi: float, s: Interval):
+    def __init__(self, true_phi: float):
         self.true_phi = true_phi
-        self.s = s
         self.outcomes = []
         self.diameters = []
         self.fulls = []
         self.errors_by_kind = Counter()
         self.seconds = 0.0
 
-    def add(self, result: RegionResult):
-        if result.degenerate:
-            outcome = "error"
-            self.errors_by_kind[result.reason] += 1
-        elif result.region.contains(self.true_phi):
-            outcome = "cover"
-        else:
-            outcome = "miss"
-        self.outcomes.append(outcome)
-        self.diameters.append(diameter(result.region, self.s))
-        self.fulls.append(result.region.is_full)
-
-    def add_stack(self, arrays: WaldArrays):
+    def add_stack(self, arrays: RegionArrays):
         degenerate = arrays.reason > 0
         covered = arrays.contains(self.true_phi)
         self.outcomes += np.where(
@@ -283,7 +257,7 @@ class _Tally:
         ).tolist()
         self.diameters += arrays.diameters().tolist()
         self.fulls += arrays.is_full().tolist()
-        self.errors_by_kind.update(WALD_REASONS[code] for code in arrays.reason[degenerate])
+        self.errors_by_kind.update(REASONS[code] for code in arrays.reason[degenerate])
 
     def report(self, label: str, method: str, plan: ExperimentPlan) -> CellReport:
         outcomes = tuple(self.outcomes)
@@ -316,41 +290,25 @@ class _Tally:
         )
 
 
-def _evaluate(stacked, construct, block, tally):
-    """Apply one method to every dataset of a block, timing only the
-    constructor calls; a constructor's WeakdepError is a degenerate outcome."""
-    if stacked:
-        counts = np.stack([dataset.counts for dataset in block])
-        started = time.perf_counter()
-        arrays = construct(counts)
-        tally.seconds += time.perf_counter() - started
-        tally.add_stack(arrays)
-        return
-    for dataset in block:
-        started = time.perf_counter()
-        try:
-            result = construct(dataset)
-        except WeakdepError as exc:
-            result = _full_result(str(exc), type(exc).__name__)
-        tally.seconds += time.perf_counter() - started
-        tally.add(result)
-
-
 def run(plan: ExperimentPlan) -> CoverageReport:
     """Execute the plan; deterministic given the master seed."""
     cells = []
     for law_idx, case in enumerate(plan.laws):
         methods = [_bind_method(m, plan, case) for m in plan.methods]
-        tallies = [_Tally(case.true_phi, plan.s) for _ in plan.methods]
+        tallies = [_Tally(case.true_phi) for _ in plan.methods]
         block_reps = max(1, BLOCK_BYTES // (16 * case.law.support.n_cells))
         for start in range(0, plan.reps, block_reps):
-            block = [
+            counts = np.stack([
                 sample(case.law, plan.n, np.random.SeedSequence(
-                    entropy=plan.seed, spawn_key=(law_idx, rep_idx)))
+                    entropy=plan.seed, spawn_key=(law_idx, rep_idx))).counts
                 for rep_idx in range(start, min(start + block_reps, plan.reps))
-            ]
-            for (stacked, construct), tally in zip(methods, tallies):
-                _evaluate(stacked, construct, block, tally)
+            ])
+            for construct, tally in zip(methods, tallies):
+                # only the constructor call is timed
+                started = time.perf_counter()
+                arrays = construct(counts)
+                tally.seconds += time.perf_counter() - started
+                tally.add_stack(arrays)
         cells.extend(tally.report(case.label, method.name, plan)
                      for method, tally in zip(plan.methods, tallies))
     return CoverageReport(cells=tuple(cells))
@@ -382,6 +340,8 @@ def plan_from_dict(d) -> ExperimentPlan:
             law=law_from_dict(entry["law"]),
             true_phi=float(entry["true_phi"]),
         ))
+    if not d["methods"]:
+        raise ValueError("a plan needs at least one method")
     methods = []
     for entry in d["methods"]:
         entry = dict(entry)

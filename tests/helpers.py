@@ -20,11 +20,10 @@ from weakdep.confsets import (
     Interval,
     RegionResult,
     _full_result,
-    _quadratic_sublevel,
-    interval_add,
-    interval_div,
+    _merge,
     normal_quantile,
     region_from_intervals,
+    require_binary_support,
 )
 from weakdep.errors import (
     DegenerateSample,
@@ -426,7 +425,7 @@ def row_score_invert_late(rows, alpha, s=FULL_LINE):
     q_aa = float(n * mean_a * mean_a - z2 * (ca * ca).mean())
     q_ab = float(n * mean_a * mean_b - z2 * (ca * cb).mean())
     q_bb = float(n * mean_b * mean_b - z2 * (cb * cb).mean())
-    pieces = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
+    pieces = serial_quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
     return RegionResult(region=region_from_intervals(pieces, s))
 
 
@@ -505,7 +504,7 @@ def row_binary_union_set(rows, alpha, s):
             region=FULL_REGION, components=components,
             message="denominator interval straddles zero",
         )
-    pieces = interval_div(b_num, b_de)
+    pieces = serial_interval_div(b_num, b_de)
     if not pieces:
         return _full_result("denominator interval degenerate at zero")
     region = region_from_intervals(interval_add(pieces, offset), s)
@@ -555,3 +554,157 @@ def case_interval_div(num, den):
     if num.hi < 0.0:
         return (Interval(-inf, num.hi / den.hi), Interval(num.hi / den.lo, inf))
     return (FULL_LINE,)
+
+
+# ---------------------------------------------------------------------------
+# Serial reference score and union sets.  These are the package's
+# score_invert_late and binary_union_set as they were before they evaluated
+# stacks of replications: one sample at a time, in scalar arithmetic, with
+# an empty conditioning cell caught as an exception.  Tests check the
+# stacked path against them on the same counts.
+
+INF = float("inf")
+
+
+def interval_add(pieces, offset):
+    """Minkowski sum of each piece with a finite interval."""
+    return tuple(Interval(iv.lo + offset.lo, iv.hi + offset.hi) for iv in pieces)
+
+
+def serial_interval_div(num, den):
+    """Image of {s / t : s in num, t in den, t != 0}: each signed part of the
+    denominator maps onto the hull of its four endpoint quotients."""
+    parts = []
+    if den.lo < 0.0:
+        parts.append((den.lo, den.hi if den.hi < 0.0 else -0.0))
+    if den.hi > 0.0:
+        parts.append((den.lo if den.lo > 0.0 else 0.0, den.hi))
+    pieces = []
+    for a, b in parts:
+        quotients = [_serial_quotient(s, t) for s in (num.lo, num.hi) for t in (a, b)]
+        pieces.append(Interval(min(quotients), max(quotients)))
+    return tuple(_merge(pieces))
+
+
+def _serial_quotient(s, t):
+    if t != 0.0:
+        return s / t
+    return 0.0 if s == 0.0 else math.copysign(INF, s) * math.copysign(1.0, t)
+
+
+def serial_quadratic_sublevel(quad, lin, const):
+    """{theta : quad theta^2 + lin theta + const <= 0} as closed intervals."""
+    if quad == 0.0:
+        if lin == 0.0:
+            return [FULL_LINE] if const <= 0.0 else []
+        root = -const / lin
+        return [Interval(-INF, root)] if lin > 0.0 else [Interval(root, INF)]
+    disc = lin * lin - 4.0 * quad * const
+    if disc < 0.0:
+        return [] if quad > 0.0 else [FULL_LINE]
+    q = -0.5 * (lin + math.copysign(math.sqrt(disc), lin))
+    lo, hi = sorted((q / quad, const / q)) if q != 0.0 else (0.0, 0.0)
+    if quad > 0.0:
+        return [Interval(lo, hi)]
+    return [Interval(-INF, lo), Interval(hi, INF)]
+
+
+def serial_score_invert_late(dataset, support, alpha, s=FULL_LINE):
+    """Score inversion of one sample from its integer count moments."""
+    require_binary_support(support, 1, "score inversion")
+    if dataset.counts.shape[1:] != support.shape:
+        raise ValueError(
+            f"counts shape {dataset.counts.shape[1:]} does not match "
+            f"support shape {support.shape}"
+        )
+    counts = dataset.counts.sum(axis=0)[..., 0]         # (k_y, 2, 2) integers
+    if not counts.any():
+        raise EmptyDataset("cannot invert the score test on an empty sample")
+    n0, n1 = counts.sum(axis=(0, 2))
+    if n1 == 0 or n0 == 0:
+        return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
+    y = support.y_cell_means
+    w = np.arange(2.0)
+    a = n1 * y - counts[:, 1].sum(axis=1) @ y
+    b = n1 * w - counts[:, 1].sum(axis=0) @ w
+    c = np.array([-n1, n0])
+    ca = c[None, :, None] * a[:, None, None]
+    cb = c[None, :, None] * b[None, None, :]
+    sum_a = float((counts * ca).sum())
+    sum_b = float((counts * cb).sum())
+    z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
+    q_aa = sum_a * sum_a - z2 * float((counts * ca * ca).sum())
+    q_ab = sum_a * sum_b - z2 * float((counts * ca * cb).sum())
+    q_bb = sum_b * sum_b - z2 * float((counts * cb * cb).sum())
+    pieces = serial_quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
+    return RegionResult(region=region_from_intervals(pieces, s))
+
+
+def _serial_cond_mean(mass, values, event):
+    p = float((mass * event).sum())
+    if p <= 0.0:
+        _, l, _, m = np.argwhere(event)[0]
+        raise ZeroConditioningMass((int(l), int(m)))
+    est = float((mass * event * values).sum()) / p
+    return est, np.where(event, values - est, 0.0) / p
+
+
+def serial_union_components(mass, support):
+    """Union-bound components (estimate, influence values per cell) of one law."""
+    y = support.y_cell_means.reshape(-1, 1, 1, 1)
+    w = np.arange(support.k_w, dtype=float).reshape(1, 1, -1, 1)
+    z = np.arange(support.k_z).reshape(1, -1, 1, 1)
+    arm = np.arange(support.k_x).reshape(1, 1, 1, -1) == support.k_x - 1
+
+    def contrast(values):
+        est1, infl1 = _serial_cond_mean(mass, values, (z == 1) & arm)
+        est0, infl0 = _serial_cond_mean(mass, values, (z == 0) & arm)
+        return est1 - est0, infl1 - infl0
+
+    de = contrast(w)
+    nu_est, nu_infl = contrast(y)
+    if support.k_x == 1:
+        return {"de": de, "num": (nu_est, nu_infl)}
+    ew_est = float((mass * w).sum())
+    w11_est, w11_infl = _serial_cond_mean(mass, w, (z == 1) & arm)
+    diff_est = ew_est - w11_est
+    diff_infl = (w - ew_est) - w11_infl
+    return {
+        "de": de,
+        "num": (nu_est * diff_est, diff_est * nu_infl + nu_est * diff_infl),
+        "offset": _serial_cond_mean(mass, y, (z == 1) & arm),
+    }
+
+
+def _serial_wald_component(est, infl, mass, n, alpha):
+    z = normal_quantile(1.0 - alpha / 2.0)
+    se = math.sqrt(float((mass * infl * infl).sum()) / max(n - 1, 1))
+    return Interval(est - z * se, est + z * se)
+
+
+def serial_binary_union_set(dataset, support, alpha, s):
+    """Union-bound set of one sample, component by component."""
+    require_binary_support(support, 2, "the union set")
+    n = len(dataset)
+    law = estimate(dataset, support)
+    try:
+        parts = serial_union_components(law.mass, support)
+    except ZeroConditioningMass as exc:
+        return _full_result(str(exc), type(exc).__name__)
+    level = alpha / len(parts)
+    components = {
+        name: _serial_wald_component(est, infl, law.mass, n, level)
+        for name, (est, infl) in parts.items()
+    }
+    b_de, b_num = components["de"], components["num"]
+    offset = components.get("offset", Interval(0.0, 0.0))
+    if b_de.lo < 0.0 < b_de.hi and not (b_num.lo == 0.0 == b_num.hi):
+        return RegionResult(
+            region=FULL_REGION, components=components,
+            message="denominator interval straddles zero",
+        )
+    pieces = serial_interval_div(b_num, b_de)
+    if not pieces:
+        return _full_result("denominator interval degenerate at zero")
+    region = region_from_intervals(interval_add(pieces, offset), s)
+    return RegionResult(region=region, components=components)

@@ -202,6 +202,9 @@ _BAD_FLAGS = {
     "coverage_out_missing_dir": ("coverage", ["--out", "{dir}/missing/r.csv"]),
     "coverage_out_is_dir": ("coverage", ["--out", "{dir}"]),
     "coverage_json_missing_dir": ("coverage", ["--json", "{dir}/missing/r.json"]),
+    "coverage_methods_blank": ("coverage", ["--methods", ""]),
+    "coverage_methods_only_comma": ("coverage", ["--methods", ","]),
+    "coverage_methods_empty_item": ("coverage", ["--methods", "wald,,score"]),
 }
 
 
@@ -307,6 +310,7 @@ class TestCoverage:
         ("union_on_three_x", 2),
         ("score_on_three_zw", 2),
         ("union_on_three_zw", 2),
+        ("no_methods", 2),
     ])
     def test_invalid_plan_exit_code(self, demo_plan, tmp_path, capsys,
                                     defect, code):
@@ -328,6 +332,8 @@ class TestCoverage:
             law = random_law(np.random.default_rng(3), *shape, unit_zw=True)
             plan["laws"][0]["law"] = laws.law_to_dict(law)
             plan["methods"] = [{"name": method}]
+        elif defect == "no_methods":
+            plan["methods"] = []
         elif defect == "plan_is_array_with_seed_flag":
             plan, flags = [plan], ["--seed", "3"]
         else:
@@ -339,6 +345,24 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
         assert not out.exists()
+
+    def test_unopenable_json_leaves_out_untouched(self, demo_plan, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"an earlier report\n")
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out),
+                         "--json", str(tmp_path / "missing" / "r.json")]) == 2
+        assert out.read_bytes() == b"an earlier report\n"
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_reports_replace_longer_files(self, demo_plan, tmp_path, capsys):
+        fresh, out, js = tmp_path / "fresh.csv", tmp_path / "r.csv", tmp_path / "r.json"
+        assert cli.main(["coverage", str(demo_plan), "--out", str(fresh)]) == 0
+        for path in (out, js):
+            path.write_text("x" * 100_000)
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out),
+                         "--json", str(js)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert len(json.loads(js.read_text())["cells"]) == 3
 
     def test_bad_plan_exit_two(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

@@ -17,12 +17,12 @@ from weakdep.confsets import (
     binary_union_estimand,
     binary_union_set,
     diameter,
-    interval_add,
     interval_div,
     normal_quantile,
     region_from_intervals,
     score_invert_late,
     wald_ci,
+    _pieces,
     _quadratic_sublevel,
 )
 from weakdep.errors import EmptyDataset
@@ -35,6 +35,7 @@ from helpers import (
     case_interval_div,
     compositions,
     dataset_from_rows,
+    interval_add,
     kind_spec,
     kind_support,
     late_law,
@@ -42,6 +43,10 @@ from helpers import (
     row_binary_union_set,
     row_score_invert_late,
     row_wald_ci,
+    serial_binary_union_set,
+    serial_interval_div,
+    serial_quadratic_sublevel,
+    serial_score_invert_late,
     serial_wald_ci,
     wald_ratio,
 )
@@ -183,6 +188,17 @@ class TestIntervalArithmetic:
             for den in intervals:
                 assert region_from_intervals(interval_div(num, den)) == \
                     region_from_intervals(case_interval_div(num, den)), (num, den)
+
+    def test_same_bits_as_the_scalar_form_on_endpoint_grid(self):
+        # the elementwise division keeps every endpoint of the scalar case
+        # split, signed zeros included
+        values = [-1e300, -2.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 3.0, 1e300]
+        intervals = [Interval(a, b) for a in values for b in values if a <= b]
+        for num in intervals:
+            for den in intervals:
+                got = interval_div(num, den)
+                want = serial_interval_div(num, den)
+                assert _bits(got) == _bits(want), (num, den)
 
     def test_add_shifts_pieces(self):
         pieces = (Interval(-INF, -1.0), Interval(1.0, INF))
@@ -345,6 +361,18 @@ def _score_accepts(obs, alpha, thetas):
     return lhs <= rhs, np.abs(lhs - rhs) <= 1e-9 * scale
 
 
+def _bits(intervals):
+    """Endpoints of intervals with the sign of each zero."""
+    return [(iv.lo, iv.hi, math.copysign(1.0, iv.lo), math.copysign(1.0, iv.hi))
+            for iv in intervals]
+
+
+def _sublevel(quad, lin, const):
+    """The intervals of the elementwise quadratic sublevel set at one point."""
+    return _pieces(*_quadratic_sublevel(np.float64(quad), np.float64(lin),
+                                        np.float64(const)))
+
+
 class TestScoreInversion:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -420,11 +448,24 @@ class TestScoreInversion:
             ((1.0, 0.0, 0.0), [Interval(0.0, 0.0)]),
         ]
         for coefs, expected in cases:
-            assert _quadratic_sublevel(*coefs) == expected
+            assert _sublevel(*coefs) == expected
         # the small root of theta^2 - 1e8 theta + 1 survives cancellation
-        (iv,) = _quadratic_sublevel(1.0, -1e8, 1.0)
+        (iv,) = _sublevel(1.0, -1e8, 1.0)
         assert iv.lo == pytest.approx(1e-8, rel=1e-15)
         assert iv.hi == pytest.approx(1e8, rel=1e-15)
+
+    def test_elementwise_matches_scalar_form_on_coefficient_grid(self):
+        """One elementwise call over every coefficient triple of a grid with
+        signed zeros, tiny and large values (whose discriminant stays finite)
+        gives each triple's scalar set."""
+        values = np.array([-1e150, -3.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.25,
+                           1.0, 2.0, 1e150])
+        quad, lin, const = (a.ravel() for a in np.meshgrid(values, values, values))
+        lo, hi = _quadratic_sublevel(quad, lin, const)
+        for i in range(len(quad)):
+            got = _pieces(lo[i], hi[i])
+            want = serial_quadratic_sublevel(float(quad[i]), float(lin[i]), float(const[i]))
+            assert _bits(got) == _bits(want), (quad[i], lin[i], const[i])
 
     def test_outcome_equal_to_treatment_gives_point(self):
         # strong instrument and Y = W (Y = 1 - W): only theta = 1 (theta = -1)
@@ -558,10 +599,14 @@ def _assert_same_result(cell, row):
     pairs += [(a, b) for ic, ir in zip(cell.region.intervals, row.region.intervals)
               for a, b in ((ic.lo, ir.lo), (ic.hi, ir.hi))]
     for a, b in pairs:
-        if a is None or b is None or math.isinf(a) or math.isinf(b):
-            assert a == b
-        else:
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        _assert_close(a, b)
+
+
+def _assert_close(a, b):
+    if a is None or b is None or math.isinf(a) or math.isinf(b):
+        assert a == b
+    else:
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 class TestCellPathMatchesRows:
@@ -725,3 +770,109 @@ class TestStackedWald:
         assert np.isnan(stack.estimate[1:]).all()
         with pytest.raises(EmptyDataset):
             wald_ci(Dataset(counts[2]), FunctionalSpec.late(), law.support, 0.05)
+
+
+def _assert_region_result_equal(got, ref, exact):
+    """Same degenerate flag, reason, message, region kind and pieces, and
+    component intervals; endpoints bit-equal (signed zeros too) with
+    ``exact``, else within 1e-12 relative."""
+    assert (got.reason, got.message) == (ref.reason, ref.message)
+    assert set(got.components) == set(ref.components)
+    if exact:
+        assert _bits(got.region.intervals) == _bits(ref.region.intervals)
+        assert got.region.kind == ref.region.kind
+        assert _bits(got.components.values()) == _bits(
+            [ref.components[name] for name in got.components])
+    else:
+        _assert_same_result(got, ref)
+        for name, iv in ref.components.items():
+            _assert_close(got.components[name].lo, iv.lo)
+            _assert_close(got.components[name].hi, iv.hi)
+
+
+def _assert_sets_match_serial(construct, serial, counts, support, alpha, s,
+                              exact=True, single=False):
+    """Entry r of the stacked score or union set is the serial reference's
+    result on replication r, and with ``exact`` its diameter is the
+    reference region's, sign of zero included; with ``single``, so is the
+    constructor's result on replication r alone."""
+    stack = construct(counts, support, alpha, s)
+    diameters = stack.diameters()
+    for r in range(len(counts)):
+        dataset = Dataset(counts[r])
+        got = stack.result(r)
+        if len(dataset) == 0:
+            # the serial constructors refuse an empty sample outright
+            with pytest.raises(EmptyDataset):
+                serial(dataset, support, alpha, s)
+            assert got.degenerate and got.region.is_full
+            continue
+        ref = serial(dataset, support, alpha, s)
+        _assert_region_result_equal(got, ref, exact)
+        if exact:
+            want = diameter(ref.region, s)
+            assert (diameters[r], math.copysign(1.0, diameters[r])) == \
+                (want, math.copysign(1.0, want))
+        if single:
+            _assert_region_result_equal(construct(dataset, support, alpha, s), ref,
+                                        exact)
+
+
+def _every_sample(n, support):
+    """Every sample of n draws over the support's cells, all in fold 1."""
+    comps = compositions(n, support.n_cells)
+    counts = np.zeros((len(comps), 2, support.n_cells), dtype=np.int64)
+    counts[:, 1] = comps
+    return counts.reshape((len(comps), 2) + support.shape)
+
+
+class TestStackedScoreAndUnion:
+    """The stacked score and union sets against the serial references,
+    exhaustively on small samples."""
+
+    S = Interval(-20.0, 20.0)
+
+    def test_every_plain_sample_of_ten(self):
+        support = late_support()
+        counts = _every_sample(10, support)                 # 19,448 samples
+        _assert_sets_match_serial(score_invert_late, serial_score_invert_late,
+                                  counts, support, 0.05, self.S)
+        _assert_sets_match_serial(binary_union_set, serial_binary_union_set,
+                                  counts, support, 0.05, self.S)
+
+    def test_every_binary_x_union_sample_of_six(self):
+        support = _binary_support(2)
+        counts = _every_sample(6, support)                  # 54,264 samples
+        _assert_sets_match_serial(binary_union_set, serial_binary_union_set,
+                                  counts, support, 0.05, Interval(-5.0, 5.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        union=st.booleans(),
+        k_y=st.integers(2, 3),
+        k_x=st.integers(1, 2),
+        reps=st.integers(1, 6),
+        draws=st.sampled_from([0, 1, 2, 5, 40]),
+        sparsity=st.floats(0.0, 0.9),
+        alpha=st.floats(0.001, 0.5),
+        ends=st.tuples(_ENDS, _ENDS).filter(lambda e: e[0] != e[1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_binary_supports_match_serial(self, union, k_y, k_x, reps, draws,
+                                                 sparsity, alpha, ends, seed):
+        """Random Y cell means, zero-mass cells, samples of 0, 1 and 2 draws
+        and random levels and ranges.  Y cell means that are not integers
+        make the score's sum over Y cells a dot product, which BLAS may
+        round differently for a stack than for one sample, so endpoints
+        agree to 1e-12 relative here rather than bit for bit."""
+        rng = np.random.default_rng(seed)
+        support = kind_support(rng, "ate_iv", 2, k_y, k_x if union else 1)
+        mass = rng.gamma(1.0, size=support.shape) * (rng.random(support.shape) >= sparsity)
+        if not mass.any():
+            mass.flat[0] = 1.0
+        counts = rng.multinomial(draws, (mass / mass.sum()).ravel(), size=(reps, 2))
+        counts = counts.reshape((reps, 2) + support.shape)
+        construct, serial = ((binary_union_set, serial_binary_union_set) if union
+                             else (score_invert_late, serial_score_invert_late))
+        _assert_sets_match_serial(construct, serial, counts, support, alpha,
+                                  Interval(*sorted(ends)), exact=False, single=True)

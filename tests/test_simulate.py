@@ -7,7 +7,7 @@ import pytest
 
 from weakdep import DiscreteLaw, FunctionalSpec, simulate
 from weakdep.adversarial import generate_sequence
-from weakdep.confsets import Interval, wald_ci
+from weakdep.confsets import Interval, binary_union_set, score_invert_late, wald_ci
 from weakdep.simulate import (
     CSV_COLUMNS,
     ExperimentPlan,
@@ -290,31 +290,56 @@ class TestErrorsByKind:
 
 
 class TestExactCoverage:
+    """Exact coverage on late_law() at n = N: every sample of the 8 cells,
+    enumerated once, through each stacked constructor, weighted by its
+    multinomial probability, with degenerate samples counted as covered, as
+    run counts them.  run's Monte Carlo coverage at a fixed seed must lie
+    inside its Wilson interval around it."""
+
     N = 20      # the largest n whose 888,030 samples the stacked Wald runs in about 5 s
 
-    def test_monte_carlo_inside_wilson_of_exact_coverage(self):
-        """Plain Wald's exact coverage at n = 20, summed over every sample of
-        the 8 cells weighted by its multinomial probability (degenerate
-        samples cover, as run counts them), lies inside the Wilson interval
-        of run's Monte Carlo coverage."""
+    @pytest.fixture(scope="class")
+    def exact(self):
         law = late_law()
         phi = wald_ratio(law)
         support = law.support
         comps = compositions(self.N, support.n_cells)
         pmf = multinomial_pmf(comps, law.mass.ravel())
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        exact = 0.0
+        constructors = {
+            "wald": lambda counts: wald_ci(counts, FunctionalSpec.late(), support,
+                                           0.05, S),
+            "score": lambda counts: score_invert_late(counts, support, 0.05, S),
+            "union": lambda counts: binary_union_set(counts, support, 0.05, S),
+        }
+        exact = dict.fromkeys(constructors, 0.0)
         for start in range(0, len(comps), 100_000):
             part = comps[start:start + 100_000]
             counts = np.zeros((len(part), 2, support.n_cells), dtype=np.int64)
             counts[:, 1] = part
-            stack = wald_ci(counts.reshape((len(part), 2) + support.shape),
-                            FunctionalSpec.late(), support, 0.05, S)
-            covers = (stack.reason > 0) | stack.contains(phi)
-            exact += float(pmf[start:start + 100_000][covers].sum())
+            counts = counts.reshape((len(part), 2) + support.shape)
+            for name, construct in constructors.items():
+                stack = construct(counts)
+                covers = (stack.reason > 0) | stack.contains(phi)
+                exact[name] += float(pmf[start:start + 100_000][covers].sum())
 
-        plan = ExperimentPlan(laws=(LawCase("late", law, phi),), methods=(WALD,),
+        plan = ExperimentPlan(laws=(LawCase("late", law, phi),),
+                              methods=(WALD, MethodConfig("score"), MethodConfig("union")),
                               n=self.N, reps=4000, level=0.95, seed=17, s=S)
-        cell = run(plan).cell("late", "wald")
+        return exact, run(plan)
+
+    def _check(self, exact, method):
+        coverage, report = exact
+        cell = report.cell("late", method)
         lo, hi = wilson_interval(cell.covered + cell.errors, cell.reps, 1.0 - 1e-6)
-        assert lo <= exact <= hi, (exact, cell.coverage)
+        assert lo <= coverage[method] <= hi, (coverage[method], cell.coverage)
+
+    def test_monte_carlo_inside_wilson_of_exact_coverage(self, exact):
+        """Plain Wald."""
+        self._check(exact, "wald")
+
+    def test_score_monte_carlo_inside_wilson_of_exact_coverage(self, exact):
+        self._check(exact, "score")
+
+    def test_union_monte_carlo_inside_wilson_of_exact_coverage(self, exact):
+        self._check(exact, "union")
