@@ -43,7 +43,6 @@ from .confsets import (
     Interval,
     binary_union_estimand,
     binary_union_set,
-    diameter,
     interval_div,
     normal_quantile,
     score_invert_late,

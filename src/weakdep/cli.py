@@ -44,7 +44,7 @@ def _load_json(path):
 def _parse(obj, builder, what):
     try:
         return builder(obj)
-    except (KeyError, TypeError, ValueError, WeakdepError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, WeakdepError) as exc:
         raise _InputError(f"bad {what}: {exc}") from exc
 
 

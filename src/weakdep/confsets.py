@@ -22,7 +22,8 @@ constructor also takes the counts of a stack of R samples,
 replication axis throughout: Wald with one batched SVD per equation, the
 score set as a quadratic sublevel set per replication, and the union set
 with its interval arithmetic elementwise.  The result is a
-:class:`RegionArrays`; one sample is the R = 1 case of the same
+:class:`RegionArrays` of P pieces per replication, P being what the
+constructor produces; one sample is the R = 1 case of the same
 arithmetic, and every replication's cells are summed in the order numpy
 sums one sample's, so both give the same bits.  The score set needs binary
 Z and W and no X (k_x = 1); the union set needs binary Z and W and takes
@@ -43,12 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateSample,
-    EmptyDataset,
-    PositivityViolation,
-    ZeroConditioningMass,
-)
+from .errors import DegenerateSample, PositivityViolation, ZeroConditioningMass
 from .functionals import (
     FunctionalSpec,
     _adjoint_rows,
@@ -132,65 +128,18 @@ class ConfidenceRegion:
     def is_full(self):
         return self.kind == "full"
 
-    def to_dict(self, s: Interval | None = None):
-        d = {
-            "kind": self.kind,
-            "intervals": [[iv.lo, iv.hi] for iv in self.intervals],
-        }
-        if s is not None:
-            diam = diameter(self, s)
-            d["diameter"] = "inf" if math.isinf(diam) else diam
-        return d
-
 
 FULL_REGION = ConfidenceRegion(kind="full")
 EMPTY_REGION = ConfidenceRegion(kind="empty")
 
 
-def _merge(intervals):
-    """Sort and merge overlapping or touching intervals."""
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    merged = []
-    for iv in ivs:
-        if merged and iv.lo <= merged[-1].hi:
-            last = merged.pop()
-            merged.append(Interval(last.lo, max(last.hi, iv.hi)))
-        else:
-            merged.append(iv)
-    return merged
-
-
-def region_from_intervals(intervals, s: Interval = FULL_LINE) -> ConfidenceRegion:
-    """Normalize raw intervals into a region: merge, clip to s, classify."""
-    clipped = []
-    for iv in intervals:
-        cut = iv.intersect(s)
-        if cut is not None:
-            clipped.append(cut)
-    merged = _merge(clipped)
-    if not merged:
-        return EMPTY_REGION
-    if len(merged) == 1 and merged[0].lo <= s.lo and merged[0].hi >= s.hi:
-        return FULL_REGION
-    return ConfidenceRegion(kind="union", intervals=tuple(merged))
-
-
-def diameter(region: ConfidenceRegion, s: Interval) -> float:
-    """sup minus inf of the region; the full range has the diameter of s."""
-    if region.kind == "empty":
-        return 0.0
-    if region.kind == "full":
-        return s.hi - s.lo
-    return region.intervals[-1].hi - region.intervals[0].lo
-
-
 # ---------------------------------------------------------------------------
 # exact interval arithmetic, elementwise
 #
-# A batch holds at most two pieces per entry: arrays lo and hi of shape
-# (..., 2), NaN marking an absent piece.  Each comparison mirrors the scalar
-# form it stands for (Python's min, max and sorted keep the first of equal
-# values), so the endpoints, signed zeros included, are the scalar ones.
+# A batch holds P pieces per entry: arrays lo and hi of shape (R, P), NaN
+# marking an absent piece.  Each comparison mirrors the scalar form it
+# stands for (Python's min, max and sorted keep the first of equal values),
+# so the endpoints, signed zeros included, are the scalar ones.
 
 
 def _first_min(a, b):
@@ -202,23 +151,31 @@ def _first_max(a, b):
     return np.where(b > a, b, a)
 
 
-def _merge_pairs(lo, hi):
-    """:func:`_merge` of the pieces of every entry."""
-    lo0, lo1, hi0, hi1 = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
-    # sorted by (lo, hi), stably; an absent first piece gives way
-    swap = (lo1 < lo0) | ((lo1 == lo0) & (hi1 < hi0)) | np.isnan(lo0)
-    lo0, lo1 = np.where(swap, lo1, lo0), np.where(swap, lo0, lo1)
-    hi0, hi1 = np.where(swap, hi1, hi0), np.where(swap, hi0, hi1)
-    join = lo1 <= hi0
-    return (np.stack([lo0, np.where(join, np.nan, lo1)], axis=-1),
-            np.stack([np.where(join, _first_max(hi0, hi1), hi0),
-                      np.where(join, np.nan, hi1)], axis=-1))
+def _merge_pieces(lo, hi):
+    """Sort and merge overlapping or touching pieces of every entry.
 
-
-def _one_piece(lo, hi):
-    """Pieces arrays holding the one interval [lo, hi] per entry."""
-    absent = np.full(np.shape(lo), np.nan)
-    return np.stack([lo, absent], axis=-1), np.stack([hi, absent], axis=-1)
+    The pieces of each row of the (R, P) arrays are sorted stably by
+    (lo, hi), absent ones last, and swept left to right: a piece that starts
+    after the open piece's end opens the next slot, and any other joins the
+    open piece, which then ends at the later of the two ends.  The merged
+    pieces come first, in arrays of the same width.
+    """
+    if lo.shape[1] == 1:
+        return lo, hi
+    rows = np.arange(len(lo))
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[rows[:, None], order], hi[rows[:, None], order]
+    merged_lo, merged_hi = np.full_like(lo, np.nan), np.full_like(hi, np.nan)
+    open_lo, open_hi = lo[:, 0], hi[:, 0]
+    slot = np.zeros(len(lo), dtype=np.intp)
+    for j in range(1, lo.shape[1]):
+        merged_lo[rows, slot], merged_hi[rows, slot] = open_lo, open_hi
+        new = lo[:, j] > open_hi                        # False where absent
+        slot = slot + new
+        open_lo = np.where(new, lo[:, j], open_lo)
+        open_hi = np.where(new, hi[:, j], _first_max(open_hi, hi[:, j]))
+    merged_lo[rows, slot], merged_hi[rows, slot] = open_lo, open_hi
+    return merged_lo, merged_hi
 
 
 def _pieces(lo, hi):
@@ -246,7 +203,7 @@ def _divide(num_lo, num_hi, den_lo, den_hi):
     for q in quotients[1:]:
         lo, hi = _first_min(lo, q), _first_max(hi, q)
     present = np.stack([den_lo < 0.0, den_hi > 0.0], axis=-1)
-    return _merge_pairs(np.where(present, lo, np.nan), np.where(present, hi, np.nan))
+    return _merge_pieces(np.where(present, lo, np.nan), np.where(present, hi, np.nan))
 
 
 def interval_div(num: Interval, den: Interval):
@@ -258,8 +215,8 @@ def interval_div(num: Interval, den: Interval):
     image is empty when the denominator is the single point 0.  This is one
     entry of the elementwise division the union set uses.
     """
-    lo, hi = _divide(num.lo, num.hi, den.lo, den.hi)
-    return tuple(_pieces(lo, hi))
+    lo, hi = _divide(*np.array([[num.lo], [num.hi], [den.lo], [den.hi]]))
+    return tuple(_pieces(lo[0], hi[0]))
 
 
 def _quadratic_sublevel(quad, lin, const):
@@ -341,10 +298,11 @@ class RegionArrays:
     """Regions of a stack of replications, entry r for replication r.
 
     ``kind`` is 0 for an empty region, 1 for the union of the pieces
-    [lo[r, i], hi[r, i]] and 2 for the full range; the pieces (at most two,
-    NaN where absent) are clipped to ``s``, sorted and disjoint.  ``reason``
-    indexes :data:`REASONS`, and a degenerate entry (reason nonzero) has the
-    full range; ``message`` indexes ``messages``.  Wald also gives its
+    [lo[r, i], hi[r, i]] and 2 for the full range; lo and hi have shape
+    (R, P), P being the constructor's width, and the pieces (NaN where
+    absent, after the present ones) are clipped to ``s``, sorted and
+    disjoint.  ``reason`` indexes :data:`REASONS`, and a degenerate entry
+    (reason nonzero) has the full range; ``message`` indexes ``messages``.  Wald also gives its
     ``estimate`` and ``stderr`` (NaN where degenerate), and the union set its
     component intervals, name -> (lo, hi) arrays.
     """
@@ -373,8 +331,9 @@ class RegionArrays:
         return (self.kind == _FULL) | ((self.kind == _UNION) & inside)
 
     def diameters(self) -> np.ndarray:
-        """:func:`diameter` of every region."""
-        last_hi = np.where(np.isnan(self.hi[:, 1]), self.hi[:, 0], self.hi[:, 1])
+        """sup minus inf of every region; the full range has the diameter of s."""
+        last = np.maximum((~np.isnan(self.hi)).sum(axis=1) - 1, 0)[:, None]
+        last_hi = np.take_along_axis(self.hi, last, 1)[:, 0]
         return np.where(self.kind == _FULL, self.s.hi - self.s.lo,
                         np.where(self.kind == _UNION, last_hi - self.lo[:, 0], 0.0))
 
@@ -398,12 +357,13 @@ class RegionArrays:
 
 
 def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
-    """RegionArrays of raw pieces: clipped to s, merged and classified as
-    :func:`region_from_intervals` does; degenerate entries get the full range."""
+    """RegionArrays of raw pieces, shape (R, P): each clipped to s, then
+    merged, the region being the full range when one piece covers s and
+    empty when none is left; degenerate entries get the full range."""
     lo = _first_max(lo, s.lo)                                # Interval.intersect
     hi = _first_min(hi, s.hi)
     keep = lo <= hi
-    lo, hi = _merge_pairs(np.where(keep, lo, np.nan), np.where(keep, hi, np.nan))
+    lo, hi = _merge_pieces(np.where(keep, lo, np.nan), np.where(keep, hi, np.nan))
     pieces = (~np.isnan(lo)).sum(axis=-1)
     full = (reason > 0) | ((pieces == 1) & (lo[:, 0] <= s.lo) & (hi[:, 0] >= s.hi))
     kind = np.where(full, _FULL, np.where(pieces > 0, _UNION, _EMPTY))
@@ -412,12 +372,21 @@ def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
 
 
 def fixed_arrays(intervals, s: Interval, reps: int) -> RegionArrays:
-    """The region of ``intervals`` (at most two) for each of ``reps``
+    """The region of ``intervals``, one column each, for each of ``reps``
     replications."""
-    pieces = [(iv.lo, iv.hi) for iv in intervals]
-    pieces += [(np.nan, np.nan)] * (2 - len(pieces))
+    pieces = [(iv.lo, iv.hi) for iv in intervals] or [(np.nan, np.nan)]
     lo, hi = (np.tile(ends, (reps, 1)) for ends in zip(*pieces))
     return _region_arrays(lo, hi, s, np.zeros(reps, dtype=np.int64))
+
+
+def _evaluate(dataset, support, arrays):
+    """``arrays`` of the counts of a stack of samples, or the RegionResult of
+    one sample as the stack of one; an empty single sample raises
+    EmptyDataset."""
+    if isinstance(dataset, Dataset):
+        estimate(dataset, support)      # refuses an empty sample and checks the grid
+        return arrays(dataset.counts[None]).result(0)
+    return arrays(np.asarray(dataset))
 
 
 def _check_counts(counts, support):
@@ -474,13 +443,8 @@ def wald_ci(
     get the full range and a reason, never an exception; an empty single
     sample raises EmptyDataset.
     """
-    if isinstance(dataset, Dataset):
-        if len(dataset) == 0:
-            raise EmptyDataset("cannot build an interval from an empty sample")
-        return _wald_arrays(dataset.counts[None], spec, support, alpha, s,
-                            cross_fit, tol).result(0)
-    return _wald_arrays(np.asarray(dataset), spec, support, alpha, s,
-                        cross_fit, tol)
+    return _evaluate(dataset, support, lambda counts: _wald_arrays(
+        counts, spec, support, alpha, s, cross_fit, tol))
 
 
 def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> RegionArrays:
@@ -532,9 +496,9 @@ def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> RegionArray
     root_n = np.sqrt(np.maximum(n, 1))
     half_width = z * sd / root_n
     bad = reason > 0
-    lo, hi = _one_piece(phi_hat - half_width, phi_hat + half_width)
     return _region_arrays(
-        lo, hi, s, reason, messages=_WALD_MESSAGES,
+        (phi_hat - half_width)[:, None], (phi_hat + half_width)[:, None], s, reason,
+        messages=_WALD_MESSAGES,
         estimate=np.where(bad, np.nan, phi_hat),
         stderr=np.where(bad, np.nan, sd / root_n),
     )
@@ -566,11 +530,8 @@ def score_invert_late(
     an empty single sample raises EmptyDataset.
     """
     require_binary_support(support, 1, "score inversion")
-    if isinstance(dataset, Dataset):
-        if len(dataset) == 0:
-            raise EmptyDataset("cannot invert the score test on an empty sample")
-        return _score_arrays(dataset.counts[None], support, alpha, s).result(0)
-    return _score_arrays(np.asarray(dataset), support, alpha, s)
+    return _evaluate(dataset, support,
+                     lambda counts: _score_arrays(counts, support, alpha, s))
 
 
 def _score_arrays(counts, support, alpha, s) -> RegionArrays:
@@ -688,18 +649,14 @@ def binary_union_set(
     cell gives the full range; an empty single sample raises EmptyDataset.
     """
     require_binary_support(support, 2, "the union set")
-    if isinstance(dataset, Dataset):
-        law = estimate(dataset, support)
-        return _union_arrays(law.mass[None], np.array([len(dataset)]), support,
-                             alpha, s).result(0)
-    counts = np.asarray(dataset)
+    return _evaluate(dataset, support,
+                     lambda counts: _union_arrays(counts, support, alpha, s))
+
+
+def _union_arrays(counts, support, alpha, s) -> RegionArrays:
     _check_counts(counts, support)
     n = counts.sum(axis=(1, 2, 3, 4, 5))
     mass = counts.sum(axis=1) / _cells(np.maximum(n, 1))
-    return _union_arrays(mass, n, support, alpha, s)
-
-
-def _union_arrays(mass, n, support, alpha, s) -> RegionArrays:
     names, est, infl, empty_z = _union_components(mass, support)
     level = alpha / len(names)
     z = normal_quantile(1.0 - level / 2.0)

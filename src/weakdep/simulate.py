@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -118,6 +119,8 @@ class ExperimentPlan:
             raise ValueError("n must be at least 1")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0; got {self.seed}")
 
 
 def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
@@ -132,8 +135,11 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
         func = opts.pop("functional")
         if not isinstance(func, FunctionalSpec):
             func = FunctionalSpec.from_dict(func)
-        cross_fit = bool(opts.pop("cross_fit", False))
-        tol = float(opts.pop("tol", 1e-8))
+        cross_fit = opts.pop("cross_fit", False)
+        if not isinstance(cross_fit, bool):
+            raise ValueError(f"method 'wald': cross_fit must be true or false; "
+                             f"got {cross_fit!r}")
+        tol = _number(opts.pop("tol", 1e-8), "method 'wald': tol")
         _reject_extra(cfg, opts)
         func.validate_against(support)
         return lambda counts: wald_ci(
@@ -152,10 +158,22 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
     elif cfg.name == "empty":
         intervals = []
     else:
-        eps = float(opts.pop("epsilon", 0.0))
+        eps = _number(opts.pop("epsilon", 0.0), "method 'oracle': epsilon")
         intervals = [Interval(case.true_phi - eps, case.true_phi + eps)]
     _reject_extra(cfg, opts)
     return lambda counts: fixed_arrays(intervals, plan.s, len(counts))
+
+
+def _number(value, what, integer=False):
+    """A number given as such: bools and strings are refused, and with
+    ``integer`` so is a number with a fractional part."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number; got {value!r}")
+    if not integer:
+        return float(value)
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer; got {value!r}")
+    return int(value)
 
 
 def _reject_extra(cfg, leftover):
@@ -338,7 +356,7 @@ def plan_from_dict(d) -> ExperimentPlan:
         laws.append(LawCase(
             label=str(entry["label"]),
             law=law_from_dict(entry["law"]),
-            true_phi=float(entry["true_phi"]),
+            true_phi=_number(entry["true_phi"], "true_phi"),
         ))
     if not d["methods"]:
         raise ValueError("a plan needs at least one method")
@@ -351,11 +369,11 @@ def plan_from_dict(d) -> ExperimentPlan:
     plan = ExperimentPlan(
         laws=tuple(laws),
         methods=tuple(methods),
-        n=int(d["n"]),
-        reps=int(d["reps"]),
-        level=float(d["level"]),
-        seed=int(d["seed"]),
-        s=Interval(float(lo), float(hi)),
+        n=_number(d["n"], "n", integer=True),
+        reps=_number(d["reps"], "reps", integer=True),
+        level=_number(d["level"], "level"),
+        seed=_number(d["seed"], "seed", integer=True),
+        s=Interval(_number(lo, "s"), _number(hi, "s")),
     )
     for case in plan.laws:
         for method in plan.methods:

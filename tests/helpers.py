@@ -15,14 +15,14 @@ from weakdep import (
     estimate,
 )
 from weakdep.confsets import (
+    EMPTY_REGION,
     FULL_LINE,
     FULL_REGION,
+    ConfidenceRegion,
     Interval,
     RegionResult,
     _full_result,
-    _merge,
     normal_quantile,
-    region_from_intervals,
     require_binary_support,
 )
 from weakdep.errors import (
@@ -39,6 +39,49 @@ from weakdep.functionals import (
     solve_g,
     solve_q,
 )
+
+
+# ---------------------------------------------------------------------------
+# Scalar region normal form.  The serial reference constructors build their
+# regions with it, and tests check the package's elementwise normal form,
+# RegionArrays, against it.
+
+
+def _merge(intervals):
+    """Sort and merge overlapping or touching intervals."""
+    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
+    merged = []
+    for iv in ivs:
+        if merged and iv.lo <= merged[-1].hi:
+            last = merged.pop()
+            merged.append(Interval(last.lo, max(last.hi, iv.hi)))
+        else:
+            merged.append(iv)
+    return merged
+
+
+def region_from_intervals(intervals, s=FULL_LINE):
+    """Normalize raw intervals into a region: merge, clip to s, classify."""
+    clipped = []
+    for iv in intervals:
+        cut = iv.intersect(s)
+        if cut is not None:
+            clipped.append(cut)
+    merged = _merge(clipped)
+    if not merged:
+        return EMPTY_REGION
+    if len(merged) == 1 and merged[0].lo <= s.lo and merged[0].hi >= s.hi:
+        return FULL_REGION
+    return ConfidenceRegion(kind="union", intervals=tuple(merged))
+
+
+def diameter(region, s):
+    """sup minus inf of the region; the full range has the diameter of s."""
+    if region.kind == "empty":
+        return 0.0
+    if region.kind == "full":
+        return s.hi - s.lo
+    return region.intervals[-1].hi - region.intervals[0].lo
 
 
 def late_support():

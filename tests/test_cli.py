@@ -205,6 +205,7 @@ _BAD_FLAGS = {
     "coverage_methods_blank": ("coverage", ["--methods", ""]),
     "coverage_methods_only_comma": ("coverage", ["--methods", ","]),
     "coverage_methods_empty_item": ("coverage", ["--methods", "wald,,score"]),
+    "coverage_seed_negative": ("coverage", ["--seed", "-1", "--out", "{file}"]),
 }
 
 
@@ -345,6 +346,36 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 100.7),
+        ("reps", 2.9),
+        ("seed", -5),
+        ("seed", 1.5),
+        ("n", "100"),
+        ("reps", True),
+        ("level", "0.95"),
+        ("cross_fit", "false"),
+        ("cross_fit", 1),
+        ("tol", "1e-3"),
+    ])
+    def test_plan_values_are_not_repaired(self, demo_plan, tmp_path, capsys,
+                                          key, value):
+        """A value of the wrong type, a fractional count or a negative seed
+        exits 2 with one line instead of running a rounded or coerced plan."""
+        plan = json.loads(demo_plan.read_text())
+        if key in ("cross_fit", "tol"):
+            plan["methods"] = [{"name": "wald", "functional": {"kind": "late"},
+                                key: value}]
+        else:
+            plan[key] = value
+        demo_plan.write_text(json.dumps(plan))
+        out = tmp_path / "r.csv"
+        out.write_text("keep")
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert out.read_text() == "keep"
 
     def test_unopenable_json_leaves_out_untouched(self, demo_plan, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -10,20 +10,18 @@ from hypothesis import strategies as st
 
 from weakdep import DiscreteLaw, FunctionalSpec, SupportSpec, estimate, sample
 from weakdep.confsets import (
-    EMPTY_REGION,
     FULL_LINE,
-    FULL_REGION,
     Interval,
     binary_union_estimand,
     binary_union_set,
-    diameter,
+    fixed_arrays,
     interval_div,
     normal_quantile,
-    region_from_intervals,
     score_invert_late,
     wald_ci,
     _pieces,
     _quadratic_sublevel,
+    _region_arrays,
 )
 from weakdep.errors import EmptyDataset
 from weakdep.laws import Dataset
@@ -35,11 +33,13 @@ from helpers import (
     case_interval_div,
     compositions,
     dataset_from_rows,
+    diameter,
     interval_add,
     kind_spec,
     kind_support,
     late_law,
     late_support,
+    region_from_intervals,
     row_binary_union_set,
     row_score_invert_late,
     row_wald_ci,
@@ -206,55 +206,85 @@ class TestIntervalArithmetic:
         assert shifted[0].hi == -0.5 and shifted[1].lo == 1.5
 
 
+# endpoints that make pieces touch, nest and share signed zeros and rays
+_PIECE_ENDS = st.one_of(st.sampled_from([-INF, -1.0, -0.0, 0.0, 0.5, 1.0, INF]),
+                        st.floats(-2.0, 2.0))
+_PIECE = st.one_of(st.none(), st.tuples(_PIECE_ENDS, _PIECE_ENDS).map(sorted))
+
+
 class TestRegions:
+    """The package's normal form: fixed_arrays is _region_arrays of the same
+    intervals for every replication."""
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         raw=st.lists(st.tuples(_ENDS, _ENDS).map(_ordered), max_size=6),
         s=st.tuples(_ENDS, _ENDS).map(_ordered),
     )
     def test_normal_form_is_idempotent_and_covers_the_input(self, raw, s):
-        region = region_from_intervals(raw, s)
+        arrays = fixed_arrays(raw, s, 1)
+        region = arrays.result(0).region
         # a full region carries no intervals; as a set it is s itself
-        again = region_from_intervals((s,) if region.is_full else region.intervals, s)
-        assert again == region
+        again = fixed_arrays((s,) if region.is_full else region.intervals, s, 1)
+        assert again.result(0).region == region
         pieces = region.intervals
         assert all(a.hi < b.lo for a, b in zip(pieces, pieces[1:]))
         for iv in raw:
             cut = iv.intersect(s)
             if cut is not None:
-                assert region.contains(cut.lo) and region.contains(cut.hi)
+                assert arrays.contains(cut.lo)[0] and arrays.contains(cut.hi)[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        width=st.integers(1, 6),
+        rows=st.integers(1, 4),
+        data=st.data(),
+        s=st.tuples(_PIECE_ENDS, _PIECE_ENDS).map(sorted),
+    )
+    def test_arrays_match_the_scalar_normal_form(self, width, rows, data, s):
+        """Every entry of a (rows, width) stack of raw pieces, absent ones
+        among them, is the scalar reference's region, endpoints and diameter
+        bit for bit."""
+        s = Interval(*s)
+        raw = data.draw(st.lists(st.lists(_PIECE, min_size=width, max_size=width),
+                                 min_size=rows, max_size=rows))
+        ends = np.array([[(np.nan, np.nan) if piece is None else piece for piece in row]
+                         for row in raw])
+        arrays = _region_arrays(ends[..., 0], ends[..., 1], s,
+                                np.zeros(rows, dtype=np.int64))
+        diameters = arrays.diameters()
+        for r, row in enumerate(raw):
+            want = region_from_intervals(
+                [Interval(*piece) for piece in row if piece is not None], s)
+            got = arrays.result(r).region
+            assert got.kind == want.kind
+            assert _bits(got.intervals) == _bits(want.intervals)
+            # bit for bit: signed zeros, and the NaN of a range s = [inf, inf]
+            assert diameters[r].tobytes() == np.float64(diameter(want, s)).tobytes()
 
     def test_merge_and_clip(self):
-        region = region_from_intervals(
+        region = fixed_arrays(
             [Interval(0.0, 1.0), Interval(0.5, 2.0), Interval(3.0, 4.0)],
-            Interval(-10.0, 10.0),
-        )
+            Interval(-10.0, 10.0), 1,
+        ).result(0).region
         assert region.kind == "union"
         assert [(iv.lo, iv.hi) for iv in region.intervals] == [(0.0, 2.0), (3.0, 4.0)]
 
     def test_collapse_to_full(self):
-        region = region_from_intervals([Interval(-INF, INF)], Interval(-5.0, 5.0))
-        assert region.is_full
+        arrays = fixed_arrays([Interval(-INF, INF)], Interval(-5.0, 5.0), 1)
+        assert arrays.is_full()[0] and arrays.result(0).region.is_full
 
     def test_empty(self):
-        region = region_from_intervals([Interval(2.0, 3.0)], Interval(-1.0, 1.0))
-        assert region is EMPTY_REGION or region.kind == "empty"
+        region = fixed_arrays([Interval(2.0, 3.0)], Interval(-1.0, 1.0), 1).result(0).region
+        assert region.kind == "empty"
 
     def test_diameter_cases(self):
         s = Interval(0.0, 1.0)
-        assert diameter(region_from_intervals([Interval(0.2, 0.5)], s), s) == \
-            pytest.approx(0.3)
-        rays = region_from_intervals(
-            [Interval(-INF, -1.0), Interval(1.0, INF)], Interval(-INF, INF)
-        )
-        assert diameter(rays, Interval(-INF, INF)) == INF
-        assert diameter(FULL_REGION, s) == 1.0
-        assert diameter(EMPTY_REGION, s) == 0.0
-
-    def test_region_json(self):
-        region = region_from_intervals([Interval(0.0, 2.0)], Interval(-5.0, 5.0))
-        d = region.to_dict(Interval(-5.0, 5.0))
-        assert d == {"kind": "union", "intervals": [[0.0, 2.0]], "diameter": 2.0}
+        assert fixed_arrays([Interval(0.2, 0.5)], s, 1).diameters()[0] == pytest.approx(0.3)
+        rays = fixed_arrays([Interval(-INF, -1.0), Interval(1.0, INF)], FULL_LINE, 1)
+        assert rays.diameters()[0] == INF
+        assert fixed_arrays([FULL_LINE], s, 1).diameters()[0] == 1.0
+        assert fixed_arrays([], s, 1).diameters()[0] == 0.0
 
 
 class TestWaldCI:
