@@ -39,11 +39,9 @@ from .adversarial import (
     sherman_morrison_inverse,
 )
 from .confsets import (
-    ConfidenceRegion,
     Interval,
     binary_union_estimand,
     binary_union_set,
-    interval_div,
     normal_quantile,
     score_invert_late,
     wald_ci,

@@ -23,11 +23,12 @@ replication axis throughout: Wald with one batched SVD per equation, the
 score set as a quadratic sublevel set per replication, and the union set
 with its interval arithmetic elementwise.  The result is a
 :class:`RegionArrays` of P pieces per replication, P being what the
-constructor produces; one sample is the R = 1 case of the same
-arithmetic, and every replication's cells are summed in the order numpy
-sums one sample's, so both give the same bits.  The score set needs binary
-Z and W and no X (k_x = 1); the union set needs binary Z and W and takes
-its target from k_x: the ratio when k_x = 1, the X = 1 arm when k_x = 2.
+constructor produces.  One sample (a :class:`~weakdep.laws.Dataset`) gives
+a RegionArrays of one row: it is the R = 1 case of the same arithmetic, and
+every replication's cells are summed in the order numpy sums one sample's,
+so both give the same bits.  The score set needs binary Z and W and no X
+(k_x = 1); the union set needs binary Z and W and takes its target from
+k_x: the ratio when k_x = 1, the X = 1 arm when k_x = 2.
 
 Regions are finite unions of closed intervals, the full parameter range,
 or empty.  Degenerate samples conservatively get the full range and a
@@ -92,45 +93,8 @@ class Interval:
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
-    def contains(self, value):
-        return self.lo <= value <= self.hi
-
-    def intersect(self, other):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
-
 
 FULL_LINE = Interval(-INF, INF)
-
-
-@dataclass(frozen=True)
-class ConfidenceRegion:
-    """Full parameter range, a finite union of disjoint intervals, or empty."""
-
-    kind: str                     # "full" | "union" | "empty"
-    intervals: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("full", "union", "empty"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind == "union" and not self.intervals:
-            raise ValueError("union region needs at least one interval")
-        if self.kind != "union" and self.intervals:
-            raise ValueError(f"{self.kind} region carries no intervals")
-
-    def contains(self, value):
-        if self.kind == "full":
-            return True
-        return any(iv.contains(value) for iv in self.intervals)
-
-    @property
-    def is_full(self):
-        return self.kind == "full"
-
-
-FULL_REGION = ConfidenceRegion(kind="full")
-EMPTY_REGION = ConfidenceRegion(kind="empty")
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +142,6 @@ def _merge_pieces(lo, hi):
     return merged_lo, merged_hi
 
 
-def _pieces(lo, hi):
-    """The intervals of one entry's pieces."""
-    return [Interval(float(a), float(b)) for a, b in zip(lo, hi) if not math.isnan(a)]
-
-
 def _quotient(s, t):
     """s / t elementwise, where s / ±0 is ±inf (0 when s is 0)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -192,8 +151,15 @@ def _quotient(s, t):
 
 
 def _divide(num_lo, num_hi, den_lo, den_hi):
-    """:func:`interval_div` of every entry, as pieces arrays."""
-    # the negative part [lo, -0] and the positive part [+0, hi], stacked
+    """Exact image of {s / t : s in num, t in den, t != 0} of every entry,
+    as pieces arrays.
+
+    The denominator splits into its negative part [lo, -0] and its positive
+    part [+0, hi]; t has constant sign on each, so each maps onto the hull of
+    its four endpoint quotients, where s / ±0 is ±inf (0 when s is 0).  The
+    image is empty when the denominator is the single point 0.
+    """
+    # the two signed parts, stacked
     a = np.stack([den_lo, np.where(den_lo > 0.0, den_lo, 0.0)], axis=-1)
     b = np.stack([np.where(den_hi < 0.0, den_hi, -0.0), den_hi], axis=-1)
     # each part's four endpoint quotients, in the order the scalar form takes them
@@ -204,19 +170,6 @@ def _divide(num_lo, num_hi, den_lo, den_hi):
         lo, hi = _first_min(lo, q), _first_max(hi, q)
     present = np.stack([den_lo < 0.0, den_hi > 0.0], axis=-1)
     return _merge_pieces(np.where(present, lo, np.nan), np.where(present, hi, np.nan))
-
-
-def interval_div(num: Interval, den: Interval):
-    """Exact image of {s / t : s in num, t in den, t != 0} as disjoint intervals.
-
-    The denominator splits into its negative part [lo, -0] and its positive
-    part [+0, hi]; t has constant sign on each, so each maps onto the hull of
-    its four endpoint quotients, where s / ±0 is ±inf (0 when s is 0).  The
-    image is empty when the denominator is the single point 0.  This is one
-    entry of the elementwise division the union set uses.
-    """
-    lo, hi = _divide(*np.array([[num.lo], [num.hi], [den.lo], [den.hi]]))
-    return tuple(_pieces(lo[0], hi[0]))
 
 
 def _quadratic_sublevel(quad, lin, const):
@@ -247,31 +200,6 @@ def _quadratic_sublevel(quad, lin, const):
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-@dataclass(frozen=True)
-class RegionResult:
-    """Region plus diagnostics common to all three constructors.
-
-    A degenerate result carries the full range and, in ``reason``, why it
-    degenerated: the name of the error class, or ``empty_fold`` for a
-    cross-fitting fold without draws.
-    """
-
-    region: ConfidenceRegion
-    estimate: float | None = None
-    stderr: float | None = None
-    message: str = ""
-    components: dict = field(default_factory=dict)
-    reason: str = ""
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.reason)
-
-
-def _full_result(message, reason=DegenerateSample.__name__):
-    return RegionResult(region=FULL_REGION, message=message, reason=reason)
 
 
 def require_binary_support(support: SupportSpec, max_k_x: int, what: str):
@@ -337,30 +265,11 @@ class RegionArrays:
         return np.where(self.kind == _FULL, self.s.hi - self.s.lo,
                         np.where(self.kind == _UNION, last_hi - self.lo[:, 0], 0.0))
 
-    def result(self, r: int) -> RegionResult:
-        """The RegionResult of replication r."""
-        message = self.messages[self.message[r]]
-        if self.reason[r]:
-            return _full_result(message, REASONS[self.reason[r]])
-        if self.kind[r] == _UNION:
-            region = ConfidenceRegion("union", tuple(_pieces(self.lo[r], self.hi[r])))
-        else:
-            region = FULL_REGION if self.kind[r] == _FULL else EMPTY_REGION
-        return RegionResult(
-            region=region,
-            estimate=None if self.estimate is None else float(self.estimate[r]),
-            stderr=None if self.stderr is None else float(self.stderr[r]),
-            message=message,
-            components={name: Interval(float(lo[r]), float(hi[r]))
-                        for name, (lo, hi) in self.components.items()},
-        )
-
-
 def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
     """RegionArrays of raw pieces, shape (R, P): each clipped to s, then
     merged, the region being the full range when one piece covers s and
     empty when none is left; degenerate entries get the full range."""
-    lo = _first_max(lo, s.lo)                                # Interval.intersect
+    lo = _first_max(lo, s.lo)
     hi = _first_min(hi, s.hi)
     keep = lo <= hi
     lo, hi = _merge_pieces(np.where(keep, lo, np.nan), np.where(keep, hi, np.nan))
@@ -380,12 +289,11 @@ def fixed_arrays(intervals, s: Interval, reps: int) -> RegionArrays:
 
 
 def _evaluate(dataset, support, arrays):
-    """``arrays`` of the counts of a stack of samples, or the RegionResult of
-    one sample as the stack of one; an empty single sample raises
-    EmptyDataset."""
+    """``arrays`` of the counts of a stack of samples, or of one sample as
+    the stack of one; an empty single sample raises EmptyDataset."""
     if isinstance(dataset, Dataset):
         estimate(dataset, support)      # refuses an empty sample and checks the grid
-        return arrays(dataset.counts[None]).result(0)
+        return arrays(dataset.counts[None])
     return arrays(np.asarray(dataset))
 
 
@@ -424,7 +332,7 @@ def wald_ci(
     s: Interval = FULL_LINE,
     cross_fit: bool = False,
     tol: float = 1e-8,
-) -> RegionResult | RegionArrays:
+) -> RegionArrays:
     """Plug-in estimate with a normal-quantile interval, clipped to s.
 
     The estimate is the sample mean of m(O, g) + q(Z,X){Y - g(W,X)} with
@@ -433,11 +341,12 @@ def wald_ci(
     the sample standard deviation of those values over sqrt(n).  Both are
     mass-weighted sums over the cells.
 
-    ``dataset`` is one sample (a :class:`~weakdep.laws.Dataset`), for which
-    the result is a RegionResult, or the counts of a stack of R samples,
-    shape (R, 2, k_y, k_z, k_w, k_x), for which it is a :class:`RegionArrays`.
-    Both go through the same arithmetic: every stratum system of every
-    replication and fold is solved by one batched SVD for g and one for q.
+    ``dataset`` is the counts of a stack of R samples, shape
+    (R, 2, k_y, k_z, k_w, k_x), or one sample (a
+    :class:`~weakdep.laws.Dataset`), which gives a :class:`RegionArrays` of
+    one row.  Both go through the same arithmetic: every stratum system of
+    every replication and fold is solved by one batched SVD for g and one
+    for q.
     Degenerate samples (empty conditioning cells, inconsistent empirical
     systems, vanishing representer densities, an empty cross-fitting fold)
     get the full range and a reason, never an exception; an empty single
@@ -512,7 +421,7 @@ def score_invert_late(
     support: SupportSpec,
     alpha: float,
     s: Interval = FULL_LINE,
-) -> RegionResult | RegionArrays:
+) -> RegionArrays:
     """Invert the score test for the binary-instrument ratio target.
 
     The statistic is sqrt(n) times the mean of the estimating function over
@@ -523,11 +432,11 @@ def score_invert_late(
     interval, two rays, the whole line or empty, clipped to s.  Its
     coefficients are moments of the cell counts.
 
-    ``dataset`` is one sample, for which the result is a RegionResult, or
-    the counts of a stack of R samples, shape (R, 2, k_y, k_z, k_w, k_x), for
-    which it is a :class:`RegionArrays`; one sample is the R = 1 case of the
-    same arithmetic.  A sample missing an instrument arm gets the full range;
-    an empty single sample raises EmptyDataset.
+    ``dataset`` is the counts of a stack of R samples, shape
+    (R, 2, k_y, k_z, k_w, k_x), or one sample, which gives a
+    :class:`RegionArrays` of one row: the R = 1 case of the same arithmetic.
+    A sample missing an instrument arm gets the full range; an empty single
+    sample raises EmptyDataset.
     """
     require_binary_support(support, 1, "score inversion")
     return _evaluate(dataset, support,
@@ -631,7 +540,7 @@ def binary_union_set(
     support: SupportSpec,
     alpha: float,
     s: Interval,
-) -> RegionResult | RegionArrays:
+) -> RegionArrays:
     """Union-bound set: component Wald intervals combined by interval arithmetic.
 
     The support decides the target.  Without X (k_x = 1) it is the plain
@@ -642,10 +551,10 @@ def binary_union_set(
     interval straddles zero strictly and the numerator is not identically
     zero the set is the whole range.
 
-    ``dataset`` is one sample, for which the result is a RegionResult with
-    the component intervals, or the counts of a stack of R samples, shape
-    (R, 2, k_y, k_z, k_w, k_x), for which it is a :class:`RegionArrays`; one
-    sample is the R = 1 case of the same arithmetic.  An empty conditioning
+    ``dataset`` is the counts of a stack of R samples, shape
+    (R, 2, k_y, k_z, k_w, k_x), or one sample, which gives a
+    :class:`RegionArrays` of one row: the R = 1 case of the same arithmetic.
+    Its ``components`` hold the component intervals.  An empty conditioning
     cell gives the full range; an empty single sample raises EmptyDataset.
     """
     require_binary_support(support, 2, "the union set")

@@ -55,10 +55,12 @@ class FunctionalSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.omega is not None:
-            object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
+        for name in ("omega", "alpha"):
+            if getattr(self, name) is not None:
+                value = np.asarray(getattr(self, name), dtype=float)
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name} must be finite")
+                object.__setattr__(self, name, value)
         if self.kind == "npiv" and self.omega is None:
             raise ValueError("npiv needs per-cell weights omega")
         if self.kind == "generic" and self.alpha is None:

@@ -35,6 +35,10 @@ MASS_TOL = 1e-12        # construction-time normalization slack
 # relative scale below which two vectors count as collinear
 _COLLINEAR_TOL = 1e-12
 
+# largest sample size whose counts and n stay exact in float64, which the
+# cell masses and the score set's integer moments rely on
+_MAX_N = 2**53
+
 
 def _is_collinear(u, v):
     u = np.asarray(u, dtype=float)
@@ -229,10 +233,10 @@ def sample(law: DiscreteLaw, n: int, seed) -> Dataset:
 
     The two folds are independent multinomials of sizes ``n // 2`` and
     ``n - n // 2``, which is the law of binned i.i.d. rows split at
-    ``n // 2``.  Zero-mass cells take no draw.
+    ``n // 2``.  Zero-mass cells take no draw; n is at most 2**53.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not 0 < n <= _MAX_N:
+        raise ValueError(f"n must lie in [1, 2**53]; got {n}")
     rng = np.random.default_rng(seed)
     flat = law.mass.ravel()
     live = np.flatnonzero(flat)

@@ -43,7 +43,7 @@ from .confsets import (
     wald_ci,
 )
 from .functionals import FunctionalSpec
-from .laws import DiscreteLaw, law_from_dict, law_to_dict, sample
+from .laws import _MAX_N, DiscreteLaw, law_from_dict, law_to_dict, sample
 
 CSV_COLUMNS = (
     "label", "method", "n", "reps", "coverage", "wilson_lo", "wilson_hi",
@@ -87,6 +87,10 @@ class LawCase:
     law: DiscreteLaw
     true_phi: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.true_phi):
+            raise ValueError(f"true_phi must be finite; got {self.true_phi}")
+
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -115,8 +119,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if not 1 <= self.n <= _MAX_N:
+            raise ValueError(f"n must lie in [1, 2**53]; got {self.n}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
         if self.seed < 0:
@@ -140,6 +144,9 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
             raise ValueError(f"method 'wald': cross_fit must be true or false; "
                              f"got {cross_fit!r}")
         tol = _number(opts.pop("tol", 1e-8), "method 'wald': tol")
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"method 'wald': tol must be a finite number >= 0; "
+                             f"got {tol}")
         _reject_extra(cfg, opts)
         func.validate_against(support)
         return lambda counts: wald_ci(

@@ -1,8 +1,8 @@
-"""Shared law builders, generators and row-level reference constructors
-for the test suite."""
+"""Shared law builders, generators, the scalar region model and the
+reference constructors for the test suite."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,13 +15,12 @@ from weakdep import (
     estimate,
 )
 from weakdep.confsets import (
-    EMPTY_REGION,
+    _FULL,
+    _UNION,
     FULL_LINE,
-    FULL_REGION,
-    ConfidenceRegion,
+    REASONS,
     Interval,
-    RegionResult,
-    _full_result,
+    _divide,
     normal_quantile,
     require_binary_support,
 )
@@ -42,9 +41,101 @@ from weakdep.functionals import (
 
 
 # ---------------------------------------------------------------------------
-# Scalar region normal form.  The serial reference constructors build their
-# regions with it, and tests check the package's elementwise normal form,
-# RegionArrays, against it.
+# Scalar region model.  The serial reference constructors return their
+# regions in it, and tests read the package's RegionArrays row by row into it
+# (as_result) to compare the two.
+
+
+@dataclass(frozen=True)
+class ConfidenceRegion:
+    """Full parameter range, a finite union of disjoint intervals, or empty."""
+
+    kind: str                     # "full" | "union" | "empty"
+    intervals: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("full", "union", "empty"):
+            raise ValueError(f"unknown region kind {self.kind!r}")
+        if self.kind == "union" and not self.intervals:
+            raise ValueError("union region needs at least one interval")
+        if self.kind != "union" and self.intervals:
+            raise ValueError(f"{self.kind} region carries no intervals")
+
+    def contains(self, value):
+        if self.kind == "full":
+            return True
+        return any(iv.lo <= value <= iv.hi for iv in self.intervals)
+
+    @property
+    def is_full(self):
+        return self.kind == "full"
+
+
+FULL_REGION = ConfidenceRegion(kind="full")
+EMPTY_REGION = ConfidenceRegion(kind="empty")
+
+
+@dataclass(frozen=True)
+class RegionResult:
+    """Region of one sample plus the diagnostics the constructors give.
+
+    A degenerate result carries the full range and, in ``reason``, why it
+    degenerated: the name of the error class, or ``empty_fold`` for a
+    cross-fitting fold without draws.
+    """
+
+    region: ConfidenceRegion
+    estimate: float | None = None
+    stderr: float | None = None
+    message: str = ""
+    components: dict = field(default_factory=dict)
+    reason: str = ""
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(self.reason)
+
+
+def _full_result(message, reason=DegenerateSample.__name__):
+    return RegionResult(region=FULL_REGION, message=message, reason=reason)
+
+
+def pieces(lo, hi):
+    """The intervals of one entry's pieces arrays, absent (NaN) ones skipped."""
+    return [Interval(float(a), float(b)) for a, b in zip(lo, hi) if not math.isnan(a)]
+
+
+def as_result(arrays, r):
+    """Replication r of a RegionArrays as a RegionResult."""
+    message = arrays.messages[arrays.message[r]]
+    if arrays.reason[r]:
+        return _full_result(message, REASONS[arrays.reason[r]])
+    if arrays.kind[r] == _UNION:
+        region = ConfidenceRegion("union", tuple(pieces(arrays.lo[r], arrays.hi[r])))
+    else:
+        region = FULL_REGION if arrays.kind[r] == _FULL else EMPTY_REGION
+    return RegionResult(
+        region=region,
+        estimate=None if arrays.estimate is None else float(arrays.estimate[r]),
+        stderr=None if arrays.stderr is None else float(arrays.stderr[r]),
+        message=message,
+        components={name: Interval(float(lo[r]), float(hi[r]))
+                    for name, (lo, hi) in arrays.components.items()},
+    )
+
+
+def divide_boxes(boxes):
+    """The package's division of every (num, den) pair of intervals, by one
+    elementwise call: the tuple of intervals of each pair."""
+    ends = np.array([(num.lo, num.hi, den.lo, den.hi) for num, den in boxes])
+    lo, hi = _divide(*ends.T)
+    return [tuple(pieces(a, b)) for a, b in zip(lo, hi)]
+
+
+def intersect(a, b):
+    """The intersection of two intervals, or None when they are disjoint."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    return Interval(lo, hi) if lo <= hi else None
 
 
 def _merge(intervals):
@@ -64,7 +155,7 @@ def region_from_intervals(intervals, s=FULL_LINE):
     """Normalize raw intervals into a region: merge, clip to s, classify."""
     clipped = []
     for iv in intervals:
-        cut = iv.intersect(s)
+        cut = intersect(iv, s)
         if cut is not None:
             clipped.append(cut)
     merged = _merge(clipped)

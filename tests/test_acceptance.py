@@ -34,7 +34,6 @@ from weakdep.confsets import (
     Interval,
     binary_union_estimand,
     binary_union_set,
-    interval_div,
     score_invert_late,
     wald_ci,
 )
@@ -44,6 +43,7 @@ from weakdep import cli
 from helpers import (
     acceptance_base,
     binary_x_law,
+    divide_boxes,
     late_law,
     random_base,
     random_law,
@@ -240,6 +240,15 @@ def test_criterion_4_limit_law():
     )
 
 
+def _draw(law, n, entropy, keys):
+    """One sample of n draws per spawn key, each from its own seed sequence,
+    as a stack of counts."""
+    return np.stack([
+        sample(law, n, np.random.SeedSequence(entropy=entropy, spawn_key=key)).counts
+        for key in keys
+    ])
+
+
 def test_criterion_5_strong_instrument_calibration():
     law = late_law(p_z1=0.5, p_w=(0.2, 0.8))
     phi = wald_ratio(law)
@@ -248,13 +257,9 @@ def test_criterion_5_strong_instrument_calibration():
     reps = 1000
     n = 5000
     started = time.perf_counter()
-    wald_cov = 0
-    score_cov = 0
-    for r in range(reps):
-        seed = np.random.SeedSequence(entropy=105, spawn_key=(0, r))
-        ds = sample(law, n, seed)
-        wald_cov += wald_ci(ds, spec, law.support, 0.05, s=s).region.contains(phi)
-        score_cov += score_invert_late(ds, law.support, 0.05, s).region.contains(phi)
+    counts = _draw(law, n, 105, [(0, r) for r in range(reps)])
+    wald_cov = int(wald_ci(counts, spec, law.support, 0.05, s=s).contains(phi).sum())
+    score_cov = int(score_invert_late(counts, law.support, 0.05, s).contains(phi).sum())
     elapsed = time.perf_counter() - started
     ok = True
     details = []
@@ -279,11 +284,8 @@ def test_criterion_6_wald_non_uniformity():
     n = 2000
     coverages = []
     for t, step in enumerate(seq.steps):
-        cov = 0
-        for r in range(reps):
-            seed = np.random.SeedSequence(entropy=106, spawn_key=(t, r))
-            ds = sample(step.law, n, seed)
-            cov += wald_ci(ds, spec, base.support, 0.05, s=s).region.contains(5.0)
+        counts = _draw(step.law, n, 106, [(t, r) for r in range(reps)])
+        cov = int(wald_ci(counts, spec, base.support, 0.05, s=s).contains(5.0).sum())
         coverages.append(cov / reps)
     record(
         "criterion 6 (wald non-uniformity signature)",
@@ -304,11 +306,9 @@ def test_criterion_7_union_bound_conservative():
         for j, py in enumerate((0.3, 0.5, 0.7)):
             law = binary_x_law(dep, py)
             phi = binary_union_estimand(law)
-            cov = 0
-            for r in range(reps):
-                seed = np.random.SeedSequence(entropy=107, spawn_key=(3 * i + j, r))
-                ds = sample(law, n, seed)
-                cov += binary_union_set(ds, law.support, 0.05, s).region.contains(phi)
+            counts = _draw(law, n, 107, [(3 * i + j, r) for r in range(reps)])
+            region = binary_union_set(counts, law.support, 0.05, s)
+            cov = int(region.contains(phi).sum())
             rate = cov / reps
             lo, hi = wilson_interval(cov, reps)
             half = (hi - lo) / 2.0
@@ -319,14 +319,10 @@ def test_criterion_7_union_bound_conservative():
     seq = generate_sequence(base, 5.0, (0.05, 0.01, 0.002))
     weakest = seq.steps[-1].law
     su = Interval(-20.0, 20.0)
-    full = 0
-    cov = 0
-    for r in range(reps):
-        seed = np.random.SeedSequence(entropy=108, spawn_key=(9, r))
-        ds = sample(weakest, n, seed)
-        res = binary_union_set(ds, weakest.support, 0.05, su)
-        full += res.region.is_full
-        cov += res.region.contains(5.0)
+    counts = _draw(weakest, n, 108, [(9, r) for r in range(reps)])
+    res = binary_union_set(counts, weakest.support, 0.05, su)
+    full = int(res.is_full().sum())
+    cov = int(res.contains(5.0).sum())
     record(
         "criterion 7 (union-bound conservativeness)",
         ok and full / reps >= 0.9,
@@ -340,15 +336,15 @@ def test_criterion_8_interval_division_exactness():
     worst_endpoint = 0.0
     unbounded_ok = True
     membership_ok = True
-    for _ in range(500):
-        def draw():
-            vals = rng.uniform(-3.0, 3.0, size=2)
-            if rng.random() < 0.3:
-                vals[rng.integers(2)] = 0.0
-            return Interval(float(min(vals)), float(max(vals)))
 
-        num, den = draw(), draw()
-        pieces = interval_div(num, den)
+    def draw():
+        vals = rng.uniform(-3.0, 3.0, size=2)
+        if rng.random() < 0.3:
+            vals[rng.integers(2)] = 0.0
+        return Interval(float(min(vals)), float(max(vals)))
+
+    boxes = [(draw(), draw()) for _ in range(500)]
+    for (num, den), pieces in zip(boxes, divide_boxes(boxes)):
         s_vals = np.linspace(num.lo, num.hi, 1000)
         t_parts = []
         if den.lo < 0.0:

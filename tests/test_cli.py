@@ -120,6 +120,21 @@ class TestSolve:
         assert diagnostics["q_residual"] is None
         assert "zero probability" in diagnostics["message"]
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "generic", "alpha": [[float("nan")], [1.0]]},
+        {"kind": "npiv", "omega": [float("inf"), 1.0]},
+    ])
+    def test_non_finite_spec_exit_two(self, tmp_path, valid_law_file, capsys, spec):
+        """A NaN or infinite representer coefficient or weight is refused
+        with one line, not solved into non-strict JSON."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["solve", str(valid_law_file), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "must be finite" in captured.err and "Traceback" not in captured.err
+
     def test_adversarial_law_matches_certificate(
         self, tmp_path, base_file, late_spec_file, capsys
     ):
@@ -358,15 +373,27 @@ class TestCoverage:
         ("cross_fit", "false"),
         ("cross_fit", 1),
         ("tol", "1e-3"),
+        ("tol", float("nan")),
+        ("tol", -1.0),
+        ("tol", float("inf")),
+        ("true_phi", float("nan")),
+        ("true_phi", float("inf")),
+        ("n", 2**53 + 1),
+        ("n", 2**63),
+        ("n", 10**30),
     ])
     def test_plan_values_are_not_repaired(self, demo_plan, tmp_path, capsys,
                                           key, value):
-        """A value of the wrong type, a fractional count or a negative seed
-        exits 2 with one line instead of running a rounded or coerced plan."""
+        """A value of the wrong type, a fractional count, a negative seed, a
+        tol that is not a finite number >= 0, a true_phi that is not finite
+        or an n beyond 2**53 exits 2 with one line instead of running a
+        rounded, coerced or meaningless plan."""
         plan = json.loads(demo_plan.read_text())
         if key in ("cross_fit", "tol"):
             plan["methods"] = [{"name": "wald", "functional": {"kind": "late"},
                                 key: value}]
+        elif key == "true_phi":
+            plan["laws"][0][key] = value
         else:
             plan[key] = value
         demo_plan.write_text(json.dumps(plan))
@@ -376,6 +403,17 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert out.read_text() == "keep"
+
+    def test_largest_n_runs(self, demo_plan, tmp_path, capsys):
+        """n = 2**53, the largest size whose counts stay exact in float64,
+        runs, and every method covers the true value in both replications."""
+        plan = json.loads(demo_plan.read_text())
+        plan["n"], plan["reps"] = 2**53, 2
+        demo_plan.write_text(json.dumps(plan))
+        out = tmp_path / "r.csv"
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["1.0"] * 3
 
     def test_unopenable_json_leaves_out_untouched(self, demo_plan, tmp_path, capsys):
         out = tmp_path / "r.csv"

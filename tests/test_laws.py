@@ -181,6 +181,17 @@ class TestSample:
         band = 4.0 * np.sqrt(p * (1.0 - p) / n)
         assert np.all(np.abs(emp.mass - p) <= band)
 
+    def test_n_up_to_two_to_the_53(self):
+        """Counts and n stay exact in float64 up to n = 2**53; beyond it, or
+        at n = 0, sample refuses the size instead of overflowing."""
+        law = late_law()
+        ds = sample(law, 2**53, seed=5)
+        assert int(ds.counts.sum()) == 2**53
+        assert float(ds.counts.sum()) == 2.0**53
+        for n in (0, 2**53 + 1, 2**63, 10**30):
+            with pytest.raises(ValueError, match="n must lie in"):
+                sample(law, n, seed=5)
+
     def test_counts_on_the_support_grid(self):
         rng = np.random.default_rng(16)
         support = random_support(rng, 3, 2, 2, 1)
