@@ -11,9 +11,9 @@ representative points; where a single value is needed, Y is summarized
 by its cell mean ``iota_y[h] / mu_y[h]`` (exact when Y cells are
 singletons).
 
-A sample is its per-fold cell counts (:class:`Dataset`): every confidence
-set reads a sample only through its empirical law, so no rows and no Y
-values are ever drawn.
+A sample is its per-fold cell counts (:class:`Dataset`), and a block of
+samples the stack of their counts: every confidence set reads a sample
+only through its empirical law, so no rows and no Y values are ever drawn.
 
 Besides laws and samples the module holds what the rest of the package
 uses of them: marginals, the total variation distance, and the dict form
@@ -228,12 +228,20 @@ class Dataset:
         return Dataset(counts)
 
 
-def sample(law: DiscreteLaw, n: int, seed) -> Dataset:
+def sample(law: DiscreteLaw, n: int, seed, reps=None):
     """Draw n i.i.d. observations as per-fold cell counts. Deterministic in seed.
 
     The two folds are independent multinomials of sizes ``n // 2`` and
     ``n - n // 2``, which is the law of binned i.i.d. rows split at
     ``n // 2``.  Zero-mass cells take no draw; n is at most 2**53.
+
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts; a
+    ``Generator`` is used as it is, so successive calls continue its stream.
+    Without ``reps`` the result is one :class:`Dataset`.  With ``reps=R`` it
+    is the int64 count stack ``(R, 2, k_y, k_z, k_w, k_x)`` of R independent
+    samples, drawn in one call; R single draws from the same generator give
+    the same stack, so it does not matter how replications are split into
+    calls.
     """
     if not 0 < n <= _MAX_N:
         raise ValueError(f"n must lie in [1, 2**53]; got {n}")
@@ -241,10 +249,11 @@ def sample(law: DiscreteLaw, n: int, seed) -> Dataset:
     flat = law.mass.ravel()
     live = np.flatnonzero(flat)
     p = flat[live] / flat[live].sum()
-    counts = np.zeros((2, flat.size), dtype=np.int64)
-    for fold, size in enumerate((n // 2, n - n // 2)):
-        counts[fold, live] = rng.multinomial(size, p)
-    return Dataset(counts.reshape((2,) + law.mass.shape))
+    size = (1 if reps is None else reps, 2)
+    counts = np.zeros(size + (flat.size,), dtype=np.int64)
+    counts[..., live] = rng.multinomial([n // 2, n - n // 2], p, size=size)
+    counts = counts.reshape(size + law.mass.shape)
+    return Dataset(counts[0]) if reps is None else counts
 
 
 def estimate(dataset: Dataset, support: SupportSpec) -> DiscreteLaw:

@@ -3,16 +3,19 @@
 A plan pairs laws (each carrying its certified functional value) with
 region constructors; the harness samples, applies every constructor to the
 same draw, and tallies coverage, diameters, full-range fractions and
-degenerate-sample errors (also by reason).  Each replication's seed derives
-from the master seed and the (law, replication) indices through a
-counter-based seed sequence, so replications are independent and
+degenerate-sample errors (also by reason).  Each law draws from its own
+random stream, seeded by the master seed and the law's index in the plan
+through a counter-based seed sequence, so laws draw independently, a
+law's draws do not depend on the laws listed after it, and every run is
 reproducible.  Replications run serially in blocks, in replication order:
-a block's samples are drawn one by one, each from its own seed, and every
-method then evaluates the stack of the block's counts in one call, giving
+a block's count stack comes from one :func:`~weakdep.laws.sample` call on
+the law's stream, and every method then evaluates it in one call, giving
 one :class:`~weakdep.confsets.RegionArrays` per block.  A block holds at
 most :data:`BLOCK_BYTES` of float cell counts, so memory does not grow with
-the number of replications, and the report does not depend on the block
-size.
+the number of replications.  The stream yields the same samples however it
+is split into blocks, so the report does not depend on the block size, and
+the first R' replications of a plan are those of the same plan with
+``reps=R'``.
 Coverage along a weak-dependence sequence is a plan with one
 :class:`LawCase` per step of :func:`~weakdep.adversarial.generate_sequence`.
 """
@@ -125,6 +128,9 @@ class ExperimentPlan:
             raise ValueError("level must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0; got {self.seed}")
+        if self.s.lo == math.inf or self.s.hi == -math.inf:
+            raise ValueError(f"s must contain a finite value; got "
+                             f"[{self.s.lo}, {self.s.hi}]")
 
 
 def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
@@ -321,13 +327,12 @@ def run(plan: ExperimentPlan) -> CoverageReport:
     for law_idx, case in enumerate(plan.laws):
         methods = [_bind_method(m, plan, case) for m in plan.methods]
         tallies = [_Tally(case.true_phi) for _ in plan.methods]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=plan.seed, spawn_key=(law_idx,)))
         block_reps = max(1, BLOCK_BYTES // (16 * case.law.support.n_cells))
         for start in range(0, plan.reps, block_reps):
-            counts = np.stack([
-                sample(case.law, plan.n, np.random.SeedSequence(
-                    entropy=plan.seed, spawn_key=(law_idx, rep_idx))).counts
-                for rep_idx in range(start, min(start + block_reps, plan.reps))
-            ])
+            counts = sample(case.law, plan.n, rng,
+                            reps=min(block_reps, plan.reps - start))
             for construct, tally in zip(methods, tallies):
                 # only the constructor call is timed
                 started = time.perf_counter()

@@ -313,6 +313,19 @@ def multinomial_pmf(counts, p):
     return np.where(impossible, 0.0, np.exp(log_pmf))
 
 
+def serial_sample(law, n, seed):
+    """One sample drawn fold by fold, one multinomial call per fold (the
+    reference for the single-sample stream of ``laws.sample``)."""
+    rng = np.random.default_rng(seed)
+    flat = law.mass.ravel()
+    live = np.flatnonzero(flat)
+    p = flat[live] / flat[live].sum()
+    counts = np.zeros((2, flat.size), dtype=np.int64)
+    for fold, size in enumerate((n // 2, n - n // 2)):
+        counts[fold, live] = rng.multinomial(size, p)
+    return Dataset(counts.reshape((2,) + law.mass.shape))
+
+
 def acceptance_base():
     """Binary ratio-target base: f_Z(1)=0.5, uniform W and Y, cell means (0, 1)."""
     return BaseLawSpec(

@@ -381,13 +381,15 @@ class TestCoverage:
         ("n", 2**53 + 1),
         ("n", 2**63),
         ("n", 10**30),
+        ("s", [float("inf"), float("inf")]),
+        ("s", [-float("inf"), -float("inf")]),
     ])
     def test_plan_values_are_not_repaired(self, demo_plan, tmp_path, capsys,
                                           key, value):
         """A value of the wrong type, a fractional count, a negative seed, a
-        tol that is not a finite number >= 0, a true_phi that is not finite
-        or an n beyond 2**53 exits 2 with one line instead of running a
-        rounded, coerced or meaningless plan."""
+        tol that is not a finite number >= 0, a true_phi that is not finite,
+        an n beyond 2**53 or a range s with no finite value exits 2 with one
+        line instead of running a rounded, coerced or meaningless plan."""
         plan = json.loads(demo_plan.read_text())
         if key in ("cross_fit", "tol"):
             plan["methods"] = [{"name": "wald", "functional": {"kind": "late"},

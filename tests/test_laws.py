@@ -21,7 +21,13 @@ from weakdep.errors import (
 )
 from weakdep.laws import Dataset
 
-from helpers import dataset_from_rows, late_law, random_law, random_support
+from helpers import (
+    dataset_from_rows,
+    late_law,
+    random_law,
+    random_support,
+    serial_sample,
+)
 
 
 def unit_support():
@@ -156,6 +162,17 @@ class TestDivergences:
             assert tv_distance(a, a) == 0.0
 
 
+def sparse_law(shape, law_seed):
+    """Random law on a random (k_y, k, k, k_x) support with about half of
+    its cells at zero mass."""
+    k_y, k, k_x = shape
+    rng = np.random.default_rng(law_seed)
+    support = random_support(rng, k_y, k, k, k_x)
+    raw = rng.gamma(2.0, size=support.shape) * (rng.random(support.shape) < 0.5)
+    raw.flat[rng.integers(raw.size)] += 1.0
+    return DiscreteLaw(support, raw / raw.sum())
+
+
 class TestSample:
     def test_point_mass_rows_identical(self):
         support = unit_support()
@@ -212,12 +229,7 @@ class TestSample:
         """Fold sizes are n // 2 and n - n // 2 (and fold() splits the counts
         into them), zero-mass cells take no draw, and the same seed gives
         the same counts."""
-        k_y, k, k_x = shape
-        rng = np.random.default_rng(law_seed)
-        support = random_support(rng, k_y, k, k, k_x)
-        raw = rng.gamma(2.0, size=support.shape) * (rng.random(support.shape) < 0.5)
-        raw.flat[rng.integers(raw.size)] += 1.0
-        law = DiscreteLaw(support, raw / raw.sum())
+        law = sparse_law(shape, law_seed)
         ds = sample(law, n, seed)
         a, b = ds.fold(0), ds.fold(1)
         assert (len(a), len(b)) == (n // 2, n - n // 2)
@@ -225,6 +237,46 @@ class TestSample:
         np.testing.assert_array_equal(a.counts + b.counts, ds.counts)
         assert not ds.counts[:, law.mass == 0.0].any()
         np.testing.assert_array_equal(sample(law, n, seed).counts, ds.counts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(1, 3)),
+        law_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_sample_stream_is_the_serial_one(self, shape, law_seed, n, seed):
+        """One sample is drawn from the same bits as two multinomial calls,
+        one per fold, and is the first row of a block drawn from the same
+        seed."""
+        law = sparse_law(shape, law_seed)
+        ds = sample(law, n, seed)
+        np.testing.assert_array_equal(ds.counts, serial_sample(law, n, seed).counts)
+        np.testing.assert_array_equal(ds.counts, sample(law, n, seed, reps=3)[0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(1, 3)),
+        law_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10**6),
+        split=st.tuples(st.integers(0, 6), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_continue_one_stream(self, shape, law_seed, n, split, seed):
+        """Blocks of a and b replications drawn in turn from one generator
+        are the block of a + b drawn at once; every (replication, fold) holds
+        n // 2 or n - n // 2 draws, and zero-mass cells none."""
+        law = sparse_law(shape, law_seed)
+        a, b = split
+        rng = np.random.default_rng(seed)
+        parts = [sample(law, n, rng, reps=a), sample(law, n, rng, reps=b)]
+        whole = sample(law, n, np.random.default_rng(seed), reps=a + b)
+        assert whole.shape == (a + b, 2) + law.support.shape
+        assert whole.dtype == np.int64
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        fold_sizes = whole.reshape(a + b, 2, -1).sum(axis=2)
+        assert (fold_sizes == [n // 2, n - n // 2]).all()
+        assert not whole[:, :, law.mass == 0.0].any()
 
     def test_moments_over_many_draws(self):
         """Over 4,000 draws each cell's empirical mass averages to the law's

@@ -118,16 +118,27 @@ class TestDeterminism:
         b = run(small_plan(methods, seed=6))
         assert [c.diameters for c in a.cells] != [c.diameters for c in b.cells]
 
-    def test_replication_streams_differ(self):
-        s1 = np.random.SeedSequence(entropy=9, spawn_key=(0, 0))
-        s2 = np.random.SeedSequence(entropy=9, spawn_key=(0, 1))
-        s3 = np.random.SeedSequence(entropy=9, spawn_key=(1, 0))
-        draws = [np.random.default_rng(s).random(4).tolist() for s in (s1, s2, s3)]
-        assert draws[0] != draws[1] != draws[2]
-        again = np.random.default_rng(
-            np.random.SeedSequence(entropy=9, spawn_key=(0, 0))
-        ).random(4).tolist()
-        assert draws[0] == again
+    def test_each_law_draws_its_own_prefix_stable_stream(self):
+        """A law listed twice gets different draws; a law's cell does not
+        change when a law listed after it is dropped; and the first R'
+        replications of a plan are the plan with reps = R'."""
+        law = late_law()
+        phi = wald_ratio(law)
+        cases = (LawCase("a", law, phi), LawCase("b", law, phi),
+                 LawCase("c", late_law(p_z1=0.3), 0.0))
+
+        def cells(laws, reps):
+            report = run(ExperimentPlan(laws=laws, methods=(WALD,), n=60, reps=reps,
+                                        level=0.95, seed=9, s=S))
+            return {c.label: (c.diameters, c.outcomes) for c in report.cells}
+
+        full = cells(cases, 30)
+        assert full["a"][0] != full["b"][0]
+        assert cells(cases[:1], 30)["a"] == full["a"]
+        assert cells(cases[:2], 30)["b"] == full["b"]
+        short = cells(cases, 11)
+        for label, (diameters, outcomes) in full.items():
+            assert short[label] == (diameters[:11], outcomes[:11])
 
 
 class TestReportFormats:
