@@ -39,7 +39,14 @@ from .errors import (
     SingularPerturbation,
 )
 from .functionals import FunctionalSpec, alpha_from_wx_mass, check_model_membership
-from .laws import DiscreteLaw, SupportSpec, support_from_dict, support_to_dict, tv_distance
+from .laws import (
+    DiscreteLaw,
+    SupportSpec,
+    _numbers,
+    support_from_dict,
+    support_to_dict,
+    tv_distance,
+)
 
 # strict inequalities of the construction are enforced with this slack
 POSITIVITY_SLACK = 1e-12
@@ -141,10 +148,9 @@ class BaseLawSpec:
     def from_dict(cls, d):
         return cls(
             support=support_from_dict(d["support"]),
-            f_zx=d["f_zx"],
-            pi_w_given_x=d["pi_w_given_x"],
-            pi_y_given_x=d["pi_y_given_x"],
             functional=FunctionalSpec.from_dict(d["functional"]),
+            **{name: _numbers(d[name], name)
+               for name in ("f_zx", "pi_w_given_x", "pi_y_given_x")},
         )
 
 
@@ -325,7 +331,13 @@ def gamma_for_target(base: BaseLawSpec, zeta: float) -> float:
 
 @dataclass(frozen=True)
 class SequenceStep:
-    """One generated law with its certificates."""
+    """One generated law with its certificates.
+
+    ``sigma_min`` is the smallest singular value of the conditional mean
+    operator over the strata, and ``cond`` the largest sigma_max / sigma_min
+    over the strata (inf where a stratum is singular): how near singular the
+    scale eta_w made the systems, from the membership check's own solve.
+    """
 
     eta_w: float
     gamma: float
@@ -335,6 +347,8 @@ class SequenceStep:
     tv_to_base: float
     g_residual: float
     q_residual: float
+    sigma_min: float
+    cond: float
 
     def certificate(self):
         return {
@@ -345,6 +359,8 @@ class SequenceStep:
             "tv_to_base": self.tv_to_base,
             "g_residual": self.g_residual,
             "q_residual": self.q_residual,
+            "sigma_min": self.sigma_min,
+            "cond": self.cond,
         }
 
 
@@ -448,10 +464,15 @@ def generate_sequence(
                     f"phi_closed={phi_c!r}, phi_solver={phi_v!r}, "
                     f"in_model={report.in_model}",
                 )
+            sigma_min = np.array(report.sigma_min)
+            cond = np.divide(report.sigma_max, sigma_min,
+                             out=np.full_like(sigma_min, np.inf),
+                             where=sigma_min > 0.0)
             steps.append(SequenceStep(
                 eta_w=eta, gamma=gamma, law=law,
                 phi_closed=phi_c, phi_verified=phi_v, tv_to_base=tv,
                 g_residual=report.g_residual, q_residual=report.q_residual,
+                sigma_min=float(sigma_min.min()), cond=float(cond.max()),
             ))
             prev_tv = tv
             eta *= 0.5

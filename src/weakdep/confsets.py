@@ -19,7 +19,8 @@ fold), after which everything is a mass-weighted sum over the (Y, Z, W, X)
 cells; the score set works on the integer counts themselves.  Every
 constructor also takes the counts of a stack of R samples,
 (R, 2, k_y, k_z, k_w, k_x), and evaluates them in one pass with a leading
-replication axis throughout: Wald with one batched SVD per equation, the
+replication axis throughout: Wald with one stacked solve per equation
+(closed-form rotations for 2x2 strata, batched SVD otherwise), the
 score set as a quadratic sublevel set per replication, and the union set
 with its interval arithmetic elementwise.  The result is a
 :class:`RegionArrays` of P pieces per replication, P being what the
@@ -345,8 +346,8 @@ def wald_ci(
     (R, 2, k_y, k_z, k_w, k_x), or one sample (a
     :class:`~weakdep.laws.Dataset`), which gives a :class:`RegionArrays` of
     one row.  Both go through the same arithmetic: every stratum system of
-    every replication and fold is solved by one batched SVD for g and one
-    for q.
+    every replication and fold is solved in one stacked call for g and one
+    for q (closed-form rotations for 2x2 strata, batched SVD otherwise).
     Degenerate samples (empty conditioning cells, inconsistent empirical
     systems, vanishing representer densities, an empty cross-fitting fold)
     get the full range and a reason, never an exception; an empty single

@@ -4,8 +4,9 @@ The target parameter is phi(P) = E[m(O, g)] where g, a function on the
 (W, X) grid, satisfies E[g(W,X) | Z,X] = E[Y | Z,X].  The equation is a
 stack of k_x square k_z-by-k_w linear systems, one per X stratum (the
 support requires k_z == k_w); the operators are built as (k_x, k, k) stacks
-and solved together by one batched SVD, whose per-stratum singular values
-measure how weak the W-Z dependence is.  The functional is evaluated
+and solved together: by closed-form rotations for 2x2 strata (binary Z and
+W), by one batched SVD otherwise.  The per-stratum singular values measure
+how weak the W-Z dependence is.  The functional is evaluated
 through its representer alpha on the (W, X) grid, phi = E[alpha * g].
 The estimating function is tabulated on the cells of the support
 (:func:`psi1_values`), so estimators see a sample only through its
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation, ZeroConditioningMass
-from .laws import DiscreteLaw, SupportSpec, marginal
+from .laws import DiscreteLaw, SupportSpec, _numbers, marginal
 
 DEFAULT_TOL = 1e-8
 _EPS = np.finfo(float).eps
@@ -132,7 +133,10 @@ class FunctionalSpec:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kind=d["kind"], omega=d.get("omega"), alpha=d.get("alpha"))
+        """The spec of a JSON object; omega and alpha must hold numbers only."""
+        coefficients = {name: _numbers(d[name], name)
+                        for name in ("omega", "alpha") if d.get(name) is not None}
+        return cls(kind=d["kind"], **coefficients)
 
 
 @dataclass(frozen=True)
@@ -211,14 +215,24 @@ def adjoint_mean_operator(law: DiscreteLaw) -> np.ndarray:
 def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
     """Minimum-norm least-squares solve of a stack of per-stratum systems.
 
-    ``lhs`` has shape (..., k_x, r, c) and ``rhs`` (..., k_x, r).  One
-    batched SVD; singular values at or below numpy's default least-squares
-    cutoff eps * max(r, c) * sigma_max count as zero, so a singular system
-    gets its minimum-norm solution.
+    ``lhs`` has shape (..., k_x, r, c) and ``rhs`` (..., k_x, r).  A stack
+    of 2x2 systems (binary Z and W) is solved by closed-form rotations
+    (:func:`_rotation_solve`), any other shape by one batched SVD.  Either
+    way, singular values at or below numpy's default least-squares cutoff
+    eps * max(r, c) * sigma_max count as zero, so a singular system gets its
+    minimum-norm solution.
     Returns the solutions (..., k_x, c), the residual norms (..., k_x), the
     mask of consistent strata (residual <= tol * max(1, |rhs|)) and the
     singular values (..., k_x, min(r, c)), largest first.
     """
+    solve = _rotation_solve if lhs.shape[-2:] == (2, 2) else _svd_solve
+    sol, residuals, rhs_norm, sigma = solve(lhs, rhs)
+    ok = residuals <= tol * np.maximum(1.0, rhs_norm)
+    return sol, residuals, ok, sigma
+
+
+def _svd_solve(lhs, rhs):
+    """Solutions, residual norms, |rhs| and singular values by one batched SVD."""
     u, sigma, vt = np.linalg.svd(lhs, full_matrices=False)
     keep = sigma > _EPS * max(lhs.shape[-2:]) * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
@@ -226,8 +240,42 @@ def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
     sol = vt.mT @ (inv[..., None] * (u.mT @ b))
     r = lhs @ sol - b
     residuals = np.sqrt((r * r).sum(axis=(-2, -1)))
-    ok = residuals <= tol * np.maximum(1.0, np.sqrt((rhs * rhs).sum(axis=-1)))
-    return sol[..., 0], residuals, ok, sigma
+    return sol[..., 0], residuals, np.sqrt((rhs * rhs).sum(axis=-1)), sigma
+
+
+def _rotation_solve(lhs, rhs):
+    """Solutions, residual norms, |rhs| and singular values of 2x2 systems.
+
+    The SVD of [[a, b], [c, d]] in closed form (Blinn 1996): with
+    e, f, g, h = (a+d)/2, (a-d)/2, (c+b)/2, (c-b)/2 the matrix is
+    Rot(phi) diag(s1, s2) Rot(theta), where s1, s2 = hypot(e, h) +- hypot(f, g)
+    (s2 signed) and phi, theta = (t2 +- t1) / 2 for t1 = atan2(g, f),
+    t2 = atan2(h, e).  The solution is Rot(theta)^T diag(1/s1, 1/s2)
+    Rot(phi)^T b, with 1/s2 dropped at the SVD path's cutoff
+    |s2| <= 2 eps s1 and the zero matrix solved by 0.  The factors are
+    backward stable, unlike the adjugate.  Every step is elementwise, so a
+    system gets the same bits alone as in a stack.
+    """
+    a, b, c, d = lhs[..., 0, 0], lhs[..., 0, 1], lhs[..., 1, 0], lhs[..., 1, 1]
+    xs = np.stack([a + d, a - d]) / 2                 # e, f
+    ys = np.stack([c - b, c + b]) / 2                 # h, g
+    (q, r), (t2, t1) = np.hypot(xs, ys), np.arctan2(ys, xs)
+    s1, s2 = q + r, q - r
+    half = np.stack([t2 + t1, t2 - t1]) / 2           # phi, theta
+    (cos_p, cos_t), (sin_p, sin_t) = np.cos(half), np.sin(half)
+
+    b0, b1 = rhs[..., 0], rhs[..., 1]
+    v0 = np.divide(cos_p * b0 + sin_p * b1, s1, out=np.zeros_like(s1),
+                   where=s1 > 0.0)
+    v1 = np.divide(cos_p * b1 - sin_p * b0, s2, out=np.zeros_like(s2),
+                   where=np.abs(s2) > 2.0 * _EPS * s1)
+    x0 = cos_t * v0 + sin_t * v1
+    x1 = cos_t * v1 - sin_t * v0
+
+    r0 = a * x0 + b * x1 - b0
+    r1 = c * x0 + d * x1 - b1
+    return (np.stack([x0, x1], axis=-1), np.sqrt(r0 * r0 + r1 * r1),
+            np.sqrt(b0 * b0 + b1 * b1), np.stack([s1, np.abs(s2)], axis=-1))
 
 
 def _no_solution(residuals, ok, equation):
@@ -369,8 +417,9 @@ class ModelReport:
 
     A residual is None when its equation was never solved.  ``sigma_min``
     holds the smallest singular value of the conditional mean operator on
-    each stratum, the strength of the W-Z dependence there; ``phi`` is the
-    functional from the same solve of the g equation, set in the model only.
+    each stratum, the strength of the W-Z dependence there, and
+    ``sigma_max`` the largest; ``phi`` is the functional from the same solve
+    of the g equation, set in the model only.
     """
 
     in_model: bool
@@ -380,6 +429,7 @@ class ModelReport:
     g_residuals: tuple = ()
     q_residuals: tuple = ()
     sigma_min: tuple = ()
+    sigma_max: tuple = ()
     phi: float | None = None
     message: str = ""
 
@@ -393,6 +443,7 @@ class ModelReport:
                 "g": list(self.g_residuals),
                 "q": list(self.q_residuals),
                 "sigma_min": list(self.sigma_min),
+                "sigma_max": list(self.sigma_max),
             },
             "message": self.message,
         }
@@ -414,6 +465,7 @@ def check_model_membership(
     g_diag = dict(
         g_residual=float(g_res.max()), g_residuals=tuple(g_res.tolist()),
         sigma_min=tuple(sigma[:, -1].tolist()),
+        sigma_max=tuple(sigma[:, 0].tolist()),
     )
 
     try:

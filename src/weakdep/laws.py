@@ -22,6 +22,7 @@ uses of them: marginals, the total variation distance, and the dict form
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,13 +288,45 @@ def support_to_dict(support: SupportSpec):
     }
 
 
+def _number(value, what, integer=False):
+    """A number given as such: bools and strings are refused, and with
+    ``integer`` so is a number with a fractional part."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number; got {value!r}")
+    if not integer:
+        return float(value)
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer; got {value!r}")
+    return int(value)
+
+
+def _numbers(value, what):
+    """A JSON number or (nested) array of numbers as a float array.
+
+    Strings, booleans and nulls are refused, not converted.  numpy infers a
+    string or object dtype from a string or null, and a bool dtype from
+    booleans alone, but reads a boolean among numbers as 0 or 1; so only
+    the entries equal to 0 or 1 have their types looked at.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind == "O" and set(map(type, arr.ravel())) <= {int, float}:
+        arr = arr.astype(float)           # integers beyond 64 bits
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold numbers only")
+    arr = arr.astype(float)
+    suspects = (arr == 0.0) | (arr == 1.0)
+    if suspects.any() and bool in set(map(type, np.array(value, dtype=object)[suspects])):
+        raise ValueError(f"{what} must hold numbers only, not booleans")
+    return arr
+
+
 def support_from_dict(d) -> SupportSpec:
-    spec = SupportSpec(
-        mu_y=d["mu_y"], mu_z=d["mu_z"], mu_w=d["mu_w"], mu_x=d["mu_x"],
-        iota_y=d["iota_y"],
-    )
+    spec = SupportSpec(**{
+        name: _numbers(d[name], name)
+        for name in ("mu_y", "mu_z", "mu_w", "mu_x", "iota_y")
+    })
     for key in ("k_y", "k_z", "k_w", "k_x"):
-        if key in d and int(d[key]) != getattr(spec, key):
+        if key in d and _number(d[key], key, integer=True) != getattr(spec, key):
             raise ValueError(f"{key}={d[key]} inconsistent with measure lengths")
     return spec
 
@@ -307,7 +340,7 @@ def law_to_dict(law: DiscreteLaw):
 
 def law_from_dict(d) -> DiscreteLaw:
     support = support_from_dict(d["support"])
-    mass = np.asarray(d["mass"], dtype=float)
+    mass = _numbers(d["mass"], "mass")
     if mass.size != support.n_cells:
         raise ValueError(
             f"mass array has {mass.size} entries, support has {support.n_cells} cells"

@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,7 +45,7 @@ from .confsets import (
     wald_ci,
 )
 from .functionals import FunctionalSpec
-from .laws import _MAX_N, DiscreteLaw, law_from_dict, law_to_dict, sample
+from .laws import _MAX_N, DiscreteLaw, _number, law_from_dict, law_to_dict, sample
 
 CSV_COLUMNS = (
     "label", "method", "n", "reps", "coverage", "wilson_lo", "wilson_hi",
@@ -175,18 +174,6 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
         intervals = [Interval(case.true_phi - eps, case.true_phi + eps)]
     _reject_extra(cfg, opts)
     return lambda counts: fixed_arrays(intervals, plan.s, len(counts))
-
-
-def _number(value, what, integer=False):
-    """A number given as such: bools and strings are refused, and with
-    ``integer`` so is a number with a fractional part."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number; got {value!r}")
-    if not integer:
-        return float(value)
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-        raise ValueError(f"{what} must be an integer; got {value!r}")
-    return int(value)
 
 
 def _reject_extra(cfg, leftover):

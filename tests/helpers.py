@@ -32,6 +32,7 @@ from weakdep.errors import (
 )
 from weakdep.functionals import (
     NoSolution,
+    _svd_solve,
     m_cell_values,
     psi1_values,
     riesz_alpha,
@@ -421,6 +422,23 @@ def dataset_from_rows(y, z, w, x, support):
     fold = (np.arange(n) >= n // 2).astype(np.int64)
     counts = np.bincount(fold * support.n_cells + flat, minlength=2 * support.n_cells)
     return Dataset(counts.reshape((2,) + support.shape))
+
+
+# ---------------------------------------------------------------------------
+# Reference stratum solver.  This is the package's _solve_strata as it was
+# before 2x2 systems got closed-form rotations: one batched SVD for every
+# shape (the package keeps that path for k >= 3, where TestBatchedSolver
+# checks it against lstsq).  Tests check the rotation path against it, and
+# patch it into the package to compare whole Wald runs on the same counts.
+
+
+def svd_solve_strata(lhs, rhs, tol):
+    """Minimum-norm solve of a stack of systems by one batched SVD, with the
+    returns of ``functionals._solve_strata``: solutions, residual norms, the
+    consistency mask (residual <= tol * max(1, |rhs|)) and the singular
+    values, largest first."""
+    sol, residuals, rhs_norm, sigma = _svd_solve(lhs, rhs)
+    return sol, residuals, residuals <= tol * np.maximum(1.0, rhs_norm), sigma
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,9 @@ class TestGenerateSequence:
     def test_sigma_min_tracks_eta_w(self):
         # the certificates' eta_w really makes every stratum nearly singular:
         # the smallest singular value of each conditional mean operator lies
-        # in [eta_w / 2, eta_w] (it is eta_w / (1 + eta_w) on the ratio base)
+        # in [eta_w / 2, eta_w] (it is eta_w / (1 + eta_w) on the ratio base),
+        # and the certificate reports the smallest of them and the largest
+        # condition number
         bases = (acceptance_base(),
                  random_base(np.random.default_rng(0), k=2, k_y=3, k_x=16, tame=True))
         for base in bases:
@@ -333,6 +335,12 @@ class TestGenerateSequence:
                 assert sigma.shape == (base.support.k_x,)
                 assert np.all(sigma >= 0.5 * step.eta_w)
                 assert np.all(sigma <= step.eta_w)
+                certificate = step.certificate()
+                assert 0.5 * step.eta_w <= certificate["sigma_min"] <= step.eta_w
+                assert certificate["sigma_min"] == sigma.min()
+                assert certificate["cond"] == max(
+                    np.array(report.sigma_max) / sigma)
+                assert certificate["cond"] >= 1.0 / step.eta_w
 
     @pytest.mark.parametrize("zeta, targets", [
         (np.nan, (0.05,)), (-np.inf, (0.05,)), (5.0, (np.nan,)),

@@ -247,6 +247,60 @@ def test_bad_flag_exit_two(case, tmp_path, base_file, valid_law_file,
     assert existing.read_text() == "keep"
 
 
+# (input file, path to one entry, value) that puts something other than a
+# JSON number where a law file, functional spec or base spec needs one; each
+# value reads as the number it replaces (or, for k_y, rounds to it)
+_NOT_NUMBERS = {
+    "mass_string": ("law", ("mass", 0), "0.35"),
+    "mass_bool": ("law", ("mass", 1), False),
+    "measure_string": ("law", ("support", "mu_y", 0), "1"),
+    "measure_bool": ("law", ("support", "mu_w", 1), True),
+    "iota_bool": ("law", ("support", "iota_y", 1), True),
+    "k_fractional": ("law", ("support", "k_y"), 2.5),
+    "k_string": ("law", ("support", "k_y"), "2"),
+    "k_bool": ("law", ("support", "k_x"), True),
+    "alpha_string": ("spec", ("alpha", 0, 0), "-1"),
+    "alpha_bool": ("spec", ("alpha", 1, 0), True),
+    "omega_string": ("spec", ("omega", 0), "0.5"),
+    "base_mass_string": ("base", ("f_zx", 0, 0), "0.5"),
+    "base_kernel_string": ("base", ("pi_w_given_x", 0, 1), "0.5"),
+    "base_measure_bool": ("base", ("support", "mu_z", 0), True),
+    "base_alpha_bool": ("base", ("functional", "alpha", 1, 0), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_NUMBERS))
+def test_input_numbers_are_not_repaired(case, tmp_path, valid_law_file, capsys):
+    """A string, a boolean or a fractional k_* in an input file exits 2 with
+    one line, instead of being converted to the number it spells."""
+    which, path, value = _NOT_NUMBERS[case]
+    if which == "law":
+        doc = laws.law_to_dict(wz_identity_late())
+    elif which == "spec":
+        doc = ({"kind": "npiv", "omega": [0.5, 1.0]} if path[0] == "omega"
+               else {"kind": "generic", "alpha": [[-1.0], [1.0]]})
+    else:
+        doc = acceptance_base().to_dict()
+        doc["functional"] = {"kind": "generic", "alpha": [[-1.0], [1.0]]}
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    file = tmp_path / f"{which}.json"
+    file.write_text(json.dumps(doc))
+    argv = {
+        "law": ["validate", str(file)],
+        "spec": ["solve", str(valid_law_file), str(file)],
+        "base": ["adversarial", str(file), "--zeta", "5", "--tv-targets", "0.05",
+                 "--out", str(tmp_path / "seq")],
+    }[which]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 class TestCoverage:
     @pytest.fixture
     def demo_plan(self, tmp_path):

@@ -8,7 +8,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import DiscreteLaw, FunctionalSpec, SupportSpec, estimate, sample
+from weakdep import (
+    DiscreteLaw,
+    FunctionalSpec,
+    SupportSpec,
+    estimate,
+    generate_sequence,
+    sample,
+)
 from weakdep.confsets import (
     FULL_LINE,
     Interval,
@@ -42,6 +49,7 @@ from helpers import (
     late_law,
     late_support,
     pieces,
+    random_base,
     region_from_intervals,
     row_binary_union_set,
     row_score_invert_late,
@@ -51,6 +59,7 @@ from helpers import (
     serial_quadratic_sublevel,
     serial_score_invert_late,
     serial_wald_ci,
+    svd_solve_strata,
     wald_ratio,
 )
 
@@ -807,6 +816,52 @@ class TestStackedWald:
         counts = counts.reshape((reps, 2) + support.shape)
         _assert_stack_matches_serial(counts, spec, support, 0.05, self.S, cross_fit,
                                      single=True)
+
+    @pytest.mark.parametrize("which", ["strata_sequence", "criterion_6_sequence"])
+    def test_closed_form_matches_svd_reference(self, which, monkeypatch):
+        """Along a certified sequence, cross-fitted Wald with the closed-form
+        2x2 solves gives the reasons and coverage that the batched-SVD
+        reference gives on the same counts.  Estimates agree to 1e-12 of the
+        root-mean-square influence value; standard errors to 1e-12 relative,
+        or to 8 eps times the replication's largest stratum condition number
+        where that is more: both solvers are backward stable, and near-singular
+        empirical strata amplify their rounding by that number."""
+        if which == "strata_sequence":      # binary Z and W, 16 strata
+            base = random_base(np.random.default_rng(0), k=2, k_y=3, k_x=16, tame=True)
+            n = 4000
+        else:
+            base = acceptance_base()
+            n = 2000
+        seq = generate_sequence(base, 5.0, (0.05, 0.01, 0.002))
+        rng = np.random.default_rng(19)
+        for step in seq.steps:
+            counts = sample(step.law, n, rng, reps=300)
+            conds = []
+
+            def reference(lhs, rhs, tol):
+                out = svd_solve_strata(lhs, rhs, tol)
+                sigma = out[3]
+                cond = np.divide(sigma[..., 0], sigma[..., -1],
+                                 out=np.full(sigma.shape[:-1], np.inf),
+                                 where=sigma[..., -1] > 0.0)
+                conds.append(cond.max(axis=(1, 2)))
+                return out
+
+            got = wald_ci(counts, base.functional, base.support, 0.05, self.S,
+                          cross_fit=True)
+            with monkeypatch.context() as patch:
+                patch.setattr("weakdep.confsets._solve_strata", reference)
+                ref = wald_ci(counts, base.functional, base.support, 0.05, self.S,
+                              cross_fit=True)
+            np.testing.assert_array_equal(got.reason, ref.reason)
+            np.testing.assert_array_equal(got.contains(5.0), ref.contains(5.0))
+            live = ref.reason == 0
+            assert np.array_equal(live, ~np.isnan(got.estimate))
+            est, se = ref.estimate[live], ref.stderr[live]
+            rms = np.hypot(est, se * np.sqrt(n))
+            assert np.all(np.abs(got.estimate[live] - est) <= 1e-12 * rms)
+            rtol = np.maximum(1e-12, 8.0 * np.finfo(float).eps * np.maximum(*conds)[live])
+            assert np.all(np.abs(got.stderr[live] - se) <= rtol * se)
 
     def test_stack_is_not_an_exception_path(self):
         """A stack mixing regular, degenerate and empty replications returns

@@ -30,7 +30,16 @@ from weakdep.functionals import (
 )
 from weakdep.laws import marginal
 
-from helpers import late_law, random_law, random_support, spec_for_support, wald_ratio
+from helpers import (
+    late_law,
+    random_law,
+    random_support,
+    spec_for_support,
+    svd_solve_strata,
+    wald_ratio,
+)
+
+EPS = np.finfo(float).eps
 
 
 def wz_identity_late(r=(0.3, 0.7), p_z1=0.5):
@@ -136,6 +145,108 @@ class TestBatchedSolver:
             else:
                 assert isinstance(result, NoSolution)
                 assert result.stratum == int(np.flatnonzero(~ref_ok)[0])
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+@st.composite
+def two_by_two_systems(draw):
+    """A stack of 1-12 2x2 systems at scales 1e-3 to 1e3, with right-hand
+    sides and the mask of those built consistent.
+
+    Each matrix is random, a rotation of diag(1, 10**-u) with u in [0, 17],
+    or has equal rows, equal columns, a zero row, or no nonzero entry.  Each
+    right-hand side is b = A x (consistent) or random.
+    """
+    size = draw(st.integers(1, 12))
+    kinds = draw(st.lists(
+        st.sampled_from(("random", "rotated", "equal_rows", "equal_columns",
+                         "zero_row", "zero")),
+        min_size=size, max_size=size,
+    ))
+    consistent = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lhs = rng.normal(size=(size, 2, 2))
+    for i, kind in enumerate(kinds):
+        if kind == "rotated":
+            u = draw(st.floats(0.0, 17.0))
+            t = rng.uniform(-np.pi, np.pi, size=2)
+            lhs[i] = _rotation(t[0]) @ np.diag([1.0, 10.0 ** -u]) @ _rotation(t[1])
+        elif kind == "equal_rows":
+            lhs[i, 1] = lhs[i, 0]
+        elif kind == "equal_columns":
+            lhs[i, :, 1] = lhs[i, :, 0]
+        elif kind == "zero_row":
+            lhs[i, rng.integers(2)] = 0.0
+        elif kind == "zero":
+            lhs[i] = 0.0
+    lhs *= 10.0 ** rng.uniform(-3.0, 3.0, size=(size, 1, 1))
+    built = np.einsum("sij,sj->si", lhs, rng.normal(size=(size, 2)))
+    rhs = np.where(consistent[:, None], built, rng.normal(size=(size, 2)))
+    return lhs, rhs, consistent
+
+
+class TestRotationSolve:
+    """The closed-form 2x2 path against the batched-SVD reference."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=two_by_two_systems())
+    def test_matches_svd_reference(self, case):
+        lhs, rhs, consistent = case
+        sol, residuals, ok, sigma = _solve_strata(lhs, rhs, DEFAULT_TOL)
+        ref, ref_res, ref_ok, ref_sigma = svd_solve_strata(lhs, rhs, DEFAULT_TOL)
+        s1 = ref_sigma[:, 0]
+        cutoff = 2.0 * EPS * s1
+
+        # singular values, largest first, to within 4 eps sigma_max
+        assert np.all(sigma[:, 0] >= sigma[:, 1]) and np.all(sigma[:, 1] >= 0.0)
+        assert np.all(np.abs(sigma - ref_sigma) <= 4.0 * EPS * s1[:, None])
+
+        # outside a 4x band around the cutoff the rank decision is the same
+        band = (s1 > 0.0) & (ref_sigma[:, 1] >= cutoff / 4) & (ref_sigma[:, 1] <= 4 * cutoff)
+        clear = ~band
+        rank = (sigma > 2.0 * EPS * sigma[:, :1]).sum(axis=1)
+        ref_rank = (ref_sigma > cutoff[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(rank[clear], ref_rank[clear])
+
+        # the minimum-norm solutions agree within the least-squares
+        # perturbation bound eps * cond * (|x| + |r| / sigma_r), sigma_r the
+        # smallest kept singular value and r the least-squares residual
+        kept = np.take_along_axis(ref_sigma, np.maximum(ref_rank - 1, 0)[:, None], 1)[:, 0]
+        cond = np.divide(s1, kept, out=np.zeros_like(s1), where=ref_rank > 0)
+        size = np.linalg.norm(ref, axis=1) + np.divide(
+            ref_res, kept, out=np.zeros_like(s1), where=ref_rank > 0)
+        gap = np.linalg.norm(sol - ref, axis=1)
+        assert np.all(gap[clear] <= 16.0 * EPS * (cond * size)[clear])
+
+        # the consistency decision is the same away from the tolerance, and
+        # every system built consistent is consistent
+        threshold = DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+        sure = clear & ((ref_res < threshold / 4) | (ref_res > 4 * threshold))
+        np.testing.assert_array_equal(ok[sure], ref_ok[sure])
+        assert ok[consistent].all()
+
+        # elementwise: each system alone gives the bits it gets in the stack
+        for i in range(len(lhs)):
+            alone = _solve_strata(lhs[i:i + 1], rhs[i:i + 1], DEFAULT_TOL)
+            for got, stacked in zip(alone, (sol, residuals, ok, sigma)):
+                np.testing.assert_array_equal(got[0], stacked[i])
+
+    def test_two_by_two_stacks_skip_the_svd(self, monkeypatch):
+        """The closed form is chosen by shape: no 2x2 stack reaches LAPACK,
+        every other shape does."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        lhs = np.random.default_rng(5).normal(size=(3, 4, 2, 2))
+        rhs = np.ones((3, 4, 2))
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        sol, _, ok, sigma = _solve_strata(lhs, rhs, DEFAULT_TOL)
+        assert sol.shape == (3, 4, 2) and ok.shape == (3, 4) and sigma.shape == (3, 4, 2)
+        with pytest.raises(AssertionError, match="svd called"):
+            _solve_strata(np.eye(3)[None], np.ones((1, 3)), DEFAULT_TOL)
 
 
 class TestCondMeanOperator:

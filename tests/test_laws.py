@@ -19,7 +19,7 @@ from weakdep.errors import (
     EmptyDataset,
     SupportMismatch,
 )
-from weakdep.laws import Dataset
+from weakdep.laws import Dataset, law_from_dict, law_to_dict
 
 from helpers import (
     dataset_from_rows,
@@ -59,6 +59,24 @@ class TestSupportSpec:
     def test_single_y_cell_rejected(self):
         with pytest.raises(ValueError):
             SupportSpec(mu_y=[1.0], mu_z=[1], mu_w=[1], mu_x=[1], iota_y=[1.0])
+
+
+class TestLawDict:
+    def test_json_numbers_are_taken_as_written(self):
+        """Integers, also beyond 64 bits, are numbers, and k_* may be an
+        integer-valued float; strings and booleans are refused."""
+        d = law_to_dict(uniform_law())
+        d["support"]["mu_x"] = [10**20]
+        d["support"]["k_y"] = 2.0
+        d["mass"] = [1] + [0] * 7
+        law = law_from_dict(d)
+        assert law.support.mu_x.tolist() == [1e20]
+        assert law.mass.ravel().tolist() == [1.0] + [0.0] * 7
+        for key, value in (("mu_x", [10**20, True]), ("mu_x", ["1"]), ("k_y", 2.5)):
+            bad = law_to_dict(uniform_law())
+            bad["support"][key] = value
+            with pytest.raises(ValueError):
+                law_from_dict(bad)
 
 
 class TestValidate:
