@@ -2,7 +2,6 @@
 adversarial law sequences, and confidence-set coverage experiments."""
 
 from .laws import (
-    Dataset,
     DiscreteLaw,
     SupportSpec,
     estimate,

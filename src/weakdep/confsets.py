@@ -13,27 +13,27 @@ Three constructors:
   combined with exact interval arithmetic (ratio plus offset), valid by
   the union bound for binary Z, W, X.
 
-Each constructor reads a sample, which is its per-fold cell counts, only
-through its empirical law: the counts divided by n once (per cross-fit
-fold), after which everything is a mass-weighted sum over the (Y, Z, W, X)
-cells; the score set works on the integer counts themselves.  Every
-constructor also takes the counts of a stack of R samples,
-(R, 2, k_y, k_z, k_w, k_x), and evaluates them in one pass with a leading
-replication axis throughout: Wald with one stacked solve per equation
-(closed-form rotations for 2x2 strata, batched SVD otherwise), the
-score set as a quadratic sublevel set per replication, and the union set
-with its interval arithmetic elementwise.  The result is a
+Every constructor takes the per-fold cell counts of a stack of R samples,
+(R, 2, k_y, k_z, k_w, k_x), one sample being the stack of one, and
+evaluates them in one pass with a leading replication axis throughout.
+The counts are checked by :func:`~weakdep.laws.check_counts`.  Wald and
+the union set read a sample only through its empirical masses, from
+:func:`~weakdep.laws.estimate` (per cross-fit fold for Wald), after which
+everything is a mass-weighted sum over the (Y, Z, W, X) cells; the score
+set works on the integer counts themselves.  Wald solves each equation in
+one stacked call (closed-form rotations for 2x2 strata, batched SVD
+otherwise), the score set is a quadratic sublevel set per replication, and
+the union set does its interval arithmetic elementwise.  The result is a
 :class:`RegionArrays` of P pieces per replication, P being what the
-constructor produces.  One sample (a :class:`~weakdep.laws.Dataset`) gives
-a RegionArrays of one row: it is the R = 1 case of the same arithmetic, and
-every replication's cells are summed in the order numpy sums one sample's,
-so both give the same bits.  The score set needs binary Z and W and no X
-(k_x = 1); the union set needs binary Z and W and takes its target from
-k_x: the ratio when k_x = 1, the X = 1 arm when k_x = 2.
+constructor produces.  Every replication's cells are summed in the order
+numpy sums one sample's, so a sample gives the same bits alone and in a
+stack.  The score set needs binary Z and W and no X (k_x = 1); the union
+set needs binary Z and W and takes its target from k_x: the ratio when
+k_x = 1, the X = 1 arm when k_x = 2.
 
 Regions are finite unions of closed intervals, the full parameter range,
-or empty.  Degenerate samples conservatively get the full range and a
-reason, never an exception; only an empty single sample raises.
+or empty.  Degenerate samples, empty ones included, conservatively get the
+full range and a reason, never an exception.
 The one special function all three need, the normal quantile, is the
 standard library's.
 """
@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import DegenerateSample, PositivityViolation, ZeroConditioningMass
 from .functionals import (
+    DEFAULT_TOL,
     FunctionalSpec,
     _adjoint_rows,
     _cond_mean_rows,
@@ -56,7 +57,7 @@ from .functionals import (
     _solve_strata,
     psi1_values,
 )
-from .laws import Dataset, DiscreteLaw, SupportSpec, estimate
+from .laws import DiscreteLaw, SupportSpec, check_counts, estimate
 
 INF = float("inf")
 
@@ -263,8 +264,11 @@ class RegionArrays:
         """sup minus inf of every region; the full range has the diameter of s."""
         last = np.maximum((~np.isnan(self.hi)).sum(axis=1) - 1, 0)[:, None]
         last_hi = np.take_along_axis(self.hi, last, 1)[:, 0]
+        with np.errstate(invalid="ignore"):         # inf - inf on an infinite s
+            spans = last_hi - self.lo[:, 0]
         return np.where(self.kind == _FULL, self.s.hi - self.s.lo,
-                        np.where(self.kind == _UNION, last_hi - self.lo[:, 0], 0.0))
+                        np.where(self.kind == _UNION, spans, 0.0))
+
 
 def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
     """RegionArrays of raw pieces, shape (R, P): each clipped to s, then
@@ -289,20 +293,15 @@ def fixed_arrays(intervals, s: Interval, reps: int) -> RegionArrays:
     return _region_arrays(lo, hi, s, np.zeros(reps, dtype=np.int64))
 
 
-def _evaluate(dataset, support, arrays):
-    """``arrays`` of the counts of a stack of samples, or of one sample as
-    the stack of one; an empty single sample raises EmptyDataset."""
-    if isinstance(dataset, Dataset):
-        estimate(dataset, support)      # refuses an empty sample and checks the grid
-        return arrays(dataset.counts[None])
-    return arrays(np.asarray(dataset))
-
-
 def _check_counts(counts, support):
-    if counts.ndim != 6 or counts.shape[1:] != (2,) + support.shape:
+    """The checked int64 counts of a stack of samples, shape (R, 2) plus the
+    support's."""
+    counts = check_counts(counts, support)
+    if counts.ndim != 6 or counts.shape[1] != 2:
         raise ValueError(
             f"counts must have shape (R, 2) + {support.shape}, got {counts.shape}"
         )
+    return counts
 
 
 def _cells(values):
@@ -326,13 +325,12 @@ _WALD_MESSAGES = (
 
 
 def wald_ci(
-    dataset: Dataset | np.ndarray,
+    counts: np.ndarray,
     spec: FunctionalSpec,
     support: SupportSpec,
     alpha: float,
     s: Interval = FULL_LINE,
     cross_fit: bool = False,
-    tol: float = 1e-8,
 ) -> RegionArrays:
     """Plug-in estimate with a normal-quantile interval, clipped to s.
 
@@ -342,45 +340,38 @@ def wald_ci(
     the sample standard deviation of those values over sqrt(n).  Both are
     mass-weighted sums over the cells.
 
-    ``dataset`` is the counts of a stack of R samples, shape
-    (R, 2, k_y, k_z, k_w, k_x), or one sample (a
-    :class:`~weakdep.laws.Dataset`), which gives a :class:`RegionArrays` of
-    one row.  Both go through the same arithmetic: every stratum system of
-    every replication and fold is solved in one stacked call for g and one
-    for q (closed-form rotations for 2x2 strata, batched SVD otherwise).
-    Degenerate samples (empty conditioning cells, inconsistent empirical
-    systems, vanishing representer densities, an empty cross-fitting fold)
-    get the full range and a reason, never an exception; an empty single
-    sample raises EmptyDataset.
+    ``counts`` is the stack of R samples' counts, shape
+    (R, 2, k_y, k_z, k_w, k_x).  Every stratum system of every replication
+    and fold is solved in one stacked call for g and one for q (closed-form
+    rotations for 2x2 strata, batched SVD otherwise), and is consistent when
+    its residual is at most ``DEFAULT_TOL`` times max(1, response norm).  Degenerate
+    samples (empty conditioning cells, inconsistent empirical systems,
+    vanishing representer densities, an empty cross-fitting fold, an empty
+    sample) get the full range and a reason, never an exception.
     """
-    return _evaluate(dataset, support, lambda counts: _wald_arrays(
-        counts, spec, support, alpha, s, cross_fit, tol))
-
-
-def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> RegionArrays:
     spec.validate_against(support)
-    _check_counts(counts, support)
+    counts = _check_counts(counts, support)
     z = normal_quantile(1.0 - alpha / 2.0)
     cells = (None,) * 4                                 # broadcast over the cells
     fold_n = counts.sum(axis=(-4, -3, -2, -1))          # (R, 2)
     n = fold_n.sum(axis=-1)                             # (R,)
     if cross_fit:
         # fold f fits the nuisances and fold 1 - f weighs their values
-        fits = counts / np.maximum(fold_n, 1)[(...,) + cells]
+        fits = estimate(counts, support)
         share = fold_n[:, [1, 0]] / np.maximum(n, 1)[:, None]
         weights = fits[:, [1, 0]] * share[(...,) + cells]
         empty_fold = (fold_n == 0).any(axis=-1)
     else:
-        fits = (counts.sum(axis=1) / np.maximum(n, 1)[(...,) + cells])[:, None]
+        fits = estimate(counts.sum(axis=1), support)[:, None]
         weights = fits
         empty_fold = np.zeros(n.shape, dtype=bool)
 
     lhs, empty_g = _cond_mean_rows(fits)
     rhs, _ = _response_rows(fits, support.y_cell_means)   # same (Z, X) rows
-    g, _, g_ok, _ = _solve_strata(lhs, rhs, tol)
+    g, _, g_ok, _ = _solve_strata(lhs, rhs, DEFAULT_TOL)
     alpha_wx, positivity = _representer(spec, support, fits.sum(axis=(-4, -3)))
     adj, empty_q = _adjoint_rows(fits)
-    q, _, q_ok, _ = _solve_strata(adj, alpha_wx.swapaxes(-1, -2), tol)
+    q, _, q_ok, _ = _solve_strata(adj, alpha_wx.swapaxes(-1, -2), DEFAULT_TOL)
 
     # first failure of each (replication, fold), in the order a serial
     # solve meets them: g's conditioning cells, g's consistency, the
@@ -395,13 +386,11 @@ def _wald_arrays(counts, spec, support, alpha, s, cross_fit, tol) -> RegionArray
     reason = np.where(failure[:, 0] > 0, failure[:, 0], failure[:, -1])
     reason = np.where(empty_fold, _EMPTY_FOLD, reason)
 
-    def total(terms):
-        # each fold's cells summed as one contiguous run, then the folds
-        return terms.reshape(terms.shape[:2] + (-1,)).sum(axis=-1).sum(axis=-1)
-
+    # each fold's cells summed as one contiguous run, then the folds
     values = psi1_values(support, spec, g.swapaxes(-1, -2), q.swapaxes(-1, -2))
-    phi_hat = total(weights * values)
-    ss = total(weights * (values - phi_hat[(..., None) + cells]) ** 2)
+    phi_hat = _total(weights * values, lead=2).sum(axis=-1)
+    centred = values - phi_hat[(..., None) + cells]
+    ss = _total(weights * centred ** 2, lead=2).sum(axis=-1)
     sd = np.sqrt(np.divide(ss * n, n - 1, out=np.zeros_like(ss), where=n > 1))
     root_n = np.sqrt(np.maximum(n, 1))
     half_width = z * sd / root_n
@@ -418,7 +407,7 @@ _SCORE_MESSAGES = ("", "instrument arm z=0 unobserved", "instrument arm z=1 unob
 
 
 def score_invert_late(
-    dataset: Dataset | np.ndarray,
+    counts: np.ndarray,
     support: SupportSpec,
     alpha: float,
     s: Interval = FULL_LINE,
@@ -433,20 +422,12 @@ def score_invert_late(
     interval, two rays, the whole line or empty, clipped to s.  Its
     coefficients are moments of the cell counts.
 
-    ``dataset`` is the counts of a stack of R samples, shape
-    (R, 2, k_y, k_z, k_w, k_x), or one sample, which gives a
-    :class:`RegionArrays` of one row: the R = 1 case of the same arithmetic.
-    A sample missing an instrument arm gets the full range; an empty single
-    sample raises EmptyDataset.
+    ``counts`` is the stack of R samples' counts, shape
+    (R, 2, k_y, k_z, k_w, k_x).  A sample missing an instrument arm, an
+    empty one included, gets the full range and a reason.
     """
     require_binary_support(support, 1, "score inversion")
-    return _evaluate(dataset, support,
-                     lambda counts: _score_arrays(counts, support, alpha, s))
-
-
-def _score_arrays(counts, support, alpha, s) -> RegionArrays:
-    _check_counts(counts, support)
-    counts = counts.sum(axis=1)[..., 0]                 # (R, k_y, 2, 2) integers
+    counts = _check_counts(counts, support).sum(axis=1)[..., 0]   # (R, k_y, 2, 2)
     n0, n1 = np.moveaxis(counts.sum(axis=(1, 3)), -1, 0)
 
     # Per row, the estimating function is c(Z) (A - theta B) with A and B
@@ -537,7 +518,7 @@ def binary_union_estimand(law: DiscreteLaw) -> float:
 
 
 def binary_union_set(
-    dataset: Dataset | np.ndarray,
+    counts: np.ndarray,
     support: SupportSpec,
     alpha: float,
     s: Interval,
@@ -552,21 +533,15 @@ def binary_union_set(
     interval straddles zero strictly and the numerator is not identically
     zero the set is the whole range.
 
-    ``dataset`` is the counts of a stack of R samples, shape
-    (R, 2, k_y, k_z, k_w, k_x), or one sample, which gives a
-    :class:`RegionArrays` of one row: the R = 1 case of the same arithmetic.
-    Its ``components`` hold the component intervals.  An empty conditioning
-    cell gives the full range; an empty single sample raises EmptyDataset.
+    ``counts`` is the stack of R samples' counts, shape
+    (R, 2, k_y, k_z, k_w, k_x).  The result's ``components`` hold the
+    component intervals.  An empty conditioning cell, as in an empty sample,
+    gives the full range and a reason.
     """
     require_binary_support(support, 2, "the union set")
-    return _evaluate(dataset, support,
-                     lambda counts: _union_arrays(counts, support, alpha, s))
-
-
-def _union_arrays(counts, support, alpha, s) -> RegionArrays:
-    _check_counts(counts, support)
-    n = counts.sum(axis=(1, 2, 3, 4, 5))
-    mass = counts.sum(axis=1) / _cells(np.maximum(n, 1))
+    counts = _check_counts(counts, support).sum(axis=1)
+    n = counts.sum(axis=(1, 2, 3, 4))
+    mass = estimate(counts, support)
     names, est, infl, empty_z = _union_components(mass, support)
     level = alpha / len(names)
     z = normal_quantile(1.0 - level / 2.0)

@@ -21,10 +21,6 @@ class ZeroConditioningMass(WeakdepError):
         super().__init__(message or f"zero probability on conditioning cell {cell}")
 
 
-class EmptyDataset(WeakdepError):
-    """An estimator was fed zero rows."""
-
-
 class PositivityViolation(WeakdepError):
     """A representer denominator density is zero on some cell."""
 

@@ -11,9 +11,11 @@ representative points; where a single value is needed, Y is summarized
 by its cell mean ``iota_y[h] / mu_y[h]`` (exact when Y cells are
 singletons).
 
-A sample is its per-fold cell counts (:class:`Dataset`), and a block of
-samples the stack of their counts: every confidence set reads a sample
-only through its empirical law, so no rows and no Y values are ever drawn.
+A sample is its per-fold cell counts, and samples come as the stack of
+their counts, ``(R, 2, k_y, k_z, k_w, k_x)``; one sample is the stack of
+one.  Every confidence set reads a sample only through its counts, so no
+rows and no Y values are ever drawn.  :func:`check_counts` is the one check
+of counts and :func:`estimate` the one map from counts to empirical masses.
 
 Besides laws and samples the module holds what the rest of the package
 uses of them: marginals, the total variation distance, and the dict form
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearSupport, EmptyDataset, SupportMismatch
+from .errors import CollinearSupport, SupportMismatch
 
 AXES = ("Y", "Z", "W", "X")
 
@@ -48,8 +50,8 @@ def _is_collinear(u, v):
     return gram <= _COLLINEAR_TOL * max((u @ u) * (v @ v), 1e-300)
 
 
-def _ro(a, dtype=float):
-    out = np.array(a, dtype=dtype)
+def _ro(a):
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -193,44 +195,10 @@ def tv_distance(a: DiscreteLaw, b: DiscreteLaw) -> float:
     return 0.5 * float(np.abs(a.mass - b.mass).sum())
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """A sample as its cell counts: ``counts[f, h, l, j, m]`` draws of fold f
-    fell on cell (h, l, j, m).
-
-    :func:`sample` puts the first ``n // 2`` draws in fold 0 and the rest in
-    fold 1, so that cross-fitting splits a sample without rows.  Counts are
-    read-only non-negative integers.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        raw = np.asarray(self.counts)
-        if raw.ndim != 5 or raw.shape[0] != 2:
-            raise ValueError(
-                f"counts must have shape (2, k_y, k_z, k_w, k_x), got {raw.shape}"
-            )
-        if raw.dtype.kind not in "iu" and not (
-            np.all(np.isfinite(raw)) and np.array_equal(raw, np.round(raw))
-        ):
-            raise ValueError("counts must be integers")
-        if (raw < 0).any():
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", _ro(raw, dtype=np.int64))
-
-    def __len__(self):
-        return int(self.counts.sum())
-
-    def fold(self, i):
-        """The one-fold dataset holding fold i's counts (the other fold empty)."""
-        counts = np.zeros_like(self.counts)
-        counts[i] = self.counts[i]
-        return Dataset(counts)
-
-
-def sample(law: DiscreteLaw, n: int, seed, reps=None):
-    """Draw n i.i.d. observations as per-fold cell counts. Deterministic in seed.
+def sample(law: DiscreteLaw, n: int, seed, reps=1):
+    """Draw ``reps`` samples of n i.i.d. observations each, as per-fold cell
+    counts: the int64 stack ``(reps, 2, k_y, k_z, k_w, k_x)``, drawn in one
+    call.  Deterministic in seed.
 
     The two folds are independent multinomials of sizes ``n // 2`` and
     ``n - n // 2``, which is the law of binned i.i.d. rows split at
@@ -238,11 +206,8 @@ def sample(law: DiscreteLaw, n: int, seed, reps=None):
 
     ``seed`` is anything :func:`numpy.random.default_rng` accepts; a
     ``Generator`` is used as it is, so successive calls continue its stream.
-    Without ``reps`` the result is one :class:`Dataset`.  With ``reps=R`` it
-    is the int64 count stack ``(R, 2, k_y, k_z, k_w, k_x)`` of R independent
-    samples, drawn in one call; R single draws from the same generator give
-    the same stack, so it does not matter how replications are split into
-    calls.
+    R single draws from the same generator give the same stack as one draw
+    of R, so it does not matter how replications are split into calls.
     """
     if not 0 < n <= _MAX_N:
         raise ValueError(f"n must lie in [1, 2**53]; got {n}")
@@ -250,24 +215,43 @@ def sample(law: DiscreteLaw, n: int, seed, reps=None):
     flat = law.mass.ravel()
     live = np.flatnonzero(flat)
     p = flat[live] / flat[live].sum()
-    size = (1 if reps is None else reps, 2)
-    counts = np.zeros(size + (flat.size,), dtype=np.int64)
-    counts[..., live] = rng.multinomial([n // 2, n - n // 2], p, size=size)
-    counts = counts.reshape(size + law.mass.shape)
-    return Dataset(counts[0]) if reps is None else counts
+    counts = np.zeros((reps, 2, flat.size), dtype=np.int64)
+    counts[..., live] = rng.multinomial([n // 2, n - n // 2], p, size=(reps, 2))
+    return counts.reshape((reps, 2) + law.mass.shape)
 
 
-def estimate(dataset: Dataset, support: SupportSpec) -> DiscreteLaw:
-    """Empirical law of the sample: cell counts over n.
+def check_counts(counts, support: SupportSpec) -> np.ndarray:
+    """Cell counts as int64, with any leading axes before the support's four.
 
-    Raises ValueError (from DiscreteLaw) when the counts do not lie on the
-    support's grid, and EmptyDataset when n is zero.
+    Raises ValueError unless the last four axes are the support's shape and
+    every count is a non-negative integer (an integer-valued float counts).
     """
-    counts = dataset.counts.sum(axis=0)
-    n = counts.sum()
-    if n == 0:
-        raise EmptyDataset("cannot estimate a law from an empty sample")
-    return DiscreteLaw(support, counts / n)
+    raw = np.asarray(counts)
+    if raw.shape[-4:] != support.shape:
+        raise ValueError(
+            f"counts must end in the support's shape {support.shape}, "
+            f"got {raw.shape}"
+        )
+    if raw.dtype.kind not in "iu" and not (
+        raw.dtype.kind == "f" and np.isfinite(raw).all()
+        and np.array_equal(raw, np.round(raw))
+    ):
+        raise ValueError("counts must be integers")
+    if (raw < 0).any():
+        raise ValueError("counts must be non-negative")
+    return raw.astype(np.int64, copy=False)
+
+
+def estimate(counts, support: SupportSpec) -> np.ndarray:
+    """Empirical masses: each count tensor over its own total.
+
+    ``counts`` has any leading axes before the support's four, and the
+    result has its shape; where a total is zero the masses are zero.  The
+    counts are checked as :func:`check_counts` checks them.
+    """
+    counts = check_counts(counts, support)
+    total = counts.sum(axis=(-4, -3, -2, -1))
+    return counts / np.maximum(total, 1)[(...,) + (None,) * 4]
 
 
 # ---------------------------------------------------------------------------

@@ -148,15 +148,9 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
         if not isinstance(cross_fit, bool):
             raise ValueError(f"method 'wald': cross_fit must be true or false; "
                              f"got {cross_fit!r}")
-        tol = _number(opts.pop("tol", 1e-8), "method 'wald': tol")
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"method 'wald': tol must be a finite number >= 0; "
-                             f"got {tol}")
         _reject_extra(cfg, opts)
         func.validate_against(support)
-        return lambda counts: wald_ci(
-            counts, func, support, alpha, s=plan.s, cross_fit=cross_fit, tol=tol
-        )
+        return lambda counts: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
     if cfg.name == "score":
         _reject_extra(cfg, opts)
         require_binary_support(support, 1, "method 'score'")

@@ -8,7 +8,6 @@ import numpy as np
 
 from weakdep import (
     BaseLawSpec,
-    Dataset,
     DiscreteLaw,
     FunctionalSpec,
     SupportSpec,
@@ -26,7 +25,6 @@ from weakdep.confsets import (
 )
 from weakdep.errors import (
     DegenerateSample,
-    EmptyDataset,
     PositivityViolation,
     ZeroConditioningMass,
 )
@@ -315,8 +313,9 @@ def multinomial_pmf(counts, p):
 
 
 def serial_sample(law, n, seed):
-    """One sample drawn fold by fold, one multinomial call per fold (the
-    reference for the single-sample stream of ``laws.sample``)."""
+    """One sample's counts, shape (2, k_y, k_z, k_w, k_x), drawn fold by
+    fold, one multinomial call per fold (the reference for the single-sample
+    stream of ``laws.sample``)."""
     rng = np.random.default_rng(seed)
     flat = law.mass.ravel()
     live = np.flatnonzero(flat)
@@ -324,7 +323,7 @@ def serial_sample(law, n, seed):
     counts = np.zeros((2, flat.size), dtype=np.int64)
     for fold, size in enumerate((n // 2, n - n // 2)):
         counts[fold, live] = rng.multinomial(size, p)
-    return Dataset(counts.reshape((2,) + law.mass.shape))
+    return counts.reshape((2,) + law.mass.shape)
 
 
 def acceptance_base():
@@ -399,7 +398,9 @@ class Rows:
 
 
 def dataset_from_rows(y, z, w, x, support):
-    """Bin rows into a Dataset: the first n // 2 rows are fold 0, the rest fold 1.
+    """Bin rows into the count stack of one sample, shape
+    (1, 2, k_y, k_z, k_w, k_x): the first n // 2 rows are fold 0, the rest
+    fold 1.
 
     Each y must equal one of the support's Y cell means (to 1e-8 relative)
     and each index must lie inside the support.
@@ -421,7 +422,19 @@ def dataset_from_rows(y, z, w, x, support):
     flat = np.ravel_multi_index((h, rows.z, rows.w, rows.x), support.shape)
     fold = (np.arange(n) >= n // 2).astype(np.int64)
     counts = np.bincount(fold * support.n_cells + flat, minlength=2 * support.n_cells)
-    return Dataset(counts.reshape((2,) + support.shape))
+    return counts.reshape((1, 2) + support.shape)
+
+
+def empirical_law(counts, support):
+    """The empirical law of one sample's counts: one fold's tensor, both
+    folds' (2, k_y, k_z, k_w, k_x), or the stack of one; the leading axes
+    are summed."""
+    counts = np.asarray(counts).reshape((-1,) + support.shape).sum(axis=0)
+    return DiscreteLaw(support, estimate(counts, support))
+
+
+class EmptySample(ValueError):
+    """A reference constructor was given a sample without draws."""
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +479,25 @@ def _nuisances(law, spec, tol):
     return g, q
 
 
-def serial_wald_ci(dataset, spec, support, alpha, s=FULL_LINE, cross_fit=False,
+def serial_wald_ci(counts, spec, support, alpha, s=FULL_LINE, cross_fit=False,
                    tol=1e-8):
-    """Wald interval of one sample, solved fold by fold (the reference)."""
-    n = len(dataset)
+    """Wald interval of one sample's counts, shape (2, k_y, k_z, k_w, k_x),
+    solved fold by fold (the reference)."""
+    n = int(counts.sum())
     if n == 0:
-        raise EmptyDataset("cannot build an interval from an empty sample")
+        raise EmptySample("cannot build an interval from an empty sample")
     z = normal_quantile(1.0 - alpha / 2.0)
     try:
         if cross_fit:
-            part_a, part_b = dataset.fold(0), dataset.fold(1)
-            if len(part_a) == 0 or len(part_b) == 0:
+            n_a, n_b = int(counts[0].sum()), int(counts[1].sum())
+            if n_a == 0 or n_b == 0:
                 return _full_result("a cross-fitting fold is empty", "empty_fold")
-            fold_a = estimate(part_a, support)
-            fold_b = estimate(part_b, support)
-            folds = ((fold_a, fold_b, len(part_b) / n),
-                     (fold_b, fold_a, len(part_a) / n))
+            fold_a = empirical_law(counts[0], support)
+            fold_b = empirical_law(counts[1], support)
+            folds = ((fold_a, fold_b, n_b / n),
+                     (fold_b, fold_a, n_a / n))
         else:
-            law = estimate(dataset, support)
+            law = empirical_law(counts, support)
             folds = ((law, law, 1.0),)
         parts = []
         for fit, held_out, share in folds:
@@ -528,14 +542,15 @@ def row_psi1_values(rows, support, spec, g, q, theta=0.0):
 
 
 def _row_law(rows, support):
-    return estimate(dataset_from_rows(rows.y, rows.z, rows.w, rows.x, support), support)
+    return empirical_law(dataset_from_rows(rows.y, rows.z, rows.w, rows.x, support),
+                         support)
 
 
 def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e-8):
     """Row-level Wald interval: mean and ddof=1 deviation of the per-row values."""
     n = len(rows)
     if n == 0:
-        raise EmptyDataset("wald_ci needs at least one row")
+        raise EmptySample("wald_ci needs at least one row")
     z = normal_quantile(1.0 - alpha / 2.0)
     try:
         if cross_fit:
@@ -568,7 +583,7 @@ def row_score_invert_late(rows, alpha, s=FULL_LINE):
     """Row-level score inversion, centring Y and W by their Z=1 means."""
     n = len(rows)
     if n == 0:
-        raise EmptyDataset("score inversion needs at least one row")
+        raise EmptySample("score inversion needs at least one row")
     _check_binary(rows.z, "z")
     _check_binary(rows.w, "w")
     if np.any(rows.x != rows.x[0]):
@@ -627,7 +642,7 @@ def row_binary_union_set(rows, alpha, s):
     only when the sample holds more than one X value."""
     n = len(rows)
     if n == 0:
-        raise EmptyDataset("union set needs at least one row")
+        raise EmptySample("union set needs at least one row")
     _check_binary(rows.z, "z")
     _check_binary(rows.w, "w")
     y = rows.y
@@ -774,17 +789,18 @@ def serial_quadratic_sublevel(quad, lin, const):
     return [Interval(-INF, lo), Interval(hi, INF)]
 
 
-def serial_score_invert_late(dataset, support, alpha, s=FULL_LINE):
-    """Score inversion of one sample from its integer count moments."""
+def serial_score_invert_late(counts, support, alpha, s=FULL_LINE):
+    """Score inversion of one sample's counts, shape (2, k_y, k_z, k_w, k_x),
+    from its integer count moments."""
     require_binary_support(support, 1, "score inversion")
-    if dataset.counts.shape[1:] != support.shape:
+    if counts.shape[1:] != support.shape:
         raise ValueError(
-            f"counts shape {dataset.counts.shape[1:]} does not match "
+            f"counts shape {counts.shape[1:]} does not match "
             f"support shape {support.shape}"
         )
-    counts = dataset.counts.sum(axis=0)[..., 0]         # (k_y, 2, 2) integers
+    counts = counts.sum(axis=0)[..., 0]                 # (k_y, 2, 2) integers
     if not counts.any():
-        raise EmptyDataset("cannot invert the score test on an empty sample")
+        raise EmptySample("cannot invert the score test on an empty sample")
     n0, n1 = counts.sum(axis=(0, 2))
     if n1 == 0 or n0 == 0:
         return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
@@ -847,11 +863,14 @@ def _serial_wald_component(est, infl, mass, n, alpha):
     return Interval(est - z * se, est + z * se)
 
 
-def serial_binary_union_set(dataset, support, alpha, s):
-    """Union-bound set of one sample, component by component."""
+def serial_binary_union_set(counts, support, alpha, s):
+    """Union-bound set of one sample's counts, shape (2, k_y, k_z, k_w, k_x),
+    component by component."""
     require_binary_support(support, 2, "the union set")
-    n = len(dataset)
-    law = estimate(dataset, support)
+    n = int(counts.sum())
+    if n == 0:
+        raise EmptySample("cannot build the union set from an empty sample")
+    law = empirical_law(counts, support)
     try:
         parts = serial_union_components(law.mass, support)
     except ZeroConditioningMass as exc:

@@ -243,8 +243,8 @@ def test_criterion_4_limit_law():
 def _draw(law, n, entropy, keys):
     """One sample of n draws per spawn key, each from its own seed sequence,
     as a stack of counts."""
-    return np.stack([
-        sample(law, n, np.random.SeedSequence(entropy=entropy, spawn_key=key)).counts
+    return np.concatenate([
+        sample(law, n, np.random.SeedSequence(entropy=entropy, spawn_key=key))
         for key in keys
     ])
 

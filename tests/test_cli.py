@@ -437,13 +437,15 @@ class TestCoverage:
         ("n", 10**30),
         ("s", [float("inf"), float("inf")]),
         ("s", [-float("inf"), -float("inf")]),
+        ("tol", 1e-8),
     ])
     def test_plan_values_are_not_repaired(self, demo_plan, tmp_path, capsys,
                                           key, value):
         """A value of the wrong type, a fractional count, a negative seed, a
-        tol that is not a finite number >= 0, a true_phi that is not finite,
-        an n beyond 2**53 or a range s with no finite value exits 2 with one
-        line instead of running a rounded, coerced or meaningless plan."""
+        true_phi that is not finite, an n beyond 2**53 or a range s with no
+        finite value exits 2 with one line instead of running a rounded,
+        coerced or meaningless plan.  Wald has no tol option, so a plan that
+        carries one, of any value, exits 2 as an unknown option."""
         plan = json.loads(demo_plan.read_text())
         if key in ("cross_fit", "tol"):
             plan["methods"] = [{"name": "wald", "functional": {"kind": "late"},
@@ -459,6 +461,8 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert out.read_text() == "keep"
+        if key == "tol":
+            assert "unknown options ['tol']" in err
 
     def test_largest_n_runs(self, demo_plan, tmp_path, capsys):
         """n = 2**53, the largest size whose counts stay exact in float64,

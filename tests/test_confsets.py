@@ -18,6 +18,7 @@ from weakdep import (
 )
 from weakdep.confsets import (
     FULL_LINE,
+    REASONS,
     Interval,
     RegionArrays,
     binary_union_estimand,
@@ -29,10 +30,8 @@ from weakdep.confsets import (
     _quadratic_sublevel,
     _region_arrays,
 )
-from weakdep.errors import EmptyDataset
-from weakdep.laws import Dataset
-
 from helpers import (
+    EmptySample,
     Rows,
     acceptance_base,
     as_result,
@@ -42,6 +41,7 @@ from helpers import (
     dataset_from_rows,
     diameter,
     divide_boxes,
+    empirical_law,
     interval_add,
     intersect,
     kind_spec,
@@ -328,7 +328,7 @@ class TestWaldCI:
         for seed in range(5):
             ds = sample(law, 400, seed=seed)
             res = wald_ci(ds, FunctionalSpec.late(), law.support, 0.05)
-            emp = estimate(ds, law.support)
+            emp = empirical_law(ds, law.support)
             assert res.estimate[0] == pytest.approx(wald_ratio(emp), abs=1e-10)
 
     def test_zero_sample_dependence_degenerates(self):
@@ -350,7 +350,7 @@ class TestWaldCI:
         phi = wald_ratio(law)
         reps = 300
         counts = np.stack([
-            sample(law, 2000, np.random.SeedSequence(entropy=2, spawn_key=(0, r))).counts
+            sample(law, 2000, np.random.SeedSequence(entropy=2, spawn_key=(0, r)))[0]
             for r in range(reps)
         ])
         res = wald_ci(counts, FunctionalSpec.late(), law.support, 0.05)
@@ -365,18 +365,6 @@ class TestWaldCI:
         assert res.is_full()[0]
         assert np.isnan(res.estimate[0])
 
-    def test_empty_sample_raises(self):
-        support = late_support()
-        empty = Dataset(np.zeros((2,) + support.shape, dtype=np.int64))
-        for cross_fit in (False, True):
-            with pytest.raises(EmptyDataset):
-                wald_ci(empty, FunctionalSpec.late(), support, 0.05,
-                        cross_fit=cross_fit)
-        with pytest.raises(EmptyDataset):
-            score_invert_late(empty, support, 0.05)
-        with pytest.raises(EmptyDataset):
-            binary_union_set(empty, support, 0.05, FULL_LINE)
-
     def test_cross_fit_runs(self):
         law = late_law()
         ds = sample(law, 1000, seed=9)
@@ -384,22 +372,77 @@ class TestWaldCI:
         assert not res.degenerate
         assert res.contains(res.estimate[0])[0]
 
-    def test_one_sample_is_one_row(self):
-        """Every constructor returns RegionArrays of one row for one sample,
-        bit for bit the stack of that one sample."""
-        law = binary_x_law(0.5, 0.5)
-        ds, ds_late = sample(law, 500, seed=3), sample(late_law(), 500, seed=3)
-        s = Interval(-5.0, 5.0)
-        cases = [
-            (ds, lambda d: wald_ci(d, FunctionalSpec.ate_iv(), law.support, 0.05, s)),
-            (ds, lambda d: binary_union_set(d, law.support, 0.05, s)),
-            (ds_late, lambda d: score_invert_late(d, late_support(), 0.05, s)),
-        ]
-        for dataset, construct in cases:
-            one, stack = construct(dataset), construct(dataset.counts[None])
-            assert isinstance(one, RegionArrays) and one.kind.shape == (1,)
-            for name in ("kind", "lo", "hi", "reason", "message"):
-                assert getattr(one, name).tobytes() == getattr(stack, name).tobytes()
+
+# estimate and every constructor as a function of a count stack, with the
+# reason an empty sample gets (None for estimate, which gives no region)
+_S = Interval(-5.0, 5.0)
+_READERS = {
+    "estimate": (lambda counts: estimate(counts, late_support()), None),
+    "wald": (lambda counts: wald_ci(counts, FunctionalSpec.late(), late_support(),
+                                    0.05, _S), "ZeroConditioningMass"),
+    "wald_cross_fit": (lambda counts: wald_ci(counts, FunctionalSpec.late(),
+                                              late_support(), 0.05, _S, cross_fit=True),
+                       "empty_fold"),
+    "score": (lambda counts: score_invert_late(counts, late_support(), 0.05, _S),
+              "DegenerateSample"),
+    "union": (lambda counts: binary_union_set(counts, late_support(), 0.05, _S),
+              "ZeroConditioningMass"),
+}
+_CONSTRUCTORS = sorted(name for name, (_, reason) in _READERS.items() if reason)
+
+
+def _three_samples():
+    """A stack of three samples of the ratio law, 400 draws each."""
+    return np.concatenate([sample(late_law(), 400, seed=seed) for seed in range(3)])
+
+
+class TestCounts:
+    """One check of the counts, and empty samples as degenerate entries."""
+
+    @pytest.mark.parametrize("defect", ["negative", "fractional", "wrong_shape"])
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    def test_bad_counts_raise(self, name, defect):
+        """A count of -25 (with the other fold's count of the same cell large
+        enough that their sum is positive), a count of 30.5, or a stack whose
+        cell axes are not the support's raises ValueError instead of being
+        read as draws."""
+        counts = _three_samples()
+        if defect == "negative":
+            assert counts[1, 1, 0, 0, 0, 0] >= 25
+            counts[1, 0, 0, 0, 0, 0] = -25
+        elif defect == "fractional":
+            counts = counts.astype(float)
+            counts[1, 0, 0, 0, 0, 0] = 30.5
+        else:
+            counts = np.concatenate([counts, counts], axis=2)     # three Y cells
+        with pytest.raises(ValueError):
+            _READERS[name][0](counts)
+
+    @pytest.mark.parametrize("name", _CONSTRUCTORS)
+    def test_lead_axes_are_checked(self, name):
+        """A constructor takes (R, 2) leading axes and nothing else."""
+        counts = _three_samples()
+        for bad in (counts[0], np.concatenate([counts, counts[:, :1]], axis=1)):
+            with pytest.raises(ValueError):
+                _READERS[name][0](bad)
+
+    @pytest.mark.parametrize("name", _CONSTRUCTORS)
+    def test_empty_sample_gets_a_reason(self, name):
+        """An empty sample, alone and inside a stack, is a degenerate entry
+        with the full range and a reason; integer-valued float counts give
+        the bits of the integer counts."""
+        construct, reason = _READERS[name]
+        empty = np.zeros((1, 2) + late_support().shape, dtype=np.int64)
+        full = _three_samples()
+        full[1] = 0
+        for counts, row in ((empty, 0), (full, 1)):
+            got = construct(counts)
+            assert REASONS[got.reason[row]] == reason
+            assert got.is_full()[row] and got.diameters()[row] == _S.hi - _S.lo
+        assert got.reason[[0, 2]].tolist() == [0, 0]
+        as_float = construct(full.astype(float))
+        for field in ("kind", "lo", "hi", "reason", "message"):
+            assert getattr(as_float, field).tobytes() == getattr(got, field).tobytes()
 
 
 def _score_accepts(obs, alpha, thetas):
@@ -476,7 +519,7 @@ class TestScoreInversion:
         s = Interval(-2.0, 2.0)
         for seed in range(5):
             ds = sample(law, 500, seed=seed)
-            emp = estimate(ds, law.support)
+            emp = empirical_law(ds, law.support)
             theta_hat = wald_ratio(emp)
             res = score_invert_late(ds, law.support, 0.05, s)
             assert res.contains(theta_hat)[0]
@@ -560,7 +603,7 @@ class TestScoreInversion:
 
         weak = perturb_kernels(base, default_params(base, 1e-4, 1.25))
         s = Interval(-20.0, 20.0)
-        counts = np.stack([sample(weak, 2000, seed=seed).counts for seed in range(20)])
+        counts = np.concatenate([sample(weak, 2000, seed=seed) for seed in range(20)])
         res = score_invert_late(counts, weak.support, 0.05, s)
         assert (res.diameters() >= 0.9 * (s.hi - s.lo)).sum() >= 18
 
@@ -594,7 +637,7 @@ class TestBinaryUnionSet:
         law = binary_x_law(dep=0.5, py=0.5)
         phi = binary_union_estimand(law)
         s = Interval(-5.0, 5.0)
-        counts = np.stack([sample(law, 1500, seed=seed).counts for seed in range(40)])
+        counts = np.concatenate([sample(law, 1500, seed=seed) for seed in range(40)])
         assert binary_union_set(counts, law.support, 0.05, s).contains(phi).sum() >= 38
 
     def test_empty_stratum_full_range(self):
@@ -611,10 +654,8 @@ class TestBinaryUnionSet:
     def test_x_form_when_sample_holds_one_x_value(self):
         # the support, not the drawn X values, decides the target
         law = binary_x_law(dep=0.7, py=0.5)
-        ds = sample(law, 2000, seed=4)
-        counts = ds.counts.copy()
-        counts[..., 0] = 0
-        only_x1 = Dataset(counts)
+        only_x1 = sample(law, 2000, seed=4)
+        only_x1[..., 0] = 0
         res = binary_union_set(only_x1, law.support, 0.05, Interval(-5.0, 5.0))
         assert set(res.components) == {"de", "num", "offset"}
         assert not res.degenerate
@@ -627,7 +668,7 @@ class TestBinaryUnionSet:
             res = as_result(binary_union_set(ds, law.support, 0.05, s), 0)
             if res.degenerate or "straddles" in res.message:
                 continue
-            emp = estimate(ds, law.support)
+            emp = empirical_law(ds, law.support)
             plug_in = binary_union_estimand(emp)
             assert res.region.contains(plug_in)
 
@@ -739,21 +780,21 @@ def _assert_stack_matches_serial(counts, spec, support, alpha, s, cross_fit,
                                  single=False):
     """Entry r of the stacked Wald is the serial reference's result on
     replication r: same degenerate flag and reason, same region; with
-    ``single``, so is wald_ci on replication r alone."""
+    ``single``, so is wald_ci on the stack of replication r alone."""
     stack = wald_ci(counts, spec, support, alpha, s, cross_fit=cross_fit)
     for r in range(len(counts)):
         got = as_result(stack, r)
-        dataset = Dataset(counts[r])
-        if len(dataset) == 0:
+        if not counts[r].any():
             # the serial constructor refuses an empty sample outright
             assert got.reason == ("empty_fold" if cross_fit else "ZeroConditioningMass")
             continue
-        ref = serial_wald_ci(dataset, spec, support, alpha, s, cross_fit=cross_fit)
+        ref = serial_wald_ci(counts[r], spec, support, alpha, s, cross_fit=cross_fit)
         assert got.reason == ref.reason
         _assert_same_result(got, ref)
         if single:
-            _assert_same_result(as_result(wald_ci(dataset, spec, support, alpha, s,
-                                                  cross_fit=cross_fit), 0), ref)
+            _assert_same_result(as_result(wald_ci(counts[r:r + 1], spec, support,
+                                                  alpha, s, cross_fit=cross_fit), 0),
+                                ref)
 
 
 class TestStackedWald:
@@ -865,19 +906,16 @@ class TestStackedWald:
 
     def test_stack_is_not_an_exception_path(self):
         """A stack mixing regular, degenerate and empty replications returns
-        one entry per replication; a single empty sample still raises."""
+        one entry per replication."""
         law = late_law()
-        counts = np.stack([sample(law, 400, seed=1).counts,
-                           sample(law, 1, seed=2).counts,
-                           np.zeros((2,) + law.support.shape, dtype=np.int64)])
+        counts = np.concatenate([sample(law, 400, seed=1), sample(law, 1, seed=2),
+                                 np.zeros((1, 2) + law.support.shape, dtype=np.int64)])
         stack = wald_ci(counts, FunctionalSpec.late(), law.support, 0.05,
                         cross_fit=True)
         assert stack.reason.tolist() == [0, 1, 1]
         assert stack.degenerate
         assert stack.is_full().tolist() == [False, True, True]
         assert np.isnan(stack.estimate[1:]).all()
-        with pytest.raises(EmptyDataset):
-            wald_ci(Dataset(counts[2]), FunctionalSpec.late(), law.support, 0.05)
 
 
 def _assert_region_result_equal(got, ref, exact):
@@ -903,26 +941,25 @@ def _assert_sets_match_serial(construct, serial, counts, support, alpha, s,
     """Entry r of the stacked score or union set is the serial reference's
     result on replication r, and with ``exact`` its diameter is the
     reference region's, sign of zero included; with ``single``, so is the
-    constructor's result on replication r alone."""
+    constructor's result on the stack of replication r alone."""
     stack = construct(counts, support, alpha, s)
     diameters = stack.diameters()
     for r in range(len(counts)):
-        dataset = Dataset(counts[r])
         got = as_result(stack, r)
-        if len(dataset) == 0:
+        if not counts[r].any():
             # the serial constructors refuse an empty sample outright
-            with pytest.raises(EmptyDataset):
-                serial(dataset, support, alpha, s)
+            with pytest.raises(EmptySample):
+                serial(counts[r], support, alpha, s)
             assert got.degenerate and got.region.is_full
             continue
-        ref = serial(dataset, support, alpha, s)
+        ref = serial(counts[r], support, alpha, s)
         _assert_region_result_equal(got, ref, exact)
         if exact:
             want = diameter(ref.region, s)
             assert (diameters[r], math.copysign(1.0, diameters[r])) == \
                 (want, math.copysign(1.0, want))
         if single:
-            one = construct(dataset, support, alpha, s)
+            one = construct(counts[r:r + 1], support, alpha, s)
             _assert_region_result_equal(as_result(one, 0), ref, exact)
 
 

@@ -16,13 +16,13 @@ from weakdep import (
 )
 from weakdep.errors import (
     CollinearSupport,
-    EmptyDataset,
     SupportMismatch,
 )
-from weakdep.laws import Dataset, law_from_dict, law_to_dict
+from weakdep.laws import check_counts, law_from_dict, law_to_dict
 
 from helpers import (
     dataset_from_rows,
+    empirical_law,
     late_law,
     random_law,
     random_support,
@@ -196,33 +196,33 @@ class TestSample:
         support = unit_support()
         mass = np.zeros(support.shape)
         mass[1, 0, 1, 0] = 1.0
-        ds = sample(DiscreteLaw(support, mass), 50, seed=0)
-        assert len(ds) == 50
-        assert ds.counts[:, 1, 0, 1, 0].tolist() == [25, 25]
+        counts = sample(DiscreteLaw(support, mass), 50, seed=0)
+        assert counts.sum() == 50
+        assert counts[0, :, 1, 0, 1, 0].tolist() == [25, 25]
 
     def test_same_seed_identical(self):
         law = late_law()
         a = sample(law, 1000, seed=42)
         b = sample(law, 1000, seed=42)
-        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a, b)
 
     def test_frequencies_within_clt_band(self):
         rng = np.random.default_rng(15)
         law = random_law(rng, 2, 2, 2, 2)
         n = 10**5
-        ds = sample(law, n, seed=123)
-        emp = estimate(ds, law.support)
+        counts = sample(law, n, seed=123)
+        emp = estimate(counts.sum(axis=1), law.support)[0]
         p = law.mass
         band = 4.0 * np.sqrt(p * (1.0 - p) / n)
-        assert np.all(np.abs(emp.mass - p) <= band)
+        assert np.all(np.abs(emp - p) <= band)
 
     def test_n_up_to_two_to_the_53(self):
         """Counts and n stay exact in float64 up to n = 2**53; beyond it, or
         at n = 0, sample refuses the size instead of overflowing."""
         law = late_law()
-        ds = sample(law, 2**53, seed=5)
-        assert int(ds.counts.sum()) == 2**53
-        assert float(ds.counts.sum()) == 2.0**53
+        counts = sample(law, 2**53, seed=5)
+        assert int(counts.sum()) == 2**53
+        assert float(counts.sum()) == 2.0**53
         for n in (0, 2**53 + 1, 2**63, 10**30):
             with pytest.raises(ValueError, match="n must lie in"):
                 sample(law, n, seed=5)
@@ -231,10 +231,9 @@ class TestSample:
         rng = np.random.default_rng(16)
         support = random_support(rng, 3, 2, 2, 1)
         law = random_law(rng, support=support)
-        ds = sample(law, 500, seed=3)
-        assert ds.counts.shape == (2,) + support.shape
-        assert ds.counts.dtype == np.int64
-        assert not ds.counts.flags.writeable
+        counts = sample(law, 500, seed=3)
+        assert counts.shape == (1, 2) + support.shape
+        assert counts.dtype == np.int64
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -244,17 +243,13 @@ class TestSample:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_folds_and_support_of_a_draw(self, shape, law_seed, n, seed):
-        """Fold sizes are n // 2 and n - n // 2 (and fold() splits the counts
-        into them), zero-mass cells take no draw, and the same seed gives
-        the same counts."""
+        """Fold sizes are n // 2 and n - n // 2, zero-mass cells take no
+        draw, and the same seed gives the same counts."""
         law = sparse_law(shape, law_seed)
-        ds = sample(law, n, seed)
-        a, b = ds.fold(0), ds.fold(1)
-        assert (len(a), len(b)) == (n // 2, n - n // 2)
-        assert not a.counts[1].any() and not b.counts[0].any()
-        np.testing.assert_array_equal(a.counts + b.counts, ds.counts)
-        assert not ds.counts[:, law.mass == 0.0].any()
-        np.testing.assert_array_equal(sample(law, n, seed).counts, ds.counts)
+        counts = sample(law, n, seed)
+        assert counts[0].reshape(2, -1).sum(axis=1).tolist() == [n // 2, n - n // 2]
+        assert not counts[:, :, law.mass == 0.0].any()
+        np.testing.assert_array_equal(sample(law, n, seed), counts)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -268,9 +263,9 @@ class TestSample:
         one per fold, and is the first row of a block drawn from the same
         seed."""
         law = sparse_law(shape, law_seed)
-        ds = sample(law, n, seed)
-        np.testing.assert_array_equal(ds.counts, serial_sample(law, n, seed).counts)
-        np.testing.assert_array_equal(ds.counts, sample(law, n, seed, reps=3)[0])
+        counts = sample(law, n, seed)
+        np.testing.assert_array_equal(counts[0], serial_sample(law, n, seed))
+        np.testing.assert_array_equal(counts, sample(law, n, seed, reps=3)[:1])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -303,12 +298,12 @@ class TestSample:
         rng = np.random.default_rng(19)
         law = random_law(rng, 2, 2, 2, 2)
         n, reps = 31, 4000
-        draws = [sample(law, n, seed=(19, r)) for r in range(reps)]
-        mass = np.array([estimate(ds, law.support).mass for ds in draws])
+        draws = [sample(law, n, seed=(19, r))[0] for r in range(reps)]
+        mass = np.array([empirical_law(counts, law.support).mass for counts in draws])
         p = law.mass
         se = np.sqrt(p * (1.0 - p) / n / reps)
         assert np.all(np.abs(mass.mean(axis=0) - p) <= 4.0 * se)
-        folds = np.array([ds.counts.reshape(2, -1) for ds in draws], dtype=float)
+        folds = np.array([counts.reshape(2, -1) for counts in draws], dtype=float)
         centred = folds - folds.mean(axis=0)
         cov = np.einsum("ra,rb->ab", centred[:, 0], centred[:, 1]) / reps
         sd = centred.std(axis=0)
@@ -316,43 +311,52 @@ class TestSample:
         assert np.all(np.abs(corr) <= 4.0 / np.sqrt(reps))
 
 
-class TestDataset:
+class TestEstimate:
     def test_rejects_negative_or_fractional_counts(self):
-        shape = (2, 2, 2, 2, 1)
+        support = unit_support()
+        shape = (2,) + support.shape
         for bad in (-1, 0.5, np.nan, np.inf):
             counts = np.zeros(shape)
             counts[1, 0, 1, 0, 0] = bad
             with pytest.raises(ValueError):
-                Dataset(counts)
+                estimate(counts, support)
         with pytest.raises(ValueError):
-            Dataset(np.zeros((3, 2, 2, 2, 1), int))
-        ds = Dataset(np.full(shape, 2.0))
-        assert ds.counts.dtype == np.int64 and len(ds) == 32
+            estimate(np.zeros((3, 2, 2, 1), int), support)
+        assert check_counts(np.full(shape, 2.0), support).dtype == np.int64
+        np.testing.assert_array_equal(estimate(np.full(shape, 2.0), support),
+                                      estimate(np.full(shape, 2), support))
 
+    def test_each_tensor_over_its_own_total(self):
+        """Any leading axes: each (k_y, k_z, k_w, k_x) tensor is divided by
+        its own total, and a tensor without draws has zero masses."""
+        support = unit_support()
+        counts = np.zeros((3, 2) + support.shape, dtype=np.int64)
+        counts[0, 0, 1, 0, 1, 0] = 3
+        counts[0, 1, 0, 1, 0, 0] = 1
+        counts[0, 1, 1, 1, 1, 0] = 3
+        counts[2] = 7
+        mass = estimate(counts, support)
+        assert mass.shape == counts.shape
+        assert mass[0, 0, 1, 0, 1, 0] == 1.0
+        assert (mass[0, 1, 0, 1, 0, 0], mass[0, 1, 1, 1, 1, 0]) == (0.25, 0.75)
+        assert not mass[1].any()
+        assert (mass[2] == 1.0 / support.n_cells).all()
 
-class TestEstimate:
     def test_identical_rows_point_mass(self):
         support = unit_support()
-        ds = dataset_from_rows(
+        counts = dataset_from_rows(
             y=np.ones(20), z=np.zeros(20, int), w=np.ones(20, int),
             x=np.zeros(20, int), support=support,
         )
-        law = estimate(ds, support)
-        assert law.mass[1, 0, 1, 0] == 1.0
-        assert law.mass.sum() == pytest.approx(1.0)
+        mass = estimate(counts.sum(axis=1), support)[0]
+        assert mass[1, 0, 1, 0] == 1.0
+        assert mass.sum() == pytest.approx(1.0)
 
     def test_round_trip_tv(self):
         rng = np.random.default_rng(17)
         law = random_law(rng, 2, 2, 2, 1)
-        ds = sample(law, 10**6, seed=6)
-        assert tv_distance(estimate(ds, law.support), law) < 0.005
-
-    def test_empty_dataset(self):
-        support = unit_support()
-        ds = dataset_from_rows(y=np.zeros(0), z=np.zeros(0, int), w=np.zeros(0, int),
-                               x=np.zeros(0, int), support=support)
-        with pytest.raises(EmptyDataset):
-            estimate(ds, support)
+        counts = sample(law, 10**6, seed=6)
+        assert tv_distance(empirical_law(counts, law.support), law) < 0.005
 
     def test_rows_outside_support_rejected(self):
         support = unit_support()
@@ -364,6 +368,6 @@ class TestEstimate:
                               x=np.array([0]), support=support)
 
     def test_counts_must_match_the_support(self):
-        ds = sample(late_law(), 10, seed=0)
+        counts = sample(late_law(), 10, seed=0)
         with pytest.raises(ValueError):
-            estimate(ds, random_support(np.random.default_rng(0), 3, 2, 2, 1))
+            estimate(counts, random_support(np.random.default_rng(0), 3, 2, 2, 1))
