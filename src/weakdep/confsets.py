@@ -256,7 +256,10 @@ class RegionArrays:
     def is_full(self) -> np.ndarray:
         return self.kind == _FULL
 
-    def contains(self, value: float) -> np.ndarray:
+    def contains(self, value) -> np.ndarray:
+        """Whether each region holds ``value``: a scalar for every row, or an
+        (R,) vector, row r's value for region r."""
+        value = np.expand_dims(value, -1)
         inside = ((self.lo <= value) & (value <= self.hi)).any(axis=-1)
         return (self.kind == _FULL) | ((self.kind == _UNION) & inside)
 
@@ -291,6 +294,11 @@ def fixed_arrays(intervals, s: Interval, reps: int) -> RegionArrays:
     pieces = [(iv.lo, iv.hi) for iv in intervals] or [(np.nan, np.nan)]
     lo, hi = (np.tile(ends, (reps, 1)) for ends in zip(*pieces))
     return _region_arrays(lo, hi, s, np.zeros(reps, dtype=np.int64))
+
+
+def interval_arrays(lo, hi, s: Interval) -> RegionArrays:
+    """The region [lo[r], hi[r]] of each replication r, from (R,) arrays."""
+    return _region_arrays(lo[:, None], hi[:, None], s, np.zeros(len(lo), dtype=np.int64))
 
 
 def _check_counts(counts, support):

@@ -7,15 +7,20 @@ degenerate-sample errors (also by reason).  Each law draws from its own
 random stream, seeded by the master seed and the law's index in the plan
 through a counter-based seed sequence, so laws draw independently, a
 law's draws do not depend on the laws listed after it, and every run is
-reproducible.  Replications run serially in blocks, in replication order:
-a block's count stack comes from one :func:`~weakdep.laws.sample` call on
-the law's stream, and every method then evaluates it in one call, giving
-one :class:`~weakdep.confsets.RegionArrays` per block.  A block holds at
-most :data:`BLOCK_BYTES` of float cell counts, so memory does not grow with
-the number of replications.  The stream yields the same samples however it
-is split into blocks, so the report does not depend on the block size, and
-the first R' replications of a plan are those of the same plan with
-``reps=R'``.
+reproducible.  Laws whose supports are equal bit for bit are evaluated
+together, as every step of a weak-dependence sequence is.  Replications
+run serially in blocks, in replication order: a block holds the same
+window of replications of every law on one support, each law's part from
+one :func:`~weakdep.laws.sample` call on its own stream, and every method
+evaluates the block's stacked counts in one call, giving one
+:class:`~weakdep.confsets.RegionArrays` whose rows are split back into
+per-law tallies.  A block holds at most :data:`BLOCK_BYTES` of float cell
+counts over all its laws, so a block's memory does not grow with the
+number of replications; the tallies keep a diameter, an outcome and a
+reason per replication.  A stream yields the same samples however it is
+split into blocks, so the report does not depend on the block size or on
+which laws share a block, and the first R' replications of a plan are
+those of the same plan with ``reps=R'``.
 Coverage along a weak-dependence sequence is a plan with one
 :class:`LawCase` per step of :func:`~weakdep.adversarial.generate_sequence`.
 """
@@ -27,7 +32,6 @@ import io
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +43,7 @@ from .confsets import (
     RegionArrays,
     binary_union_set,
     fixed_arrays,
+    interval_arrays,
     normal_quantile,
     require_binary_support,
     score_invert_late,
@@ -53,8 +58,9 @@ CSV_COLUMNS = (
     "frac_diam_ge_s",
 )
 
-# Bytes of one float copy of a block's per-fold cell counts; the block
-# size follows from it and the support, and results do not depend on it.
+# Bytes of one float copy of a block's per-fold cell counts, over every law
+# in the block; the block size follows from it, the support and the number
+# of laws on it, and results do not depend on it.
 BLOCK_BYTES = 1 << 20
 
 
@@ -132,11 +138,12 @@ class ExperimentPlan:
                              f"[{self.s.lo}, {self.s.hi}]")
 
 
-def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
-    """Turn a method config into a constructor that maps a block's counts,
-    shape (R, 2, k_y, k_z, k_w, k_x), to RegionArrays."""
+def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, cases):
+    """Turn a method config into a constructor for laws on one support: it
+    maps a block's counts, shape (R, 2, k_y, k_z, k_w, k_x), and each row's
+    true functional value, shape (R,), to RegionArrays."""
     alpha = 1.0 - plan.level
-    support = case.law.support
+    support = cases[0].law.support
     opts = dict(cfg.options)
     if cfg.name == "wald":
         if "functional" not in opts:
@@ -150,24 +157,24 @@ def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, case: LawCase):
                              f"got {cross_fit!r}")
         _reject_extra(cfg, opts)
         func.validate_against(support)
-        return lambda counts: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
+        return lambda counts, phi: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
     if cfg.name == "score":
         _reject_extra(cfg, opts)
         require_binary_support(support, 1, "method 'score'")
-        return lambda counts: score_invert_late(counts, support, alpha, s=plan.s)
+        return lambda counts, phi: score_invert_late(counts, support, alpha, s=plan.s)
     if cfg.name == "union":
         _reject_extra(cfg, opts)
         require_binary_support(support, 2, "method 'union'")
-        return lambda counts: binary_union_set(counts, support, alpha, plan.s)
-    if cfg.name == "fullrange":
-        intervals = [FULL_LINE]
-    elif cfg.name == "empty":
-        intervals = []
-    else:
+        return lambda counts, phi: binary_union_set(counts, support, alpha, plan.s)
+    if cfg.name == "oracle":
         eps = _number(opts.pop("epsilon", 0.0), "method 'oracle': epsilon")
-        intervals = [Interval(case.true_phi - eps, case.true_phi + eps)]
+        for case in cases:              # refuses a NaN or negative epsilon
+            Interval(case.true_phi - eps, case.true_phi + eps)
+        _reject_extra(cfg, opts)
+        return lambda counts, phi: interval_arrays(phi - eps, phi + eps, plan.s)
+    intervals = [FULL_LINE] if cfg.name == "fullrange" else []
     _reject_extra(cfg, opts)
-    return lambda counts: fixed_arrays(intervals, plan.s, len(counts))
+    return lambda counts, phi: fixed_arrays(intervals, plan.s, len(counts))
 
 
 def _reject_extra(cfg, leftover):
@@ -195,7 +202,7 @@ class CellReport:
     frac_fullrange: float
     frac_error: float
     frac_diam_ge_s: float
-    runtime: float          # seconds spent in this method's constructor calls
+    runtime: float          # this law's row share of the method's constructor calls
     diameters: tuple
     outcomes: tuple
     errors_by_kind: dict    # reason -> count of degenerate replications
@@ -228,6 +235,7 @@ class CellReport:
 @dataclass(frozen=True)
 class CoverageReport:
     cells: tuple
+    method_seconds: tuple   # per plan method, in plan order: its constructor calls' seconds
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -238,7 +246,8 @@ class CoverageReport:
         return buf.getvalue()
 
     def to_dict(self):
-        return {"cells": [cell.to_dict() for cell in self.cells]}
+        return {"cells": [cell.to_dict() for cell in self.cells],
+                "method_seconds": list(self.method_seconds)}
 
     def to_json(self, indent=None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -250,34 +259,32 @@ class CoverageReport:
         raise KeyError((label, method))
 
 
-class _Tally:
-    """Per-replication outcomes of one (law, method) pair, in replication order."""
+# a replication's outcome, by code
+_OUTCOMES = ("cover", "miss", "error")
+_COVER, _MISS, _ERROR = range(3)
 
-    def __init__(self, true_phi: float):
-        self.true_phi = true_phi
-        self.outcomes = []
-        self.diameters = []
-        self.fulls = []
-        self.errors_by_kind = Counter()
+
+def _block_outcomes(arrays: RegionArrays, phi: np.ndarray):
+    """Per row of a block: outcome code, diameter, full-range flag and reason."""
+    code = np.where(arrays.reason > 0, _ERROR,
+                    np.where(arrays.contains(phi), _COVER, _MISS)).astype(np.int8)
+    return code, arrays.diameters(), arrays.is_full(), arrays.reason.astype(np.int8)
+
+
+class _Tally:
+    """Per-replication outcomes of one (law, method) pair, as the arrays of
+    each block in replication order."""
+
+    def __init__(self):
+        self.blocks = []
         self.seconds = 0.0
 
-    def add_stack(self, arrays: RegionArrays):
-        degenerate = arrays.reason > 0
-        covered = arrays.contains(self.true_phi)
-        self.outcomes += np.where(
-            degenerate, "error", np.where(covered, "cover", "miss")
-        ).tolist()
-        self.diameters += arrays.diameters().tolist()
-        self.fulls += arrays.is_full().tolist()
-        self.errors_by_kind.update(REASONS[code] for code in arrays.reason[degenerate])
-
     def report(self, label: str, method: str, plan: ExperimentPlan) -> CellReport:
-        outcomes = tuple(self.outcomes)
-        covered = outcomes.count("cover")
-        errors = outcomes.count("error")
+        code, diam_arr, fulls, reason = map(np.concatenate, zip(*self.blocks))
+        covered, _, errors = np.bincount(code, minlength=len(_OUTCOMES)).tolist()
         missed = plan.reps - covered - errors
         wl, wh = wilson_interval(covered + errors, plan.reps)
-        diam_arr = np.array(self.diameters)
+        kinds = np.bincount(reason, minlength=len(REASONS)).tolist()
         return CellReport(
             label=label,
             method=method,
@@ -292,37 +299,79 @@ class _Tally:
             diam_mean=float(diam_arr.mean()),
             diam_p50=_quantile(diam_arr, 50),
             diam_p90=_quantile(diam_arr, 90),
-            frac_fullrange=sum(self.fulls) / plan.reps,
+            frac_fullrange=int(np.count_nonzero(fulls)) / plan.reps,
             frac_error=errors / plan.reps,
             frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
             runtime=self.seconds,
-            diameters=tuple(self.diameters),
-            outcomes=outcomes,
-            errors_by_kind=dict(sorted(self.errors_by_kind.items())),
+            diameters=tuple(diam_arr.tolist()),
+            outcomes=tuple(map(_OUTCOMES.__getitem__, code.tolist())),
+            errors_by_kind=dict(sorted(
+                (REASONS[k], count) for k, count in enumerate(kinds) if k and count)),
         )
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two supports are equal bit for bit (so -0.0 differs from 0.0)."""
+    return a is b or all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("mu_y", "mu_z", "mu_w", "mu_x", "iota_y")
+    )
+
+
+def _support_groups(laws):
+    """Plan indices of the laws, grouped by support (bit for bit) in order of
+    first appearance; supports do not hash, so the few groups are scanned."""
+    groups = []
+    for i, case in enumerate(laws):
+        for members in groups:
+            if _same_bits(laws[members[0]].law.support, case.law.support):
+                members.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def run(plan: ExperimentPlan) -> CoverageReport:
     """Execute the plan; deterministic given the master seed."""
-    cells = []
-    for law_idx, case in enumerate(plan.laws):
-        methods = [_bind_method(m, plan, case) for m in plan.methods]
-        tallies = [_Tally(case.true_phi) for _ in plan.methods]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=plan.seed, spawn_key=(law_idx,)))
-        block_reps = max(1, BLOCK_BYTES // (16 * case.law.support.n_cells))
+    # every method bound once per support, before any sampling
+    groups = []
+    for members in _support_groups(plan.laws):
+        cases = [plan.laws[i] for i in members]
+        groups.append((members, cases, [_bind_method(m, plan, cases)
+                                        for m in plan.methods]))
+    tallies = [[_Tally() for _ in plan.methods] for _ in plan.laws]
+    method_seconds = [0.0] * len(plan.methods)
+    for members, cases, methods in groups:
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=plan.seed,
+                                                             spawn_key=(i,)))
+                for i in members]
+        phis = np.array([case.true_phi for case in cases])
+        n_cells = cases[0].law.support.n_cells
+        block_reps = max(1, BLOCK_BYTES // (16 * n_cells * len(members)))
         for start in range(0, plan.reps, block_reps):
-            counts = sample(case.law, plan.n, rng,
-                            reps=min(block_reps, plan.reps - start))
-            for construct, tally in zip(methods, tallies):
+            reps = min(block_reps, plan.reps - start)
+            # law j's replications are rows [j * reps, (j + 1) * reps)
+            counts = np.concatenate([sample(case.law, plan.n, rng, reps=reps)
+                                     for case, rng in zip(cases, rngs)])
+            phi = np.repeat(phis, reps)
+            for m, construct in enumerate(methods):
                 # only the constructor call is timed
                 started = time.perf_counter()
-                arrays = construct(counts)
-                tally.seconds += time.perf_counter() - started
-                tally.add_stack(arrays)
-        cells.extend(tally.report(case.label, method.name, plan)
-                     for method, tally in zip(plan.methods, tallies))
-    return CoverageReport(cells=tuple(cells))
+                arrays = construct(counts, phi)
+                seconds = time.perf_counter() - started
+                method_seconds[m] += seconds
+                block = _block_outcomes(arrays, phi)
+                for j, i in enumerate(members):
+                    tally = tallies[i][m]
+                    tally.blocks.append([a[j * reps:(j + 1) * reps] for a in block])
+                    tally.seconds += seconds / len(members)   # the law's row share
+    cells = tuple(
+        tally.report(case.label, method.name, plan)
+        for case, row in zip(plan.laws, tallies)
+        for method, tally in zip(plan.methods, row)
+    )
+    return CoverageReport(cells=cells, method_seconds=tuple(method_seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +419,7 @@ def plan_from_dict(d) -> ExperimentPlan:
     )
     for case in plan.laws:
         for method in plan.methods:
-            _bind_method(method, plan, case)
+            _bind_method(method, plan, [case])
     return plan
 
 

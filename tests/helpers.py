@@ -2,6 +2,8 @@
 reference constructors for the test suite."""
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +14,7 @@ from weakdep import (
     FunctionalSpec,
     SupportSpec,
     estimate,
+    simulate,
 )
 from weakdep.confsets import (
     _FULL,
@@ -20,8 +23,12 @@ from weakdep.confsets import (
     REASONS,
     Interval,
     _divide,
+    binary_union_set,
+    fixed_arrays,
     normal_quantile,
     require_binary_support,
+    score_invert_late,
+    wald_ci,
 )
 from weakdep.errors import (
     DegenerateSample,
@@ -37,6 +44,8 @@ from weakdep.functionals import (
     solve_g,
     solve_q,
 )
+from weakdep.laws import _number, sample
+from weakdep.simulate import CellReport, CoverageReport, _quantile, wilson_interval
 
 
 # ---------------------------------------------------------------------------
@@ -892,3 +901,131 @@ def serial_binary_union_set(counts, support, alpha, s):
         return _full_result("denominator interval degenerate at zero")
     region = region_from_intervals(interval_add(pieces, offset), s)
     return RegionResult(region=region, components=components)
+
+
+# ---------------------------------------------------------------------------
+# Reference Monte Carlo run.  This is simulate.run as it was before laws on
+# one support were evaluated together: every law alone, one constructor call
+# per law, method and block, and the per-replication tallies kept as Python
+# lists.  Tests check the package's run against it bit for bit.
+
+
+def _serial_bind_method(cfg, plan, case):
+    """Turn a method config into a constructor that maps a block's counts,
+    shape (R, 2, k_y, k_z, k_w, k_x), to RegionArrays."""
+    alpha = 1.0 - plan.level
+    support = case.law.support
+    opts = dict(cfg.options)
+    if cfg.name == "wald":
+        if "functional" not in opts:
+            raise ValueError("method 'wald' needs a 'functional' option")
+        func = opts.pop("functional")
+        if not isinstance(func, FunctionalSpec):
+            func = FunctionalSpec.from_dict(func)
+        cross_fit = opts.pop("cross_fit", False)
+        if not isinstance(cross_fit, bool):
+            raise ValueError(f"method 'wald': cross_fit must be true or false; "
+                             f"got {cross_fit!r}")
+        _serial_reject_extra(cfg, opts)
+        func.validate_against(support)
+        return lambda counts: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
+    if cfg.name == "score":
+        _serial_reject_extra(cfg, opts)
+        require_binary_support(support, 1, "method 'score'")
+        return lambda counts: score_invert_late(counts, support, alpha, s=plan.s)
+    if cfg.name == "union":
+        _serial_reject_extra(cfg, opts)
+        require_binary_support(support, 2, "method 'union'")
+        return lambda counts: binary_union_set(counts, support, alpha, plan.s)
+    if cfg.name == "fullrange":
+        intervals = [FULL_LINE]
+    elif cfg.name == "empty":
+        intervals = []
+    else:
+        eps = _number(opts.pop("epsilon", 0.0), "method 'oracle': epsilon")
+        intervals = [Interval(case.true_phi - eps, case.true_phi + eps)]
+    _serial_reject_extra(cfg, opts)
+    return lambda counts: fixed_arrays(intervals, plan.s, len(counts))
+
+
+def _serial_reject_extra(cfg, leftover):
+    if leftover:
+        raise ValueError(f"method {cfg.name!r}: unknown options {sorted(leftover)}")
+
+
+class _SerialTally:
+    """Per-replication outcomes of one (law, method) pair, in replication order."""
+
+    def __init__(self, true_phi: float):
+        self.true_phi = true_phi
+        self.outcomes = []
+        self.diameters = []
+        self.fulls = []
+        self.errors_by_kind = Counter()
+        self.seconds = 0.0
+
+    def add_stack(self, arrays):
+        degenerate = arrays.reason > 0
+        covered = arrays.contains(self.true_phi)
+        self.outcomes += np.where(
+            degenerate, "error", np.where(covered, "cover", "miss")
+        ).tolist()
+        self.diameters += arrays.diameters().tolist()
+        self.fulls += arrays.is_full().tolist()
+        self.errors_by_kind.update(REASONS[code] for code in arrays.reason[degenerate])
+
+    def report(self, label, method, plan):
+        outcomes = tuple(self.outcomes)
+        covered = outcomes.count("cover")
+        errors = outcomes.count("error")
+        missed = plan.reps - covered - errors
+        wl, wh = wilson_interval(covered + errors, plan.reps)
+        diam_arr = np.array(self.diameters)
+        return CellReport(
+            label=label,
+            method=method,
+            n=plan.n,
+            reps=plan.reps,
+            covered=covered,
+            missed=missed,
+            errors=errors,
+            coverage=(covered + errors) / plan.reps,
+            wilson_lo=wl,
+            wilson_hi=wh,
+            diam_mean=float(diam_arr.mean()),
+            diam_p50=_quantile(diam_arr, 50),
+            diam_p90=_quantile(diam_arr, 90),
+            frac_fullrange=sum(self.fulls) / plan.reps,
+            frac_error=errors / plan.reps,
+            frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
+            runtime=self.seconds,
+            diameters=tuple(self.diameters),
+            outcomes=outcomes,
+            errors_by_kind=dict(sorted(self.errors_by_kind.items())),
+        )
+
+
+def serial_run(plan):
+    """Execute the plan law by law; deterministic given the master seed.
+    ``method_seconds`` sums each method's cell runtimes."""
+    cells = []
+    for law_idx, case in enumerate(plan.laws):
+        methods = [_serial_bind_method(m, plan, case) for m in plan.methods]
+        tallies = [_SerialTally(case.true_phi) for _ in plan.methods]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=plan.seed, spawn_key=(law_idx,)))
+        block_reps = max(1, simulate.BLOCK_BYTES // (16 * case.law.support.n_cells))
+        for start in range(0, plan.reps, block_reps):
+            counts = sample(case.law, plan.n, rng,
+                            reps=min(block_reps, plan.reps - start))
+            for construct, tally in zip(methods, tallies):
+                # only the constructor call is timed
+                started = time.perf_counter()
+                arrays = construct(counts)
+                tally.seconds += time.perf_counter() - started
+                tally.add_stack(arrays)
+        cells.extend(tally.report(case.label, method.name, plan)
+                     for method, tally in zip(plan.methods, tallies))
+    seconds = [sum(cell.runtime for cell in cells[m::len(plan.methods)])
+               for m in range(len(plan.methods))]
+    return CoverageReport(cells=tuple(cells), method_seconds=tuple(seconds))

@@ -4,8 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakdep import DiscreteLaw, FunctionalSpec, simulate
+from weakdep import DiscreteLaw, FunctionalSpec, SupportSpec, simulate
 from weakdep.adversarial import generate_sequence
 from weakdep.confsets import Interval, binary_union_set, score_invert_late, wald_ci
 from weakdep.simulate import (
@@ -25,6 +27,7 @@ from helpers import (
     late_law,
     late_support,
     multinomial_pmf,
+    serial_run,
     wald_ratio,
 )
 
@@ -79,6 +82,26 @@ class TestRuntime:
         assert len(report.cells) == 8
         assert all(cell.runtime > 0.0 for cell in report.cells)
         assert sum(cell.runtime for cell in report.cells) <= wall
+
+    def test_cell_runtimes_sum_to_method_seconds(self):
+        """A law's runtime is its row share of its group's constructor calls,
+        so each method's cell runtimes add up to its method_seconds."""
+        law = late_law()
+        plan = ExperimentPlan(
+            laws=(LawCase("a", law, wald_ratio(law)), LawCase("b", _y_scaled(law), 0.0),
+                  LawCase("c", late_law(p_z1=0.3), 1.0)),
+            methods=(WALD, WALD_CF, MethodConfig("score"), MethodConfig("union"),
+                     MethodConfig("empty")),
+            n=200, reps=15, level=0.95, seed=3, s=S,
+        )
+        report = run(plan)
+        methods = len(plan.methods)
+        assert len(report.method_seconds) == methods
+        assert report.to_dict()["method_seconds"] == list(report.method_seconds)
+        for m, seconds in enumerate(report.method_seconds):
+            cells = report.cells[m::methods]
+            assert {c.method for c in cells} == {plan.methods[m].name}
+            assert sum(c.runtime for c in cells) == pytest.approx(seconds, rel=1e-12)
 
 
 class TestTallies:
@@ -241,6 +264,7 @@ class TestBlocks:
             monkeypatch.setattr(simulate, "BLOCK_BYTES", budget)
             report = run(plan)
             payload = report.to_dict()
+            payload.pop("method_seconds")           # timings, like runtime
             for cell in payload["cells"]:
                 cell.pop("runtime")
             seen.append((report.to_csv(), payload))
@@ -354,3 +378,93 @@ class TestExactCoverage:
 
     def test_union_monte_carlo_inside_wilson_of_exact_coverage(self, exact):
         self._check(exact, "union")
+
+
+def _y_scaled(law):
+    """The same masses on a support whose Y cells have other means."""
+    support = SupportSpec(mu_y=[1.0, 2.0], mu_z=[1.0, 1.0], mu_w=[1.0, 1.0],
+                          mu_x=[1.0], iota_y=[0.0, 3.0])
+    return DiscreteLaw(support, law.mass)
+
+
+def _signed_zero(law):
+    """The same law on a support whose first Y integral is -0.0."""
+    support = SupportSpec(mu_y=[1.0, 1.0], mu_z=[1.0, 1.0], mu_w=[1.0, 1.0],
+                          mu_x=[1.0], iota_y=[-0.0, 1.0])
+    return DiscreteLaw(support, law.mass)
+
+
+ALL_METHODS = (WALD, WALD_CF, MethodConfig("score"), MethodConfig("union"),
+               MethodConfig("fullrange"), MethodConfig("empty"),
+               MethodConfig("oracle", {"epsilon": 0.25}))
+
+
+class TestSupportGroups:
+    def test_grouped_by_support_bits_in_order_of_first_appearance(self):
+        law = late_law()
+        cases = (LawCase("a", law, 0.0), LawCase("b", _signed_zero(law), 0.0),
+                 LawCase("c", late_law(p_z1=0.3), 0.0), LawCase("d", _y_scaled(law), 0.0),
+                 LawCase("e", _signed_zero(law), 0.0))
+        # equal as values, but -0.0 in iota_y keeps b and e apart from a and c
+        assert cases[0].law.support == cases[1].law.support
+        assert simulate._support_groups(cases) == [[0, 2], [1, 4], [3]]
+
+    def test_parsed_plan_grouped_by_value(self):
+        """A parsed plan gives every law its own support object."""
+        law = late_law()
+        plan = ExperimentPlan(
+            laws=(LawCase("a", law, 0.0), LawCase("b", late_law(p_z1=0.3), 0.0),
+                  LawCase("c", _y_scaled(law), 0.0), LawCase("d", law, 0.0)),
+            methods=(WALD,), n=50, reps=3, level=0.95, seed=1, s=S,
+        )
+        back = plan_from_dict(plan_to_dict(plan))
+        assert back.laws[0].law.support is not back.laws[3].law.support
+        assert simulate._support_groups(back.laws) == [[0, 1, 3], [2]]
+        assert run(back).to_csv() == run(plan).to_csv()
+
+
+_B_SUPPORT = {"signed_zero": _signed_zero, "y_scaled": _y_scaled}
+
+
+class TestAgainstSerialRun:
+    """run evaluates every law of a support in one call per method and
+    block; the law-by-law reference gives the same bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        laws=st.lists(
+            st.tuples(st.sampled_from([None, "signed_zero", "y_scaled"]),
+                      st.sampled_from([0.5, 0.3, 0.03, 1.0]),
+                      st.sampled_from([(0.2, 0.8), (0.5, 0.55), (0.4, 0.4)]),
+                      st.floats(-2.0, 2.0)),
+            min_size=1, max_size=4),
+        interleave=st.booleans(),
+        n=st.sampled_from([1, 2, 5, 12, 300]),
+        reps=st.integers(1, 9),
+        seed=st.integers(0, 2**32),
+        budget=st.sampled_from([1, 16 * 8 * 3, 16 * 8 * 5, simulate.BLOCK_BYTES]),
+        s=st.sampled_from([S, Interval(-1.0, 0.5)]),
+    )
+    def test_run_matches_serial_run_bit_for_bit(self, laws, interleave, n, reps,
+                                                 seed, budget, s):
+        cases = []
+        for t, (variant, p_z1, p_w, phi) in enumerate(laws):
+            law = late_law(p_z1=p_z1, p_w=p_w)
+            cases.append(LawCase(f"law{t}", _B_SUPPORT[variant](law) if variant else law,
+                                 phi))
+        if interleave:      # supports A, B, A
+            law = late_law()
+            cases += [LawCase("A1", law, 0.1), LawCase("B", _signed_zero(law), 0.1),
+                      LawCase("A2", late_law(p_z1=0.2), -0.4)]
+        plan = ExperimentPlan(laws=tuple(cases), methods=ALL_METHODS, n=n, reps=reps,
+                              level=0.95, seed=seed, s=s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "BLOCK_BYTES", budget)
+            got, want = run(plan), serial_run(plan)
+        assert got.to_csv() == want.to_csv()
+        assert len(got.cells) == len(want.cells)
+        for a, b in zip(got.cells, want.cells):
+            assert (a.label, a.method) == (b.label, b.method)
+            assert np.array(a.diameters).tobytes() == np.array(b.diameters).tobytes()
+            assert a.outcomes == b.outcomes
+            assert a.errors_by_kind == b.errors_by_kind
