@@ -33,7 +33,6 @@ from .adversarial import (
     default_params,
     gamma_for_target,
     generate_sequence,
-    limit_phi,
     perturb_kernels,
     sherman_morrison_inverse,
 )

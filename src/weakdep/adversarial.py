@@ -294,18 +294,11 @@ def closed_form_phi(base: BaseLawSpec, params: PerturbationParams) -> float:
     return _phi_closed(base, params)
 
 
-def limit_phi(base: BaseLawSpec, gamma: float) -> float:
-    """Limit of the functional as eta_w -> 0 with eta_y = gamma * eta_w.
-
-    Affine in gamma: the slope aggregates per-stratum weighted variances of
-    the base representer, the intercept aggregates base moments.
-    """
-    slope, intercept = limit_phi_coefficients(base)
-    return gamma * slope + intercept
-
-
 def limit_phi_coefficients(base: BaseLawSpec):
-    """(slope, intercept) of the affine-in-gamma limit value."""
+    """(slope, intercept) of the limit of the functional as eta_w -> 0 with
+    eta_y = gamma * eta_w, which is affine in gamma: the slope aggregates
+    per-stratum weighted variances of the base representer, the intercept
+    aggregates base moments."""
     s = base.support
     pi_w = base.pi_w_given_x                      # (k_x, k_w)
     alpha = base.alpha_tilde.T                    # (k_x, k_w)
@@ -322,7 +315,8 @@ def limit_phi_coefficients(base: BaseLawSpec):
 
 
 def gamma_for_target(base: BaseLawSpec, zeta: float) -> float:
-    """gamma with limit_phi(base, gamma) = zeta; strictly increasing in zeta."""
+    """gamma whose limit value (slope * gamma + intercept) is zeta; strictly
+    increasing in zeta."""
     slope, intercept = limit_phi_coefficients(base)
     if slope <= 0.0:
         raise DegenerateBase("limit slope is not positive")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -188,7 +189,10 @@ def _print_table(report):
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="weakdep",
         description="discrete weak-dependence laws and confidence-set experiments",

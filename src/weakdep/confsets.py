@@ -20,7 +20,10 @@ The counts are checked by :func:`~weakdep.laws.check_counts`.  Wald and
 the union set read a sample only through its empirical masses, from
 :func:`~weakdep.laws.estimate` (per cross-fit fold for Wald), after which
 everything is a mass-weighted sum over the (Y, Z, W, X) cells; the score
-set works on the integer counts themselves.  Wald solves each equation in
+set works on the integer counts themselves.  The score and union sets read
+the counts as contiguous (R, 2, n_cells) rows, each cell coordinate they
+need (Y cell mean, Z value, W value, the X = k_x - 1 flag) being one flat
+vector over the cells.  Wald solves each equation in
 one stacked call (closed-form rotations for 2x2 strata, batched SVD
 otherwise), the score set is a quadratic sublevel set per replication, and
 the union set does its interval arithmetic elementwise.  The result is a
@@ -312,9 +315,19 @@ def _check_counts(counts, support):
     return counts
 
 
-def _cells(values):
-    """Per-replication values broadcast over the cells."""
-    return values.reshape(values.shape + (1,) * 4)
+def _pooled_rows(counts, support):
+    """The checked counts of a stack with both folds pooled, as contiguous
+    (R, n_cells) rows in the cells' (Y, Z, W, X) order."""
+    counts = _check_counts(counts, support)
+    rows = counts.reshape(len(counts), 2, -1)
+    return rows[:, 0] + rows[:, 1]
+
+
+def _coordinates(support):
+    """Each cell's Y cell mean, Z value, W value and whether it has
+    X = k_x - 1, as flat (n_cells,) vectors in the cells' (Y, Z, W, X) order."""
+    y, z, w, x = np.indices(support.shape).reshape(4, -1)
+    return support.y_cell_means[y], z, w.astype(float), x == support.k_x - 1
 
 
 def _total(terms, lead=1):
@@ -435,31 +448,34 @@ def score_invert_late(
     empty one included, gets the full range and a reason.
     """
     require_binary_support(support, 1, "score inversion")
-    counts = _check_counts(counts, support).sum(axis=1)[..., 0]   # (R, k_y, 2, 2)
-    n0, n1 = np.moveaxis(counts.sum(axis=(1, 3)), -1, 0)
+    counts = _pooled_rows(counts, support)              # (R, n_cells) integers
+    y, z, w, _ = _coordinates(support)
+    z1 = counts * z                                     # the Z = 1 counts
+    n1 = z1.sum(axis=-1)
+    n0 = counts.sum(axis=-1) - n1
 
     # Per row, the estimating function is c(Z) (A - theta B) with A and B
     # centred by their Z=1 means.  Scaled by a positive constant, c is
     # (-n1, n0) and A, B are centred on the n1 scale: n1 Y - sum_{Z=1} Y.
     # With integer cell values these are exact integers, so data with
     # Y = W or Y = 1 - W give cA = +-cB exactly and a discriminant of
-    # exactly zero, keeping the single accepted point.
-    y = support.y_cell_means
-    w = np.arange(2.0)
-    a = n1[:, None] * y - (counts[:, :, 1].sum(axis=2) @ y)[:, None]    # (R, k_y)
-    b = n1[:, None] * w - (counts[:, :, 1].sum(axis=1) @ w)[:, None]    # (R, 2)
-    c = np.stack([-n1, n0], axis=-1)[:, None, :, None]
-    ca = c * a[:, :, None, None]
-    cb = c * b[:, None, None, :]
-    sum_a = _total(counts * ca)
-    sum_b = _total(counts * cb)
+    # exactly zero, keeping the single accepted point.  The Z = 1 counts are
+    # summed over W before their dot with the Y cell means, which fixes how
+    # that sum rounds when the cell means are not integers.
+    sum_y1 = z1.reshape(len(z1), support.k_y, -1).sum(axis=-1) @ support.y_cell_means
+    c = np.where(z == 1, n0[:, None], -n1[:, None])
+    ca = c * (n1[:, None] * y - sum_y1[:, None])
+    cb = c * (n1[:, None] * w - (z1 @ w)[:, None])
+    counts_ca, counts_cb = counts * ca, counts * cb
+    sum_a = counts_ca.sum(axis=-1)
+    sum_b = counts_cb.sum(axis=-1)
 
     z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
     # |T(theta)| <= z  <=>  (sum cA - theta sum cB)^2 <= z^2 sum (c(A - theta B))^2
     #                  <=>  q_bb theta^2 - 2 q_ab theta + q_aa <= 0.
-    q_aa = sum_a * sum_a - z2 * _total(counts * ca * ca)
-    q_ab = sum_a * sum_b - z2 * _total(counts * ca * cb)
-    q_bb = sum_b * sum_b - z2 * _total(counts * cb * cb)
+    q_aa = sum_a * sum_a - z2 * (counts_ca * ca).sum(axis=-1)
+    q_ab = sum_a * sum_b - z2 * (counts_ca * cb).sum(axis=-1)
+    q_bb = sum_b * sum_b - z2 * (counts_cb * cb).sum(axis=-1)
     lo, hi = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
     message = np.where(n1 == 0, 2, np.where(n0 == 0, 1, 0))
     return _region_arrays(lo, hi, s, np.where(message > 0, _DEGENERATE, 0), message,
@@ -469,39 +485,35 @@ def score_invert_late(
 def _union_components(mass: np.ndarray, support: SupportSpec):
     """Estimates of the union-bound components with their influence values.
 
-    ``mass`` holds the cell masses of R replications, shape (R,) + the
-    support's shape.  Returns the component names, their estimates (R, C)
-    and influence values per cell (R, C) + the support's shape, and per
-    replication the Z value of the first conditioning cell (Z, X = k_x - 1)
-    without mass, or -1.  Without X ("de", "num") are the Z contrasts of the
-    conditional means of W and Y.  With binary X these contrasts are taken
-    on X = 1, "num" becomes the Y contrast times E[W] - E[W|Z=1,X=1], and
-    "offset" is E[Y|Z=1,X=1].
+    ``mass`` holds the cell masses of R replications as (R, n_cells) rows.
+    Returns the component names, their estimates (R, C) and influence
+    values per cell (R, C, n_cells), and per replication the Z value of the
+    first conditioning cell (Z, X = k_x - 1) without mass, or -1.  Without X
+    ("de", "num") are the Z contrasts of the conditional means of W and Y.
+    With binary X these contrasts are taken on X = 1, "num" becomes the Y
+    contrast times E[W] - E[W|Z=1,X=1], and "offset" is E[Y|Z=1,X=1].
     """
-    y = support.y_cell_means.reshape(-1, 1, 1, 1)
-    w = np.arange(support.k_w, dtype=float).reshape(1, 1, -1, 1)
-    z = np.arange(support.k_z).reshape(1, -1, 1, 1)
-    arm = np.arange(support.k_x).reshape(1, 1, 1, -1) == support.k_x - 1
+    y, z, w, arm = _coordinates(support)
     # E[V | Z = z, X = arm] for V in (W, Y) and z in (1, 0): axes
-    # (replication, V, z) + cells; each is a sum over the cells as one run
-    values = np.stack(np.broadcast_arrays(w, y))[:, None]
+    # (replication, V, z, cell); each is a sum over one row of cells
+    values = np.stack([w, y])[:, None]
     events = np.stack([(z == 1) & arm, (z == 0) & arm])
     weighted = mass[:, None, None] * events
-    p = _total(weighted, lead=3)
+    p = weighted.sum(axis=-1)
     p_safe = np.where(p > 0.0, p, 1.0)
-    est = _total(weighted * values, lead=3) / p_safe
-    infl = np.where(events, values - _cells(est), 0.0) / _cells(p_safe)
+    est = (weighted * values).sum(axis=-1) / p_safe
+    infl = np.where(events, values - est[..., None], 0.0) / p_safe[..., None]
     empty_z = np.where(p[:, 0, 0] <= 0.0, 1, np.where(p[:, 0, 1] <= 0.0, 0, -1))
 
     contrast = est[:, :, 0] - est[:, :, 1]
     contrast_infl = infl[:, :, 0] - infl[:, :, 1]
     if support.k_x == 1:
         return ("de", "num"), contrast, contrast_infl, empty_z
-    ew_est = _total(mass * w)
+    ew_est = (mass * w).sum(axis=-1)
     diff_est = ew_est - est[:, 0, 0]
-    diff_infl = (w - _cells(ew_est)) - infl[:, 0, 0]
+    diff_infl = (w - ew_est[:, None]) - infl[:, 0, 0]
     nu_est, nu_infl = contrast[:, 1], contrast_infl[:, 1]
-    num_infl = _cells(diff_est) * nu_infl + _cells(nu_est) * diff_infl
+    num_infl = diff_est[:, None] * nu_infl + nu_est[:, None] * diff_infl
     return (
         ("de", "num", "offset"),
         np.stack([contrast[:, 0], nu_est * diff_est, est[:, 1, 0]], axis=1),
@@ -518,7 +530,7 @@ def binary_union_estimand(law: DiscreteLaw) -> float:
     plain ratio of conditional-mean differences.
     """
     require_binary_support(law.support, 2, "the union target")
-    _, est, _, empty_z = _union_components(law.mass[None], law.support)
+    _, est, _, empty_z = _union_components(law.mass.reshape(1, -1), law.support)
     if empty_z[0] >= 0:
         raise ZeroConditioningMass((int(empty_z[0]), law.support.k_x - 1))
     de, num, *offset = est[0].tolist()
@@ -547,13 +559,13 @@ def binary_union_set(
     gives the full range and a reason.
     """
     require_binary_support(support, 2, "the union set")
-    counts = _check_counts(counts, support).sum(axis=1)
-    n = counts.sum(axis=(1, 2, 3, 4))
-    mass = estimate(counts, support)
+    counts = _pooled_rows(counts, support)              # (R, n_cells)
+    n = counts.sum(axis=-1)
+    mass = estimate(counts.reshape((len(n),) + support.shape), support).reshape(len(n), -1)
     names, est, infl, empty_z = _union_components(mass, support)
     level = alpha / len(names)
     z = normal_quantile(1.0 - level / 2.0)
-    se = np.sqrt(_total(mass[:, None] * infl * infl, lead=2)
+    se = np.sqrt((mass[:, None] * infl * infl).sum(axis=-1)
                  / np.maximum(n - 1, 1)[:, None])
     lo, hi = est - z * se, est + z * se                  # (R, components)
     components = {name: (lo[:, i], hi[:, i]) for i, name in enumerate(names)}

@@ -476,6 +476,11 @@ def check_model_membership(
             message=str(exc), **g_diag,
         )
 
+    # q needs a factorisation of its own: its operator is the adjoint
+    # A* = D_W^-1 A^T D_Z (D_W, D_Z diagonal, the stratum's probabilities of
+    # the W and of the Z cells), not A^T, so the SVD of g's operator A gives neither the
+    # singular values of A* nor its minimum-norm solution on a near-singular
+    # stratum.
     try:
         _, q_res, q_ok, _ = _solve_strata(adjoint_mean_operator(law), alpha.T, tol)
     except ZeroConditioningMass as exc:

@@ -13,11 +13,17 @@ run serially in blocks, in replication order: a block holds the same
 window of replications of every law on one support, each law's part from
 one :func:`~weakdep.laws.sample` call on its own stream, and every method
 evaluates the block's stacked counts in one call, giving one
-:class:`~weakdep.confsets.RegionArrays` whose rows are split back into
-per-law tallies.  A block holds at most :data:`BLOCK_BYTES` of float cell
+:class:`~weakdep.confsets.RegionArrays`.  Its rows are written by slice
+into the support's tables, one per field of shape (method, law,
+replication): int8 outcome code, float64 diameter, bool full-range flag and
+int8 reason.  Once every block is in, all cells of the support are
+summarised in one vectorised pass over the tables (one ``bincount`` for
+the outcomes and one for the reasons, one row-wise sort for the
+quantiles, row-wise means and fractions), with the arithmetic of a cell
+summarised alone.  A block holds at most :data:`BLOCK_BYTES` of float cell
 counts over all its laws, so a block's memory does not grow with the
-number of replications; the tallies keep a diameter, an outcome and a
-reason per replication.  A stream yields the same samples however it is
+number of replications; the tables hold 11 bytes per replication, method
+and law.  A stream yields the same samples however it is
 split into blocks, so the report does not depend on the block size or on
 which laws share a block, and the first R' replications of a plan are
 those of the same plan with ``reps=R'``.
@@ -40,7 +46,6 @@ from .confsets import (
     FULL_LINE,
     REASONS,
     Interval,
-    RegionArrays,
     binary_union_set,
     fixed_arrays,
     interval_arrays,
@@ -50,7 +55,7 @@ from .confsets import (
     wald_ci,
 )
 from .functionals import FunctionalSpec
-from .laws import _MAX_N, DiscreteLaw, _number, law_from_dict, law_to_dict, sample
+from .laws import _MAX_N, DiscreteLaw, _number, law_from_dict, sample
 
 CSV_COLUMNS = (
     "label", "method", "n", "reps", "coverage", "wilson_lo", "wilson_hi",
@@ -62,17 +67,6 @@ CSV_COLUMNS = (
 # in the block; the block size follows from it, the support and the number
 # of laws on it, and results do not depend on it.
 BLOCK_BYTES = 1 << 20
-
-
-def _quantile(values: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile that tolerates infinite order statistics."""
-    ordered = np.sort(values)
-    pos = q / 100.0 * (ordered.size - 1)
-    lo = int(math.floor(pos))
-    hi = int(math.ceil(pos))
-    if ordered[lo] == ordered[hi]:
-        return float(ordered[lo])
-    return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
 
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95):
@@ -264,50 +258,65 @@ _OUTCOMES = ("cover", "miss", "error")
 _COVER, _MISS, _ERROR = range(3)
 
 
-def _block_outcomes(arrays: RegionArrays, phi: np.ndarray):
-    """Per row of a block: outcome code, diameter, full-range flag and reason."""
-    code = np.where(arrays.reason > 0, _ERROR,
-                    np.where(arrays.contains(phi), _COVER, _MISS)).astype(np.int8)
-    return code, arrays.diameters(), arrays.is_full(), arrays.reason.astype(np.int8)
+def _quantiles(ordered: np.ndarray, q: float) -> np.ndarray:
+    """Linear-interpolation quantile of every row of sorted values; equal
+    order statistics, infinite ones included, give their value."""
+    pos = q / 100.0 * (ordered.shape[-1] - 1)
+    lo, hi = ordered[..., math.floor(pos)], ordered[..., math.ceil(pos)]
+    with np.errstate(invalid="ignore"):                 # inf - inf where lo == hi
+        return np.where(lo == hi, lo, lo + (hi - lo) * (pos - math.floor(pos)))
 
 
-class _Tally:
-    """Per-replication outcomes of one (law, method) pair, as the arrays of
-    each block in replication order."""
-
-    def __init__(self):
-        self.blocks = []
-        self.seconds = 0.0
-
-    def report(self, label: str, method: str, plan: ExperimentPlan) -> CellReport:
-        code, diam_arr, fulls, reason = map(np.concatenate, zip(*self.blocks))
-        covered, _, errors = np.bincount(code, minlength=len(_OUTCOMES)).tolist()
-        missed = plan.reps - covered - errors
-        wl, wh = wilson_interval(covered + errors, plan.reps)
-        kinds = np.bincount(reason, minlength=len(REASONS)).tolist()
-        return CellReport(
-            label=label,
-            method=method,
+def _cell_reports(code, diam, full, reason, runtimes, labels, methods, plan):
+    """The report of every cell of one support group, from its tables of
+    shape (methods, laws, reps): outcome code, diameter, full-range flag and
+    reason per replication.  ``runtimes`` holds each method's per-law
+    seconds.  Returns the reports in (method, law) order."""
+    n_methods, n_laws, reps = code.shape
+    cell = np.arange(n_methods * n_laws).reshape(n_methods, n_laws, 1)
+    tallies = np.bincount((cell * len(_OUTCOMES) + code).ravel(),
+                          minlength=cell.size * len(_OUTCOMES))
+    kinds = np.bincount((cell * len(REASONS) + reason).ravel(),
+                        minlength=cell.size * len(REASONS))
+    ordered = np.sort(diam, axis=-1)
+    summaries = zip(
+        tallies.reshape(-1, len(_OUTCOMES)).tolist(),
+        kinds.reshape(-1, len(REASONS)).tolist(),
+        diam.mean(axis=-1).ravel().tolist(),
+        _quantiles(ordered, 50).ravel().tolist(),
+        _quantiles(ordered, 90).ravel().tolist(),
+        np.count_nonzero(full, axis=-1).ravel().tolist(),
+        np.count_nonzero(diam >= plan.s.hi - plan.s.lo, axis=-1).ravel().tolist(),
+    )
+    reports = []
+    for index, (outcomes, kind, mean, p50, p90, fulls, wide) in enumerate(summaries):
+        m, j = divmod(index, n_laws)
+        covered, _, errors = outcomes
+        wl, wh = wilson_interval(covered + errors, reps)
+        reports.append(CellReport(
+            label=labels[j],
+            method=methods[m],
             n=plan.n,
-            reps=plan.reps,
+            reps=reps,
             covered=covered,
-            missed=missed,
+            missed=reps - covered - errors,
             errors=errors,
-            coverage=(covered + errors) / plan.reps,
+            coverage=(covered + errors) / reps,
             wilson_lo=wl,
             wilson_hi=wh,
-            diam_mean=float(diam_arr.mean()),
-            diam_p50=_quantile(diam_arr, 50),
-            diam_p90=_quantile(diam_arr, 90),
-            frac_fullrange=int(np.count_nonzero(fulls)) / plan.reps,
-            frac_error=errors / plan.reps,
-            frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
-            runtime=self.seconds,
-            diameters=tuple(diam_arr.tolist()),
-            outcomes=tuple(map(_OUTCOMES.__getitem__, code.tolist())),
+            diam_mean=mean,
+            diam_p50=p50,
+            diam_p90=p90,
+            frac_fullrange=fulls / reps,
+            frac_error=errors / reps,
+            frac_diam_ge_s=wide / reps,
+            runtime=runtimes[m],
+            diameters=tuple(diam[m, j].tolist()),
+            outcomes=tuple(map(_OUTCOMES.__getitem__, code[m, j].tolist())),
             errors_by_kind=dict(sorted(
-                (REASONS[k], count) for k, count in enumerate(kinds) if k and count)),
-        )
+                (REASONS[k], count) for k, count in enumerate(kind) if k and count)),
+        ))
+    return reports
 
 
 def _same_bits(a, b) -> bool:
@@ -340,7 +349,8 @@ def run(plan: ExperimentPlan) -> CoverageReport:
         cases = [plan.laws[i] for i in members]
         groups.append((members, cases, [_bind_method(m, plan, cases)
                                         for m in plan.methods]))
-    tallies = [[_Tally() for _ in plan.methods] for _ in plan.laws]
+    names = [method.name for method in plan.methods]
+    reports = [None] * len(plan.laws)
     method_seconds = [0.0] * len(plan.methods)
     for members, cases, methods in groups:
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=plan.seed,
@@ -349,33 +359,41 @@ def run(plan: ExperimentPlan) -> CoverageReport:
         phis = np.array([case.true_phi for case in cases])
         n_cells = cases[0].law.support.n_cells
         block_reps = max(1, BLOCK_BYTES // (16 * n_cells * len(members)))
+        # one table per field, (method, law, replication)
+        shape = (len(methods), len(members), plan.reps)
+        code, reason = np.empty(shape, np.int8), np.empty(shape, np.int8)
+        diam, full = np.empty(shape), np.empty(shape, bool)
+        runtimes = [0.0] * len(methods)
         for start in range(0, plan.reps, block_reps):
             reps = min(block_reps, plan.reps - start)
             # law j's replications are rows [j * reps, (j + 1) * reps)
             counts = np.concatenate([sample(case.law, plan.n, rng, reps=reps)
                                      for case, rng in zip(cases, rngs)])
             phi = np.repeat(phis, reps)
+            stop = start + reps
             for m, construct in enumerate(methods):
                 # only the constructor call is timed
                 started = time.perf_counter()
                 arrays = construct(counts, phi)
                 seconds = time.perf_counter() - started
                 method_seconds[m] += seconds
-                block = _block_outcomes(arrays, phi)
-                for j, i in enumerate(members):
-                    tally = tallies[i][m]
-                    tally.blocks.append([a[j * reps:(j + 1) * reps] for a in block])
-                    tally.seconds += seconds / len(members)   # the law's row share
-    cells = tuple(
-        tally.report(case.label, method.name, plan)
-        for case, row in zip(plan.laws, tallies)
-        for method, tally in zip(plan.methods, row)
-    )
-    return CoverageReport(cells=cells, method_seconds=tuple(method_seconds))
+                runtimes[m] += seconds / len(members)        # each law's row share
+                code[m, :, start:stop] = np.where(
+                    arrays.reason > 0, _ERROR,
+                    np.where(arrays.contains(phi), _COVER, _MISS)).reshape(-1, reps)
+                diam[m, :, start:stop] = arrays.diameters().reshape(-1, reps)
+                full[m, :, start:stop] = arrays.is_full().reshape(-1, reps)
+                reason[m, :, start:stop] = arrays.reason.reshape(-1, reps)
+        group = _cell_reports(code, diam, full, reason, runtimes,
+                              [case.label for case in cases], names, plan)
+        for j, i in enumerate(members):
+            reports[i] = group[j::len(members)]
+    return CoverageReport(cells=tuple(cell for row in reports for cell in row),
+                          method_seconds=tuple(method_seconds))
 
 
 # ---------------------------------------------------------------------------
-# plan (de)serialization for the CLI
+# plan parsing for the CLI
 
 _PLAN_KEYS = {"laws", "methods", "n", "reps", "level", "seed", "s"}
 _LAW_KEYS = {"label", "law", "true_phi"}
@@ -421,24 +439,3 @@ def plan_from_dict(d) -> ExperimentPlan:
         for method in plan.methods:
             _bind_method(method, plan, [case])
     return plan
-
-
-def plan_to_dict(plan: ExperimentPlan):
-    return {
-        "laws": [
-            {
-                "label": case.label,
-                "law": law_to_dict(case.law),
-                "true_phi": case.true_phi,
-            }
-            for case in plan.laws
-        ],
-        "methods": [
-            {"name": m.name, **m.options} for m in plan.methods
-        ],
-        "n": plan.n,
-        "reps": plan.reps,
-        "level": plan.level,
-        "seed": plan.seed,
-        "s": [plan.s.lo, plan.s.hi],
-    }

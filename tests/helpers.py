@@ -16,13 +16,21 @@ from weakdep import (
     estimate,
     simulate,
 )
+from weakdep.adversarial import limit_phi_coefficients
 from weakdep.confsets import (
+    _DEGENERATE,
     _FULL,
+    _SCORE_MESSAGES,
     _UNION,
+    _ZERO_MASS,
     FULL_LINE,
     REASONS,
     Interval,
+    _check_counts,
     _divide,
+    _quadratic_sublevel,
+    _region_arrays,
+    _total,
     binary_union_set,
     fixed_arrays,
     normal_quantile,
@@ -44,8 +52,14 @@ from weakdep.functionals import (
     solve_g,
     solve_q,
 )
-from weakdep.laws import _number, sample
-from weakdep.simulate import CellReport, CoverageReport, _quantile, wilson_interval
+from weakdep.laws import _number, law_to_dict, sample
+from weakdep.simulate import (
+    _OUTCOMES,
+    CellReport,
+    CoverageReport,
+    ExperimentPlan,
+    wilson_interval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +918,165 @@ def serial_binary_union_set(counts, support, alpha, s):
 
 
 # ---------------------------------------------------------------------------
+# Shaped reference score and union sets.  These are the package's
+# score_invert_late, _union_components and binary_union_set as they were
+# before they read the counts as flat (R, 2, n_cells) rows: the same
+# arithmetic, broadcast over the four cell axes (Y, Z, W, X).  Tests check
+# the flat path against them bit for bit.
+
+
+def _cells(values):
+    """Per-replication values broadcast over the cells."""
+    return values.reshape(values.shape + (1,) * 4)
+
+
+def shaped_score_invert_late(counts, support, alpha, s=FULL_LINE):
+    require_binary_support(support, 1, "score inversion")
+    counts = _check_counts(counts, support).sum(axis=1)[..., 0]   # (R, k_y, 2, 2)
+    n0, n1 = np.moveaxis(counts.sum(axis=(1, 3)), -1, 0)
+    y = support.y_cell_means
+    w = np.arange(2.0)
+    a = n1[:, None] * y - (counts[:, :, 1].sum(axis=2) @ y)[:, None]    # (R, k_y)
+    b = n1[:, None] * w - (counts[:, :, 1].sum(axis=1) @ w)[:, None]    # (R, 2)
+    c = np.stack([-n1, n0], axis=-1)[:, None, :, None]
+    ca = c * a[:, :, None, None]
+    cb = c * b[:, None, None, :]
+    sum_a = _total(counts * ca)
+    sum_b = _total(counts * cb)
+    z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
+    q_aa = sum_a * sum_a - z2 * _total(counts * ca * ca)
+    q_ab = sum_a * sum_b - z2 * _total(counts * ca * cb)
+    q_bb = sum_b * sum_b - z2 * _total(counts * cb * cb)
+    lo, hi = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
+    message = np.where(n1 == 0, 2, np.where(n0 == 0, 1, 0))
+    return _region_arrays(lo, hi, s, np.where(message > 0, _DEGENERATE, 0), message,
+                          messages=_SCORE_MESSAGES)
+
+
+def shaped_union_components(mass, support):
+    """As ``confsets._union_components``, with ``mass`` of shape (R,) + the
+    support's and influence values of shape (R, C) + the support's."""
+    y = support.y_cell_means.reshape(-1, 1, 1, 1)
+    w = np.arange(support.k_w, dtype=float).reshape(1, 1, -1, 1)
+    z = np.arange(support.k_z).reshape(1, -1, 1, 1)
+    arm = np.arange(support.k_x).reshape(1, 1, 1, -1) == support.k_x - 1
+    values = np.stack(np.broadcast_arrays(w, y))[:, None]
+    events = np.stack([(z == 1) & arm, (z == 0) & arm])
+    weighted = mass[:, None, None] * events
+    p = _total(weighted, lead=3)
+    p_safe = np.where(p > 0.0, p, 1.0)
+    est = _total(weighted * values, lead=3) / p_safe
+    infl = np.where(events, values - _cells(est), 0.0) / _cells(p_safe)
+    empty_z = np.where(p[:, 0, 0] <= 0.0, 1, np.where(p[:, 0, 1] <= 0.0, 0, -1))
+
+    contrast = est[:, :, 0] - est[:, :, 1]
+    contrast_infl = infl[:, :, 0] - infl[:, :, 1]
+    if support.k_x == 1:
+        return ("de", "num"), contrast, contrast_infl, empty_z
+    ew_est = _total(mass * w)
+    diff_est = ew_est - est[:, 0, 0]
+    diff_infl = (w - _cells(ew_est)) - infl[:, 0, 0]
+    nu_est, nu_infl = contrast[:, 1], contrast_infl[:, 1]
+    num_infl = _cells(diff_est) * nu_infl + _cells(nu_est) * diff_infl
+    return (
+        ("de", "num", "offset"),
+        np.stack([contrast[:, 0], nu_est * diff_est, est[:, 1, 0]], axis=1),
+        np.stack([contrast_infl[:, 0], num_infl, infl[:, 1, 0]], axis=1),
+        empty_z,
+    )
+
+
+def shaped_binary_union_set(counts, support, alpha, s):
+    require_binary_support(support, 2, "the union set")
+    counts = _check_counts(counts, support).sum(axis=1)
+    n = counts.sum(axis=(1, 2, 3, 4))
+    mass = estimate(counts, support)
+    names, est, infl, empty_z = shaped_union_components(mass, support)
+    level = alpha / len(names)
+    z = normal_quantile(1.0 - level / 2.0)
+    se = np.sqrt(_total(mass[:, None] * infl * infl, lead=2)
+                 / np.maximum(n - 1, 1)[:, None])
+    lo, hi = est - z * se, est + z * se                  # (R, components)
+    components = {name: (lo[:, i], hi[:, i]) for i, name in enumerate(names)}
+    (de_lo, de_hi), (num_lo, num_hi) = components["de"], components["num"]
+    zero = np.zeros(len(n))
+    off_lo, off_hi = components.get("offset", (zero, zero))
+
+    straddle = (de_lo < 0.0) & (0.0 < de_hi) & ~((num_lo == 0.0) & (0.0 == num_hi))
+    lo, hi = _divide(num_lo, num_hi, de_lo, de_hi)
+    no_pieces = np.isnan(lo[:, 0]) & ~straddle
+    lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
+    hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
+    zero_mass = empty_z >= 0
+    reason = np.where(zero_mass, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))
+    message = np.where(zero_mass, 3 + empty_z, np.where(straddle, 1, 2 * no_pieces))
+    arm = support.k_x - 1
+    messages = ("", "denominator interval straddles zero",
+                "denominator interval degenerate at zero",
+                str(ZeroConditioningMass((0, arm))), str(ZeroConditioningMass((1, arm))))
+    return _region_arrays(lo, hi, s, reason, message, messages=messages,
+                          components=components)
+
+
+# ---------------------------------------------------------------------------
+# Reference per-cell tally.  This is simulate.run's tally as it was before
+# each support group's cells were summarised together: one object per
+# (law, method) pair holding its blocks' arrays, summarised one cell at a
+# time.  Tests check the package's columnar summary against it.
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """Linear-interpolation quantile that tolerates infinite order statistics."""
+    ordered = np.sort(values)
+    pos = q / 100.0 * (ordered.size - 1)
+    lo = int(math.floor(pos))
+    hi = int(math.ceil(pos))
+    if ordered[lo] == ordered[hi]:
+        return float(ordered[lo])
+    return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
+
+
+class _Tally:
+    """Per-replication outcomes of one (law, method) pair, as the arrays of
+    each block in replication order: outcome code, diameter, full-range flag
+    and reason."""
+
+    def __init__(self):
+        self.blocks = []
+        self.seconds = 0.0
+
+    def report(self, label: str, method: str, plan: ExperimentPlan) -> CellReport:
+        code, diam_arr, fulls, reason = map(np.concatenate, zip(*self.blocks))
+        covered, _, errors = np.bincount(code, minlength=len(_OUTCOMES)).tolist()
+        missed = plan.reps - covered - errors
+        wl, wh = wilson_interval(covered + errors, plan.reps)
+        kinds = np.bincount(reason, minlength=len(REASONS)).tolist()
+        return CellReport(
+            label=label,
+            method=method,
+            n=plan.n,
+            reps=plan.reps,
+            covered=covered,
+            missed=missed,
+            errors=errors,
+            coverage=(covered + errors) / plan.reps,
+            wilson_lo=wl,
+            wilson_hi=wh,
+            diam_mean=float(diam_arr.mean()),
+            diam_p50=_quantile(diam_arr, 50),
+            diam_p90=_quantile(diam_arr, 90),
+            frac_fullrange=int(np.count_nonzero(fulls)) / plan.reps,
+            frac_error=errors / plan.reps,
+            frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
+            runtime=self.seconds,
+            diameters=tuple(diam_arr.tolist()),
+            outcomes=tuple(map(_OUTCOMES.__getitem__, code.tolist())),
+            errors_by_kind=dict(sorted(
+                (REASONS[k], count) for k, count in enumerate(kinds) if k and count)),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Reference Monte Carlo run.  This is simulate.run as it was before laws on
 # one support were evaluated together: every law alone, one constructor call
 # per law, method and block, and the per-replication tallies kept as Python
@@ -1029,3 +1202,39 @@ def serial_run(plan):
     seconds = [sum(cell.runtime for cell in cells[m::len(plan.methods)])
                for m in range(len(plan.methods))]
     return CoverageReport(cells=tuple(cells), method_seconds=tuple(seconds))
+
+
+# ---------------------------------------------------------------------------
+# Law-level references that the package itself no longer calls.
+
+
+def plan_to_dict(plan):
+    """The JSON form of a plan that ``simulate.plan_from_dict`` reads."""
+    return {
+        "laws": [
+            {
+                "label": case.label,
+                "law": law_to_dict(case.law),
+                "true_phi": case.true_phi,
+            }
+            for case in plan.laws
+        ],
+        "methods": [
+            {"name": m.name, **m.options} for m in plan.methods
+        ],
+        "n": plan.n,
+        "reps": plan.reps,
+        "level": plan.level,
+        "seed": plan.seed,
+        "s": [plan.s.lo, plan.s.hi],
+    }
+
+
+def limit_phi(base, gamma):
+    """Limit of the functional as eta_w -> 0 with eta_y = gamma * eta_w.
+
+    Affine in gamma: the slope aggregates per-stratum weighted variances of
+    the base representer, the intercept aggregates base moments.
+    """
+    slope, intercept = limit_phi_coefficients(base)
+    return gamma * slope + intercept

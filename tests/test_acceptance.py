@@ -21,7 +21,6 @@ from weakdep import (
     evaluate_phi,
     gamma_for_target,
     generate_sequence,
-    limit_phi,
     perturb_kernels,
     response_vector,
     sample,
@@ -45,6 +44,7 @@ from helpers import (
     binary_x_law,
     divide_boxes,
     late_law,
+    limit_phi,
     random_base,
     random_law,
     random_support,

@@ -19,7 +19,6 @@ from weakdep import (
     evaluate_phi,
     gamma_for_target,
     generate_sequence,
-    limit_phi,
     marginal,
     perturb_kernels,
     riesz_alpha,
@@ -36,7 +35,7 @@ from weakdep.errors import (
     SingularPerturbation,
 )
 
-from helpers import acceptance_base, random_base, wald_ratio
+from helpers import acceptance_base, limit_phi, random_base, wald_ratio
 
 
 def small_params(base, eta_w=0.02, gamma=0.5):

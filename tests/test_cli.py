@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from weakdep import cli, laws
 from weakdep.functionals import FunctionalSpec
 
-from helpers import acceptance_base, kind_spec, kind_support, late_law, random_law
+from helpers import (
+    acceptance_base,
+    kind_spec,
+    kind_support,
+    late_law,
+    limit_phi,
+    random_law,
+)
 
 from test_functionals import w_indep_z_law, wz_identity_late
 
@@ -70,6 +77,20 @@ class TestValidate:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"support": {}, "mass": []}))
         assert cli.main(["validate", str(path)]) == 2
+
+
+def test_parser_is_built_once(valid_law_file, late_spec_file, capsys):
+    argv = ["solve", str(valid_law_file), str(late_spec_file)]
+    parser = cli.build_parser()
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:          # a refused flag in between
+        cli.main(argv + ["--tol", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is parser
 
 
 class TestSolve:
@@ -176,8 +197,6 @@ class TestAdversarial:
         assert "generation failed" in capsys.readouterr().err
 
     def test_intercept_target_gamma_near_zero(self, tmp_path, base_file, capsys):
-        from weakdep import limit_phi
-
         zeta = limit_phi(acceptance_base(), 0.0)
         assert cli.main([
             "adversarial", str(base_file), "--zeta", str(zeta), "--tv-targets",

@@ -59,6 +59,8 @@ from helpers import (
     serial_quadratic_sublevel,
     serial_score_invert_late,
     serial_wald_ci,
+    shaped_binary_union_set,
+    shaped_score_invert_late,
     svd_solve_strata,
     wald_ratio,
 )
@@ -1021,3 +1023,54 @@ class TestStackedScoreAndUnion:
                              else (score_invert_late, serial_score_invert_late))
         _assert_sets_match_serial(construct, serial, counts, support, alpha,
                                   Interval(*sorted(ends)), exact=False, single=True)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatMatchesShaped:
+    """The score and union sets on flat (R, 2, n_cells) rows give the bits
+    of the shaped references, which broadcast over the four cell axes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        union=st.booleans(),
+        k_y=st.integers(2, 4),
+        k_x=st.integers(1, 2),
+        reps=st.integers(1, 40),
+        draws=st.sampled_from([1, 2, 7, 40, 2000]),
+        alpha=st.floats(0.001, 0.5),
+        ends=st.tuples(_ENDS, _ENDS).filter(lambda e: e[0] != e[1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits(self, union, k_y, k_x, reps, draws, alpha, ends, seed):
+        """Random Y cell measures and integrals (cell means that are not
+        integers), with empty, one-arm and sparse samples mixed in."""
+        rng = np.random.default_rng(seed)
+        support = SupportSpec(mu_y=rng.uniform(0.2, 3.0, k_y),
+                              mu_z=rng.uniform(0.2, 3.0, 2),
+                              mu_w=rng.uniform(0.2, 3.0, 2),
+                              mu_x=rng.uniform(0.2, 3.0, k_x if union else 1),
+                              iota_y=rng.normal(0.0, 2.0, k_y))
+        mass = rng.gamma(0.5, size=support.shape) * (rng.random(support.shape) >= 0.3)
+        if not mass.any():
+            mass.flat[0] = 1.0
+        counts = rng.multinomial(draws, (mass / mass.sum()).ravel(), size=(reps, 2))
+        counts = counts.reshape((reps, 2) + support.shape)
+        kind = rng.integers(0, 4, reps)          # 1: empty, 2 and 3: one Z arm only
+        counts[kind == 1] = 0
+        counts[kind == 2, :, :, 0] = 0
+        counts[kind == 3, :, :, 1] = 0
+        s = Interval(*sorted(ends))
+        construct, shaped = ((binary_union_set, shaped_binary_union_set) if union
+                             else (score_invert_late, shaped_score_invert_late))
+        got, want = construct(counts, support, alpha, s), shaped(counts, support, alpha, s)
+        for name in ("kind", "lo", "hi", "reason", "message"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), name
+        assert got.messages == want.messages
+        assert got.components.keys() == want.components.keys()
+        for name, ends_got in got.components.items():
+            for a, b in zip(ends_got, want.components[name]):
+                assert _same_bits(a, b), name

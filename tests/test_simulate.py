@@ -1,6 +1,8 @@
 """The Monte Carlo harness: tallies, determinism, seeds, plan handling."""
 
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,24 +11,31 @@ from hypothesis import strategies as st
 
 from weakdep import DiscreteLaw, FunctionalSpec, SupportSpec, simulate
 from weakdep.adversarial import generate_sequence
-from weakdep.confsets import Interval, binary_union_set, score_invert_late, wald_ci
+from weakdep.confsets import (
+    REASONS,
+    Interval,
+    binary_union_set,
+    score_invert_late,
+    wald_ci,
+)
 from weakdep.simulate import (
     CSV_COLUMNS,
     ExperimentPlan,
     LawCase,
     MethodConfig,
     plan_from_dict,
-    plan_to_dict,
     run,
     wilson_interval,
 )
 
 from helpers import (
+    _Tally,
     acceptance_base,
     compositions,
     late_law,
     late_support,
     multinomial_pmf,
+    plan_to_dict,
     serial_run,
     wald_ratio,
 )
@@ -468,3 +477,50 @@ class TestAgainstSerialRun:
             assert np.array(a.diameters).tobytes() == np.array(b.diameters).tobytes()
             assert a.outcomes == b.outcomes
             assert a.errors_by_kind == b.errors_by_kind
+
+
+class TestColumnarSummary:
+    """One support group's cells summarised together give the report of the
+    per-cell reference tally, every float the same."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n_methods=st.integers(1, 3),
+        n_laws=st.integers(1, 4),
+        reps=st.sampled_from([1, 2, 3, 9, 128, 129, 1001]),
+        blocks=st.integers(1, 4),
+        width=st.sampled_from([1.5, 40.0, math.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_tally(self, n_methods, n_laws, reps, blocks, width,
+                                     seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_methods, n_laws, reps)
+        # diameters with ties, zeros of both signs, the width of s, infinities
+        # and NaN, each often enough to land on a quantile's order statistics
+        diam = rng.choice([0.0, -0.0, 0.25, 1.5, width, math.inf, math.nan,
+                           rng.exponential()], size=shape,
+                          p=[0.1, 0.05, 0.15, 0.1, 0.1, 0.1, 0.05, 0.35])
+        diam = np.where(rng.random(shape) < 0.5, rng.exponential(2.0, shape), diam)
+        reason = np.where(rng.random(shape) < 0.2,
+                          rng.integers(1, len(REASONS), shape), 0).astype(np.int8)
+        code = np.where(reason > 0, simulate._ERROR,
+                        rng.integers(0, 2, shape)).astype(np.int8)
+        full = (reason > 0) | (rng.random(shape) < 0.1)
+        plan = replace(small_plan([MethodConfig("fullrange")], reps=reps),
+                       s=Interval(-width / 2, width / 2))
+        runtimes = rng.random(n_methods).tolist()
+        labels = [f"law{j}" for j in range(n_laws)]
+        methods = [f"method{m}" for m in range(n_methods)]
+        got = simulate._cell_reports(code, diam, full, reason, runtimes, labels,
+                                     methods, plan)
+        cuts = np.sort(rng.integers(0, reps + 1, blocks - 1)).tolist()
+        for m in range(n_methods):
+            for j in range(n_laws):
+                tally = _Tally()
+                tally.seconds = runtimes[m]
+                for lo, hi in zip([0] + cuts, cuts + [reps]):
+                    tally.blocks.append([a[m, j, lo:hi] for a in (code, diam, full, reason)])
+                want = tally.report(labels[j], methods[m], plan)
+                # repr tells signed zeros apart and shows NaN
+                assert repr(got[m * n_laws + j]) == repr(want)
