@@ -1,6 +1,8 @@
 """Discrete weak-dependence laws, integral-equation functionals,
 adversarial law sequences, and confidence-set coverage experiments."""
 
+from types import ModuleType as _ModuleType
+
 from .laws import (
     DiscreteLaw,
     SupportSpec,
@@ -53,5 +55,6 @@ from .simulate import (
     wilson_interval,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

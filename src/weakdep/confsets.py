@@ -34,9 +34,10 @@ stack.  The score set needs binary Z and W and no X (k_x = 1); the union
 set needs binary Z and W and takes its target from k_x: the ratio when
 k_x = 1, the X = 1 arm when k_x = 2.
 
-Regions are finite unions of closed intervals, the full parameter range,
-or empty.  Degenerate samples, empty ones included, conservatively get the
-full range and a reason, never an exception.
+A region is its pieces: a finite union of disjoint closed intervals
+inside s, possibly none.  The full range is the one piece s, which every
+degenerate sample, empty ones included, conservatively gets, with a
+reason, never an exception.
 The one special function all three need, the normal quantile, is the
 standard library's.
 """
@@ -222,26 +223,22 @@ REASONS = ("", "empty_fold", ZeroConditioningMass.__name__,
            PositivityViolation.__name__, DegenerateSample.__name__)
 _EMPTY_FOLD, _ZERO_MASS, _POSITIVITY, _DEGENERATE = 1, 2, 3, 4
 
-# region kinds of RegionArrays, by index
-_EMPTY, _UNION, _FULL = 0, 1, 2
-
-
 @dataclass(frozen=True)
 class RegionArrays:
     """Regions of a stack of replications, entry r for replication r.
 
-    ``kind`` is 0 for an empty region, 1 for the union of the pieces
-    [lo[r, i], hi[r, i]] and 2 for the full range; lo and hi have shape
-    (R, P), P being the constructor's width, and the pieces (NaN where
-    absent, after the present ones) are clipped to ``s``, sorted and
-    disjoint.  ``reason`` indexes :data:`REASONS`, and a degenerate entry
-    (reason nonzero) has the full range; ``message`` indexes ``messages``.  Wald also gives its
-    ``estimate`` and ``stderr`` (NaN where degenerate), and the union set its
-    component intervals, name -> (lo, hi) arrays.
+    Region r is the union of its pieces [lo[r, i], hi[r, i]]; lo and hi
+    have shape (R, P), P being the constructor's width, and the pieces (NaN
+    where absent, after the present ones) lie in ``s``, sorted and disjoint.
+    A region without pieces is empty, and the full range is the one piece
+    ``(s.lo, s.hi)``.  ``reason`` indexes :data:`REASONS`, and a degenerate
+    entry (reason nonzero) has the full range; ``message`` indexes
+    ``messages``.  Wald also gives its ``estimate`` and ``stderr`` (NaN
+    where degenerate), and the union set its component intervals, name ->
+    (lo, hi) arrays.
     """
 
     s: Interval
-    kind: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     reason: np.ndarray
@@ -257,37 +254,35 @@ class RegionArrays:
         return bool(self.reason.any())
 
     def is_full(self) -> np.ndarray:
-        return self.kind == _FULL
+        """Whether each region's first piece covers s."""
+        return (self.lo[:, 0] <= self.s.lo) & (self.hi[:, 0] >= self.s.hi)
 
     def contains(self, value) -> np.ndarray:
-        """Whether each region holds ``value``: a scalar for every row, or an
-        (R,) vector, row r's value for region r."""
+        """Whether some piece of each region holds ``value``: a scalar for
+        every row, or an (R,) vector, row r's value for region r."""
         value = np.expand_dims(value, -1)
-        inside = ((self.lo <= value) & (value <= self.hi)).any(axis=-1)
-        return (self.kind == _FULL) | ((self.kind == _UNION) & inside)
+        return ((self.lo <= value) & (value <= self.hi)).any(axis=-1)
 
     def diameters(self) -> np.ndarray:
-        """sup minus inf of every region; the full range has the diameter of s."""
-        last = np.maximum((~np.isnan(self.hi)).sum(axis=1) - 1, 0)[:, None]
-        last_hi = np.take_along_axis(self.hi, last, 1)[:, 0]
+        """sup minus inf of every region: its last (largest) piece end minus
+        its first piece start, 0 without pieces."""
         with np.errstate(invalid="ignore"):         # inf - inf on an infinite s
-            spans = last_hi - self.lo[:, 0]
-        return np.where(self.kind == _FULL, self.s.hi - self.s.lo,
-                        np.where(self.kind == _UNION, spans, 0.0))
+            spans = np.fmax.reduce(self.hi, axis=1) - self.lo[:, 0]
+        return np.where(np.isnan(self.lo[:, 0]), 0.0, spans)
 
 
 def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
     """RegionArrays of raw pieces, shape (R, P): each clipped to s, then
-    merged, the region being the full range when one piece covers s and
-    empty when none is left; degenerate entries get the full range."""
+    merged; a degenerate entry, or one whose first piece covers s, gets the
+    one piece s."""
     lo = _first_max(lo, s.lo)
     hi = _first_min(hi, s.hi)
     keep = lo <= hi
     lo, hi = _merge_pieces(np.where(keep, lo, np.nan), np.where(keep, hi, np.nan))
-    pieces = (~np.isnan(lo)).sum(axis=-1)
-    full = (reason > 0) | ((pieces == 1) & (lo[:, 0] <= s.lo) & (hi[:, 0] >= s.hi))
-    kind = np.where(full, _FULL, np.where(pieces > 0, _UNION, _EMPTY))
-    return RegionArrays(s=s, kind=kind, lo=lo, hi=hi, reason=reason,
+    full = ((reason > 0) | ((lo[:, 0] <= s.lo) & (hi[:, 0] >= s.hi)))[:, None]
+    absent = np.full(lo.shape[1] - 1, np.nan)
+    return RegionArrays(s=s, lo=np.where(full, np.r_[s.lo, absent], lo),
+                        hi=np.where(full, np.r_[s.hi, absent], hi), reason=reason,
                         message=reason if message is None else message, **fields)
 
 

@@ -1,14 +1,17 @@
 """Seeded Monte Carlo harness for confidence-set coverage experiments.
 
-A plan pairs laws (each carrying its certified functional value) with
+A plan pairs laws (each carrying its certified functional value, which
+must lie in the parameter range s, and a label no other law has) with
 region constructors; the harness samples, applies every constructor to the
 same draw, and tallies coverage, diameters, full-range fractions and
-degenerate-sample errors (also by reason).  Each law draws from its own
-random stream, seeded by the master seed and the law's index in the plan
-through a counter-based seed sequence, so laws draw independently, a
-law's draws do not depend on the laws listed after it, and every run is
-reproducible.  Laws whose supports are equal bit for bit are evaluated
-together, as every step of a weak-dependence sequence is.  Replications
+degenerate-sample errors (also by reason), and times each method's
+constructor calls (per method, since the laws on one support share each
+call).  Each law draws from its own random stream, seeded by the master
+seed and the law's index in the plan through a counter-based seed
+sequence, so laws draw independently, a law's draws do not depend on the
+laws listed after it, and every run is reproducible.  Laws whose
+supports are equal bit for bit are evaluated together, as every step of
+a weak-dependence sequence is.  Replications
 run serially in blocks, in replication order: a block holds the same
 window of replications of every law on one support, each law's part from
 one :func:`~weakdep.laws.sample` call on its own stream, and every method
@@ -130,6 +133,18 @@ class ExperimentPlan:
         if self.s.lo == math.inf or self.s.hi == -math.inf:
             raise ValueError(f"s must contain a finite value; got "
                              f"[{self.s.lo}, {self.s.hi}]")
+        if not self.laws:
+            raise ValueError("a plan needs at least one law")
+        if not self.methods:
+            raise ValueError("a plan needs at least one method")
+        labels = [case.label for case in self.laws]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"law labels must be distinct; repeated {repeated}")
+        for case in self.laws:
+            if not self.s.lo <= case.true_phi <= self.s.hi:
+                raise ValueError(f"law {case.label!r}: true_phi {case.true_phi} lies "
+                                 f"outside s = [{self.s.lo}, {self.s.hi}]")
 
 
 def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, cases):
@@ -196,7 +211,6 @@ class CellReport:
     frac_fullrange: float
     frac_error: float
     frac_diam_ge_s: float
-    runtime: float          # this law's row share of the method's constructor calls
     diameters: tuple
     outcomes: tuple
     errors_by_kind: dict    # reason -> count of degenerate replications
@@ -218,7 +232,6 @@ class CellReport:
         d = {c: clean(getattr(self, c)) for c in CSV_COLUMNS}
         d.update(
             covered=self.covered, missed=self.missed, errors=self.errors,
-            runtime=self.runtime,
             diameters=[clean(v) for v in self.diameters],
             outcomes=list(self.outcomes),
             errors_by_kind=dict(self.errors_by_kind),
@@ -243,8 +256,8 @@ class CoverageReport:
         return {"cells": [cell.to_dict() for cell in self.cells],
                 "method_seconds": list(self.method_seconds)}
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def cell(self, label, method) -> CellReport:
         for c in self.cells:
@@ -267,11 +280,10 @@ def _quantiles(ordered: np.ndarray, q: float) -> np.ndarray:
         return np.where(lo == hi, lo, lo + (hi - lo) * (pos - math.floor(pos)))
 
 
-def _cell_reports(code, diam, full, reason, runtimes, labels, methods, plan):
+def _cell_reports(code, diam, full, reason, labels, methods, plan):
     """The report of every cell of one support group, from its tables of
     shape (methods, laws, reps): outcome code, diameter, full-range flag and
-    reason per replication.  ``runtimes`` holds each method's per-law
-    seconds.  Returns the reports in (method, law) order."""
+    reason per replication.  Returns the reports in (method, law) order."""
     n_methods, n_laws, reps = code.shape
     cell = np.arange(n_methods * n_laws).reshape(n_methods, n_laws, 1)
     tallies = np.bincount((cell * len(_OUTCOMES) + code).ravel(),
@@ -310,7 +322,6 @@ def _cell_reports(code, diam, full, reason, runtimes, labels, methods, plan):
             frac_fullrange=fulls / reps,
             frac_error=errors / reps,
             frac_diam_ge_s=wide / reps,
-            runtime=runtimes[m],
             diameters=tuple(diam[m, j].tolist()),
             outcomes=tuple(map(_OUTCOMES.__getitem__, code[m, j].tolist())),
             errors_by_kind=dict(sorted(
@@ -363,7 +374,6 @@ def run(plan: ExperimentPlan) -> CoverageReport:
         shape = (len(methods), len(members), plan.reps)
         code, reason = np.empty(shape, np.int8), np.empty(shape, np.int8)
         diam, full = np.empty(shape), np.empty(shape, bool)
-        runtimes = [0.0] * len(methods)
         for start in range(0, plan.reps, block_reps):
             reps = min(block_reps, plan.reps - start)
             # law j's replications are rows [j * reps, (j + 1) * reps)
@@ -375,16 +385,14 @@ def run(plan: ExperimentPlan) -> CoverageReport:
                 # only the constructor call is timed
                 started = time.perf_counter()
                 arrays = construct(counts, phi)
-                seconds = time.perf_counter() - started
-                method_seconds[m] += seconds
-                runtimes[m] += seconds / len(members)        # each law's row share
+                method_seconds[m] += time.perf_counter() - started
                 code[m, :, start:stop] = np.where(
                     arrays.reason > 0, _ERROR,
                     np.where(arrays.contains(phi), _COVER, _MISS)).reshape(-1, reps)
                 diam[m, :, start:stop] = arrays.diameters().reshape(-1, reps)
                 full[m, :, start:stop] = arrays.is_full().reshape(-1, reps)
                 reason[m, :, start:stop] = arrays.reason.reshape(-1, reps)
-        group = _cell_reports(code, diam, full, reason, runtimes,
+        group = _cell_reports(code, diam, full, reason,
                               [case.label for case in cases], names, plan)
         for j, i in enumerate(members):
             reports[i] = group[j::len(members)]
@@ -418,8 +426,6 @@ def plan_from_dict(d) -> ExperimentPlan:
             law=law_from_dict(entry["law"]),
             true_phi=_number(entry["true_phi"], "true_phi"),
         ))
-    if not d["methods"]:
-        raise ValueError("a plan needs at least one method")
     methods = []
     for entry in d["methods"]:
         entry = dict(entry)

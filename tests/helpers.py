@@ -19,9 +19,7 @@ from weakdep import (
 from weakdep.adversarial import limit_phi_coefficients
 from weakdep.confsets import (
     _DEGENERATE,
-    _FULL,
     _SCORE_MESSAGES,
-    _UNION,
     _ZERO_MASS,
     FULL_LINE,
     REASONS,
@@ -132,10 +130,13 @@ def as_result(arrays, r):
     message = arrays.messages[arrays.message[r]]
     if arrays.reason[r]:
         return _full_result(message, REASONS[arrays.reason[r]])
-    if arrays.kind[r] == _UNION:
-        region = ConfidenceRegion("union", tuple(pieces(arrays.lo[r], arrays.hi[r])))
+    intervals = tuple(pieces(arrays.lo[r], arrays.hi[r]))
+    if not intervals:
+        region = EMPTY_REGION
+    elif intervals[0].lo <= arrays.s.lo and intervals[0].hi >= arrays.s.hi:
+        region = FULL_REGION
     else:
-        region = FULL_REGION if arrays.kind[r] == _FULL else EMPTY_REGION
+        region = ConfidenceRegion("union", intervals)
     return RegionResult(
         region=region,
         estimate=None if arrays.estimate is None else float(arrays.estimate[r]),
@@ -1043,7 +1044,6 @@ class _Tally:
 
     def __init__(self):
         self.blocks = []
-        self.seconds = 0.0
 
     def report(self, label: str, method: str, plan: ExperimentPlan) -> CellReport:
         code, diam_arr, fulls, reason = map(np.concatenate, zip(*self.blocks))
@@ -1068,7 +1068,6 @@ class _Tally:
             frac_fullrange=int(np.count_nonzero(fulls)) / plan.reps,
             frac_error=errors / plan.reps,
             frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
-            runtime=self.seconds,
             diameters=tuple(diam_arr.tolist()),
             outcomes=tuple(map(_OUTCOMES.__getitem__, code.tolist())),
             errors_by_kind=dict(sorted(
@@ -1135,7 +1134,6 @@ class _SerialTally:
         self.diameters = []
         self.fulls = []
         self.errors_by_kind = Counter()
-        self.seconds = 0.0
 
     def add_stack(self, arrays):
         degenerate = arrays.reason > 0
@@ -1171,7 +1169,6 @@ class _SerialTally:
             frac_fullrange=sum(self.fulls) / plan.reps,
             frac_error=errors / plan.reps,
             frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
-            runtime=self.seconds,
             diameters=tuple(self.diameters),
             outcomes=outcomes,
             errors_by_kind=dict(sorted(self.errors_by_kind.items())),
@@ -1180,8 +1177,9 @@ class _SerialTally:
 
 def serial_run(plan):
     """Execute the plan law by law; deterministic given the master seed.
-    ``method_seconds`` sums each method's cell runtimes."""
+    ``method_seconds`` sums each method's constructor calls over every law."""
     cells = []
+    seconds = [0.0] * len(plan.methods)
     for law_idx, case in enumerate(plan.laws):
         methods = [_serial_bind_method(m, plan, case) for m in plan.methods]
         tallies = [_SerialTally(case.true_phi) for _ in plan.methods]
@@ -1191,16 +1189,14 @@ def serial_run(plan):
         for start in range(0, plan.reps, block_reps):
             counts = sample(case.law, plan.n, rng,
                             reps=min(block_reps, plan.reps - start))
-            for construct, tally in zip(methods, tallies):
+            for m, (construct, tally) in enumerate(zip(methods, tallies)):
                 # only the constructor call is timed
                 started = time.perf_counter()
                 arrays = construct(counts)
-                tally.seconds += time.perf_counter() - started
+                seconds[m] += time.perf_counter() - started
                 tally.add_stack(arrays)
         cells.extend(tally.report(case.label, method.name, plan)
                      for method, tally in zip(plan.methods, tallies))
-    seconds = [sum(cell.runtime for cell in cells[m::len(plan.methods)])
-               for m in range(len(plan.methods))]
     return CoverageReport(cells=tuple(cells), method_seconds=tuple(seconds))
 
 

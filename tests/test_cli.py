@@ -400,6 +400,9 @@ class TestCoverage:
         ("score_on_three_zw", 2),
         ("union_on_three_zw", 2),
         ("no_methods", 2),
+        ("no_laws", 2),
+        ("duplicate_labels", 2),
+        ("true_phi_outside_s", 2),
     ])
     def test_invalid_plan_exit_code(self, demo_plan, tmp_path, capsys,
                                     defect, code):
@@ -423,6 +426,12 @@ class TestCoverage:
             plan["methods"] = [{"name": method}]
         elif defect == "no_methods":
             plan["methods"] = []
+        elif defect == "no_laws":
+            plan["laws"] = []
+        elif defect == "duplicate_labels":
+            plan["laws"].append(dict(plan["laws"][0], true_phi=0.5))
+        elif defect == "true_phi_outside_s":
+            plan["s"] = [1.0, 2.0]                      # the law's true_phi is 0.4
         elif defect == "plan_is_array_with_seed_flag":
             plan, flags = [plan], ["--seed", "3"]
         else:
@@ -433,6 +442,8 @@ class TestCoverage:
         assert cli.main(["coverage", str(demo_plan), "--out", str(out), *flags]) == code
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
+        if code == 2:
+            assert len(err.splitlines()) == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -24,6 +24,7 @@ from weakdep.confsets import (
     binary_union_estimand,
     binary_union_set,
     fixed_arrays,
+    interval_arrays,
     normal_quantile,
     score_invert_late,
     wald_ci,
@@ -443,7 +444,7 @@ class TestCounts:
             assert got.is_full()[row] and got.diameters()[row] == _S.hi - _S.lo
         assert got.reason[[0, 2]].tolist() == [0, 0]
         as_float = construct(full.astype(float))
-        for field in ("kind", "lo", "hi", "reason", "message"):
+        for field in ("lo", "hi", "reason", "message"):
             assert getattr(as_float, field).tobytes() == getattr(got, field).tobytes()
 
 
@@ -1067,10 +1068,93 @@ class TestFlatMatchesShaped:
         construct, shaped = ((binary_union_set, shaped_binary_union_set) if union
                              else (score_invert_late, shaped_score_invert_late))
         got, want = construct(counts, support, alpha, s), shaped(counts, support, alpha, s)
-        for name in ("kind", "lo", "hi", "reason", "message"):
+        for name in ("lo", "hi", "reason", "message"):
             assert _same_bits(getattr(got, name), getattr(want, name)), name
         assert got.messages == want.messages
         assert got.components.keys() == want.components.keys()
         for name, ends_got in got.components.items():
             for a, b in zip(ends_got, want.components[name]):
                 assert _same_bits(a, b), name
+
+
+# Finite and infinite ranges; the law's ratio target is 0.4.
+_RANGES = st.sampled_from([Interval(-5.0, 5.0), Interval(0.2, 0.6), Interval(-1.0, 0.0),
+                           FULL_LINE, Interval(-INF, 0.5), Interval(0.3, INF)])
+# How each sample of a stack is cut down before the constructors see it.
+_SAMPLE_KINDS = {
+    "regular": lambda c: c,
+    "empty": lambda c: 0 * c,
+    "z0_only": lambda c: np.where(np.arange(2)[:, None, None] == 1, 0, c),
+    "z1_only": lambda c: np.where(np.arange(2)[:, None, None] == 0, 0, c),
+    "no_w1": lambda c: np.where(np.arange(2)[:, None] == 1, 0, c),    # zero-mass cells
+    "empty_fold": lambda c: np.stack([c[0], 0 * c[1]]),
+}
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (
+        math.isnan(a) and math.isnan(b))
+
+
+def _assert_pieces_are_the_region(arrays, s):
+    """Every piece lies in s; a degenerate or covering row is the one piece
+    s; contains, diameters and is_full are the scalar model's on the pieces."""
+    lo, hi = arrays.lo, arrays.hi
+    present = ~np.isnan(lo)
+    assert (present == ~np.isnan(hi)).all()
+    assert (lo[present] >= s.lo).all() and (hi[present] <= s.hi).all()
+    the_range = (np.float64(s.lo).tobytes(), np.float64(s.hi).tobytes())
+    regions = [region_from_intervals(pieces(lo[r], hi[r]), s) for r in range(len(lo))]
+    diameters, full = arrays.diameters(), arrays.is_full()
+    for r, region in enumerate(regions):
+        if arrays.reason[r] or region.is_full:
+            assert (lo[r, 0].tobytes(), hi[r, 0].tobytes()) == the_range, r
+            assert not present[r, 1:].any(), r
+        assert full[r] == region.is_full
+        assert _same_float(diameters[r], diameter(region, s)), r
+    probes = [v for v in (s.lo, s.hi, -1.0, -0.0, 0.0, 0.3, 0.4, 0.5, 1.0, 3.0)
+              if s.lo <= v <= s.hi]
+    for v in probes:
+        assert arrays.contains(v).tolist() == [region.contains(v) for region in regions]
+    own = np.where(present[:, 0], hi[:, 0], probes[0])          # one value per row
+    assert arrays.contains(own).tolist() == [
+        region.contains(v) for region, v in zip(regions, own.tolist())]
+    for v in (np.nextafter(s.lo, -INF), np.nextafter(s.hi, INF)):
+        if math.isfinite(v):
+            assert not arrays.contains(v).any()
+
+
+class TestPiecesAreTheRegion:
+    """A region is its pieces, for every constructor on every kind of
+    sample: the full range is the piece s whether a row covers s or
+    degenerated."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(_SAMPLE_KINDS)), min_size=1, max_size=12),
+        n=st.sampled_from([1, 2, 5, 40, 400]),
+        s=_RANGES,
+        fixed=st.lists(_PIECE, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pieces_lie_in_s_and_decide_the_region(self, kinds, n, s, fixed, seed):
+        rng = np.random.default_rng(seed)
+        support = late_support()
+        counts = sample(late_law(), n, rng, reps=len(kinds))
+        counts = np.stack([_SAMPLE_KINDS[k](c) for k, c in zip(kinds, counts)])
+        phi = rng.uniform(-2.0, 2.0, len(kinds))
+        eps = rng.choice([0.0, 0.01, 1.0, INF], len(kinds))
+        stacks = {
+            "wald": wald_ci(counts, FunctionalSpec.late(), support, 0.05, s),
+            "wald_cross_fit": wald_ci(counts, FunctionalSpec.late(), support, 0.05, s,
+                                      cross_fit=True),
+            "score": score_invert_late(counts, support, 0.05, s),
+            "union": binary_union_set(counts, support, 0.05, s),
+            "fixed": fixed_arrays([Interval(*p) for p in fixed if p], s, len(kinds)),
+            "oracle": interval_arrays(phi - eps, phi + eps, s),
+        }
+        for name, arrays in stacks.items():
+            try:
+                _assert_pieces_are_the_region(arrays, s)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}: {exc}") from exc

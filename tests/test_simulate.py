@@ -75,8 +75,8 @@ class TestTrivialMethods:
 
 class TestRuntime:
     def test_per_method_runtime_within_wall_time(self):
-        """Each method's runtime is its own constructor time: positive, and
-        summed over every cell no more than the wall time of the run."""
+        """Each method's seconds are its own constructor time: positive, and
+        summed over the methods no more than the wall time of the run."""
         law = late_law()
         plan = ExperimentPlan(
             laws=(LawCase("a", law, wald_ratio(law)), LawCase("b", law, 0.0)),
@@ -89,28 +89,10 @@ class TestRuntime:
         report = run(plan)
         wall = time.perf_counter() - started
         assert len(report.cells) == 8
-        assert all(cell.runtime > 0.0 for cell in report.cells)
-        assert sum(cell.runtime for cell in report.cells) <= wall
-
-    def test_cell_runtimes_sum_to_method_seconds(self):
-        """A law's runtime is its row share of its group's constructor calls,
-        so each method's cell runtimes add up to its method_seconds."""
-        law = late_law()
-        plan = ExperimentPlan(
-            laws=(LawCase("a", law, wald_ratio(law)), LawCase("b", _y_scaled(law), 0.0),
-                  LawCase("c", late_law(p_z1=0.3), 1.0)),
-            methods=(WALD, WALD_CF, MethodConfig("score"), MethodConfig("union"),
-                     MethodConfig("empty")),
-            n=200, reps=15, level=0.95, seed=3, s=S,
-        )
-        report = run(plan)
-        methods = len(plan.methods)
-        assert len(report.method_seconds) == methods
+        assert len(report.method_seconds) == len(plan.methods)
         assert report.to_dict()["method_seconds"] == list(report.method_seconds)
-        for m, seconds in enumerate(report.method_seconds):
-            cells = report.cells[m::methods]
-            assert {c.method for c in cells} == {plan.methods[m].name}
-            assert sum(c.runtime for c in cells) == pytest.approx(seconds, rel=1e-12)
+        assert all(seconds > 0.0 for seconds in report.method_seconds)
+        assert sum(report.method_seconds) <= wall
 
 
 class TestTallies:
@@ -225,6 +207,21 @@ class TestPlanSerialization:
         with pytest.raises(ValueError):
             MethodConfig("bogus")
 
+    def test_plans_refuse_what_they_cannot_report(self):
+        """No law, no method, two laws with one label, or a true value outside
+        s: nothing to report, cells that cannot be told apart, or a coverage
+        of a value the range leaves out."""
+        plan = small_plan([MethodConfig("fullrange")])
+        case = plan.laws[0]
+        for change, match in (({"laws": ()}, "at least one law"),
+                              ({"methods": ()}, "at least one method"),
+                              ({"laws": (case, case)}, "distinct"),
+                              ({"s": Interval(case.true_phi + 1.0, 20.0)}, "outside s")):
+            with pytest.raises(ValueError, match=match):
+                replace(plan, **change)
+        for ends in ((case.true_phi, 20.0), (-20.0, case.true_phi)):   # s is closed
+            replace(plan, s=Interval(*ends))
+
 
 class TestSweep:
     def test_sweep_structure_and_wald_decay(self):
@@ -273,9 +270,7 @@ class TestBlocks:
             monkeypatch.setattr(simulate, "BLOCK_BYTES", budget)
             report = run(plan)
             payload = report.to_dict()
-            payload.pop("method_seconds")           # timings, like runtime
-            for cell in payload["cells"]:
-                cell.pop("runtime")
+            payload.pop("method_seconds")           # timings
             seen.append((report.to_csv(), payload))
         assert seen[0] == seen[1] == seen[2]
         # n = 12 on this law degenerates some replications
@@ -445,7 +440,7 @@ class TestAgainstSerialRun:
             st.tuples(st.sampled_from([None, "signed_zero", "y_scaled"]),
                       st.sampled_from([0.5, 0.3, 0.03, 1.0]),
                       st.sampled_from([(0.2, 0.8), (0.5, 0.55), (0.4, 0.4)]),
-                      st.floats(-2.0, 2.0)),
+                      st.floats(0.0, 1.0)),       # where true_phi lies in s
             min_size=1, max_size=4),
         interleave=st.booleans(),
         n=st.sampled_from([1, 2, 5, 12, 300]),
@@ -457,10 +452,10 @@ class TestAgainstSerialRun:
     def test_run_matches_serial_run_bit_for_bit(self, laws, interleave, n, reps,
                                                  seed, budget, s):
         cases = []
-        for t, (variant, p_z1, p_w, phi) in enumerate(laws):
+        for t, (variant, p_z1, p_w, place) in enumerate(laws):
             law = late_law(p_z1=p_z1, p_w=p_w)
             cases.append(LawCase(f"law{t}", _B_SUPPORT[variant](law) if variant else law,
-                                 phi))
+                                 s.lo + place * (s.hi - s.lo)))
         if interleave:      # supports A, B, A
             law = late_law()
             cases += [LawCase("A1", law, 0.1), LawCase("B", _signed_zero(law), 0.1),
@@ -509,16 +504,13 @@ class TestColumnarSummary:
         full = (reason > 0) | (rng.random(shape) < 0.1)
         plan = replace(small_plan([MethodConfig("fullrange")], reps=reps),
                        s=Interval(-width / 2, width / 2))
-        runtimes = rng.random(n_methods).tolist()
         labels = [f"law{j}" for j in range(n_laws)]
         methods = [f"method{m}" for m in range(n_methods)]
-        got = simulate._cell_reports(code, diam, full, reason, runtimes, labels,
-                                     methods, plan)
+        got = simulate._cell_reports(code, diam, full, reason, labels, methods, plan)
         cuts = np.sort(rng.integers(0, reps + 1, blocks - 1)).tolist()
         for m in range(n_methods):
             for j in range(n_laws):
                 tally = _Tally()
-                tally.seconds = runtimes[m]
                 for lo, hi in zip([0] + cuts, cuts + [reps]):
                     tally.blocks.append([a[m, j, lo:hi] for a in (code, diam, full, reason)])
                 want = tally.report(labels[j], methods[m], plan)
