@@ -37,7 +37,7 @@ k_x = 1, the X = 1 arm when k_x = 2.
 A region is its pieces: a finite union of disjoint closed intervals
 inside s, possibly none.  The full range is the one piece s, which every
 degenerate sample, empty ones included, conservatively gets, with a
-reason, never an exception.
+reason (an index into :data:`REASONS`), never an exception.
 The one special function all three need, the normal quantile, is the
 standard library's.
 """
@@ -231,9 +231,9 @@ class RegionArrays:
     have shape (R, P), P being the constructor's width, and the pieces (NaN
     where absent, after the present ones) lie in ``s``, sorted and disjoint.
     A region without pieces is empty, and the full range is the one piece
-    ``(s.lo, s.hi)``.  ``reason`` indexes :data:`REASONS`, and a degenerate
-    entry (reason nonzero) has the full range; ``message`` indexes
-    ``messages``.  Wald also gives its ``estimate`` and ``stderr`` (NaN
+    ``(s.lo, s.hi)``.  ``reason`` indexes :data:`REASONS`, the one record
+    of why an entry degenerated, and a degenerate entry (reason nonzero) has
+    the full range.  Wald also gives its ``estimate`` and ``stderr`` (NaN
     where degenerate), and the union set its component intervals, name ->
     (lo, hi) arrays.
     """
@@ -242,8 +242,6 @@ class RegionArrays:
     lo: np.ndarray
     hi: np.ndarray
     reason: np.ndarray
-    message: np.ndarray
-    messages: tuple = ("",)
     estimate: np.ndarray | None = None
     stderr: np.ndarray | None = None
     components: dict = field(default_factory=dict)
@@ -271,7 +269,7 @@ class RegionArrays:
         return np.where(np.isnan(self.lo[:, 0]), 0.0, spans)
 
 
-def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
+def _region_arrays(lo, hi, s, reason, **fields) -> RegionArrays:
     """RegionArrays of raw pieces, shape (R, P): each clipped to s, then
     merged; a degenerate entry, or one whose first piece covers s, gets the
     one piece s."""
@@ -283,7 +281,7 @@ def _region_arrays(lo, hi, s, reason, message=None, **fields) -> RegionArrays:
     absent = np.full(lo.shape[1] - 1, np.nan)
     return RegionArrays(s=s, lo=np.where(full, np.r_[s.lo, absent], lo),
                         hi=np.where(full, np.r_[s.hi, absent], hi), reason=reason,
-                        message=reason if message is None else message, **fields)
+                        **fields)
 
 
 def fixed_arrays(intervals, s: Interval, reps: int) -> RegionArrays:
@@ -329,15 +327,6 @@ def _total(terms, lead=1):
     """Sum over every axis after the first ``lead``, as one contiguous run
     per entry: the order in which numpy sums one sample's cell array."""
     return terms.reshape(terms.shape[:lead] + (-1,)).sum(axis=-1)
-
-
-_WALD_MESSAGES = (
-    "",
-    "a cross-fitting fold is empty",
-    "zero probability on a conditioning cell of the fitted law",
-    "zero density in a representer denominator of the fitted law",
-    "an empirical equation is inconsistent on some stratum",
-)
 
 
 def wald_ci(
@@ -413,13 +402,9 @@ def wald_ci(
     bad = reason > 0
     return _region_arrays(
         (phi_hat - half_width)[:, None], (phi_hat + half_width)[:, None], s, reason,
-        messages=_WALD_MESSAGES,
         estimate=np.where(bad, np.nan, phi_hat),
         stderr=np.where(bad, np.nan, sd / root_n),
     )
-
-
-_SCORE_MESSAGES = ("", "instrument arm z=0 unobserved", "instrument arm z=1 unobserved")
 
 
 def score_invert_late(
@@ -472,9 +457,7 @@ def score_invert_late(
     q_ab = sum_a * sum_b - z2 * (counts_ca * cb).sum(axis=-1)
     q_bb = sum_b * sum_b - z2 * (counts_cb * cb).sum(axis=-1)
     lo, hi = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
-    message = np.where(n1 == 0, 2, np.where(n0 == 0, 1, 0))
-    return _region_arrays(lo, hi, s, np.where(message > 0, _DEGENERATE, 0), message,
-                          messages=_SCORE_MESSAGES)
+    return _region_arrays(lo, hi, s, np.where((n1 == 0) | (n0 == 0), _DEGENERATE, 0))
 
 
 def _union_components(mass: np.ndarray, support: SupportSpec):
@@ -573,12 +556,5 @@ def binary_union_set(
     no_pieces = np.isnan(lo[:, 0]) & ~straddle
     lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
     hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
-    zero_mass = empty_z >= 0
-    reason = np.where(zero_mass, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))
-    message = np.where(zero_mass, 3 + empty_z, np.where(straddle, 1, 2 * no_pieces))
-    arm = support.k_x - 1
-    messages = ("", "denominator interval straddles zero",
-                "denominator interval degenerate at zero",
-                str(ZeroConditioningMass((0, arm))), str(ZeroConditioningMass((1, arm))))
-    return _region_arrays(lo, hi, s, reason, message, messages=messages,
-                          components=components)
+    reason = np.where(empty_z >= 0, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))
+    return _region_arrays(lo, hi, s, reason, components=components)

@@ -208,7 +208,12 @@ def sample(law: DiscreteLaw, n: int, seed, reps=1):
     ``Generator`` is used as it is, so successive calls continue its stream.
     R single draws from the same generator give the same stack as one draw
     of R, so it does not matter how replications are split into calls.
+    ``n``, ``reps`` and a numeric ``seed`` must be integers, not bools.
     """
+    _require_integer(n, "n")
+    _require_integer(reps, "reps")
+    if isinstance(seed, numbers.Number):
+        _require_integer(seed, "seed")
     if not 0 < n <= _MAX_N:
         raise ValueError(f"n must lie in [1, 2**53]; got {n}")
     rng = np.random.default_rng(seed)
@@ -282,6 +287,13 @@ def _number(value, what, integer=False):
     if not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{what} must be an integer; got {value!r}")
     return int(value)
+
+
+def _require_integer(value, what):
+    """An integer given as such: bools and numbers of other types, even
+    integer-valued ones, are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer; got {value!r}")
 
 
 def _numbers(value, what):

@@ -58,7 +58,7 @@ from .confsets import (
     wald_ci,
 )
 from .functionals import FunctionalSpec
-from .laws import _MAX_N, DiscreteLaw, _number, law_from_dict, sample
+from .laws import _MAX_N, DiscreteLaw, _number, _require_integer, law_from_dict, sample
 
 CSV_COLUMNS = (
     "label", "method", "n", "reps", "coverage", "wilson_lo", "wilson_hi",
@@ -122,12 +122,19 @@ class ExperimentPlan:
     s: Interval
 
     def __post_init__(self):
+        for name in ("n", "reps", "seed"):
+            _require_integer(getattr(self, name), name)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 1 <= self.n <= _MAX_N:
             raise ValueError(f"n must lie in [1, 2**53]; got {self.n}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        # the narrowest split, the binary-X union set's alpha/3 per
+        # component, two-sided, needs the quantile of 1 - (1 - level)/6
+        if 1.0 - (1.0 - self.level) / 6.0 == 1.0:
+            raise ValueError(f"level must leave 1 - (1 - level)/6 below 1; "
+                             f"got {self.level!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0; got {self.seed}")
         if self.s.lo == math.inf or self.s.hi == -math.inf:

@@ -19,7 +19,6 @@ from weakdep import (
 from weakdep.adversarial import limit_phi_coefficients
 from weakdep.confsets import (
     _DEGENERATE,
-    _SCORE_MESSAGES,
     _ZERO_MASS,
     FULL_LINE,
     REASONS,
@@ -107,7 +106,6 @@ class RegionResult:
     region: ConfidenceRegion
     estimate: float | None = None
     stderr: float | None = None
-    message: str = ""
     components: dict = field(default_factory=dict)
     reason: str = ""
 
@@ -116,8 +114,8 @@ class RegionResult:
         return bool(self.reason)
 
 
-def _full_result(message, reason=DegenerateSample.__name__):
-    return RegionResult(region=FULL_REGION, message=message, reason=reason)
+def _full_result(reason=DegenerateSample.__name__):
+    return RegionResult(region=FULL_REGION, reason=reason)
 
 
 def pieces(lo, hi):
@@ -127,9 +125,8 @@ def pieces(lo, hi):
 
 def as_result(arrays, r):
     """Replication r of a RegionArrays as a RegionResult."""
-    message = arrays.messages[arrays.message[r]]
     if arrays.reason[r]:
-        return _full_result(message, REASONS[arrays.reason[r]])
+        return _full_result(REASONS[arrays.reason[r]])
     intervals = tuple(pieces(arrays.lo[r], arrays.hi[r]))
     if not intervals:
         region = EMPTY_REGION
@@ -141,7 +138,6 @@ def as_result(arrays, r):
         region=region,
         estimate=None if arrays.estimate is None else float(arrays.estimate[r]),
         stderr=None if arrays.stderr is None else float(arrays.stderr[r]),
-        message=message,
         components={name: Interval(float(lo[r]), float(hi[r]))
                     for name, (lo, hi) in arrays.components.items()},
     )
@@ -515,7 +511,7 @@ def serial_wald_ci(counts, spec, support, alpha, s=FULL_LINE, cross_fit=False,
         if cross_fit:
             n_a, n_b = int(counts[0].sum()), int(counts[1].sum())
             if n_a == 0 or n_b == 0:
-                return _full_result("a cross-fitting fold is empty", "empty_fold")
+                return _full_result("empty_fold")
             fold_a = empirical_law(counts[0], support)
             fold_b = empirical_law(counts[1], support)
             folds = ((fold_a, fold_b, n_b / n),
@@ -528,7 +524,7 @@ def serial_wald_ci(counts, spec, support, alpha, s=FULL_LINE, cross_fit=False,
             g, q = _nuisances(fit, spec, tol)
             parts.append((held_out.mass * share, psi1_values(support, spec, g, q)))
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
-        return _full_result(str(exc), type(exc).__name__)
+        return _full_result(type(exc).__name__)
     phi_hat = float(sum((weight * values).sum() for weight, values in parts))
     if n > 1:
         ss = sum((weight * (values - phi_hat) ** 2).sum() for weight, values in parts)
@@ -593,7 +589,7 @@ def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e
             g, q = _nuisances(law, spec, tol)
             values = row_psi1_values(rows, support, spec, g, q, 0.0)
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
-        return _full_result(str(exc), type(exc).__name__)
+        return _full_result(type(exc).__name__)
     phi_hat = float(values.mean())
     sd = float(values.std(ddof=1)) if n > 1 else 0.0
     half_width = z * sd / math.sqrt(n)
@@ -614,7 +610,7 @@ def row_score_invert_late(rows, alpha, s=FULL_LINE):
         raise ValueError("the ratio target admits no X stratification")
     n1 = int(rows.z.sum())
     if n1 == 0 or n1 == n:
-        return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
+        return _full_result()
 
     f_z1 = n1 / n
     c = np.where(rows.z == 1, 1.0 / f_z1, -1.0 / (1.0 - f_z1))
@@ -700,17 +696,14 @@ def row_binary_union_set(rows, alpha, s):
             b_num = _row_wald_component(gw_est, gw_infl, level)
             offset = _row_wald_component(y11_est, y11_infl, level)
             components = {"de": b_de, "num": b_num, "offset": offset}
-    except EmptyStratum as exc:
-        return _full_result(str(exc))
+    except EmptyStratum:
+        return _full_result()
 
     if b_de.lo < 0.0 < b_de.hi and not (b_num.lo == 0.0 == b_num.hi):
-        return RegionResult(
-            region=FULL_REGION, components=components,
-            message="denominator interval straddles zero",
-        )
+        return RegionResult(region=FULL_REGION, components=components)
     pieces = serial_interval_div(b_num, b_de)
     if not pieces:
-        return _full_result("denominator interval degenerate at zero")
+        return _full_result()
     region = region_from_intervals(interval_add(pieces, offset), s)
     return RegionResult(region=region, components=components)
 
@@ -827,7 +820,7 @@ def serial_score_invert_late(counts, support, alpha, s=FULL_LINE):
         raise EmptySample("cannot invert the score test on an empty sample")
     n0, n1 = counts.sum(axis=(0, 2))
     if n1 == 0 or n0 == 0:
-        return _full_result(f"instrument arm z={int(n1 == 0)} unobserved")
+        return _full_result()
     y = support.y_cell_means
     w = np.arange(2.0)
     a = n1 * y - counts[:, 1].sum(axis=1) @ y
@@ -898,7 +891,7 @@ def serial_binary_union_set(counts, support, alpha, s):
     try:
         parts = serial_union_components(law.mass, support)
     except ZeroConditioningMass as exc:
-        return _full_result(str(exc), type(exc).__name__)
+        return _full_result(type(exc).__name__)
     level = alpha / len(parts)
     components = {
         name: _serial_wald_component(est, infl, law.mass, n, level)
@@ -907,13 +900,10 @@ def serial_binary_union_set(counts, support, alpha, s):
     b_de, b_num = components["de"], components["num"]
     offset = components.get("offset", Interval(0.0, 0.0))
     if b_de.lo < 0.0 < b_de.hi and not (b_num.lo == 0.0 == b_num.hi):
-        return RegionResult(
-            region=FULL_REGION, components=components,
-            message="denominator interval straddles zero",
-        )
+        return RegionResult(region=FULL_REGION, components=components)
     pieces = serial_interval_div(b_num, b_de)
     if not pieces:
-        return _full_result("denominator interval degenerate at zero")
+        return _full_result()
     region = region_from_intervals(interval_add(pieces, offset), s)
     return RegionResult(region=region, components=components)
 
@@ -949,9 +939,7 @@ def shaped_score_invert_late(counts, support, alpha, s=FULL_LINE):
     q_ab = sum_a * sum_b - z2 * _total(counts * ca * cb)
     q_bb = sum_b * sum_b - z2 * _total(counts * cb * cb)
     lo, hi = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
-    message = np.where(n1 == 0, 2, np.where(n0 == 0, 1, 0))
-    return _region_arrays(lo, hi, s, np.where(message > 0, _DEGENERATE, 0), message,
-                          messages=_SCORE_MESSAGES)
+    return _region_arrays(lo, hi, s, np.where((n1 == 0) | (n0 == 0), _DEGENERATE, 0))
 
 
 def shaped_union_components(mass, support):
@@ -1008,15 +996,8 @@ def shaped_binary_union_set(counts, support, alpha, s):
     no_pieces = np.isnan(lo[:, 0]) & ~straddle
     lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
     hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
-    zero_mass = empty_z >= 0
-    reason = np.where(zero_mass, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))
-    message = np.where(zero_mass, 3 + empty_z, np.where(straddle, 1, 2 * no_pieces))
-    arm = support.k_x - 1
-    messages = ("", "denominator interval straddles zero",
-                "denominator interval degenerate at zero",
-                str(ZeroConditioningMass((0, arm))), str(ZeroConditioningMass((1, arm))))
-    return _region_arrays(lo, hi, s, reason, message, messages=messages,
-                          components=components)
+    reason = np.where(empty_z >= 0, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))
+    return _region_arrays(lo, hi, s, reason, components=components)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,7 @@ class TestCoverage:
         ("no_laws", 2),
         ("duplicate_labels", 2),
         ("true_phi_outside_s", 2),
+        ("level_rounds_to_one", 2),
     ])
     def test_invalid_plan_exit_code(self, demo_plan, tmp_path, capsys,
                                     defect, code):
@@ -432,6 +433,8 @@ class TestCoverage:
             plan["laws"].append(dict(plan["laws"][0], true_phi=0.5))
         elif defect == "true_phi_outside_s":
             plan["s"] = [1.0, 2.0]                      # the law's true_phi is 0.4
+        elif defect == "level_rounds_to_one":
+            plan["level"] = 0.9999999999999999         # 1 - 2**-53
         elif defect == "plan_is_array_with_seed_flag":
             plan, flags = [plan], ["--seed", "3"]
         else:
@@ -493,6 +496,17 @@ class TestCoverage:
         assert out.read_text() == "keep"
         if key == "tol":
             assert "unknown options ['tol']" in err
+
+    def test_level_flag_whose_quantile_rounds_to_one(self, demo_plan, tmp_path, capsys):
+        """--level 1 - 2**-53 leaves 1 - (1 - level)/6 at 1: exit 2 with one
+        line, before the report file is truncated."""
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"an earlier report\n")
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out),
+                         "--level", "0.9999999999999999"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert out.read_bytes() == b"an earlier report\n"
 
     def test_largest_n_runs(self, demo_plan, tmp_path, capsys):
         """n = 2**53, the largest size whose counts stay exact in float64,

@@ -227,6 +227,22 @@ class TestSample:
             with pytest.raises(ValueError, match="n must lie in"):
                 sample(law, n, seed=5)
 
+    @pytest.mark.parametrize("n, reps, seed, what", [
+        (100.5, 1, 5, "n"), (100.0, 1, 5, "n"), (True, 1, 5, "n"),
+        (100, 2.5, 5, "reps"), (100, True, 5, "reps"),
+        (100, 1, 1.5, "seed"), (100, 1, True, "seed"),
+    ])
+    def test_sizes_and_seed_are_integers(self, n, reps, seed, what):
+        """A fractional or boolean n, reps or numeric seed is refused, not
+        rounded or read as 0 or 1; numpy integers and a Generator are
+        taken as they are."""
+        law = late_law()
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            sample(law, n, seed, reps=reps)
+        np.testing.assert_array_equal(
+            sample(law, np.int64(100), np.random.default_rng(np.int32(5)), reps=np.int8(2)),
+            sample(law, 100, 5, reps=2))
+
     def test_counts_on_the_support_grid(self):
         rng = np.random.default_rng(16)
         support = random_support(rng, 3, 2, 2, 1)

@@ -222,6 +222,31 @@ class TestPlanSerialization:
         for ends in ((case.true_phi, 20.0), (-20.0, case.true_phi)):   # s is closed
             replace(plan, s=Interval(*ends))
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 100.5), ("n", 100.0), ("n", True), ("reps", 2.5), ("reps", True),
+        ("seed", 1.5), ("seed", False), ("seed", "5"),
+    ])
+    def test_plan_integers_are_not_repaired(self, key, value):
+        """n, reps and seed are integers, not bools or floats (integer-valued
+        ones included): the plan refuses them rather than draw a rounded n
+        or fail inside run."""
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            replace(small_plan([MethodConfig("fullrange")]), **{key: value})
+        replace(small_plan([MethodConfig("fullrange")]), **{key: np.int64(3)})
+
+    def test_level_whose_narrowest_quantile_rounds_to_one(self):
+        """The union set on binary X takes the quantile of 1 - (1 - level)/6;
+        a level that rounds it to 1 is refused, and the next level down runs
+        every method."""
+        plan = small_plan([MethodConfig("union")])
+        for level in (0.9999999999999999, 1.0 - 3 * 2.0**-53):
+            with pytest.raises(ValueError, match="level must leave"):
+                replace(plan, level=level)
+        report = run(replace(plan, level=1.0 - 2.0**-51, methods=(
+            MethodConfig("wald", {"functional": {"kind": "late"}}),
+            MethodConfig("score"), MethodConfig("union"))))
+        assert [cell.coverage for cell in report.cells] == [1.0] * 3
+
 
 class TestSweep:
     def test_sweep_structure_and_wald_decay(self):
