@@ -27,7 +27,7 @@ of the functional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -345,17 +345,8 @@ class SequenceStep:
     cond: float
 
     def certificate(self):
-        return {
-            "eta_w": self.eta_w,
-            "gamma": self.gamma,
-            "phi_closed": self.phi_closed,
-            "phi_verified": self.phi_verified,
-            "tv_to_base": self.tv_to_base,
-            "g_residual": self.g_residual,
-            "q_residual": self.q_residual,
-            "sigma_min": self.sigma_min,
-            "cond": self.cond,
-        }
+        """Every field but the law, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "law"}
 
 
 @dataclass(frozen=True)

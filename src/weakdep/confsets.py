@@ -284,14 +284,6 @@ def _region_arrays(lo, hi, s, reason, **fields) -> RegionArrays:
                         **fields)
 
 
-def fixed_arrays(intervals, s: Interval, reps: int) -> RegionArrays:
-    """The region of ``intervals``, one column each, for each of ``reps``
-    replications."""
-    pieces = [(iv.lo, iv.hi) for iv in intervals] or [(np.nan, np.nan)]
-    lo, hi = (np.tile(ends, (reps, 1)) for ends in zip(*pieces))
-    return _region_arrays(lo, hi, s, np.zeros(reps, dtype=np.int64))
-
-
 def interval_arrays(lo, hi, s: Interval) -> RegionArrays:
     """The region [lo[r], hi[r]] of each replication r, from (R,) arrays."""
     return _region_arrays(lo[:, None], hi[:, None], s, np.zeros(len(lo), dtype=np.int64))
@@ -358,18 +350,16 @@ def wald_ci(
     counts = _check_counts(counts, support)
     z = normal_quantile(1.0 - alpha / 2.0)
     cells = (None,) * 4                                 # broadcast over the cells
-    fold_n = counts.sum(axis=(-4, -3, -2, -1))          # (R, 2)
+    # fold f fits the nuisances and fold 1 - f weighs their values; without
+    # cross-fitting the one pooled fold does both, with a share of exactly 1
+    # (0 on an empty sample, whose fits are 0 too)
+    folds = counts if cross_fit else counts.sum(axis=1, keepdims=True)
+    fold_n = folds.sum(axis=(-4, -3, -2, -1))           # (R, folds)
     n = fold_n.sum(axis=-1)                             # (R,)
-    if cross_fit:
-        # fold f fits the nuisances and fold 1 - f weighs their values
-        fits = estimate(counts, support)
-        share = fold_n[:, [1, 0]] / np.maximum(n, 1)[:, None]
-        weights = fits[:, [1, 0]] * share[(...,) + cells]
-        empty_fold = (fold_n == 0).any(axis=-1)
-    else:
-        fits = estimate(counts.sum(axis=1), support)[:, None]
-        weights = fits
-        empty_fold = np.zeros(n.shape, dtype=bool)
+    fits = estimate(folds, support)
+    share = fold_n[:, ::-1] / np.maximum(n, 1)[:, None]
+    weights = fits[:, ::-1] * share[(...,) + cells]
+    empty_fold = cross_fit & (fold_n == 0).any(axis=-1)
 
     lhs, empty_g = _cond_mean_rows(fits)
     rhs, _ = _response_rows(fits, support.y_cell_means)   # same (Z, X) rows

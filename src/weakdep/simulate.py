@@ -6,9 +6,12 @@ region constructors; the harness samples, applies every constructor to the
 same draw, and tallies coverage, diameters, full-range fractions and
 degenerate-sample errors (also by reason), and times each method's
 constructor calls (per method, since the laws on one support share each
-call).  Each law draws from its own random stream, seeded by the master
-seed and the law's index in the plan through a counter-based seed
-sequence, so laws draw independently, a law's draws do not depend on the
+call).  The plan's dataclasses check every value when they are made,
+through the API as through ``plan_from_dict``, and the plan then binds
+each method once per support group, so a method that cannot run on a law
+fails before any sampling and ``run`` binds nothing.  Each law draws from
+its own random stream, seeded by the master seed and the law's index in
+the plan through a counter-based seed sequence, so laws draw independently, a law's draws do not depend on the
 laws listed after it, and every run is reproducible.  Laws whose
 supports are equal bit for bit are evaluated together, as every step of
 a weak-dependence sequence is.  Replications
@@ -46,11 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confsets import (
-    FULL_LINE,
     REASONS,
     Interval,
     binary_union_set,
-    fixed_arrays,
     interval_arrays,
     normal_quantile,
     require_binary_support,
@@ -93,8 +94,16 @@ class LawCase:
     true_phi: float
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string; got {self.label!r}")
+        object.__setattr__(self, "true_phi", _number(self.true_phi, "true_phi"))
         if not math.isfinite(self.true_phi):
             raise ValueError(f"true_phi must be finite; got {self.true_phi}")
+
+
+# each method's options; wald's functional is required, the rest optional
+METHOD_OPTIONS = {"wald": ("functional", "cross_fit"), "score": (), "union": (),
+                  "fullrange": (), "empty": (), "oracle": ("epsilon",)}
 
 
 @dataclass(frozen=True)
@@ -104,15 +113,20 @@ class MethodConfig:
     name: str
     options: dict = field(default_factory=dict)
 
-    KNOWN = ("wald", "score", "union", "fullrange", "empty", "oracle")
-
     def __post_init__(self):
-        if self.name not in self.KNOWN:
+        if not isinstance(self.name, str) or self.name not in METHOD_OPTIONS:
             raise ValueError(f"unknown method {self.name!r}")
+        unknown = set(self.options) - set(METHOD_OPTIONS[self.name])
+        if unknown:
+            raise ValueError(f"method {self.name!r}: unknown options {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A checked plan.  Its methods are bound once per support group when
+    the plan is made (and again by ``dataclasses.replace``), so a method
+    that cannot run on a law fails here rather than midway through run."""
+
     laws: tuple
     methods: tuple
     n: int
@@ -120,10 +134,14 @@ class ExperimentPlan:
     level: float
     seed: int
     s: Interval
+    # per support group: the plan indices of its laws, their cases and one
+    # constructor per method
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "reps", "seed"):
             _require_integer(getattr(self, name), name)
+        _number(self.level, "level")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 1 <= self.n <= _MAX_N:
@@ -137,6 +155,8 @@ class ExperimentPlan:
                              f"got {self.level!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0; got {self.seed}")
+        if not isinstance(self.s, Interval):
+            raise ValueError(f"s must be an Interval; got {self.s!r}")
         if self.s.lo == math.inf or self.s.hi == -math.inf:
             raise ValueError(f"s must contain a finite value; got "
                              f"[{self.s.lo}, {self.s.hi}]")
@@ -152,50 +172,45 @@ class ExperimentPlan:
             if not self.s.lo <= case.true_phi <= self.s.hi:
                 raise ValueError(f"law {case.label!r}: true_phi {case.true_phi} lies "
                                  f"outside s = [{self.s.lo}, {self.s.hi}]")
+        groups = []
+        for members in _support_groups(self.laws):
+            cases = [self.laws[i] for i in members]
+            groups.append((members, cases, [_bind_method(m, 1.0 - self.level, self.s, cases)
+                                            for m in self.methods]))
+        object.__setattr__(self, "groups", tuple(groups))
 
 
-def _bind_method(cfg: MethodConfig, plan: ExperimentPlan, cases):
+def _bind_method(cfg: MethodConfig, alpha: float, s: Interval, cases):
     """Turn a method config into a constructor for laws on one support: it
     maps a block's counts, shape (R, 2, k_y, k_z, k_w, k_x), and each row's
     true functional value, shape (R,), to RegionArrays."""
-    alpha = 1.0 - plan.level
     support = cases[0].law.support
-    opts = dict(cfg.options)
     if cfg.name == "wald":
-        if "functional" not in opts:
+        func = cfg.options.get("functional")
+        if func is None:
             raise ValueError("method 'wald' needs a 'functional' option")
-        func = opts.pop("functional")
         if not isinstance(func, FunctionalSpec):
             func = FunctionalSpec.from_dict(func)
-        cross_fit = opts.pop("cross_fit", False)
+        cross_fit = cfg.options.get("cross_fit", False)
         if not isinstance(cross_fit, bool):
             raise ValueError(f"method 'wald': cross_fit must be true or false; "
                              f"got {cross_fit!r}")
-        _reject_extra(cfg, opts)
         func.validate_against(support)
-        return lambda counts, phi: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
+        return lambda counts, phi: wald_ci(counts, func, support, alpha, s, cross_fit)
     if cfg.name == "score":
-        _reject_extra(cfg, opts)
         require_binary_support(support, 1, "method 'score'")
-        return lambda counts, phi: score_invert_late(counts, support, alpha, s=plan.s)
+        return lambda counts, phi: score_invert_late(counts, support, alpha, s=s)
     if cfg.name == "union":
-        _reject_extra(cfg, opts)
         require_binary_support(support, 2, "method 'union'")
-        return lambda counts, phi: binary_union_set(counts, support, alpha, plan.s)
+        return lambda counts, phi: binary_union_set(counts, support, alpha, s)
+    # the controls: the interval of half-width half about the true value
     if cfg.name == "oracle":
-        eps = _number(opts.pop("epsilon", 0.0), "method 'oracle': epsilon")
-        for case in cases:              # refuses a NaN or negative epsilon
-            Interval(case.true_phi - eps, case.true_phi + eps)
-        _reject_extra(cfg, opts)
-        return lambda counts, phi: interval_arrays(phi - eps, phi + eps, plan.s)
-    intervals = [FULL_LINE] if cfg.name == "fullrange" else []
-    _reject_extra(cfg, opts)
-    return lambda counts, phi: fixed_arrays(intervals, plan.s, len(counts))
-
-
-def _reject_extra(cfg, leftover):
-    if leftover:
-        raise ValueError(f"method {cfg.name!r}: unknown options {sorted(leftover)}")
+        half = _number(cfg.options.get("epsilon", 0.0), "method 'oracle': epsilon")
+        if not half >= 0.0:
+            raise ValueError(f"method 'oracle': epsilon must be at least 0; got {half}")
+    else:
+        half = math.inf if cfg.name == "fullrange" else math.nan
+    return lambda counts, phi: interval_arrays(phi - half, phi + half, s)
 
 
 @dataclass(frozen=True)
@@ -360,17 +375,12 @@ def _support_groups(laws):
 
 
 def run(plan: ExperimentPlan) -> CoverageReport:
-    """Execute the plan; deterministic given the master seed."""
-    # every method bound once per support, before any sampling
-    groups = []
-    for members in _support_groups(plan.laws):
-        cases = [plan.laws[i] for i in members]
-        groups.append((members, cases, [_bind_method(m, plan, cases)
-                                        for m in plan.methods]))
+    """Execute the plan with the constructors it was made with, one support
+    group at a time; deterministic given the master seed."""
     names = [method.name for method in plan.methods]
     reports = [None] * len(plan.laws)
     method_seconds = [0.0] * len(plan.methods)
-    for members, cases, methods in groups:
+    for members, cases, methods in plan.groups:
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=plan.seed,
                                                              spawn_key=(i,)))
                 for i in members]
@@ -415,8 +425,8 @@ _LAW_KEYS = {"label", "law", "true_phi"}
 
 
 def plan_from_dict(d) -> ExperimentPlan:
-    """Parse a plan and bind every method to every law, so that unknown or
-    missing method options fail here rather than midway through run."""
+    """Parse a plan from its JSON form.  The plan's dataclasses check every
+    value as given; n, reps and seed may also be integer-valued floats."""
     unknown = set(d) - _PLAN_KEYS
     if unknown:
         raise ValueError(f"unknown plan keys {sorted(unknown)}")
@@ -429,9 +439,9 @@ def plan_from_dict(d) -> ExperimentPlan:
         if unknown:
             raise ValueError(f"unknown law keys {sorted(unknown)}")
         laws.append(LawCase(
-            label=str(entry["label"]),
+            label=entry["label"],
             law=law_from_dict(entry["law"]),
-            true_phi=_number(entry["true_phi"], "true_phi"),
+            true_phi=entry["true_phi"],
         ))
     methods = []
     for entry in d["methods"]:
@@ -439,16 +449,12 @@ def plan_from_dict(d) -> ExperimentPlan:
         name = entry.pop("name")
         methods.append(MethodConfig(name=name, options=entry))
     lo, hi = d["s"]
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         laws=tuple(laws),
         methods=tuple(methods),
         n=_number(d["n"], "n", integer=True),
         reps=_number(d["reps"], "reps", integer=True),
-        level=_number(d["level"], "level"),
+        level=d["level"],
         seed=_number(d["seed"], "seed", integer=True),
         s=Interval(_number(lo, "s"), _number(hi, "s")),
     )
-    for case in plan.laws:
-        for method in plan.methods:
-            _bind_method(method, plan, [case])
-    return plan

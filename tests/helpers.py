@@ -29,7 +29,6 @@ from weakdep.confsets import (
     _region_arrays,
     _total,
     binary_union_set,
-    fixed_arrays,
     normal_quantile,
     require_binary_support,
     score_invert_late,
@@ -141,6 +140,14 @@ def as_result(arrays, r):
         components={name: Interval(float(lo[r]), float(hi[r]))
                     for name, (lo, hi) in arrays.components.items()},
     )
+
+
+def fixed_arrays(intervals, s: Interval, reps: int):
+    """The package's normal form of ``intervals``, one column each, for each
+    of ``reps`` replications: the RegionArrays that _region_arrays makes."""
+    pairs = [(iv.lo, iv.hi) for iv in intervals] or [(np.nan, np.nan)]
+    lo, hi = (np.tile(ends, (reps, 1)) for ends in zip(*pairs))
+    return _region_arrays(lo, hi, s, np.zeros(reps, dtype=np.int64))
 
 
 def divide_boxes(boxes):

@@ -471,19 +471,23 @@ class TestCoverage:
         ("s", [float("inf"), float("inf")]),
         ("s", [-float("inf"), -float("inf")]),
         ("tol", 1e-8),
+        ("label", None),
+        ("label", 5),
+        ("label", True),
     ])
     def test_plan_values_are_not_repaired(self, demo_plan, tmp_path, capsys,
                                           key, value):
-        """A value of the wrong type, a fractional count, a negative seed, a
-        true_phi that is not finite, an n beyond 2**53 or a range s with no
-        finite value exits 2 with one line instead of running a rounded,
-        coerced or meaningless plan.  Wald has no tol option, so a plan that
+        """A value of the wrong type (a label that is not a string among
+        them), a fractional count, a negative seed, a true_phi that is not
+        finite, an n beyond 2**53 or a range s with no finite value exits 2
+        with one line instead of running a rounded, coerced or meaningless
+        plan.  Wald has no tol option, so a plan that
         carries one, of any value, exits 2 as an unknown option."""
         plan = json.loads(demo_plan.read_text())
         if key in ("cross_fit", "tol"):
             plan["methods"] = [{"name": "wald", "functional": {"kind": "late"},
                                 key: value}]
-        elif key == "true_phi":
+        elif key in ("true_phi", "label"):
             plan["laws"][0][key] = value
         else:
             plan[key] = value
@@ -507,6 +511,19 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert out.read_bytes() == b"an earlier report\n"
+
+    def test_level_flag_rebinds_the_methods(self, demo_plan, tmp_path, capsys):
+        """--level 0.8 gives the bytes of the plan file with "level": 0.8:
+        the override reaches every method's constructor."""
+        flagged, written = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert cli.main(["coverage", str(demo_plan), "--out", str(flagged),
+                         "--level", "0.8"]) == 0
+        plan = json.loads(demo_plan.read_text())
+        assert plan["level"] != 0.8
+        plan["level"] = 0.8
+        demo_plan.write_text(json.dumps(plan))
+        assert cli.main(["coverage", str(demo_plan), "--out", str(written)]) == 0
+        assert flagged.read_bytes() == written.read_bytes()
 
     def test_largest_n_runs(self, demo_plan, tmp_path, capsys):
         """n = 2**53, the largest size whose counts stay exact in float64,

@@ -23,7 +23,6 @@ from weakdep.confsets import (
     RegionArrays,
     binary_union_estimand,
     binary_union_set,
-    fixed_arrays,
     interval_arrays,
     normal_quantile,
     score_invert_late,
@@ -43,6 +42,7 @@ from helpers import (
     diameter,
     divide_boxes,
     empirical_law,
+    fixed_arrays,
     interval_add,
     intersect,
     kind_spec,

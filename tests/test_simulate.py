@@ -190,9 +190,8 @@ class TestPlanSerialization:
             plan_from_dict(d)
 
     def test_unknown_method_options_rejected(self):
-        plan = small_plan([MethodConfig("score", {"bogus": 1})])
         with pytest.raises(ValueError):
-            run(plan)
+            small_plan([MethodConfig("score", {"bogus": 1})])
 
     def test_methods_bound_when_parsed(self):
         for method in ({"name": "score", "points": 4001}, {"name": "wald"},
@@ -221,6 +220,24 @@ class TestPlanSerialization:
                 replace(plan, **change)
         for ends in ((case.true_phi, 20.0), (-20.0, case.true_phi)):   # s is closed
             replace(plan, s=Interval(*ends))
+
+    @pytest.mark.parametrize("make", [
+        lambda plan, case: replace(plan, level="0.95"),
+        lambda plan, case: replace(plan, level=True),
+        lambda plan, case: replace(plan, s=(0.0, 1.0)),
+        lambda plan, case: replace(case, true_phi="0.4"),
+        lambda plan, case: replace(case, true_phi=True),
+        lambda plan, case: replace(case, label=None),
+        lambda plan, case: replace(case, label=5),
+        lambda plan, case: MethodConfig("score", {"bogus": 1}),
+    ], ids=["level_str", "level_bool", "s_tuple", "true_phi_str", "true_phi_bool",
+            "label_none", "label_int", "method_option"])
+    def test_api_refuses_what_the_cli_refuses(self, make):
+        """Each value the CLI exits 2 on raises ValueError through the API
+        too, when the plan, law case or method config is made."""
+        plan = small_plan([MethodConfig("fullrange")])
+        with pytest.raises(ValueError):
+            make(plan, plan.laws[0])
 
     @pytest.mark.parametrize("key, value", [
         ("n", 100.5), ("n", 100.0), ("n", True), ("reps", 2.5), ("reps", True),
