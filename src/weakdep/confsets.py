@@ -27,12 +27,14 @@ vector over the cells.  Wald solves each equation in
 one stacked call (closed-form rotations for 2x2 strata, batched SVD
 otherwise), the score set is a quadratic sublevel set per replication, and
 the union set does its interval arithmetic elementwise.  The result is a
-:class:`RegionArrays` of P pieces per replication, P being what the
-constructor produces.  Every replication's cells are summed in the order
-numpy sums one sample's, so a sample gives the same bits alone and in a
-stack.  The score set needs binary Z and W and no X (k_x = 1); the union
-set needs binary Z and W and takes its target from k_x: the ratio when
-k_x = 1, the X = 1 arm when k_x = 2.
+:class:`RegionArrays` of P pieces per replication, P being 1 or 2: Wald
+gives one piece, and the score set (an interval or two rays) and the union
+set (a quotient of intervals plus an offset) at most two.  Every
+replication's cells are summed in the order numpy sums one sample's, so a
+sample gives the same bits alone and in a stack.  The score set needs
+binary Z and W and no X (k_x = 1); the union set needs binary Z and W and
+takes its target from k_x: the ratio when k_x = 1, the X = 1 arm when
+k_x = 2.
 
 A region is its pieces: a finite union of disjoint closed intervals
 inside s, possibly none.  The full range is the one piece s, which every
@@ -106,10 +108,10 @@ FULL_LINE = Interval(-INF, INF)
 # ---------------------------------------------------------------------------
 # exact interval arithmetic, elementwise
 #
-# A batch holds P pieces per entry: arrays lo and hi of shape (R, P), NaN
-# marking an absent piece.  Each comparison mirrors the scalar form it
-# stands for (Python's min, max and sorted keep the first of equal values),
-# so the endpoints, signed zeros included, are the scalar ones.
+# A batch holds P pieces per entry, P being 1 or 2: arrays lo and hi of
+# shape (R, P), NaN marking an absent piece.  Each comparison mirrors the
+# scalar form it stands for (Python's min, max and sorted keep the first of
+# equal values), so the endpoints, signed zeros included, are the scalar ones.
 
 
 def _first_min(a, b):
@@ -122,30 +124,21 @@ def _first_max(a, b):
 
 
 def _merge_pieces(lo, hi):
-    """Sort and merge overlapping or touching pieces of every entry.
+    """Sort and merge the one or two pieces of every entry.
 
-    The pieces of each row of the (R, P) arrays are sorted stably by
-    (lo, hi), absent ones last, and swept left to right: a piece that starts
-    after the open piece's end opens the next slot, and any other joins the
-    open piece, which then ends at the later of the two ends.  The merged
-    pieces come first, in arrays of the same width.
+    Two pieces are put in the stable (lo, hi) order, absent one last, by one
+    compare-and-swap, and joined when the second starts at or before the
+    first's end, the joined piece ending at the later of the two ends.
     """
     if lo.shape[1] == 1:
         return lo, hi
-    rows = np.arange(len(lo))
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[rows[:, None], order], hi[rows[:, None], order]
-    merged_lo, merged_hi = np.full_like(lo, np.nan), np.full_like(hi, np.nan)
-    open_lo, open_hi = lo[:, 0], hi[:, 0]
-    slot = np.zeros(len(lo), dtype=np.intp)
-    for j in range(1, lo.shape[1]):
-        merged_lo[rows, slot], merged_hi[rows, slot] = open_lo, open_hi
-        new = lo[:, j] > open_hi                        # False where absent
-        slot = slot + new
-        open_lo = np.where(new, lo[:, j], open_lo)
-        open_hi = np.where(new, hi[:, j], _first_max(open_hi, hi[:, j]))
-    merged_lo[rows, slot], merged_hi[rows, slot] = open_lo, open_hi
-    return merged_lo, merged_hi
+    (lo0, lo1), (hi0, hi1) = lo.T, hi.T
+    swap = (lo1 < lo0) | ((lo1 == lo0) & (hi1 < hi0)) | (np.isnan(lo0) & ~np.isnan(lo1))
+    lo0, lo1, hi0, hi1 = np.where(swap, [lo1, lo0, hi1, hi0], [lo0, lo1, hi0, hi1])
+    join = lo1 <= hi0                                   # False where absent
+    return (np.stack([lo0, np.where(join, np.nan, lo1)], axis=1),
+            np.stack([np.where(join, _first_max(hi0, hi1), hi0),
+                      np.where(join, np.nan, hi1)], axis=1))
 
 
 def _quotient(s, t):
@@ -158,12 +151,14 @@ def _quotient(s, t):
 
 def _divide(num_lo, num_hi, den_lo, den_hi):
     """Exact image of {s / t : s in num, t in den, t != 0} of every entry,
-    as pieces arrays.
+    as unmerged pieces arrays: the negative part's image, then the positive
+    part's.
 
     The denominator splits into its negative part [lo, -0] and its positive
     part [+0, hi]; t has constant sign on each, so each maps onto the hull of
-    its four endpoint quotients, where s / ±0 is ±inf (0 when s is 0).  The
-    image is empty when the denominator is the single point 0.
+    its four endpoint quotients, where s / ±0 is ±inf (0 when s is 0).  A
+    part is absent when the denominator has no such values, so the image is
+    empty when the denominator is the single point 0.
     """
     # the two signed parts, stacked
     a = np.stack([den_lo, np.where(den_lo > 0.0, den_lo, 0.0)], axis=-1)
@@ -175,7 +170,7 @@ def _divide(num_lo, num_hi, den_lo, den_hi):
     for q in quotients[1:]:
         lo, hi = _first_min(lo, q), _first_max(hi, q)
     present = np.stack([den_lo < 0.0, den_hi > 0.0], axis=-1)
-    return _merge_pieces(np.where(present, lo, np.nan), np.where(present, hi, np.nan))
+    return np.where(present, lo, np.nan), np.where(present, hi, np.nan)
 
 
 def _quadratic_sublevel(quad, lin, const):
@@ -228,8 +223,8 @@ class RegionArrays:
     """Regions of a stack of replications, entry r for replication r.
 
     Region r is the union of its pieces [lo[r, i], hi[r, i]]; lo and hi
-    have shape (R, P), P being the constructor's width, and the pieces (NaN
-    where absent, after the present ones) lie in ``s``, sorted and disjoint.
+    have shape (R, P), P being 1 or 2, and the pieces (NaN where absent,
+    after the present ones) lie in ``s``, sorted and disjoint.
     A region without pieces is empty, and the full range is the one piece
     ``(s.lo, s.hi)``.  ``reason`` indexes :data:`REASONS`, the one record
     of why an entry degenerated, and a degenerate entry (reason nonzero) has
@@ -543,7 +538,7 @@ def binary_union_set(
 
     straddle = (de_lo < 0.0) & (0.0 < de_hi) & ~((num_lo == 0.0) & (0.0 == num_hi))
     lo, hi = _divide(num_lo, num_hi, de_lo, de_hi)
-    no_pieces = np.isnan(lo[:, 0]) & ~straddle
+    no_pieces = np.isnan(lo).all(axis=1) & ~straddle
     lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
     hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
     reason = np.where(empty_z >= 0, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))

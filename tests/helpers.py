@@ -25,6 +25,7 @@ from weakdep.confsets import (
     Interval,
     _check_counts,
     _divide,
+    _merge_pieces,
     _quadratic_sublevel,
     _region_arrays,
     _total,
@@ -152,9 +153,10 @@ def fixed_arrays(intervals, s: Interval, reps: int):
 
 def divide_boxes(boxes):
     """The package's division of every (num, den) pair of intervals, by one
-    elementwise call: the tuple of intervals of each pair."""
+    elementwise call, in normal form: the tuple of sorted, merged intervals
+    of each pair."""
     ends = np.array([(num.lo, num.hi, den.lo, den.hi) for num, den in boxes])
-    lo, hi = _divide(*ends.T)
+    lo, hi = _merge_pieces(*_divide(*ends.T))
     return [tuple(pieces(a, b)) for a, b in zip(lo, hi)]
 
 
@@ -999,7 +1001,7 @@ def shaped_binary_union_set(counts, support, alpha, s):
     off_lo, off_hi = components.get("offset", (zero, zero))
 
     straddle = (de_lo < 0.0) & (0.0 < de_hi) & ~((num_lo == 0.0) & (0.0 == num_hi))
-    lo, hi = _divide(num_lo, num_hi, de_lo, de_hi)
+    lo, hi = _merge_pieces(*_divide(num_lo, num_hi, de_lo, de_hi))
     no_pieces = np.isnan(lo[:, 0]) & ~straddle
     lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
     hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
@@ -1075,26 +1077,22 @@ def _serial_bind_method(cfg, plan, case):
     shape (R, 2, k_y, k_z, k_w, k_x), to RegionArrays."""
     alpha = 1.0 - plan.level
     support = case.law.support
-    opts = dict(cfg.options)
     if cfg.name == "wald":
-        if "functional" not in opts:
+        func = cfg.options.get("functional")
+        if func is None:
             raise ValueError("method 'wald' needs a 'functional' option")
-        func = opts.pop("functional")
         if not isinstance(func, FunctionalSpec):
             func = FunctionalSpec.from_dict(func)
-        cross_fit = opts.pop("cross_fit", False)
+        cross_fit = cfg.options.get("cross_fit", False)
         if not isinstance(cross_fit, bool):
             raise ValueError(f"method 'wald': cross_fit must be true or false; "
                              f"got {cross_fit!r}")
-        _serial_reject_extra(cfg, opts)
         func.validate_against(support)
         return lambda counts: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
     if cfg.name == "score":
-        _serial_reject_extra(cfg, opts)
         require_binary_support(support, 1, "method 'score'")
         return lambda counts: score_invert_late(counts, support, alpha, s=plan.s)
     if cfg.name == "union":
-        _serial_reject_extra(cfg, opts)
         require_binary_support(support, 2, "method 'union'")
         return lambda counts: binary_union_set(counts, support, alpha, plan.s)
     if cfg.name == "fullrange":
@@ -1102,15 +1100,9 @@ def _serial_bind_method(cfg, plan, case):
     elif cfg.name == "empty":
         intervals = []
     else:
-        eps = _number(opts.pop("epsilon", 0.0), "method 'oracle': epsilon")
+        eps = _number(cfg.options.get("epsilon", 0.0), "method 'oracle': epsilon")
         intervals = [Interval(case.true_phi - eps, case.true_phi + eps)]
-    _serial_reject_extra(cfg, opts)
     return lambda counts: fixed_arrays(intervals, plan.s, len(counts))
-
-
-def _serial_reject_extra(cfg, leftover):
-    if leftover:
-        raise ValueError(f"method {cfg.name!r}: unknown options {sorted(leftover)}")
 
 
 class _SerialTally:
