@@ -23,15 +23,15 @@ everything is a mass-weighted sum over the (Y, Z, W, X) cells; the score
 set works on the integer counts themselves.  The score and union sets read
 the counts as contiguous (R, 2, n_cells) rows, each cell coordinate they
 need (Y cell mean, Z value, W value, the X = k_x - 1 flag) being one flat
-vector over the cells.  Wald solves each equation in
-one stacked call (closed-form rotations for 2x2 strata, batched SVD
-otherwise), the score set is a quadratic sublevel set per replication, and
-the union set does its interval arithmetic elementwise.  The result is a
-:class:`RegionArrays` of P pieces per replication, P being 1 or 2: Wald
-gives one piece, and the score set (an interval or two rays) and the union
-set (a quotient of intervals plus an offset) at most two.  Every
-replication's cells are summed in the order numpy sums one sample's, so a
-sample gives the same bits alone and in a stack.  The score set needs
+vector over the cells.  Wald solves g's systems and q's adjoint systems,
+all square, in one stacked call (closed-form rotations for 2x2 strata,
+batched SVD otherwise), the score set is a quadratic sublevel set per
+replication, and the union set does its interval arithmetic elementwise.
+The result is a :class:`RegionArrays` of P pieces per replication, P being
+1 or 2: Wald gives one piece, and the score set (an interval or two rays)
+and the union set (a quotient of intervals plus an offset) at most two.
+Every replication's cells are summed in the order numpy sums one sample's,
+so a sample gives the same bits alone and in a stack.  The score set needs
 binary Z and W and no X (k_x = 1); the union set needs binary Z and W and
 takes its target from k_x: the ratio when k_x = 1, the X = 1 arm when
 k_x = 2.
@@ -136,17 +136,20 @@ def _merge_pieces(lo, hi):
     swap = (lo1 < lo0) | ((lo1 == lo0) & (hi1 < hi0)) | (np.isnan(lo0) & ~np.isnan(lo1))
     lo0, lo1, hi0, hi1 = np.where(swap, [lo1, lo0, hi1, hi0], [lo0, lo1, hi0, hi1])
     join = lo1 <= hi0                                   # False where absent
-    return (np.stack([lo0, np.where(join, np.nan, lo1)], axis=1),
-            np.stack([np.where(join, _first_max(hi0, hi1), hi0),
-                      np.where(join, np.nan, hi1)], axis=1))
+    return (np.array([lo0, np.where(join, np.nan, lo1)]).T,
+            np.array([np.where(join, _first_max(hi0, hi1), hi0),
+                      np.where(join, np.nan, hi1)]).T)
 
 
-def _quotient(s, t):
-    """s / t elementwise, where s / ±0 is ±inf (0 when s is 0)."""
+def _quotient(s, t, spread):
+    """s / t elementwise, where s / ±0 is ±inf (0 when s is 0).  ±inf / ±inf
+    has no value: it is the zero that the finite s next to it give where
+    ``spread`` (s's interval holds more than one point), else NaN."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.divide(s, t)
-    signed_inf = np.copysign(INF, s) * np.copysign(1.0, t)
-    return np.where(t != 0.0, ratio, np.where(s == 0.0, 0.0, signed_inf))
+    sign = np.copysign(1.0, s) * np.copysign(1.0, t)
+    ratio = np.where(spread & np.isinf(s) & np.isinf(t), 0.0 * sign, ratio)
+    return np.where(t != 0.0, ratio, np.where(s == 0.0, 0.0, INF * sign))
 
 
 def _divide(num_lo, num_hi, den_lo, den_hi):
@@ -156,21 +159,24 @@ def _divide(num_lo, num_hi, den_lo, den_hi):
 
     The denominator splits into its negative part [lo, -0] and its positive
     part [+0, hi]; t has constant sign on each, so each maps onto the hull of
-    its four endpoint quotients, where s / ±0 is ±inf (0 when s is 0).  A
-    part is absent when the denominator has no such values, so the image is
-    empty when the denominator is the single point 0.
+    its four endpoint quotients (:func:`_quotient`).  An infinite s over an
+    infinite t has no value; the finite s next to it give a zero, which
+    stands in for it, and without such s it is left out.  A part is absent
+    when it has no quotients, so the image is empty when the denominator is
+    the single point 0.
     """
-    # the two signed parts, stacked
-    a = np.stack([den_lo, np.where(den_lo > 0.0, den_lo, 0.0)], axis=-1)
-    b = np.stack([np.where(den_hi < 0.0, den_hi, -0.0), den_hi], axis=-1)
-    # each part's four endpoint quotients, in the order the scalar form takes them
-    quotients = _quotient(np.expand_dims([num_lo, num_lo, num_hi, num_hi], -1),
-                          np.stack([a, b, a, b]))
-    lo = hi = quotients[0]
-    for q in quotients[1:]:
+    # the two signed parts, on the leading axis
+    a = np.array([den_lo, np.where(den_lo > 0.0, den_lo, 0.0)])
+    b = np.array([np.where(den_hi < 0.0, den_hi, -0.0), den_hi])
+    # each part's four endpoint quotients, in the order the scalar form takes
+    # them, hulled from the empty hull, which a NaN never enters
+    quotients = _quotient(np.array([num_lo, num_lo, num_hi, num_hi])[:, None],
+                          np.array([a, b, a, b]), num_lo < num_hi)
+    lo, hi = INF, -INF
+    for q in quotients:
         lo, hi = _first_min(lo, q), _first_max(hi, q)
-    present = np.stack([den_lo < 0.0, den_hi > 0.0], axis=-1)
-    return np.where(present, lo, np.nan), np.where(present, hi, np.nan)
+    present = np.array([den_lo < 0.0, den_hi > 0.0]) & (lo <= hi)
+    return np.where(present, lo, np.nan).T, np.where(present, hi, np.nan).T
 
 
 def _quadratic_sublevel(quad, lin, const):
@@ -195,8 +201,8 @@ def _quadratic_sublevel(quad, lin, const):
     two_rays = shape == 5
     lo = np.choose(shape, [none, -INF, -INF, root, small, -INF])
     hi = np.choose(shape, [none, INF, root, INF, large, small])
-    return (np.stack([lo, np.where(two_rays, large, none)], axis=-1),
-            np.stack([hi, np.where(two_rays, INF, none)], axis=-1))
+    return (np.array([lo, np.where(two_rays, large, none)]).T,
+            np.array([hi, np.where(two_rays, INF, none)]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ class RegionArrays:
     def contains(self, value) -> np.ndarray:
         """Whether some piece of each region holds ``value``: a scalar for
         every row, or an (R,) vector, row r's value for region r."""
-        value = np.expand_dims(value, -1)
+        value = np.asarray(value)[..., None]
         return ((self.lo <= value) & (value <= self.hi)).any(axis=-1)
 
     def diameters(self) -> np.ndarray:
@@ -273,9 +279,9 @@ def _region_arrays(lo, hi, s, reason, **fields) -> RegionArrays:
     keep = lo <= hi
     lo, hi = _merge_pieces(np.where(keep, lo, np.nan), np.where(keep, hi, np.nan))
     full = ((reason > 0) | ((lo[:, 0] <= s.lo) & (hi[:, 0] >= s.hi)))[:, None]
-    absent = np.full(lo.shape[1] - 1, np.nan)
-    return RegionArrays(s=s, lo=np.where(full, np.r_[s.lo, absent], lo),
-                        hi=np.where(full, np.r_[s.hi, absent], hi), reason=reason,
+    absent = [np.nan] * (lo.shape[1] - 1)
+    return RegionArrays(s=s, lo=np.where(full, [s.lo, *absent], lo),
+                        hi=np.where(full, [s.hi, *absent], hi), reason=reason,
                         **fields)
 
 
@@ -306,7 +312,7 @@ def _pooled_rows(counts, support):
 def _coordinates(support):
     """Each cell's Y cell mean, Z value, W value and whether it has
     X = k_x - 1, as flat (n_cells,) vectors in the cells' (Y, Z, W, X) order."""
-    y, z, w, x = np.indices(support.shape).reshape(4, -1)
+    y, z, w, x = np.unravel_index(np.arange(support.n_cells), support.shape)
     return support.y_cell_means[y], z, w.astype(float), x == support.k_x - 1
 
 
@@ -334,12 +340,13 @@ def wald_ci(
 
     ``counts`` is the stack of R samples' counts, shape
     (R, 2, k_y, k_z, k_w, k_x).  Every stratum system of every replication
-    and fold is solved in one stacked call for g and one for q (closed-form
-    rotations for 2x2 strata, batched SVD otherwise), and is consistent when
-    its residual is at most ``DEFAULT_TOL`` times max(1, response norm).  Degenerate
-    samples (empty conditioning cells, inconsistent empirical systems,
-    vanishing representer densities, an empty cross-fitting fold, an empty
-    sample) get the full range and a reason, never an exception.
+    and fold, g's and q's adjoint one alike (both square, k_z == k_w), is
+    solved in one stacked call (closed-form rotations for 2x2 strata,
+    batched SVD otherwise), and is consistent when its residual is at most
+    ``DEFAULT_TOL`` times max(1, response norm).  Degenerate samples (empty
+    conditioning cells, inconsistent empirical systems, vanishing
+    representer densities, an empty cross-fitting fold, an empty sample)
+    get the full range and a reason, never an exception.
     """
     spec.validate_against(support)
     counts = _check_counts(counts, support)
@@ -358,21 +365,22 @@ def wald_ci(
 
     lhs, empty_g = _cond_mean_rows(fits)
     rhs, _ = _response_rows(fits, support.y_cell_means)   # same (Z, X) rows
-    g, _, g_ok, _ = _solve_strata(lhs, rhs, DEFAULT_TOL)
     alpha_wx, positivity = _representer(spec, support, fits.sum(axis=(-4, -3)))
     adj, empty_q = _adjoint_rows(fits)
-    q, _, q_ok, _ = _solve_strata(adj, alpha_wx.swapaxes(-1, -2), DEFAULT_TOL)
+    # g's system and q's adjoint system, stacked on a leading axis
+    (g, q), _, ok, _ = _solve_strata(np.array([lhs, adj]),
+                                     np.array([rhs, alpha_wx.swapaxes(-1, -2)]),
+                                     DEFAULT_TOL)
+    g_bad, q_bad = ~ok.all(axis=-1)
 
     # first failure of each (replication, fold), in the order a serial
     # solve meets them: g's conditioning cells, g's consistency, the
     # representer, q's conditioning cells, q's consistency
-    failure = np.select(
-        [empty_g.any(axis=(-2, -1)), ~g_ok.all(axis=-1),
-         positivity.any(axis=(-2, -1)), empty_q.any(axis=(-2, -1)),
-         ~q_ok.all(axis=-1)],
-        [_ZERO_MASS, _DEGENERATE, _POSITIVITY, _ZERO_MASS, _DEGENERATE],
-        default=0,
-    )
+    failure = np.where(empty_g.any(axis=(-2, -1)), _ZERO_MASS,
+              np.where(g_bad, _DEGENERATE,
+              np.where(positivity.any(axis=(-2, -1)), _POSITIVITY,
+              np.where(empty_q.any(axis=(-2, -1)), _ZERO_MASS,
+              np.where(q_bad, _DEGENERATE, 0)))))
     reason = np.where(failure[:, 0] > 0, failure[:, 0], failure[:, -1])
     reason = np.where(empty_fold, _EMPTY_FOLD, reason)
 
@@ -381,7 +389,7 @@ def wald_ci(
     phi_hat = _total(weights * values, lead=2).sum(axis=-1)
     centred = values - phi_hat[(..., None) + cells]
     ss = _total(weights * centred ** 2, lead=2).sum(axis=-1)
-    sd = np.sqrt(np.divide(ss * n, n - 1, out=np.zeros_like(ss), where=n > 1))
+    sd = np.sqrt(np.divide(ss * n, n - 1, out=np.zeros(ss.shape), where=n > 1))
     root_n = np.sqrt(np.maximum(n, 1))
     half_width = z * sd / root_n
     bad = reason > 0
@@ -459,8 +467,8 @@ def _union_components(mass: np.ndarray, support: SupportSpec):
     y, z, w, arm = _coordinates(support)
     # E[V | Z = z, X = arm] for V in (W, Y) and z in (1, 0): axes
     # (replication, V, z, cell); each is a sum over one row of cells
-    values = np.stack([w, y])[:, None]
-    events = np.stack([(z == 1) & arm, (z == 0) & arm])
+    values = np.array([w, y])[:, None]
+    events = np.array([(z == 1) & arm, (z == 0) & arm])
     weighted = mass[:, None, None] * events
     p = weighted.sum(axis=-1)
     p_safe = np.where(p > 0.0, p, 1.0)
@@ -479,8 +487,8 @@ def _union_components(mass: np.ndarray, support: SupportSpec):
     num_infl = diff_est[:, None] * nu_infl + nu_est[:, None] * diff_infl
     return (
         ("de", "num", "offset"),
-        np.stack([contrast[:, 0], nu_est * diff_est, est[:, 1, 0]], axis=1),
-        np.stack([contrast_infl[:, 0], num_infl, infl[:, 1, 0]], axis=1),
+        np.array([contrast[:, 0], nu_est * diff_est, est[:, 1, 0]]).T,
+        np.array([contrast_infl[:, 0], num_infl, infl[:, 1, 0]]).swapaxes(0, 1),
         empty_z,
     )
 

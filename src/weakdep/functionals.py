@@ -175,7 +175,7 @@ def _nonempty(rows: np.ndarray, empty: np.ndarray) -> np.ndarray:
 def _cond_mean_rows(mass: np.ndarray):
     """f(W=j | Z=l, X=m) mu_w(j) as (..., k_x, k_z, k_w), with the empty
     (X, Z) rows, from (..., k_y, k_z, k_w, k_x) masses."""
-    return _condition_rows(np.moveaxis(mass.sum(axis=-4), -1, -3))
+    return _condition_rows(mass.sum(axis=-4).swapaxes(-1, -3).swapaxes(-1, -2))
 
 
 def _response_rows(mass: np.ndarray, y_cell_means: np.ndarray):
@@ -220,7 +220,11 @@ def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
     (:func:`_rotation_solve`), any other shape by one batched SVD.  Either
     way, singular values at or below numpy's default least-squares cutoff
     eps * max(r, c) * sigma_max count as zero, so a singular system gets its
-    minimum-norm solution.
+    minimum-norm solution.  Every system is solved on its own, so a system
+    gets the same bits alone as in a stack of the same memory order (matmul
+    may sum a strided operand in another order, which moves a residual's
+    last bits).  g's systems and q's adjoint systems, all square
+    (k_z == k_w), share one stack in ``wald_ci``.
     Returns the solutions (..., k_x, c), the residual norms (..., k_x), the
     mask of consistent strata (residual <= tol * max(1, |rhs|)) and the
     singular values (..., k_x, min(r, c)), largest first.
@@ -257,25 +261,33 @@ def _rotation_solve(lhs, rhs):
     system gets the same bits alone as in a stack.
     """
     a, b, c, d = lhs[..., 0, 0], lhs[..., 0, 1], lhs[..., 1, 0], lhs[..., 1, 1]
-    xs = np.stack([a + d, a - d]) / 2                 # e, f
-    ys = np.stack([c - b, c + b]) / 2                 # h, g
+    xs = np.array([a + d, a - d]) / 2                 # e, f
+    ys = np.array([c - b, c + b]) / 2                 # h, g
     (q, r), (t2, t1) = np.hypot(xs, ys), np.arctan2(ys, xs)
     s1, s2 = q + r, q - r
-    half = np.stack([t2 + t1, t2 - t1]) / 2           # phi, theta
+    half = np.array([t2 + t1, t2 - t1]) / 2           # phi, theta
     (cos_p, cos_t), (sin_p, sin_t) = np.cos(half), np.sin(half)
 
     b0, b1 = rhs[..., 0], rhs[..., 1]
-    v0 = np.divide(cos_p * b0 + sin_p * b1, s1, out=np.zeros_like(s1),
+    v0 = np.divide(cos_p * b0 + sin_p * b1, s1, out=np.zeros(s1.shape),
                    where=s1 > 0.0)
-    v1 = np.divide(cos_p * b1 - sin_p * b0, s2, out=np.zeros_like(s2),
+    v1 = np.divide(cos_p * b1 - sin_p * b0, s2, out=np.zeros(s2.shape),
                    where=np.abs(s2) > 2.0 * _EPS * s1)
     x0 = cos_t * v0 + sin_t * v1
     x1 = cos_t * v1 - sin_t * v0
 
     r0 = a * x0 + b * x1 - b0
     r1 = c * x0 + d * x1 - b1
-    return (np.stack([x0, x1], axis=-1), np.sqrt(r0 * r0 + r1 * r1),
-            np.sqrt(b0 * b0 + b1 * b1), np.stack([s1, np.abs(s2)], axis=-1))
+    return (_pairs(x0, x1), np.sqrt(r0 * r0 + r1 * r1),
+            np.sqrt(b0 * b0 + b1 * b1), _pairs(s1, np.abs(s2)))
+
+
+def _pairs(first, second):
+    """np.stack([first, second], axis=-1) of two float arrays of one shape,
+    without np.stack's Python-level checks."""
+    out = np.empty(first.shape + (2,))
+    out[..., 0], out[..., 1] = first, second
+    return out
 
 
 def _no_solution(residuals, ok, equation):

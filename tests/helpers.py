@@ -779,7 +779,9 @@ def interval_add(pieces, offset):
 
 def serial_interval_div(num, den):
     """Image of {s / t : s in num, t in den, t != 0}: each signed part of the
-    denominator maps onto the hull of its four endpoint quotients."""
+    denominator maps onto the hull of its four endpoint quotients.  An
+    infinite s over an infinite t has no value: the zero that the finite s
+    next to it give stands in for it, and without such s it is left out."""
     parts = []
     if den.lo < 0.0:
         parts.append((den.lo, den.hi if den.hi < 0.0 else -0.0))
@@ -787,12 +789,17 @@ def serial_interval_div(num, den):
         parts.append((den.lo if den.lo > 0.0 else 0.0, den.hi))
     pieces = []
     for a, b in parts:
-        quotients = [_serial_quotient(s, t) for s in (num.lo, num.hi) for t in (a, b)]
-        pieces.append(Interval(min(quotients), max(quotients)))
+        quotients = [_serial_quotient(s, t, num.lo < num.hi)
+                     for s in (num.lo, num.hi) for t in (a, b)]
+        quotients = [q for q in quotients if q is not None]
+        if quotients:
+            pieces.append(Interval(min(quotients), max(quotients)))
     return tuple(_merge(pieces))
 
 
-def _serial_quotient(s, t):
+def _serial_quotient(s, t, spread):
+    if math.isinf(s) and math.isinf(t):
+        return math.copysign(0.0, s) * math.copysign(1.0, t) if spread else None
     if t != 0.0:
         return s / t
     return 0.0 if s == 0.0 else math.copysign(INF, s) * math.copysign(1.0, t)

@@ -17,6 +17,7 @@ from weakdep import (
     generate_sequence,
     sample,
 )
+from weakdep import confsets
 from weakdep.confsets import (
     FULL_LINE,
     REASONS,
@@ -137,31 +138,62 @@ _ENDS = st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-INF, INF]))
 # finite endpoints, zero among them often enough to reach every branch
 _FINITE = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
 _FINITE_INTERVALS = st.tuples(_FINITE, _FINITE).map(_ordered)
+# the same with infinite endpoints
+_EXTENDED = st.one_of(_FINITE, st.sampled_from([-INF, INF]))
+_EXTENDED_INTERVALS = st.tuples(_EXTENDED, _EXTENDED).map(_ordered)
 
 
 def _points(iv, fractions):
-    """The endpoints of iv and the points at the given fractions of its length."""
-    inner = [min(max(iv.lo + f * (iv.hi - iv.lo), iv.lo), iv.hi) for f in fractions]
-    return [iv.lo, iv.hi] + inner
+    """The endpoints of iv and a point inside it per fraction: at that
+    fraction of its length, or, when the length is infinite, the fraction's
+    point on a tangent scale clamped into iv."""
+    if math.isfinite(iv.hi - iv.lo):
+        inner = [iv.lo + f * (iv.hi - iv.lo) for f in fractions]
+    else:
+        inner = [1e3 * math.tan(math.pi * (f - 0.5)) for f in fractions]
+    return [iv.lo, iv.hi] + [min(max(x, iv.lo), iv.hi) for x in inner]
 
 
 class TestIntervalArithmetic:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
-        num=_FINITE_INTERVALS,
-        den=_FINITE_INTERVALS,
+        num=_EXTENDED_INTERVALS,
+        den=_EXTENDED_INTERVALS,
         u=st.lists(st.floats(0.0, 1.0), max_size=4),
         v=st.lists(st.floats(0.0, 1.0), max_size=4),
     )
     def test_div_contains_every_quotient(self, num, den, u, v):
         # division rounds monotonically, so the computed quotients lie in the
-        # computed pieces without any tolerance
+        # computed pieces without any tolerance; an infinite s over an
+        # infinite t has no value
         quotient = _div(num, den)
         for t in _points(den, v):
             if t == 0.0:
                 continue
             for s in _points(num, u):
+                if math.isinf(s) and math.isinf(t):
+                    continue
                 assert any(iv.lo <= s / t <= iv.hi for iv in quotient), (num, den, s, t)
+
+    @pytest.mark.parametrize("num, den, image", [
+        (Interval(-INF, 1.0), Interval(-INF, -1.0), (Interval(-1.0, INF),)),
+        (Interval(-INF, -1.0), Interval(-INF, -1.0), (Interval(0.0, INF),)),
+        (Interval(-INF, INF), Interval(-INF, -INF), (Interval(0.0, 0.0),)),
+        (Interval(INF, INF), Interval(INF, INF), ()),
+    ])
+    def test_infinite_over_infinite_endpoint_does_not_lose_the_part(self, num, den,
+                                                                     image):
+        """An endpoint quotient inf / inf has no value: it no longer makes
+        its part absent, the finite s next to it give a zero, and a part
+        with no valued quotient is absent."""
+        assert _div(num, den) == image
+
+    def test_same_bits_as_the_scalar_form_with_infinite_endpoints(self):
+        values = [-INF, -2.0, -0.0, 0.0, 0.5, INF]
+        intervals = [Interval(a, b) for a in values for b in values if a <= b]
+        boxes = [(num, den) for num in intervals for den in intervals]
+        for (num, den), got in zip(boxes, divide_boxes(boxes)):
+            assert _bits(got) == _bits(serial_interval_div(num, den)), (num, den)
 
     def test_positive_denominator(self):
         (piece,) = _div(Interval(0.1, 0.2), Interval(0.2, 0.4))
@@ -906,7 +938,7 @@ class TestStackedWald:
                 cond = np.divide(sigma[..., 0], sigma[..., -1],
                                  out=np.full(sigma.shape[:-1], np.inf),
                                  where=sigma[..., -1] > 0.0)
-                conds.append(cond.max(axis=(1, 2)))
+                conds.append(cond.max(axis=(0, 2, 3)))   # over g and q, folds, strata
                 return out
 
             got = wald_ci(counts, base.functional, base.support, 0.05, self.S,
@@ -922,8 +954,31 @@ class TestStackedWald:
             est, se = ref.estimate[live], ref.stderr[live]
             rms = np.hypot(est, se * np.sqrt(n))
             assert np.all(np.abs(got.estimate[live] - est) <= 1e-12 * rms)
-            rtol = np.maximum(1e-12, 8.0 * np.finfo(float).eps * np.maximum(*conds)[live])
+            rtol = np.maximum(1e-12, 8.0 * np.finfo(float).eps * np.max(conds, axis=0)[live])
             assert np.all(np.abs(got.stderr[live] - se) <= rtol * se)
+
+    @pytest.mark.parametrize("kind, k", [("late", 2), ("generic", 3)])
+    @pytest.mark.parametrize("cross_fit", [False, True])
+    def test_g_and_q_share_one_solve(self, kind, k, cross_fit, monkeypatch):
+        """One wald_ci call solves g's and q's systems of every replication
+        and fold in one _solve_strata call, on a (2, R, folds, k_x, k, k)
+        stack."""
+        rng = np.random.default_rng(23)
+        support = kind_support(rng, kind, k, 2, 1)
+        spec = kind_spec(rng, kind, support)
+        p = rng.uniform(0.5, 1.5, size=support.n_cells)
+        counts = rng.multinomial(200, p / p.sum(), size=(5, 2))
+        counts = counts.reshape((5, 2) + support.shape)
+        shapes = []
+        solve = confsets._solve_strata
+
+        def counted(lhs, rhs, tol):
+            shapes.append(lhs.shape)
+            return solve(lhs, rhs, tol)
+
+        monkeypatch.setattr(confsets, "_solve_strata", counted)
+        wald_ci(counts, spec, support, 0.05, self.S, cross_fit=cross_fit)
+        assert shapes == [(2, 5, 2 if cross_fit else 1, 1, k, k)]
 
     def test_stack_is_not_an_exception_path(self):
         """A stack mixing regular, degenerate and empty replications returns

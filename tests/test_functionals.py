@@ -249,6 +249,45 @@ class TestRotationSolve:
             _solve_strata(np.eye(3)[None], np.ones((1, 3)), DEFAULT_TOL)
 
 
+class TestStackedSolve:
+    """wald_ci solves g's and q's square systems as one (2, ...) stack."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        k=st.sampled_from([2, 3, 4, 8]),
+        lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        degenerate=st.sampled_from(["none", "equal_rows", "zero_row", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_of_two_gives_the_bits_of_two_calls(self, k, lead, degenerate, seed):
+        """One call on np.array([A, B]) returns, in entry 0 and entry 1, the
+        bits that the calls on A and on B return: solutions, residuals,
+        consistency and singular values, on the 2x2 path and the SVD path."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (k, k)
+        systems = []
+        for _ in range(2):
+            lhs = rng.gamma(1.0, size=shape) * (rng.random(shape) >= 0.3)
+            if degenerate == "equal_rows":
+                lhs[..., 1, :] = lhs[..., 0, :]
+            elif degenerate == "zero_row":
+                lhs[..., -1, :] = 0.0
+            elif degenerate == "zero":
+                lhs[rng.random(shape[:-2]) < 0.5] = 0.0
+            lhs /= np.maximum(lhs.sum(axis=-1, keepdims=True), 1.0)
+            built = np.einsum("...ij,...j->...i", lhs, rng.normal(size=shape[:-1]))
+            rhs = np.where(rng.random(shape[:-2] + (1,)) < 0.5, built,
+                           rng.normal(size=shape[:-1]))
+            systems.append((lhs, rhs))
+        (a, b), (c, d) = systems
+        stacked = _solve_strata(np.array([a, c]), np.array([b, d]), DEFAULT_TOL)
+        for i, (lhs, rhs) in enumerate(systems):
+            alone = _solve_strata(lhs, rhs, DEFAULT_TOL)
+            for got, want in zip(stacked, alone):
+                assert got[i].shape == want.shape
+                assert got[i].tobytes() == want.tobytes()
+
+
 class TestCondMeanOperator:
     def test_wz_deterministic_is_identity(self):
         law = wz_identity_late()
