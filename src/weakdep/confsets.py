@@ -30,8 +30,13 @@ replication, and the union set does its interval arithmetic elementwise.
 The result is a :class:`RegionArrays` of P pieces per replication, P being
 1 or 2: Wald gives one piece, and the score set (an interval or two rays)
 and the union set (a quotient of intervals plus an offset) at most two.
-Every replication's cells are summed in the order numpy sums one sample's,
-so a sample gives the same bits alone and in a stack.  The score set needs
+Every replication's cells are summed as row sums over the last axis
+(``.sum(axis=-1)``), which numpy sums row by row whatever the number of
+rows.  They are never summed by a matmul over the replication axis: BLAS
+may round a row of that product differently depending on how many rows
+the stack has.  (The one such product left, the score set's Z = 1 count of
+W = 1, sums integers, which is exact in any order.)  So a sample gives the
+same bits alone and in a stack, on every support.  The score set needs
 binary Z and W and no X (k_x = 1); the union set needs binary Z and W and
 takes its target from k_x: the ratio when k_x = 1, the X = 1 arm when
 k_x = 2.
@@ -316,7 +321,7 @@ def _coordinates(support):
     return support.y_cell_means[y], z, w.astype(float), x == support.k_x - 1
 
 
-def _total(terms, lead=1):
+def _total(terms, lead):
     """Sum over every axis after the first ``lead``, as one contiguous run
     per entry: the order in which numpy sums one sample's cell array."""
     return terms.reshape(terms.shape[:lead] + (-1,)).sum(axis=-1)
@@ -433,9 +438,10 @@ def score_invert_late(
     # With integer cell values these are exact integers, so data with
     # Y = W or Y = 1 - W give cA = +-cB exactly and a discriminant of
     # exactly zero, keeping the single accepted point.  The Z = 1 counts are
-    # summed over W before their dot with the Y cell means, which fixes how
-    # that sum rounds when the cell means are not integers.
-    sum_y1 = z1.reshape(len(z1), support.k_y, -1).sum(axis=-1) @ support.y_cell_means
+    # summed over W, scaled by the Y cell means and summed over Y as rows,
+    # which fixes how that sum rounds when the cell means are not integers.
+    sum_y1 = (z1.reshape(len(z1), support.k_y, -1).sum(axis=-1)
+              * support.y_cell_means).sum(axis=-1)
     c = np.where(z == 1, n0[:, None], -n1[:, None])
     ca = c * (n1[:, None] * y - sum_y1[:, None])
     cb = c * (n1[:, None] * w - (z1 @ w)[:, None])

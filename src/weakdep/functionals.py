@@ -517,9 +517,8 @@ def psi1_values(
     spec: FunctionalSpec,
     g: np.ndarray,
     q: np.ndarray,
-    theta: float = 0.0,
 ) -> np.ndarray:
-    """Estimating function m(O,g) + q(Z,X){Y - g(W,X)} - theta on every cell.
+    """Estimating function m(O,g) + q(Z,X){Y - g(W,X)} on every cell.
 
     ``g`` is (..., k_w, k_x) and ``q`` (..., k_z, k_x), with the same leading
     batch axes.  The result has shape (..., k_y, k_z, k_w, k_x); its mean
@@ -529,4 +528,4 @@ def psi1_values(
     mcell = m_cell_values(spec, g, support)[..., None, None, :, :]
     ybar = support.y_cell_means[:, None, None, None]
     g = g[..., None, None, :, :]
-    return mcell + q[..., None, :, None, :] * (ybar - g) - theta
+    return mcell + q[..., None, :, None, :] * (ybar - g)

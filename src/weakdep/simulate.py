@@ -29,8 +29,9 @@ quantiles, row-wise means and fractions), with the arithmetic of a cell
 summarised alone.  A block holds at most :data:`BLOCK_BYTES` of float cell
 counts over all its laws, so a block's memory does not grow with the
 number of replications; the tables hold 11 bytes per replication, method
-and law.  A stream yields the same samples however it is
-split into blocks, so the report does not depend on the block size or on
+and law.  A stream yields the same samples however it is split into
+blocks, and every constructor gives a sample the same bits in any stack,
+on every support, so the report does not depend on the block size or on
 which laws share a block, and the first R' replications of a plan are
 those of the same plan with ``reps=R'``.
 Coverage along a weak-dependence sequence is a plan with one

@@ -1,5 +1,11 @@
 """Shared law builders, generators, the scalar region model and the
-reference constructors for the test suite."""
+references for the test suite.
+
+Each layer of the package has one kind of reference per level of detail:
+the row-level constructors (``row_*``) read raw rows, the serial ones
+(``serial_*``) take one sample's counts at a time, and ``serial_run`` runs
+a plan law by law and summarises each cell alone (``_SerialTally``).  Tests
+check the package against them on the same inputs."""
 
 import math
 import time
@@ -18,17 +24,12 @@ from weakdep import (
 )
 from weakdep.adversarial import limit_phi_coefficients
 from weakdep.confsets import (
-    _DEGENERATE,
-    _ZERO_MASS,
     FULL_LINE,
     REASONS,
     Interval,
-    _check_counts,
     _divide,
     _merge_pieces,
-    _quadratic_sublevel,
     _region_arrays,
-    _total,
     binary_union_set,
     normal_quantile,
     require_binary_support,
@@ -51,10 +52,8 @@ from weakdep.functionals import (
 )
 from weakdep.laws import _number, law_to_dict, sample
 from weakdep.simulate import (
-    _OUTCOMES,
     CellReport,
     CoverageReport,
-    ExperimentPlan,
     wilson_interval,
 )
 
@@ -563,11 +562,11 @@ def _check_binary(values, name):
         raise ValueError(f"{name} must be binary 0/1")
 
 
-def row_psi1_values(rows, support, spec, g, q, theta=0.0):
-    """Per-row values of the estimating function m(O,g) + q(Z,X){Y - g(W,X)} - theta."""
+def row_psi1_values(rows, support, spec, g, q):
+    """Per-row values of the estimating function m(O,g) + q(Z,X){Y - g(W,X)}."""
     mcell = m_cell_values(spec, g, support)
     mvals = mcell[rows.w, rows.x]
-    return mvals + q[rows.z, rows.x] * (rows.y - g[rows.w, rows.x]) - theta
+    return mvals + q[rows.z, rows.x] * (rows.y - g[rows.w, rows.x])
 
 
 def _row_law(rows, support):
@@ -591,12 +590,12 @@ def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e
                 law = _row_law(rows.subset(fit_idx), support)
                 g, q = _nuisances(law, spec, tol)
                 values[eval_idx] = row_psi1_values(
-                    rows.subset(eval_idx), support, spec, g, q, 0.0
+                    rows.subset(eval_idx), support, spec, g, q
                 )
         else:
             law = _row_law(rows, support)
             g, q = _nuisances(law, spec, tol)
-            values = row_psi1_values(rows, support, spec, g, q, 0.0)
+            values = row_psi1_values(rows, support, spec, g, q)
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
         return _full_result(type(exc).__name__)
     phi_hat = float(values.mean())
@@ -839,7 +838,7 @@ def serial_score_invert_late(counts, support, alpha, s=FULL_LINE):
         return _full_result()
     y = support.y_cell_means
     w = np.arange(2.0)
-    a = n1 * y - counts[:, 1].sum(axis=1) @ y
+    a = n1 * y - (counts[:, 1].sum(axis=1) * y).sum()
     b = n1 * w - counts[:, 1].sum(axis=0) @ w
     c = np.array([-n1, n0])
     ca = c[None, :, None] * a[:, None, None]
@@ -925,102 +924,13 @@ def serial_binary_union_set(counts, support, alpha, s):
 
 
 # ---------------------------------------------------------------------------
-# Shaped reference score and union sets.  These are the package's
-# score_invert_late, _union_components and binary_union_set as they were
-# before they read the counts as flat (R, 2, n_cells) rows: the same
-# arithmetic, broadcast over the four cell axes (Y, Z, W, X).  Tests check
-# the flat path against them bit for bit.
-
-
-def _cells(values):
-    """Per-replication values broadcast over the cells."""
-    return values.reshape(values.shape + (1,) * 4)
-
-
-def shaped_score_invert_late(counts, support, alpha, s=FULL_LINE):
-    require_binary_support(support, 1, "score inversion")
-    counts = _check_counts(counts, support).sum(axis=1)[..., 0]   # (R, k_y, 2, 2)
-    n0, n1 = np.moveaxis(counts.sum(axis=(1, 3)), -1, 0)
-    y = support.y_cell_means
-    w = np.arange(2.0)
-    a = n1[:, None] * y - (counts[:, :, 1].sum(axis=2) @ y)[:, None]    # (R, k_y)
-    b = n1[:, None] * w - (counts[:, :, 1].sum(axis=1) @ w)[:, None]    # (R, 2)
-    c = np.stack([-n1, n0], axis=-1)[:, None, :, None]
-    ca = c * a[:, :, None, None]
-    cb = c * b[:, None, None, :]
-    sum_a = _total(counts * ca)
-    sum_b = _total(counts * cb)
-    z2 = normal_quantile(1.0 - alpha / 2.0) ** 2
-    q_aa = sum_a * sum_a - z2 * _total(counts * ca * ca)
-    q_ab = sum_a * sum_b - z2 * _total(counts * ca * cb)
-    q_bb = sum_b * sum_b - z2 * _total(counts * cb * cb)
-    lo, hi = _quadratic_sublevel(q_bb, -2.0 * q_ab, q_aa)
-    return _region_arrays(lo, hi, s, np.where((n1 == 0) | (n0 == 0), _DEGENERATE, 0))
-
-
-def shaped_union_components(mass, support):
-    """As ``confsets._union_components``, with ``mass`` of shape (R,) + the
-    support's and influence values of shape (R, C) + the support's."""
-    y = support.y_cell_means.reshape(-1, 1, 1, 1)
-    w = np.arange(support.k_w, dtype=float).reshape(1, 1, -1, 1)
-    z = np.arange(support.k_z).reshape(1, -1, 1, 1)
-    arm = np.arange(support.k_x).reshape(1, 1, 1, -1) == support.k_x - 1
-    values = np.stack(np.broadcast_arrays(w, y))[:, None]
-    events = np.stack([(z == 1) & arm, (z == 0) & arm])
-    weighted = mass[:, None, None] * events
-    p = _total(weighted, lead=3)
-    p_safe = np.where(p > 0.0, p, 1.0)
-    est = _total(weighted * values, lead=3) / p_safe
-    infl = np.where(events, values - _cells(est), 0.0) / _cells(p_safe)
-    empty_z = np.where(p[:, 0, 0] <= 0.0, 1, np.where(p[:, 0, 1] <= 0.0, 0, -1))
-
-    contrast = est[:, :, 0] - est[:, :, 1]
-    contrast_infl = infl[:, :, 0] - infl[:, :, 1]
-    if support.k_x == 1:
-        return ("de", "num"), contrast, contrast_infl, empty_z
-    ew_est = _total(mass * w)
-    diff_est = ew_est - est[:, 0, 0]
-    diff_infl = (w - _cells(ew_est)) - infl[:, 0, 0]
-    nu_est, nu_infl = contrast[:, 1], contrast_infl[:, 1]
-    num_infl = _cells(diff_est) * nu_infl + _cells(nu_est) * diff_infl
-    return (
-        ("de", "num", "offset"),
-        np.stack([contrast[:, 0], nu_est * diff_est, est[:, 1, 0]], axis=1),
-        np.stack([contrast_infl[:, 0], num_infl, infl[:, 1, 0]], axis=1),
-        empty_z,
-    )
-
-
-def shaped_binary_union_set(counts, support, alpha, s):
-    require_binary_support(support, 2, "the union set")
-    counts = _check_counts(counts, support).sum(axis=1)
-    n = counts.sum(axis=(1, 2, 3, 4))
-    mass = estimate(counts, support)
-    names, est, infl, empty_z = shaped_union_components(mass, support)
-    level = alpha / len(names)
-    z = normal_quantile(1.0 - level / 2.0)
-    se = np.sqrt(_total(mass[:, None] * infl * infl, lead=2)
-                 / np.maximum(n - 1, 1)[:, None])
-    lo, hi = est - z * se, est + z * se                  # (R, components)
-    components = {name: (lo[:, i], hi[:, i]) for i, name in enumerate(names)}
-    (de_lo, de_hi), (num_lo, num_hi) = components["de"], components["num"]
-    zero = np.zeros(len(n))
-    off_lo, off_hi = components.get("offset", (zero, zero))
-
-    straddle = (de_lo < 0.0) & (0.0 < de_hi) & ~((num_lo == 0.0) & (0.0 == num_hi))
-    lo, hi = _merge_pieces(*_divide(num_lo, num_hi, de_lo, de_hi))
-    no_pieces = np.isnan(lo[:, 0]) & ~straddle
-    lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
-    hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
-    reason = np.where(empty_z >= 0, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))
-    return _region_arrays(lo, hi, s, reason, components=components)
-
-
-# ---------------------------------------------------------------------------
-# Reference per-cell tally.  This is simulate.run's tally as it was before
-# each support group's cells were summarised together: one object per
-# (law, method) pair holding its blocks' arrays, summarised one cell at a
-# time.  Tests check the package's columnar summary against it.
+# Reference Monte Carlo run.  This is simulate.run as it was before laws on
+# one support were evaluated together: every law alone, one constructor call
+# per law, method and block, and the per-replication tallies kept as Python
+# lists, each cell summarised alone by _SerialTally (with _quantile for its
+# diameter quantiles).  Tests check the package's run against it bit for
+# bit, and the package's columnar summary against _SerialTally fed the same
+# tables block by block.
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -1034,73 +944,21 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
 
 
-class _Tally:
-    """Per-replication outcomes of one (law, method) pair, as the arrays of
-    each block in replication order: outcome code, diameter, full-range flag
-    and reason."""
-
-    def __init__(self):
-        self.blocks = []
-
-    def report(self, label: str, method: str, plan: ExperimentPlan) -> CellReport:
-        code, diam_arr, fulls, reason = map(np.concatenate, zip(*self.blocks))
-        covered, _, errors = np.bincount(code, minlength=len(_OUTCOMES)).tolist()
-        missed = plan.reps - covered - errors
-        wl, wh = wilson_interval(covered + errors, plan.reps)
-        kinds = np.bincount(reason, minlength=len(REASONS)).tolist()
-        return CellReport(
-            label=label,
-            method=method,
-            n=plan.n,
-            reps=plan.reps,
-            covered=covered,
-            missed=missed,
-            errors=errors,
-            coverage=(covered + errors) / plan.reps,
-            wilson_lo=wl,
-            wilson_hi=wh,
-            diam_mean=float(diam_arr.mean()),
-            diam_p50=_quantile(diam_arr, 50),
-            diam_p90=_quantile(diam_arr, 90),
-            frac_fullrange=int(np.count_nonzero(fulls)) / plan.reps,
-            frac_error=errors / plan.reps,
-            frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
-            diameters=tuple(diam_arr.tolist()),
-            outcomes=tuple(map(_OUTCOMES.__getitem__, code.tolist())),
-            errors_by_kind=dict(sorted(
-                (REASONS[k], count) for k, count in enumerate(kinds) if k and count)),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Reference Monte Carlo run.  This is simulate.run as it was before laws on
-# one support were evaluated together: every law alone, one constructor call
-# per law, method and block, and the per-replication tallies kept as Python
-# lists.  Tests check the package's run against it bit for bit.
-
-
 def _serial_bind_method(cfg, plan, case):
     """Turn a method config into a constructor that maps a block's counts,
-    shape (R, 2, k_y, k_z, k_w, k_x), to RegionArrays."""
+    shape (R, 2, k_y, k_z, k_w, k_x), to RegionArrays.  The plan has checked
+    every method against every law's support when it was made."""
     alpha = 1.0 - plan.level
     support = case.law.support
     if cfg.name == "wald":
-        func = cfg.options.get("functional")
-        if func is None:
-            raise ValueError("method 'wald' needs a 'functional' option")
+        func = cfg.options["functional"]
         if not isinstance(func, FunctionalSpec):
             func = FunctionalSpec.from_dict(func)
         cross_fit = cfg.options.get("cross_fit", False)
-        if not isinstance(cross_fit, bool):
-            raise ValueError(f"method 'wald': cross_fit must be true or false; "
-                             f"got {cross_fit!r}")
-        func.validate_against(support)
         return lambda counts: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
     if cfg.name == "score":
-        require_binary_support(support, 1, "method 'score'")
         return lambda counts: score_invert_late(counts, support, alpha, s=plan.s)
     if cfg.name == "union":
-        require_binary_support(support, 2, "method 'union'")
         return lambda counts: binary_union_set(counts, support, alpha, plan.s)
     if cfg.name == "fullrange":
         intervals = [FULL_LINE]
@@ -1123,14 +981,18 @@ class _SerialTally:
         self.errors_by_kind = Counter()
 
     def add_stack(self, arrays):
-        degenerate = arrays.reason > 0
+        """Tally one block's RegionArrays."""
         covered = arrays.contains(self.true_phi)
-        self.outcomes += np.where(
-            degenerate, "error", np.where(covered, "cover", "miss")
-        ).tolist()
-        self.diameters += arrays.diameters().tolist()
-        self.fulls += arrays.is_full().tolist()
-        self.errors_by_kind.update(REASONS[code] for code in arrays.reason[degenerate])
+        outcomes = np.where(arrays.reason > 0, "error", np.where(covered, "cover", "miss"))
+        self.add(outcomes.tolist(), arrays.diameters(), arrays.is_full(), arrays.reason)
+
+    def add(self, outcomes, diameters, fulls, reasons):
+        """Tally one block's outcome names and its arrays of diameters,
+        full-range flags and reasons, in replication order."""
+        self.outcomes += outcomes
+        self.diameters += diameters.tolist()
+        self.fulls += fulls.tolist()
+        self.errors_by_kind.update(REASONS[code] for code in reasons[reasons > 0])
 
     def report(self, label, method, plan):
         outcomes = tuple(self.outcomes)

@@ -62,8 +62,6 @@ from helpers import (
     serial_quadratic_sublevel,
     serial_score_invert_late,
     serial_wald_ci,
-    shaped_binary_union_set,
-    shaped_score_invert_late,
     svd_solve_strata,
     wald_ratio,
 )
@@ -994,30 +992,23 @@ class TestStackedWald:
         assert np.isnan(stack.estimate[1:]).all()
 
 
-def _assert_region_result_equal(got, ref, exact):
-    """Same degenerate flag, reason, region kind and pieces, and component
-    intervals; endpoints bit-equal (signed zeros too) with ``exact``, else
-    within 1e-12 relative."""
+def _assert_region_result_equal(got, ref):
+    """Same reason, region kind and pieces, and component intervals, every
+    endpoint bit-equal (signed zeros too)."""
     assert got.reason == ref.reason
     assert set(got.components) == set(ref.components)
-    if exact:
-        assert _bits(got.region.intervals) == _bits(ref.region.intervals)
-        assert got.region.kind == ref.region.kind
-        assert _bits(got.components.values()) == _bits(
-            [ref.components[name] for name in got.components])
-    else:
-        _assert_same_result(got, ref)
-        for name, iv in ref.components.items():
-            _assert_close(got.components[name].lo, iv.lo)
-            _assert_close(got.components[name].hi, iv.hi)
+    assert _bits(got.region.intervals) == _bits(ref.region.intervals)
+    assert got.region.kind == ref.region.kind
+    assert _bits(got.components.values()) == _bits(
+        [ref.components[name] for name in got.components])
 
 
 def _assert_sets_match_serial(construct, serial, counts, support, alpha, s,
-                              exact=True, single=False):
+                              single=False):
     """Entry r of the stacked score or union set is the serial reference's
-    result on replication r, and with ``exact`` its diameter is the
-    reference region's, sign of zero included; with ``single``, so is the
-    constructor's result on the stack of replication r alone."""
+    result on replication r, its diameter the reference region's, sign of
+    zero included; with ``single``, so is the constructor's result on the
+    stack of replication r alone."""
     stack = construct(counts, support, alpha, s)
     diameters = stack.diameters()
     for r in range(len(counts)):
@@ -1029,14 +1020,13 @@ def _assert_sets_match_serial(construct, serial, counts, support, alpha, s,
             assert got.degenerate and got.region.is_full
             continue
         ref = serial(counts[r], support, alpha, s)
-        _assert_region_result_equal(got, ref, exact)
-        if exact:
-            want = diameter(ref.region, s)
-            assert (diameters[r], math.copysign(1.0, diameters[r])) == \
-                (want, math.copysign(1.0, want))
+        _assert_region_result_equal(got, ref)
+        want = diameter(ref.region, s)
+        assert (diameters[r], math.copysign(1.0, diameters[r])) == \
+            (want, math.copysign(1.0, want))
         if single:
             one = construct(counts[r:r + 1], support, alpha, s)
-            _assert_region_result_equal(as_result(one, 0), ref, exact)
+            _assert_region_result_equal(as_result(one, 0), ref)
 
 
 def _every_sample(n, support):
@@ -1067,13 +1057,13 @@ class TestStackedScoreAndUnion:
         _assert_sets_match_serial(binary_union_set, serial_binary_union_set,
                                   counts, support, 0.05, Interval(-5.0, 5.0))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         union=st.booleans(),
-        k_y=st.integers(2, 3),
+        k_y=st.integers(2, 4),
         k_x=st.integers(1, 2),
-        reps=st.integers(1, 6),
-        draws=st.sampled_from([0, 1, 2, 5, 40]),
+        reps=st.integers(1, 40),
+        draws=st.sampled_from([0, 1, 2, 7, 40, 2000]),
         sparsity=st.floats(0.0, 0.9),
         alpha=st.floats(0.001, 0.5),
         ends=st.tuples(_ENDS, _ENDS).filter(lambda e: e[0] != e[1]),
@@ -1081,54 +1071,17 @@ class TestStackedScoreAndUnion:
     )
     def test_random_binary_supports_match_serial(self, union, k_y, k_x, reps, draws,
                                                  sparsity, alpha, ends, seed):
-        """Random Y cell means, zero-mass cells, samples of 0, 1 and 2 draws
-        and random levels and ranges.  Y cell means that are not integers
-        make the score's sum over Y cells a dot product, which BLAS may
-        round differently for a stack than for one sample, so endpoints
-        agree to 1e-12 relative here rather than bit for bit."""
-        rng = np.random.default_rng(seed)
-        support = kind_support(rng, "ate_iv", 2, k_y, k_x if union else 1)
-        mass = rng.gamma(1.0, size=support.shape) * (rng.random(support.shape) >= sparsity)
-        if not mass.any():
-            mass.flat[0] = 1.0
-        counts = rng.multinomial(draws, (mass / mass.sum()).ravel(), size=(reps, 2))
-        counts = counts.reshape((reps, 2) + support.shape)
-        construct, serial = ((binary_union_set, serial_binary_union_set) if union
-                             else (score_invert_late, serial_score_invert_late))
-        _assert_sets_match_serial(construct, serial, counts, support, alpha,
-                                  Interval(*sorted(ends)), exact=False, single=True)
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-class TestFlatMatchesShaped:
-    """The score and union sets on flat (R, 2, n_cells) rows give the bits
-    of the shaped references, which broadcast over the four cell axes."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        union=st.booleans(),
-        k_y=st.integers(2, 4),
-        k_x=st.integers(1, 2),
-        reps=st.integers(1, 40),
-        draws=st.sampled_from([1, 2, 7, 40, 2000]),
-        alpha=st.floats(0.001, 0.5),
-        ends=st.tuples(_ENDS, _ENDS).filter(lambda e: e[0] != e[1]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_same_bits(self, union, k_y, k_x, reps, draws, alpha, ends, seed):
         """Random Y cell measures and integrals (cell means that are not
-        integers), with empty, one-arm and sparse samples mixed in."""
+        integers), zero-mass cells, random levels and ranges, and empty,
+        one-arm and sparse samples mixed into stacks of up to 40: every
+        entry has the bits of the serial reference, in its stack and alone."""
         rng = np.random.default_rng(seed)
         support = SupportSpec(mu_y=rng.uniform(0.2, 3.0, k_y),
                               mu_z=rng.uniform(0.2, 3.0, 2),
                               mu_w=rng.uniform(0.2, 3.0, 2),
                               mu_x=rng.uniform(0.2, 3.0, k_x if union else 1),
                               iota_y=rng.normal(0.0, 2.0, k_y))
-        mass = rng.gamma(0.5, size=support.shape) * (rng.random(support.shape) >= 0.3)
+        mass = rng.gamma(0.5, size=support.shape) * (rng.random(support.shape) >= sparsity)
         if not mass.any():
             mass.flat[0] = 1.0
         counts = rng.multinomial(draws, (mass / mass.sum()).ravel(), size=(reps, 2))
@@ -1137,16 +1090,10 @@ class TestFlatMatchesShaped:
         counts[kind == 1] = 0
         counts[kind == 2, :, :, 0] = 0
         counts[kind == 3, :, :, 1] = 0
-        s = Interval(*sorted(ends))
-        construct, shaped = ((binary_union_set, shaped_binary_union_set) if union
-                             else (score_invert_late, shaped_score_invert_late))
-        got, want = construct(counts, support, alpha, s), shaped(counts, support, alpha, s)
-        for name in ("lo", "hi", "reason"):
-            assert _same_bits(getattr(got, name), getattr(want, name)), name
-        assert got.components.keys() == want.components.keys()
-        for name, ends_got in got.components.items():
-            for a, b in zip(ends_got, want.components[name]):
-                assert _same_bits(a, b), name
+        construct, serial = ((binary_union_set, serial_binary_union_set) if union
+                             else (score_invert_late, serial_score_invert_late))
+        _assert_sets_match_serial(construct, serial, counts, support, alpha,
+                                  Interval(*sorted(ends)), single=True)
 
 
 # Finite and infinite ranges; the law's ratio target is 0.4.

@@ -565,7 +565,7 @@ class TestStructuralInvariants:
             q = solve_q(law, alpha)
             phi = evaluate_phi(law, spec)
             for theta, expected in ((phi, 0.0), (phi + 0.5, -0.5)):
-                psi = psi1_values(support, spec, g, q, theta=theta)
+                psi = psi1_values(support, spec, g, q) - theta
                 assert (law.mass * psi).sum() == pytest.approx(expected, abs=1e-10)
 
     def test_m_cell_values_consistent_with_phi(self):

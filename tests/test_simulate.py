@@ -29,7 +29,7 @@ from weakdep.simulate import (
 )
 
 from helpers import (
-    _Tally,
+    _SerialTally,
     acceptance_base,
     compositions,
     late_law,
@@ -433,6 +433,14 @@ def _y_scaled(law):
     return DiscreteLaw(support, law.mass)
 
 
+def _y_inexact(law):
+    """The same masses on a support whose Y cell means, 0.1 and 1.3, make
+    inexact sums of counts times means."""
+    support = SupportSpec(mu_y=[1.0, 1.0], mu_z=[1.0, 1.0], mu_w=[1.0, 1.0],
+                          mu_x=[1.0], iota_y=[0.1, 1.3])
+    return DiscreteLaw(support, law.mass)
+
+
 def _signed_zero(law):
     """The same law on a support whose first Y integral is -0.0."""
     support = SupportSpec(mu_y=[1.0, 1.0], mu_z=[1.0, 1.0], mu_w=[1.0, 1.0],
@@ -469,7 +477,8 @@ class TestSupportGroups:
         assert run(back).to_csv() == run(plan).to_csv()
 
 
-_B_SUPPORT = {"signed_zero": _signed_zero, "y_scaled": _y_scaled}
+_B_SUPPORT = {"signed_zero": _signed_zero, "y_scaled": _y_scaled,
+              "y_inexact": _y_inexact}
 
 
 class TestAgainstSerialRun:
@@ -479,20 +488,21 @@ class TestAgainstSerialRun:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         laws=st.lists(
-            st.tuples(st.sampled_from([None, "signed_zero", "y_scaled"]),
+            st.tuples(st.sampled_from([None, *_B_SUPPORT]),
                       st.sampled_from([0.5, 0.3, 0.03, 1.0]),
                       st.sampled_from([(0.2, 0.8), (0.5, 0.55), (0.4, 0.4)]),
                       st.floats(0.0, 1.0)),       # where true_phi lies in s
             min_size=1, max_size=4),
         interleave=st.booleans(),
+        inexact=st.booleans(),
         n=st.sampled_from([1, 2, 5, 12, 300]),
         reps=st.integers(1, 9),
         seed=st.integers(0, 2**32),
         budget=st.sampled_from([1, 16 * 8 * 3, 16 * 8 * 5, simulate.BLOCK_BYTES]),
         s=st.sampled_from([S, Interval(-1.0, 0.5)]),
     )
-    def test_run_matches_serial_run_bit_for_bit(self, laws, interleave, n, reps,
-                                                 seed, budget, s):
+    def test_run_matches_serial_run_bit_for_bit(self, laws, interleave, inexact, n,
+                                                 reps, seed, budget, s):
         cases = []
         for t, (variant, p_z1, p_w, place) in enumerate(laws):
             law = late_law(p_z1=p_z1, p_w=p_w)
@@ -502,6 +512,9 @@ class TestAgainstSerialRun:
             law = late_law()
             cases += [LawCase("A1", law, 0.1), LawCase("B", _signed_zero(law), 0.1),
                       LawCase("A2", late_law(p_z1=0.2), -0.4)]
+        if inexact:         # two laws that share one stack of inexact Y sums
+            cases += [LawCase("C1", _y_inexact(late_law()), 0.1),
+                      LawCase("C2", _y_inexact(late_law(p_z1=0.3)), 0.2)]
         plan = ExperimentPlan(laws=tuple(cases), methods=ALL_METHODS, n=n, reps=reps,
                               level=0.95, seed=seed, s=s)
         with pytest.MonkeyPatch.context() as patch:
@@ -517,8 +530,9 @@ class TestAgainstSerialRun:
 
 
 class TestColumnarSummary:
-    """One support group's cells summarised together give the report of the
-    per-cell reference tally, every float the same."""
+    """One support group's cells summarised together give the report of
+    serial_run's tally, fed the same tables block by block, every float the
+    same."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -552,9 +566,10 @@ class TestColumnarSummary:
         cuts = np.sort(rng.integers(0, reps + 1, blocks - 1)).tolist()
         for m in range(n_methods):
             for j in range(n_laws):
-                tally = _Tally()
+                tally = _SerialTally(true_phi=0.0)
                 for lo, hi in zip([0] + cuts, cuts + [reps]):
-                    tally.blocks.append([a[m, j, lo:hi] for a in (code, diam, full, reason)])
+                    tally.add([simulate._OUTCOMES[c] for c in code[m, j, lo:hi]],
+                              diam[m, j, lo:hi], full[m, j, lo:hi], reason[m, j, lo:hi])
                 want = tally.report(labels[j], methods[m], plan)
                 # repr tells signed zeros apart and shows NaN
                 assert repr(got[m * n_laws + j]) == repr(want)
