@@ -32,11 +32,16 @@ The result is a :class:`RegionArrays` of P pieces per replication, P being
 and the union set (a quotient of intervals plus an offset) at most two.
 Every replication's cells are summed as row sums over the last axis
 (``.sum(axis=-1)``), which numpy sums row by row whatever the number of
-rows.  They are never summed by a matmul over the replication axis: BLAS
-may round a row of that product differently depending on how many rows
-the stack has.  (The one such product left, the score set's Z = 1 count of
-W = 1, sums integers, which is exact in any order.)  So a sample gives the
-same bits alone and in a stack, on every support.  The score set needs
+rows.  An axis shorter than 8 (a marginal's Y or Z cells, the folds, the
+pieces of a region) is summed by slice adds in numpy's own order
+(:func:`~weakdep.laws._reduce_short`), which gives ``ndarray.sum``'s bits
+without a reduction's fixed cost; a longer axis, such as the flat cell
+run, by ``ndarray.sum``.  Cells are never summed by a matmul over the
+replication axis: BLAS may round a row of that product differently
+depending on how many rows the stack has.  (The one such product left,
+the score set's Z = 1 count of W = 1, sums integers, which is exact in
+any order.)  So a sample gives the same bits alone and in a stack, on
+every support.  The score set needs
 binary Z and W and no X (k_x = 1); the union set needs binary Z and W and
 takes its target from k_x: the ratio when k_x = 1, the X = 1 arm when
 k_x = 2.
@@ -68,7 +73,8 @@ from .functionals import (
     _solve_strata,
     psi1_values,
 )
-from .laws import DiscreteLaw, SupportSpec, check_counts, estimate
+from .laws import (DiscreteLaw, SupportSpec, _reduce_short, check_counts, computed_once,
+                   estimate)
 
 INF = float("inf")
 
@@ -265,13 +271,13 @@ class RegionArrays:
         """Whether some piece of each region holds ``value``: a scalar for
         every row, or an (R,) vector, row r's value for region r."""
         value = np.asarray(value)[..., None]
-        return ((self.lo <= value) & (value <= self.hi)).any(axis=-1)
+        return _reduce_short(np.logical_or, (self.lo <= value) & (value <= self.hi), -1)
 
     def diameters(self) -> np.ndarray:
         """sup minus inf of every region: its last (largest) piece end minus
         its first piece start, 0 without pieces."""
         with np.errstate(invalid="ignore"):         # inf - inf on an infinite s
-            spans = np.fmax.reduce(self.hi, axis=1) - self.lo[:, 0]
+            spans = np.fmax(self.hi[:, 0], self.hi[:, -1]) - self.lo[:, 0]
         return np.where(np.isnan(self.lo[:, 0]), 0.0, spans)
 
 
@@ -314,11 +320,15 @@ def _pooled_rows(counts, support):
     return rows[:, 0] + rows[:, 1]
 
 
+@computed_once
 def _coordinates(support):
-    """Each cell's Y cell mean, Z value, W value and whether it has
-    X = k_x - 1, as flat (n_cells,) vectors in the cells' (Y, Z, W, X) order."""
+    """Each cell's Y cell mean, Z value and W value, as flat (n_cells,)
+    vectors in the cells' (Y, Z, W, X) order; then the union set's values
+    of W and Y, (2, 1, n_cells), and its events Z = 1 and Z = 0 on
+    X = k_x - 1, (2, n_cells)."""
     y, z, w, x = np.unravel_index(np.arange(support.n_cells), support.shape)
-    return support.y_cell_means[y], z, w.astype(float), x == support.k_x - 1
+    y, w, arm = support.y_cell_means[y], w.astype(float), x == support.k_x - 1
+    return y, z, w, np.array([w, y])[:, None], np.array([(z == 1) & arm, (z == 0) & arm])
 
 
 def _total(terms, lead):
@@ -359,41 +369,49 @@ def wald_ci(
     cells = (None,) * 4                                 # broadcast over the cells
     # fold f fits the nuisances and fold 1 - f weighs their values; without
     # cross-fitting the one pooled fold does both, with a share of exactly 1
-    # (0 on an empty sample, whose fits are 0 too)
-    folds = counts if cross_fit else counts.sum(axis=1, keepdims=True)
-    fold_n = folds.sum(axis=(-4, -3, -2, -1))           # (R, folds)
-    n = fold_n.sum(axis=-1)                             # (R,)
+    # (0 on an empty sample, whose fits are 0 too); counts sum exactly in
+    # any order
+    folds = counts if cross_fit else counts[:, :1] + counts[:, 1:]
+    fold_n = folds.reshape(folds.shape[:2] + (support.n_cells,)).sum(axis=-1)
+    n = _reduce_short(np.add, fold_n, -1)               # (R,)
     fits = estimate(folds, support)
     share = fold_n[:, ::-1] / np.maximum(n, 1)[:, None]
     weights = fits[:, ::-1] * share[(...,) + cells]
-    empty_fold = cross_fit & (fold_n == 0).any(axis=-1)
+    empty_fold = cross_fit & _reduce_short(np.logical_or, fold_n == 0, -1)
 
-    lhs, empty_g = _cond_mean_rows(fits)
+    fits_zwx = _reduce_short(np.add, fits, -4)          # the (Z, W, X) marginal
+    lhs, empty_g = _cond_mean_rows(fits_zwx)
     rhs, _ = _response_rows(fits, support.y_cell_means)   # same (Z, X) rows
-    alpha_wx, positivity = _representer(spec, support, fits.sum(axis=(-4, -3)))
-    adj, empty_q = _adjoint_rows(fits)
+    # the (W, X) marginal sums Y and Z in C order, as one axis of (Y, Z) cells
+    fits_wx = _reduce_short(np.add, fits.reshape(fold_n.shape + (-1,) + fits.shape[-2:]), -3)
+    alpha_wx, positivity = _representer(spec, support, fits_wx)
+    adj, empty_q = _adjoint_rows(fits_zwx)
     # g's system and q's adjoint system, stacked on a leading axis
     (g, q), _, ok, _ = _solve_strata(np.array([lhs, adj]),
                                      np.array([rhs, alpha_wx.swapaxes(-1, -2)]),
                                      DEFAULT_TOL)
-    g_bad, q_bad = ~ok.all(axis=-1)
+    g_bad, q_bad = ~_reduce_short(np.logical_and, ok, -1)
+    # whether each (replication, fold) has an empty g row, a vanishing
+    # representer density or an empty q row, each mask (k_x, k) per fold
+    g_empty, density, q_empty = _reduce_short(np.logical_or, np.array(
+        [empty_g, positivity.swapaxes(-1, -2), empty_q]).reshape(3, *fold_n.shape, -1), -1)
 
     # first failure of each (replication, fold), in the order a serial
     # solve meets them: g's conditioning cells, g's consistency, the
     # representer, q's conditioning cells, q's consistency
-    failure = np.where(empty_g.any(axis=(-2, -1)), _ZERO_MASS,
+    failure = np.where(g_empty, _ZERO_MASS,
               np.where(g_bad, _DEGENERATE,
-              np.where(positivity.any(axis=(-2, -1)), _POSITIVITY,
-              np.where(empty_q.any(axis=(-2, -1)), _ZERO_MASS,
+              np.where(density, _POSITIVITY,
+              np.where(q_empty, _ZERO_MASS,
               np.where(q_bad, _DEGENERATE, 0)))))
     reason = np.where(failure[:, 0] > 0, failure[:, 0], failure[:, -1])
     reason = np.where(empty_fold, _EMPTY_FOLD, reason)
 
     # each fold's cells summed as one contiguous run, then the folds
     values = psi1_values(support, spec, g.swapaxes(-1, -2), q.swapaxes(-1, -2))
-    phi_hat = _total(weights * values, lead=2).sum(axis=-1)
+    phi_hat = _reduce_short(np.add, _total(weights * values, lead=2), -1)
     centred = values - phi_hat[(..., None) + cells]
-    ss = _total(weights * centred ** 2, lead=2).sum(axis=-1)
+    ss = _reduce_short(np.add, _total(weights * centred ** 2, lead=2), -1)
     sd = np.sqrt(np.divide(ss * n, n - 1, out=np.zeros(ss.shape), where=n > 1))
     root_n = np.sqrt(np.maximum(n, 1))
     half_width = z * sd / root_n
@@ -427,7 +445,7 @@ def score_invert_late(
     """
     require_binary_support(support, 1, "score inversion")
     counts = _pooled_rows(counts, support)              # (R, n_cells) integers
-    y, z, w, _ = _coordinates(support)
+    y, z, w, _, _ = _coordinates(support)
     z1 = counts * z                                     # the Z = 1 counts
     n1 = z1.sum(axis=-1)
     n0 = counts.sum(axis=-1) - n1
@@ -440,8 +458,8 @@ def score_invert_late(
     # exactly zero, keeping the single accepted point.  The Z = 1 counts are
     # summed over W, scaled by the Y cell means and summed over Y as rows,
     # which fixes how that sum rounds when the cell means are not integers.
-    sum_y1 = (z1.reshape(len(z1), support.k_y, -1).sum(axis=-1)
-              * support.y_cell_means).sum(axis=-1)
+    sum_y1 = _reduce_short(np.add, z1.reshape(len(z1), support.k_y, -1).sum(axis=-1)
+                           * support.y_cell_means, -1)
     c = np.where(z == 1, n0[:, None], -n1[:, None])
     ca = c * (n1[:, None] * y - sum_y1[:, None])
     cb = c * (n1[:, None] * w - (z1 @ w)[:, None])
@@ -470,11 +488,9 @@ def _union_components(mass: np.ndarray, support: SupportSpec):
     With binary X these contrasts are taken on X = 1, "num" becomes the Y
     contrast times E[W] - E[W|Z=1,X=1], and "offset" is E[Y|Z=1,X=1].
     """
-    y, z, w, arm = _coordinates(support)
     # E[V | Z = z, X = arm] for V in (W, Y) and z in (1, 0): axes
     # (replication, V, z, cell); each is a sum over one row of cells
-    values = np.array([w, y])[:, None]
-    events = np.array([(z == 1) & arm, (z == 0) & arm])
+    _, _, w, values, events = _coordinates(support)
     weighted = mass[:, None, None] * events
     p = weighted.sum(axis=-1)
     p_safe = np.where(p > 0.0, p, 1.0)
@@ -552,7 +568,7 @@ def binary_union_set(
 
     straddle = (de_lo < 0.0) & (0.0 < de_hi) & ~((num_lo == 0.0) & (0.0 == num_hi))
     lo, hi = _divide(num_lo, num_hi, de_lo, de_hi)
-    no_pieces = np.isnan(lo).all(axis=1) & ~straddle
+    no_pieces = np.isnan(lo[:, 0]) & np.isnan(lo[:, 1]) & ~straddle
     lo = np.where(straddle[:, None], [-INF, np.nan], lo + off_lo[:, None])
     hi = np.where(straddle[:, None], [INF, np.nan], hi + off_hi[:, None])
     reason = np.where(empty_z >= 0, _ZERO_MASS, np.where(no_pieces, _DEGENERATE, 0))

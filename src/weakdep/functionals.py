@@ -18,6 +18,10 @@ of empirical laws is solved in the same calls as one law.  The law-level
 functions (:func:`solve_g`, :func:`solve_q`, :func:`check_model_membership`,
 :func:`evaluate_phi`) use them with no batch axis and raise on an empty
 conditioning cell or a vanishing density; on a stack these are masks.
+Marginals sum an axis shorter than 8 by slice adds in numpy's own order
+(:func:`~weakdep.laws._reduce_short`) and a longer one by ``ndarray.sum``,
+with the same bits either way, and never by a matmul over the stack, so a
+law gets the same bits alone and in a stack.
 
 Supported functionals:
 
@@ -37,10 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation, ZeroConditioningMass
-from .laws import DiscreteLaw, SupportSpec, _numbers, marginal
+from .laws import DiscreteLaw, SupportSpec, _numbers, _reduce_short, marginal
 
 DEFAULT_TOL = 1e-8
 _EPS = np.finfo(float).eps
+_SIGNS = np.array([-1.0, 1.0])      # a contrast's weights on its two arms
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +162,7 @@ def _condition_rows(joint: np.ndarray):
     Returns the conditioned rows and the (..., k_x, k_a) mask of rows
     without mass, which are left zero.
     """
-    totals = joint.sum(axis=-1, keepdims=True)
+    totals = _reduce_short(np.add, joint, -1)[..., None]
     empty = totals <= 0.0
     rows = np.divide(joint, totals, out=np.zeros_like(joint), where=~empty)
     return rows, empty[..., 0]
@@ -172,22 +177,23 @@ def _nonempty(rows: np.ndarray, empty: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _cond_mean_rows(mass: np.ndarray):
+def _cond_mean_rows(mass_zwx: np.ndarray):
     """f(W=j | Z=l, X=m) mu_w(j) as (..., k_x, k_z, k_w), with the empty
-    (X, Z) rows, from (..., k_y, k_z, k_w, k_x) masses."""
-    return _condition_rows(mass.sum(axis=-4).swapaxes(-1, -3).swapaxes(-1, -2))
+    (X, Z) rows, from the (..., k_z, k_w, k_x) masses of (Z, W, X), which
+    g's and q's operators both condition."""
+    return _condition_rows(mass_zwx.swapaxes(-1, -3).swapaxes(-1, -2))
 
 
 def _response_rows(mass: np.ndarray, y_cell_means: np.ndarray):
     """E[Y | Z=l, X=m] as (..., k_x, k_z), with the empty (X, Z) rows."""
-    rows, empty = _condition_rows(mass.sum(axis=-2).swapaxes(-1, -3))
+    rows, empty = _condition_rows(_reduce_short(np.add, mass, -2).swapaxes(-1, -3))
     return rows @ y_cell_means, empty
 
 
-def _adjoint_rows(mass: np.ndarray):
+def _adjoint_rows(mass_zwx: np.ndarray):
     """f(Z=l | W=j, X=m) mu_z(l) as (..., k_x, k_w, k_z), with the empty
-    (X, W) rows."""
-    return _condition_rows(mass.sum(axis=-4).swapaxes(-1, -3))
+    (X, W) rows, from the (..., k_z, k_w, k_x) masses of (Z, W, X)."""
+    return _condition_rows(mass_zwx.swapaxes(-1, -3))
 
 
 def cond_mean_operator(law: DiscreteLaw) -> np.ndarray:
@@ -196,7 +202,7 @@ def cond_mean_operator(law: DiscreteLaw) -> np.ndarray:
     Entry (m, l, j) is f(W=j | Z=l, X=m) * mu_w(j), i.e. the probability of
     the j-th W cell given the l-th Z cell on stratum m; rows sum to one.
     """
-    return _nonempty(*_cond_mean_rows(law.mass))
+    return _nonempty(*_cond_mean_rows(_reduce_short(np.add, law.mass, -4)))
 
 
 def response_vector(law: DiscreteLaw) -> np.ndarray:
@@ -209,7 +215,7 @@ def adjoint_mean_operator(law: DiscreteLaw) -> np.ndarray:
 
     Entry (m, j, l) is f(Z=l | W=j, X=m) * mu_z(l); rows sum to one.
     """
-    return _nonempty(*_adjoint_rows(law.mass))
+    return _nonempty(*_adjoint_rows(_reduce_short(np.add, law.mass, -4)))
 
 
 def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
@@ -329,21 +335,20 @@ def _representer(spec: FunctionalSpec, support: SupportSpec, mass_wx: np.ndarray
     if spec.kind == "generic":
         return (np.broadcast_to(spec.alpha, mass_wx.shape).copy(),
                 np.zeros(mass_wx.shape, dtype=bool))
-    signs = 2.0 * np.arange(2) - 1.0
     if spec.kind in ("late", "npiv"):
         if spec.kind == "late":            # counting measure: density = mass
-            f_w, top = mass_wx[..., :1], signs[:, None]
+            f_w, top = mass_wx[..., :1], _SIGNS[:, None]
         else:
             f_w, top = mass_wx[..., :1] / support.mu_w[:, None], spec.omega[:, None]
         bad = f_w <= 0.0
         return np.divide(top, f_w, out=np.zeros_like(f_w), where=~bad), bad
 
     if spec.kind == "ate_iv":
-        mass_x = mass_wx.sum(axis=-2, keepdims=True)
+        mass_x = _reduce_short(np.add, mass_wx, -2)[..., None, :]
         p_w_given_x = np.divide(mass_wx, mass_x, out=np.zeros_like(mass_wx),
                                 where=mass_x > 0.0)
         bad = p_w_given_x <= 0.0                # zero where X has no mass
-        alpha = np.divide(signs[:, None], p_w_given_x,
+        alpha = np.divide(_SIGNS[:, None], p_w_given_x,
                           out=np.zeros_like(mass_wx), where=~bad)
         return alpha, bad
 
@@ -355,7 +360,7 @@ def _representer(spec: FunctionalSpec, support: SupportSpec, mass_wx: np.ndarray
     p1 = np.divide(f1, both, out=np.zeros_like(f1), where=both > 0.0)
     prob = np.stack([1.0 - p1, p1], axis=-1)      # (..., k_w, k_L, 2), X = 2L + A
     bad = (prob <= 0.0) | (both <= 0.0)[..., None]
-    alpha = np.divide(signs, prob, out=np.zeros_like(prob), where=~bad)
+    alpha = np.divide(_SIGNS, prob, out=np.zeros_like(prob), where=~bad)
     return alpha.reshape(mass_wx.shape), bad.reshape(mass_wx.shape)
 
 
@@ -397,6 +402,11 @@ def m_cell_values(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> 
     ``g`` is (..., k_w, k_x), with any leading batch axes; so is the result.
     """
     spec.validate_against(support)
+    return _m_cells(spec, g, support)
+
+
+def _m_cells(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.ndarray:
+    """:func:`m_cell_values` of a spec already checked against the support."""
     if spec.kind == "late":
         return np.broadcast_to((g[..., 1:, :1] - g[..., :1, :1]), g.shape)
     if spec.kind == "ate_iv":
@@ -405,9 +415,9 @@ def m_cell_values(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> 
         contrast = g[..., 1::2] - g[..., 0::2]
         return np.repeat(contrast, 2, axis=-1)
     if spec.kind == "npiv":
-        value = np.sum(g[..., :, :1] * spec.omega[:, None] * support.mu_w[:, None],
-                       axis=-2, keepdims=True)
-        return np.broadcast_to(value, g.shape)
+        value = _reduce_short(np.add, g[..., :, :1] * spec.omega[:, None]
+                              * support.mu_w[:, None], -2)
+        return np.broadcast_to(value[..., None, :], g.shape)
     return spec.alpha * g
 
 
@@ -523,9 +533,9 @@ def psi1_values(
     ``g`` is (..., k_w, k_x) and ``q`` (..., k_z, k_x), with the same leading
     batch axes.  The result has shape (..., k_y, k_z, k_w, k_x); its mean
     under a law is the mass-weighted sum, so a sample enters only through
-    its cell counts.
+    its cell counts.  The spec must have been checked against the support.
     """
-    mcell = m_cell_values(spec, g, support)[..., None, None, :, :]
+    mcell = _m_cells(spec, g, support)[..., None, None, :, :]
     ybar = support.y_cell_means[:, None, None, None]
     g = g[..., None, None, :, :]
     return mcell + q[..., None, :, None, :] * (ybar - g)

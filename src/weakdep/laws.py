@@ -20,10 +20,17 @@ of counts and :func:`estimate` the one map from counts to empirical masses.
 Besides laws and samples the module holds what the rest of the package
 uses of them: marginals, the total variation distance, and the dict form
 (:func:`law_to_dict` / :func:`law_from_dict`) that the CLI reads and writes.
+
+Constants that depend on a support or a law alone are computed on first
+use and kept on it, read-only (:func:`computed_once`): a support's
+``y_cell_means`` and the flat cell vectors of the score and union sets
+(``confsets._coordinates``), and a law's cells with mass and their
+normalised masses, which :func:`sample` draws from.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -54,6 +61,41 @@ def _ro(a):
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def computed_once(make):
+    """Decorate ``make(owner)``, a tuple of arrays that depend on a support
+    or a law alone, so that it is computed on the first call and kept on
+    the owner.  The arrays are made read-only: every later caller shares
+    them."""
+    key = f"{make.__module__}.{make.__qualname__}"
+
+    @functools.wraps(make)
+    def once(owner):
+        if key not in vars(owner):
+            for array in vars(owner).setdefault(key, make(owner)):
+                array.setflags(write=False)
+        return vars(owner)[key]
+    return once
+
+
+def _reduce_short(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+    """``ufunc.reduce(x, axis)`` with its bits, for ``np.add`` (numpy's sum)
+    and for ``np.logical_or`` and ``np.logical_and`` on booleans.
+
+    numpy sums an axis from the identity 0, slice after slice in index
+    order, unless the axis is its innermost loop and 8 or longer, which it
+    sums pairwise.  So an axis of 2 to 7 slices is reduced here by the same
+    slice operations, which skip a reduction's fixed cost, and any other
+    axis by ``ufunc.reduce`` (over one slice it is as cheap).  The start
+    from 0 makes a sum of -0.0 0.0 and counts booleans as integers, as
+    numpy's sum does.
+    """
+    if not 1 < x.shape[axis] < 8:
+        return ufunc.reduce(x, axis)
+    tail = (slice(None),) * (x.ndim - 1 - axis % x.ndim)
+    return functools.reduce(ufunc, [x[(..., i) + tail] for i in range(x.shape[axis])],
+                            ufunc.identity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +159,10 @@ class SupportSpec:
     def n_cells(self):
         return self.k_y * self.k_z * self.k_w * self.k_x
 
-    @property
+    @functools.cached_property
     def y_cell_means(self):
-        """Representative Y value per cell: iota_y / mu_y."""
-        return self.iota_y / self.mu_y
+        """Representative Y value per cell: iota_y / mu_y (read-only)."""
+        return _ro(self.iota_y / self.mu_y)
 
     def __eq__(self, other):
         if not isinstance(other, SupportSpec):
@@ -217,12 +259,21 @@ def sample(law: DiscreteLaw, n: int, seed, reps=1):
     if not 0 < n <= _MAX_N:
         raise ValueError(f"n must lie in [1, 2**53]; got {n}")
     rng = np.random.default_rng(seed)
+    live, p = _live_cells(law)
+    counts = np.zeros((reps, 2, law.mass.size), dtype=np.int64)
+    # for even n one fold size draws the same stream as the pair of sizes
+    sizes = n // 2 if n % 2 == 0 else [n // 2, n - n // 2]
+    counts[..., live] = rng.multinomial(sizes, p, size=(reps, 2))
+    return counts.reshape((reps, 2) + law.mass.shape)
+
+
+@computed_once
+def _live_cells(law: DiscreteLaw):
+    """The flat indices of the law's cells with mass, and their masses
+    normalised to sum to one."""
     flat = law.mass.ravel()
     live = np.flatnonzero(flat)
-    p = flat[live] / flat[live].sum()
-    counts = np.zeros((reps, 2, flat.size), dtype=np.int64)
-    counts[..., live] = rng.multinomial([n // 2, n - n // 2], p, size=(reps, 2))
-    return counts.reshape((reps, 2) + law.mass.shape)
+    return live, flat[live] / flat[live].sum()
 
 
 def check_counts(counts, support: SupportSpec) -> np.ndarray:

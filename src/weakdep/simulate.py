@@ -1,39 +1,39 @@
 """Seeded Monte Carlo harness for confidence-set coverage experiments.
 
-A plan pairs laws (each carrying its certified functional value, which
-must lie in the parameter range s, and a label no other law has) with
-region constructors; the harness samples, applies every constructor to the
-same draw, and tallies coverage, diameters, full-range fractions and
+A plan pairs laws (each carrying its certified functional value, which must
+lie in the parameter range s, and a label no other law has) with region
+constructors; the harness samples, applies every constructor to the same
+draw, and tallies coverage, diameters, full-range fractions and
 degenerate-sample errors (also by reason), and times each method's
 constructor calls (per method, since the laws on one support share each
 call).  The plan's dataclasses check every value when they are made,
-through the API as through ``plan_from_dict``, and the plan then binds
-each method once per support group, so a method that cannot run on a law
-fails before any sampling and ``run`` binds nothing.  Each law draws from
-its own random stream, seeded by the master seed and the law's index in
-the plan through a counter-based seed sequence, so laws draw independently, a law's draws do not depend on the
-laws listed after it, and every run is reproducible.  Laws whose
-supports are equal bit for bit are evaluated together, as every step of
-a weak-dependence sequence is.  Replications
-run serially in blocks, in replication order: a block holds the same
-window of replications of every law on one support, each law's part from
-one :func:`~weakdep.laws.sample` call on its own stream, and every method
+through the API as through ``plan_from_dict``, and the plan then binds each
+method once per support group, so a method that cannot run on a law fails
+before any sampling and ``run`` binds nothing.  Each law draws from its own
+random stream, seeded by the master seed and the law's index in the plan
+through a counter-based seed sequence, so laws draw independently, a law's
+draws do not depend on the laws listed after it, and every run is
+reproducible.  Laws whose supports are equal bit for bit are evaluated
+together, as every step of a weak-dependence sequence is.  Replications run
+serially in blocks, in replication order: a block holds the same window of
+replications of every law on one support, each law's part from one
+:func:`~weakdep.laws.sample` call on its own stream, and every method
 evaluates the block's stacked counts in one call, giving one
 :class:`~weakdep.confsets.RegionArrays`.  Its rows are written by slice
 into the support's tables, one per field of shape (method, law,
 replication): int8 outcome code, float64 diameter, bool full-range flag and
 int8 reason.  Once every block is in, all cells of the support are
-summarised in one vectorised pass over the tables (one ``bincount`` for
-the outcomes and one for the reasons, one row-wise sort for the
-quantiles, row-wise means and fractions), with the arithmetic of a cell
-summarised alone.  A block holds at most :data:`BLOCK_BYTES` of float cell
-counts over all its laws, so a block's memory does not grow with the
-number of replications; the tables hold 11 bytes per replication, method
-and law.  A stream yields the same samples however it is split into
-blocks, and every constructor gives a sample the same bits in any stack,
-on every support, so the report does not depend on the block size or on
-which laws share a block, and the first R' replications of a plan are
-those of the same plan with ``reps=R'``.
+summarised in one vectorised pass over the tables (one ``bincount`` for the
+outcomes and one for the reasons, one row-wise sort for the quantiles,
+row-wise means and fractions, and the Wilson bounds of every cell at once),
+with the arithmetic of a cell summarised alone.  A block holds at most
+:data:`BLOCK_BYTES` of float cell counts over all its laws, so a block's
+memory does not grow with the number of replications; the tables hold 11
+bytes per replication, method and law.  A stream yields the same samples
+however it is split into blocks, and every constructor gives a sample the
+same bits in any stack, on every support, so the report does not depend on
+the block size or on which laws share a block, and the first R'
+replications of a plan are those of the same plan with ``reps=R'``.
 Coverage along a weak-dependence sequence is a plan with one
 :class:`LawCase` per step of :func:`~weakdep.adversarial.generate_sequence`.
 """
@@ -74,16 +74,22 @@ CSV_COLUMNS = (
 BLOCK_BYTES = 1 << 20
 
 
-def wilson_interval(successes: int, trials: int, level: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, trials: int, level: float = 0.95):
+    """Wilson score interval for a binomial proportion, as two floats; for
+    an array of successes, as two lists, one bound per entry.
+
+    The bounds are clamped into [0, 1] as ``max(0.0, lo)`` and
+    ``min(1.0, hi)`` clamp them: a tie or a NaN gives 0.0 or 1.0 itself.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     z = normal_quantile(0.5 + level / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    half = z * np.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials**2)) / denom
+    lo, hi = center - half, center + half
+    return np.where(lo > 0.0, lo, 0.0).tolist(), np.where(hi < 1.0, hi, 1.0).tolist()
 
 
 @dataclass(frozen=True)
@@ -310,24 +316,26 @@ def _cell_reports(code, diam, full, reason, labels, methods, plan):
     n_methods, n_laws, reps = code.shape
     cell = np.arange(n_methods * n_laws).reshape(n_methods, n_laws, 1)
     tallies = np.bincount((cell * len(_OUTCOMES) + code).ravel(),
-                          minlength=cell.size * len(_OUTCOMES))
+                          minlength=cell.size * len(_OUTCOMES)).reshape(-1, len(_OUTCOMES))
     kinds = np.bincount((cell * len(REASONS) + reason).ravel(),
                         minlength=cell.size * len(REASONS))
     ordered = np.sort(diam, axis=-1)
     summaries = zip(
-        tallies.reshape(-1, len(_OUTCOMES)).tolist(),
+        np.ndindex(n_methods, n_laws),
+        tallies.tolist(),
         kinds.reshape(-1, len(REASONS)).tolist(),
-        diam.mean(axis=-1).ravel().tolist(),
+        *wilson_interval(tallies[:, _COVER] + tallies[:, _ERROR], reps),
+        (np.add.reduce(diam, -1) / reps).ravel().tolist(),   # diam.mean's bits
         _quantiles(ordered, 50).ravel().tolist(),
         _quantiles(ordered, 90).ravel().tolist(),
         np.count_nonzero(full, axis=-1).ravel().tolist(),
         np.count_nonzero(diam >= plan.s.hi - plan.s.lo, axis=-1).ravel().tolist(),
+        diam.reshape(-1, reps).tolist(),
+        np.array(_OUTCOMES, dtype=object)[code].reshape(-1, reps).tolist(),
     )
     reports = []
-    for index, (outcomes, kind, mean, p50, p90, fulls, wide) in enumerate(summaries):
-        m, j = divmod(index, n_laws)
+    for (m, j), outcomes, kind, wl, wh, mean, p50, p90, fulls, wide, diams, names in summaries:
         covered, _, errors = outcomes
-        wl, wh = wilson_interval(covered + errors, reps)
         reports.append(CellReport(
             label=labels[j],
             method=methods[m],
@@ -345,8 +353,8 @@ def _cell_reports(code, diam, full, reason, labels, methods, plan):
             frac_fullrange=fulls / reps,
             frac_error=errors / reps,
             frac_diam_ge_s=wide / reps,
-            diameters=tuple(diam[m, j].tolist()),
-            outcomes=tuple(map(_OUTCOMES.__getitem__, code[m, j].tolist())),
+            diameters=tuple(diams),
+            outcomes=tuple(names),
             errors_by_kind=dict(sorted(
                 (REASONS[k], count) for k, count in enumerate(kind) if k and count)),
         ))

@@ -54,7 +54,6 @@ from weakdep.laws import _number, law_to_dict, sample
 from weakdep.simulate import (
     CellReport,
     CoverageReport,
-    wilson_interval,
 )
 
 
@@ -933,6 +932,16 @@ def serial_binary_union_set(counts, support, alpha, s):
 # tables block by block.
 
 
+def serial_wilson_interval(successes: int, trials: int, level: float = 0.95):
+    """Wilson score interval of one proportion, in Python floats."""
+    z = normal_quantile(0.5 + level / 2.0)
+    p_hat = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (p_hat + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials**2)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 def _quantile(values: np.ndarray, q: float) -> float:
     """Linear-interpolation quantile that tolerates infinite order statistics."""
     ordered = np.sort(values)
@@ -999,7 +1008,7 @@ class _SerialTally:
         covered = outcomes.count("cover")
         errors = outcomes.count("error")
         missed = plan.reps - covered - errors
-        wl, wh = wilson_interval(covered + errors, plan.reps)
+        wl, wh = serial_wilson_interval(covered + errors, plan.reps)
         diam_arr = np.array(self.diameters)
         return CellReport(
             label=label,

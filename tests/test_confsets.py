@@ -22,7 +22,6 @@ from weakdep.confsets import (
     FULL_LINE,
     REASONS,
     Interval,
-    RegionArrays,
     binary_union_estimand,
     binary_union_set,
     interval_arrays,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weakdep import (
     DiscreteLaw,
@@ -14,11 +15,12 @@ from weakdep import (
     tv_distance,
     validate,
 )
+from weakdep import confsets
 from weakdep.errors import (
     CollinearSupport,
     SupportMismatch,
 )
-from weakdep.laws import check_counts, law_from_dict, law_to_dict
+from weakdep.laws import _live_cells, _reduce_short, check_counts, law_from_dict, law_to_dict
 
 from helpers import (
     dataset_from_rows,
@@ -59,6 +61,77 @@ class TestSupportSpec:
     def test_single_y_cell_rejected(self):
         with pytest.raises(ValueError):
             SupportSpec(mu_y=[1.0], mu_z=[1], mu_w=[1], mu_x=[1], iota_y=[1.0])
+
+    def test_cached_constants_are_read_only(self):
+        law = late_law()
+        support = law.support
+        cached = [support.y_cell_means, *confsets._coordinates(support), *_live_cells(law)]
+        assert all(not array.flags.writeable for array in cached)
+        # computed once: a second call returns the same arrays
+        assert support.y_cell_means is support.y_cell_means
+        assert confsets._coordinates(support)[0] is cached[1]
+        assert _live_cells(law)[1] is cached[-1]
+
+
+# float64 values over the whole exponent range, with both zeros, both
+# infinities, NaN and subnormals; and values of one scale, whose sums
+# round otherwise in another order
+_FLOATS = (
+    st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-310]),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    ),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _bits(values):
+    """The bytes of an array, every NaN made the one NaN: which of two NaN
+    operands a sum keeps (their sign bits may differ, as inf - inf gives
+    -nan) depends on the order numpy hands operands to the machine."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        values = np.where(np.isnan(values), np.nan, values)
+    return values.tobytes()
+
+
+class TestReduceShort:
+    """The short-axis reduction has numpy's bits: ndarray.sum's on every axis
+    of every layout, and any's and all's on booleans."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data(), dtype=st.sampled_from(["spread", "scale", "int64", "bool"]),
+           layout=st.sampled_from(["C", "swapaxes", "reversed"]))
+    def test_same_bits_as_numpy(self, data, dtype, layout):
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=12)
+                          .filter(lambda shape: np.prod(shape) <= 2000), label="shape")
+        elements = {"spread": _FLOATS[0], "scale": _FLOATS[1],
+                    "int64": st.integers(-2**40, 2**40), "bool": st.booleans()}[dtype]
+        dtype = "float64" if dtype in ("spread", "scale") else dtype
+        x = data.draw(hnp.arrays(dtype, shape, elements=elements, fill=st.nothing()),
+                      label="x")
+        if layout == "swapaxes":
+            x = x.swapaxes(0, -1)
+        elif layout == "reversed" and x.ndim > 1:
+            x = x[:, ::-1]
+        for axis in range(-x.ndim, x.ndim):
+            with np.errstate(all="ignore"):
+                got, want = _reduce_short(np.add, x, axis), x.sum(axis=axis)
+            assert np.asarray(got).dtype == want.dtype
+            assert _bits(got) == _bits(want), axis
+            if dtype == "bool":
+                for ufunc, method in ((np.logical_or, x.any), (np.logical_and, x.all)):
+                    assert np.array_equal(_reduce_short(ufunc, x, axis), method(axis=axis))
+
+    def test_long_innermost_axis_is_summed_pairwise(self):
+        # numpy sums 8 or more innermost values pairwise, which rounds these
+        # otherwise than a sum in index order
+        x = np.array([[1.0] + [2.0**-53] * 15] * 3)
+        in_order = x[:, 0].copy()
+        for i in range(1, x.shape[1]):
+            in_order = in_order + x[:, i]
+        assert x.sum(axis=-1).tobytes() != in_order.tobytes()
+        assert _reduce_short(np.add, x, -1).tobytes() == x.sum(axis=-1).tobytes()
 
 
 class TestLawDict:

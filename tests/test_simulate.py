@@ -19,7 +19,6 @@ from weakdep.confsets import (
     wald_ci,
 )
 from weakdep.simulate import (
-    CSV_COLUMNS,
     ExperimentPlan,
     LawCase,
     MethodConfig,
@@ -37,6 +36,7 @@ from helpers import (
     multinomial_pmf,
     plan_to_dict,
     serial_run,
+    serial_wilson_interval,
     wald_ratio,
 )
 
@@ -113,6 +113,18 @@ class TestTallies:
         lo, hi = wilson_interval(cell.covered + cell.errors, cell.reps)
         assert (cell.wilson_lo, cell.wilson_hi) == (lo, hi)
         assert 0.0 <= cell.wilson_lo <= cell.coverage <= cell.wilson_hi <= 1.0
+
+    def test_wilson_bounds_have_the_scalar_bits(self):
+        # every tally up to 300 trials, one call per trial count: the
+        # elementwise bounds, clamps and signed zeros included, are the
+        # Python-float formula's, and so is a scalar call
+        for trials in range(1, 301):
+            ref = np.array([serial_wilson_interval(s, trials) for s in range(trials + 1)])
+            got = np.array(wilson_interval(np.arange(trials + 1), trials)).T
+            assert got.tobytes() == ref.tobytes(), trials
+            for s in (0, trials // 2, trials):
+                assert np.array(wilson_interval(s, trials)).tobytes() == ref[s].tobytes()
+            assert all(type(v) is float for v in wilson_interval(trials, trials))
 
 
 class TestDeterminism:
