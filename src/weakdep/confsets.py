@@ -32,8 +32,8 @@ The result is a :class:`RegionArrays` of P pieces per replication, P being
 and the union set (a quotient of intervals plus an offset) at most two.
 Every replication's cells are summed as row sums over the last axis
 (``.sum(axis=-1)``), which numpy sums row by row whatever the number of
-rows.  An axis shorter than 8 (a marginal's Y or Z cells, the folds, the
-pieces of a region) is summed by slice adds in numpy's own order
+rows.  An axis of 2 to 7 entries (a marginal's Y or Z cells, the folds,
+the pieces of a region) is summed by slice adds in numpy's own order
 (:func:`~weakdep.laws._reduce_short`), which gives ``ndarray.sum``'s bits
 without a reduction's fixed cost; a longer axis, such as the flat cell
 run, by ``ndarray.sum``.  Cells are never summed by a matmul over the

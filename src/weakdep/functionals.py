@@ -18,7 +18,7 @@ of empirical laws is solved in the same calls as one law.  The law-level
 functions (:func:`solve_g`, :func:`solve_q`, :func:`check_model_membership`,
 :func:`evaluate_phi`) use them with no batch axis and raise on an empty
 conditioning cell or a vanishing density; on a stack these are masks.
-Marginals sum an axis shorter than 8 by slice adds in numpy's own order
+Marginals sum an axis of 2 to 7 cells by slice adds in numpy's own order
 (:func:`~weakdep.laws._reduce_short`) and a longer one by ``ndarray.sum``,
 with the same bits either way, and never by a matmul over the stack, so a
 law gets the same bits alone and in a stack.
