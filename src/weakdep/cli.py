@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import adversarial, confsets, functionals, laws, simulate
+from . import adversarial, functionals, laws, simulate
 from .errors import WeakdepError
 
 EXIT_OK = 0
@@ -117,22 +117,21 @@ def cmd_adversarial(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for t, step in enumerate(sequence.steps):
             name = f"law_{t + 1:02d}.json"
+            certificate = step.certificate()
             payload = laws.law_to_dict(step.law)
-            payload["certificate"] = step.certificate()
+            payload["certificate"] = certificate
             (out_dir / name).write_text(
                 json.dumps(payload, indent=indent), encoding="utf-8"
             )
-            certificates.append({"file": name, **step.certificate()})
-        summary = {
+            certificates.append({"file": name, **certificate})
+        summary = json.dumps({
             "target_zeta": sequence.target_zeta,
             "steps": certificates,
-        }
-        (out_dir / "certificates.json").write_text(
-            json.dumps(summary, indent=indent), encoding="utf-8"
-        )
+        }, indent=indent)
+        (out_dir / "certificates.json").write_text(summary, encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot write --out: {exc}") from exc
-    _emit(summary, args.pretty)
+    print(summary)
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ Three constructors:
   the union bound for binary Z, W, X.
 
 Every constructor takes the per-fold cell counts of a stack of R samples,
-(R, 2, k_y, k_z, k_w, k_x), one sample being the stack of one, and
-evaluates them in one pass with a leading replication axis throughout.
+(R, 2, k_y, k_z, k_w, k_x), one sample being the stack of one (and R = 0
+the empty stack, whose result has no rows), and evaluates them in one pass
+with a leading replication axis throughout.
 The counts are checked by :func:`~weakdep.laws.check_counts`.  Wald and
 the union set read a sample only through its empirical masses, from
 :func:`~weakdep.laws.estimate` (per cross-fit fold for Wald), after which
@@ -25,7 +26,8 @@ the counts as contiguous (R, 2, n_cells) rows, each cell coordinate they
 need (Y cell mean, Z value, W value, the X = k_x - 1 flag) being one flat
 vector over the cells.  Wald solves g's systems and q's adjoint systems,
 all square, in one stacked call (closed-form rotations for 2x2 strata,
-batched SVD otherwise), the score set is a quadratic sublevel set per
+batched SVD otherwise; :func:`~weakdep.functionals._nuisances`, the
+membership check's solve too), the score set is a quadratic sublevel set per
 replication, and the union set does its interval arithmetic elementwise.
 The result is a :class:`RegionArrays` of P pieces per replication, P being
 1 or 2: Wald gives one piece, and the score set (an interval or two rays)
@@ -63,16 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSample, PositivityViolation, ZeroConditioningMass
-from .functionals import (
-    DEFAULT_TOL,
-    FunctionalSpec,
-    _adjoint_rows,
-    _cond_mean_rows,
-    _representer,
-    _response_rows,
-    _solve_strata,
-    psi1_values,
-)
+from .functionals import DEFAULT_TOL, FunctionalSpec, _nuisances, psi1_values
 from .laws import (DiscreteLaw, SupportSpec, _reduce_short, check_counts, computed_once,
                    estimate)
 
@@ -316,7 +309,7 @@ def _pooled_rows(counts, support):
     """The checked counts of a stack with both folds pooled, as contiguous
     (R, n_cells) rows in the cells' (Y, Z, W, X) order."""
     counts = _check_counts(counts, support)
-    rows = counts.reshape(len(counts), 2, -1)
+    rows = counts.reshape(len(counts), 2, support.n_cells)
     return rows[:, 0] + rows[:, 1]
 
 
@@ -331,10 +324,10 @@ def _coordinates(support):
     return y, z, w, np.array([w, y])[:, None], np.array([(z == 1) & arm, (z == 0) & arm])
 
 
-def _total(terms, lead):
-    """Sum over every axis after the first ``lead``, as one contiguous run
+def _total(terms, n_cells):
+    """Sum over the last four axes, the n_cells cells, as one contiguous run
     per entry: the order in which numpy sums one sample's cell array."""
-    return terms.reshape(terms.shape[:lead] + (-1,)).sum(axis=-1)
+    return terms.reshape(terms.shape[:-4] + (n_cells,)).sum(axis=-1)
 
 
 def wald_ci(
@@ -372,29 +365,21 @@ def wald_ci(
     # (0 on an empty sample, whose fits are 0 too); counts sum exactly in
     # any order
     folds = counts if cross_fit else counts[:, :1] + counts[:, 1:]
-    fold_n = folds.reshape(folds.shape[:2] + (support.n_cells,)).sum(axis=-1)
+    fold_n = _total(folds, support.n_cells)
     n = _reduce_short(np.add, fold_n, -1)               # (R,)
     fits = estimate(folds, support)
     share = fold_n[:, ::-1] / np.maximum(n, 1)[:, None]
     weights = fits[:, ::-1] * share[(...,) + cells]
     empty_fold = cross_fit & _reduce_short(np.logical_or, fold_n == 0, -1)
 
-    fits_zwx = _reduce_short(np.add, fits, -4)          # the (Z, W, X) marginal
-    lhs, empty_g = _cond_mean_rows(fits_zwx)
-    rhs, _ = _response_rows(fits, support.y_cell_means)   # same (Z, X) rows
-    # the (W, X) marginal sums Y and Z in C order, as one axis of (Y, Z) cells
-    fits_wx = _reduce_short(np.add, fits.reshape(fold_n.shape + (-1,) + fits.shape[-2:]), -3)
-    alpha_wx, positivity = _representer(spec, support, fits_wx)
-    adj, empty_q = _adjoint_rows(fits_zwx)
-    # g's system and q's adjoint system, stacked on a leading axis
-    (g, q), _, ok, _ = _solve_strata(np.array([lhs, adj]),
-                                     np.array([rhs, alpha_wx.swapaxes(-1, -2)]),
-                                     DEFAULT_TOL)
+    (g, q), _, (_, ok, _), (empty_g, positivity, empty_q) = _nuisances(
+        fits, spec, support, DEFAULT_TOL)
     g_bad, q_bad = ~_reduce_short(np.logical_and, ok, -1)
     # whether each (replication, fold) has an empty g row, a vanishing
     # representer density or an empty q row, each mask (k_x, k) per fold
     g_empty, density, q_empty = _reduce_short(np.logical_or, np.array(
-        [empty_g, positivity.swapaxes(-1, -2), empty_q]).reshape(3, *fold_n.shape, -1), -1)
+        [empty_g, positivity.swapaxes(-1, -2), empty_q]).reshape(
+            3, *fold_n.shape, support.k_x * support.k_z), -1)
 
     # first failure of each (replication, fold), in the order a serial
     # solve meets them: g's conditioning cells, g's consistency, the
@@ -409,9 +394,9 @@ def wald_ci(
 
     # each fold's cells summed as one contiguous run, then the folds
     values = psi1_values(support, spec, g.swapaxes(-1, -2), q.swapaxes(-1, -2))
-    phi_hat = _reduce_short(np.add, _total(weights * values, lead=2), -1)
+    phi_hat = _reduce_short(np.add, _total(weights * values, support.n_cells), -1)
     centred = values - phi_hat[(..., None) + cells]
-    ss = _reduce_short(np.add, _total(weights * centred ** 2, lead=2), -1)
+    ss = _reduce_short(np.add, _total(weights * centred ** 2, support.n_cells), -1)
     sd = np.sqrt(np.divide(ss * n, n - 1, out=np.zeros(ss.shape), where=n > 1))
     root_n = np.sqrt(np.maximum(n, 1))
     half_width = z * sd / root_n
@@ -458,8 +443,8 @@ def score_invert_late(
     # exactly zero, keeping the single accepted point.  The Z = 1 counts are
     # summed over W, scaled by the Y cell means and summed over Y as rows,
     # which fixes how that sum rounds when the cell means are not integers.
-    sum_y1 = _reduce_short(np.add, z1.reshape(len(z1), support.k_y, -1).sum(axis=-1)
-                           * support.y_cell_means, -1)
+    per_y = z1.reshape(len(z1), support.k_y, support.n_cells // support.k_y).sum(axis=-1)
+    sum_y1 = _reduce_short(np.add, per_y * support.y_cell_means, -1)
     c = np.where(z == 1, n0[:, None], -n1[:, None])
     ca = c * (n1[:, None] * y - sum_y1[:, None])
     cb = c * (n1[:, None] * w - (z1 @ w)[:, None])
@@ -554,7 +539,8 @@ def binary_union_set(
     require_binary_support(support, 2, "the union set")
     counts = _pooled_rows(counts, support)              # (R, n_cells)
     n = counts.sum(axis=-1)
-    mass = estimate(counts.reshape((len(n),) + support.shape), support).reshape(len(n), -1)
+    mass = estimate(counts.reshape((len(n),) + support.shape), support).reshape(
+        len(n), support.n_cells)
     names, est, infl, empty_z = _union_components(mass, support)
     level = alpha / len(names)
     z = normal_quantile(1.0 - level / 2.0)

@@ -14,10 +14,14 @@ empirical law.
 
 The building blocks (conditioning, the stratum solve, the representer,
 m(O, g) and the estimating function) accept leading batch axes, so a stack
-of empirical laws is solved in the same calls as one law.  The law-level
-functions (:func:`solve_g`, :func:`solve_q`, :func:`check_model_membership`,
-:func:`evaluate_phi`) use them with no batch axis and raise on an empty
-conditioning cell or a vanishing density; on a stack these are masks.
+of empirical laws is solved in the same calls as one law.  g and q of any
+stack come from one solve, :func:`_nuisances`, with empty conditioning
+cells and vanishing densities as masks: Wald calls it on its stack of
+empirical laws, and :func:`check_model_membership`, the one law-level
+solve behind ``weakdep solve`` and every sequence certificate, on the
+stack of one.  :func:`solve_g`, :func:`solve_q` and :func:`evaluate_phi`
+solve one equation of one law at a time and raise on an empty conditioning
+cell or a vanishing density; they are the reference path.
 Marginals sum an axis of 2 to 7 cells by slice adds in numpy's own order
 (:func:`~weakdep.laws._reduce_short`) and a longer one by ``ndarray.sum``,
 with the same bits either way, and never by a matmul over the stack, so a
@@ -168,12 +172,17 @@ def _condition_rows(joint: np.ndarray):
     return rows, empty[..., 0]
 
 
+def _zero_mass(empty: np.ndarray) -> ZeroConditioningMass:
+    """The error naming the first (row cell, stratum) of one law's (k_x, k)
+    mask of empty rows, strata first."""
+    m, a = np.argwhere(empty)[0]
+    return ZeroConditioningMass((int(a), int(m)))
+
+
 def _nonempty(rows: np.ndarray, empty: np.ndarray) -> np.ndarray:
-    """The rows of one law; raises ZeroConditioningMass naming the first
-    (row cell, stratum) without mass, strata first."""
+    """The rows of one law; raises ZeroConditioningMass on an empty row."""
     if empty.any():
-        m, a = np.argwhere(empty)[0]
-        raise ZeroConditioningMass((int(a), int(m)))
+        raise _zero_mass(empty)
     return rows
 
 
@@ -229,8 +238,11 @@ def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
     minimum-norm solution.  Every system is solved on its own, so a system
     gets the same bits alone as in a stack of the same memory order (matmul
     may sum a strided operand in another order, which moves a residual's
-    last bits).  g's systems and q's adjoint systems, all square
-    (k_z == k_w), share one stack in ``wald_ci``.
+    last bits).  :func:`_nuisances` stacks g's systems and q's adjoint
+    systems, all square (k_z == k_w), into one C-ordered stack, so Wald and
+    the membership check give a law the same bits; :func:`solve_g` and
+    :func:`solve_q` hand over the strided operators, whose residuals may
+    differ from those in their last bits.
     Returns the solutions (..., k_x, c), the residual norms (..., k_x), the
     mask of consistent strata (residual <= tol * max(1, |rhs|)) and the
     singular values (..., k_x, min(r, c)), largest first.
@@ -379,13 +391,18 @@ def alpha_from_wx_mass(
     spec.validate_against(support)
     alpha, bad = _representer(spec, support, mass_wx)
     if bad.any():
-        empty_x = bad.all(axis=-2)
-        if spec.kind == "ate_iv" and empty_x.any():
-            cell = (None, int(np.argwhere(empty_x)[0][-1]))
-        else:
-            cell = tuple(int(v) for v in np.argwhere(bad)[0][-2:])
-        raise PositivityViolation(cell)
+        raise _positivity_violation(spec, bad)
     return alpha
+
+
+def _positivity_violation(spec: FunctionalSpec, bad: np.ndarray) -> PositivityViolation:
+    """The error naming the first (W, X) cell of a (..., k_w, k_x) mask of
+    vanishing densities; for ate_iv an X stratum without mass comes first,
+    as (None, m)."""
+    empty_x = bad.all(axis=-2)
+    if spec.kind == "ate_iv" and empty_x.any():
+        return PositivityViolation((None, int(np.argwhere(empty_x)[0][-1])))
+    return PositivityViolation(tuple(int(v) for v in np.argwhere(bad)[0][-2:]))
 
 
 def riesz_alpha(law: DiscreteLaw, spec: FunctionalSpec) -> np.ndarray:
@@ -421,16 +438,12 @@ def _m_cells(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.nd
     return spec.alpha * g
 
 
-def _phi(law: DiscreteLaw, alpha: np.ndarray, g: np.ndarray) -> float:
-    return float(np.sum(alpha * g * marginal(law, ("W", "X"))))
-
-
 def evaluate_phi(law: DiscreteLaw, spec: FunctionalSpec, tol: float = DEFAULT_TOL):
     """phi(P) = sum over (W, X) cells of alpha * g * P(W, X); or NoSolution."""
     g = solve_g(law, tol)
     if isinstance(g, NoSolution):
         return g
-    return _phi(law, riesz_alpha(law, spec), g)
+    return float(np.sum(riesz_alpha(law, spec) * g * marginal(law, ("W", "X"))))
 
 
 @dataclass(frozen=True)
@@ -471,53 +484,76 @@ class ModelReport:
         }
 
 
+def _nuisances(mass: np.ndarray, spec: FunctionalSpec, support: SupportSpec,
+               tol: float):
+    """g, q and the representer of (..., k_y, k_z, k_w, k_x) masses, with any
+    leading axes, from one stacked solve.
+
+    g's systems and q's adjoint systems, all square (k_z == k_w), share one
+    :func:`_solve_strata` call on a (2, ..., k_x, k, k) stack.  q needs
+    systems of its own: its operator is the adjoint A* = D_W^-1 A^T D_Z
+    (D_W, D_Z diagonal, the stratum's probabilities of the W and of the Z
+    cells), not A^T, so the SVD of g's operator A gives neither the singular
+    values of A* nor its minimum-norm solution on a near-singular stratum.
+    Empty rows and vanishing densities are masks, never exceptions.  The
+    spec must have been checked against the support.
+
+    Returns (g, q) by stratum, (2, ..., k_x, k); alpha and the (W, X)
+    marginal, each (..., k_w, k_x); g's and q's residual norms and
+    consistency masks, each (2, ..., k_x), and g's singular values
+    (..., k_x, k), largest first; and the masks of the empty (Z, X) rows
+    (..., k_x, k_z), the vanishing representer densities (..., k_w, k_x)
+    and the empty (W, X) rows (..., k_x, k_w).
+    """
+    mass_zwx = _reduce_short(np.add, mass, -4)          # the (Z, W, X) marginal
+    lhs, empty_g = _cond_mean_rows(mass_zwx)
+    rhs, _ = _response_rows(mass, support.y_cell_means)   # same (Z, X) rows
+    # the (W, X) marginal sums Y and Z in C order, as one axis of (Y, Z) cells
+    mass_wx = _reduce_short(np.add, mass.reshape(
+        mass.shape[:-4] + (support.k_y * support.k_z,) + mass.shape[-2:]), -3)
+    alpha, positivity = _representer(spec, support, mass_wx)
+    adj, empty_q = _adjoint_rows(mass_zwx)
+    gq, residuals, ok, sigma = _solve_strata(
+        np.array([lhs, adj]), np.array([rhs, alpha.swapaxes(-1, -2)]), tol)
+    return gq, (alpha, mass_wx), (residuals, ok, sigma[0]), (empty_g, positivity, empty_q)
+
+
 def check_model_membership(
     law: DiscreteLaw, spec: FunctionalSpec, tol: float = DEFAULT_TOL
 ) -> ModelReport:
-    """Aggregate solvability of both equations plus representer positivity."""
-    try:
-        g, g_res, g_ok, sigma = _solve_strata(
-            cond_mean_operator(law), response_vector(law), tol
-        )
-    except ZeroConditioningMass as exc:
-        return ModelReport(
-            in_model=False, g_residual=None, q_residual=None,
-            positivity_ok=True, message=str(exc),
-        )
+    """Solvability of both equations plus representer positivity, from one
+    stacked solve of the law's g and q systems (:func:`_nuisances`).
+
+    The report names the first failure in the order a serial solve meets
+    them: an empty (Z, X) row leaves both residuals None; then a vanishing
+    representer density (``positivity_ok`` False) or an empty (W, X) row
+    leaves q's None.  The masses are read as a C-ordered copy, so the
+    report does not depend on how the law's tensor is laid out in memory.
+    Raises ValueError when the spec does not fit the law's support.
+    """
+    spec.validate_against(law.support)
+    (g, _), (alpha, mass_wx), ((g_res, q_res), ok, sigma), (empty_g, bad, empty_q) = \
+        _nuisances(np.ascontiguousarray(law.mass), spec, law.support, tol)
+    if empty_g.any():
+        return ModelReport(in_model=False, g_residual=None, q_residual=None,
+                           positivity_ok=True, message=str(_zero_mass(empty_g)))
     g_diag = dict(
         g_residual=float(g_res.max()), g_residuals=tuple(g_res.tolist()),
         sigma_min=tuple(sigma[:, -1].tolist()),
         sigma_max=tuple(sigma[:, 0].tolist()),
     )
-
-    try:
-        alpha = riesz_alpha(law, spec)
-    except (PositivityViolation, ValueError) as exc:
-        return ModelReport(
-            in_model=False, q_residual=None, positivity_ok=False,
-            message=str(exc), **g_diag,
-        )
-
-    # q needs a factorisation of its own: its operator is the adjoint
-    # A* = D_W^-1 A^T D_Z (D_W, D_Z diagonal, the stratum's probabilities of
-    # the W and of the Z cells), not A^T, so the SVD of g's operator A gives neither the
-    # singular values of A* nor its minimum-norm solution on a near-singular
-    # stratum.
-    try:
-        _, q_res, q_ok, _ = _solve_strata(adjoint_mean_operator(law), alpha.T, tol)
-    except ZeroConditioningMass as exc:
-        return ModelReport(
-            in_model=False, q_residual=None, positivity_ok=True,
-            message=str(exc), **g_diag,
-        )
-
-    in_model = bool(g_ok.all() and q_ok.all())
+    positivity_ok = not bad.any()
+    if not positivity_ok or empty_q.any():
+        error = _zero_mass(empty_q) if positivity_ok else _positivity_violation(spec, bad)
+        return ModelReport(in_model=False, q_residual=None, positivity_ok=positivity_ok,
+                           message=str(error), **g_diag)
+    in_model = bool(ok.all())
     return ModelReport(
         in_model=in_model,
         q_residual=float(q_res.max()),
         positivity_ok=True,
         q_residuals=tuple(q_res.tolist()),
-        phi=_phi(law, alpha, g.T) if in_model else None,
+        phi=float(np.sum(alpha * g.T * mass_wx)) if in_model else None,
         **g_diag,
     )
 

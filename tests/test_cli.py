@@ -21,6 +21,7 @@ from helpers import (
     kind_support,
     late_law,
     limit_phi,
+    random_base,
     random_law,
 )
 
@@ -188,6 +189,29 @@ class TestAdversarial:
             assert (out_dir / step["file"]).exists()
         tvs = [s["tv_to_base"] for s in summary["steps"]]
         assert tvs == sorted(tvs, reverse=True)
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_certificates_are_the_solve_of_each_law_file(self, tmp_path, capsys, pretty):
+        """On a 3x3 base with four strata, stdout is certificates.json's
+        text, and each certificate's phi_verified, g_residual and q_residual
+        are the bits that solve prints for its law file, although the law
+        the certificate was computed on was laid out by an einsum."""
+        base = random_base(np.random.default_rng(5), k=3, k_y=2, k_x=4, tame=True)
+        base_path, spec_path = tmp_path / "base.json", tmp_path / "spec.json"
+        base_path.write_text(json.dumps(base.to_dict()))
+        spec_path.write_text(json.dumps(base.functional.to_dict()))
+        out_dir = tmp_path / "seq"
+        assert cli.main(["adversarial", str(base_path), "--zeta", "5", "--tv-targets",
+                         "0.05,0.01,0.002", "--out", str(out_dir)]
+                        + ["--pretty"] * pretty) == 0
+        text = (out_dir / "certificates.json").read_text()
+        assert capsys.readouterr().out == text + "\n"
+        for step in json.loads(text)["steps"]:
+            assert cli.main(["solve", str(out_dir / step["file"]), str(spec_path)]) == 0
+            solved = _strict_json(capsys.readouterr().out)
+            assert solved["phi"] == step["phi_verified"]
+            assert solved["diagnostics"]["g_residual"] == step["g_residual"]
+            assert solved["diagnostics"]["q_residual"] == step["q_residual"]
 
     def test_infeasible_target_exit_four(self, tmp_path, base_file, capsys):
         assert cli.main([

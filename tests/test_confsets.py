@@ -17,7 +17,7 @@ from weakdep import (
     generate_sequence,
     sample,
 )
-from weakdep import confsets
+from weakdep import functionals
 from weakdep.confsets import (
     FULL_LINE,
     REASONS,
@@ -493,6 +493,28 @@ class TestCounts:
         for field in ("lo", "hi", "reason"):
             assert getattr(as_float, field).tobytes() == getattr(got, field).tobytes()
 
+    @pytest.mark.parametrize("name", _CONSTRUCTORS)
+    def test_empty_stack_gives_empty_regions(self, name):
+        """A stack of no samples, as sample(..., reps=0) draws it, gives a
+        RegionArrays of no rows; Wald also on a 3x3 support, whose strata
+        take the SVD path."""
+        results = [_READERS[name][0](sample(late_law(), 400, seed=0, reps=0))]
+        if name.startswith("wald"):
+            rng = np.random.default_rng(36)
+            support = kind_support(rng, "generic", 3, 2, 2)
+            counts = np.zeros((0, 2) + support.shape, dtype=np.int64)
+            results.append(wald_ci(counts, kind_spec(rng, "generic", support), support,
+                                   0.05, _S, cross_fit=name == "wald_cross_fit"))
+        for got in results:
+            assert got.lo.shape == got.hi.shape and got.lo.shape[0] == 0
+            assert got.reason.shape == got.diameters().shape == got.contains(0.0).shape \
+                == got.is_full().shape == (0,)
+            assert not got.degenerate
+            for lo, hi in got.components.values():
+                assert lo.shape == hi.shape == (0,)
+            if name.startswith("wald"):
+                assert got.estimate.shape == got.stderr.shape == (0,)
+
 
 def _score_accepts(obs, alpha, thetas):
     """Score test evaluated directly on the rows obs at each theta:
@@ -941,7 +963,7 @@ class TestStackedWald:
             got = wald_ci(counts, base.functional, base.support, 0.05, self.S,
                           cross_fit=True)
             with monkeypatch.context() as patch:
-                patch.setattr("weakdep.confsets._solve_strata", reference)
+                patch.setattr("weakdep.functionals._solve_strata", reference)
                 ref = wald_ci(counts, base.functional, base.support, 0.05, self.S,
                               cross_fit=True)
             np.testing.assert_array_equal(got.reason, ref.reason)
@@ -967,13 +989,13 @@ class TestStackedWald:
         counts = rng.multinomial(200, p / p.sum(), size=(5, 2))
         counts = counts.reshape((5, 2) + support.shape)
         shapes = []
-        solve = confsets._solve_strata
+        solve = functionals._solve_strata
 
         def counted(lhs, rhs, tol):
             shapes.append(lhs.shape)
             return solve(lhs, rhs, tol)
 
-        monkeypatch.setattr(confsets, "_solve_strata", counted)
+        monkeypatch.setattr(functionals, "_solve_strata", counted)
         wald_ci(counts, spec, support, 0.05, self.S, cross_fit=cross_fit)
         assert shapes == [(2, 5, 2 if cross_fit else 1, 1, k, k)]
 

@@ -23,6 +23,7 @@ from weakdep import (
 from weakdep.errors import PositivityViolation
 from weakdep.functionals import (
     DEFAULT_TOL,
+    _nuisances,
     _solve_strata,
     adjoint_mean_operator,
     m_cell_values,
@@ -31,6 +32,8 @@ from weakdep.functionals import (
 from weakdep.laws import marginal
 
 from helpers import (
+    kind_spec,
+    kind_support,
     late_law,
     random_law,
     random_support,
@@ -494,6 +497,74 @@ class TestEvaluatePhi:
         assert isinstance(result, NoSolution)
 
 
+@st.composite
+def kind_laws(draw):
+    """A random law on a random support of a random functional kind (k 2-4,
+    k_x 1-4, as far as the kind allows), with its spec; some laws have
+    zero-mass cells, so empty rows and vanishing densities occur."""
+    kind = draw(st.sampled_from(FunctionalSpec.KINDS))
+    k = 2 if kind in ("late", "ate_iv") else draw(st.integers(2, 4))
+    k_x = 1 if kind in ("late", "npiv") else draw(st.integers(1, 4))
+    if kind == "proximal_ate":
+        k_x += k_x % 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = kind_support(rng, kind, k, draw(st.integers(2, 3)), k_x)
+    mass = rng.gamma(2.0, size=support.shape) + 0.05
+    if draw(st.booleans()):
+        mass *= rng.random(support.shape) >= draw(st.sampled_from((0.3, 0.7)))
+        mass.flat[0] += float(not mass.any())
+    return DiscreteLaw(support, mass / mass.sum()), kind_spec(rng, kind, support)
+
+
+def _nuisance_rows(out, r):
+    """Every array of a _nuisances result, at stack row r (r None: a result
+    of masses without a stack axis)."""
+    row = () if r is None else (r,)
+    pair = (slice(None),) + row
+    gq, (alpha, mass_wx), (residuals, ok, sigma), masks = out
+    return [gq[pair], alpha[row], mass_wx[row], residuals[pair], ok[pair], sigma[row],
+            *(mask[row] for mask in masks)]
+
+
+class TestNuisances:
+    """The one stacked g / q solve behind Wald and the membership check."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=kind_laws(), reps=st.integers(2, 6))
+    def test_a_stack_gives_each_row_the_bits_of_one_law(self, case, reps):
+        law, spec = case
+        alone = _nuisance_rows(_nuisances(law.mass, spec, law.support, DEFAULT_TOL), None)
+        one = _nuisances(law.mass[None], spec, law.support, DEFAULT_TOL)
+        stack = _nuisances(np.array([law.mass] * reps), spec, law.support, DEFAULT_TOL)
+        for r in range(reps):
+            for got, ref, ref_one in zip(_nuisance_rows(stack, r), alone,
+                                         _nuisance_rows(one, 0)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes() == ref_one.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=kind_laws())
+    def test_membership_phi_matches_the_reference(self, case):
+        """In the model, the check's phi is the reference evaluate_phi (solve_g,
+        riesz_alpha and the law's (W, X) marginal) to 1e-12 relative."""
+        law, spec = case
+        report = check_model_membership(law, spec)
+        if report.in_model:
+            assert report.phi == pytest.approx(evaluate_phi(law, spec), rel=1e-12, abs=0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=kind_laws(), fortran=st.booleans())
+    def test_membership_does_not_depend_on_the_memory_layout(self, case, fortran):
+        """A law whose mass tensor is Fortran-ordered, or C-ordered over
+        (W, Y, X, Z) axes, as an einsum may return it, gets the report of its
+        C-ordered copy, bit for bit."""
+        law, spec = case
+        mass = np.asfortranarray(law.mass) if fortran else \
+            np.ascontiguousarray(law.mass.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
+        assert check_model_membership(DiscreteLaw(law.support, mass), spec) \
+            == check_model_membership(law, spec)
+
+
 class TestModelMembership:
     def test_identity_law_in_model(self):
         report = check_model_membership(wz_identity_late(), FunctionalSpec.late())
@@ -516,6 +587,68 @@ class TestModelMembership:
             spec = spec_for_support(rng, support)
             hits += check_model_membership(law, spec).in_model
         assert hits == 20
+
+    @staticmethod
+    def _emptied(law, cells):
+        """The law with the masses at ``cells`` (an index of the mass tensor)
+        set to zero, renormalised."""
+        mass = law.mass.copy()
+        mass[cells] = 0.0
+        return DiscreteLaw(law.support, mass / mass.sum())
+
+    def _branch_cases(self):
+        """(name, law, spec, in_model, positivity_ok, g solved, q solved,
+        message), one per way a report can end; the messages are the ones
+        the law-level operators and riesz_alpha raise."""
+        rng = np.random.default_rng(34)
+        generic = random_law(rng, support=random_support(rng, 2, 3, 3, 2))
+        spec = FunctionalSpec.generic(rng.uniform(-2.0, 2.0, size=(3, 2)))
+        ate = random_law(rng, support=random_support(rng, 2, 2, 2, 3, unit_zw=True))
+        return [
+            ("empty (Z, X) row", self._emptied(generic, np.s_[:, 2, :, 1]), spec,
+             False, True, False, False, "zero probability on conditioning cell (2, 1)"),
+            ("empty (W, X) row", self._emptied(generic, np.s_[:, :, 1, 0]), spec,
+             False, True, True, False, "zero probability on conditioning cell (1, 0)"),
+            ("vanishing density", self._emptied(ate, np.s_[:, :, 0, 1]),
+             FunctionalSpec.ate_iv(), False, False, True, False,
+             "zero density at cell (0, 1)"),
+            ("inconsistent g", w_indep_z_law(), FunctionalSpec.late(),
+             False, True, True, True, ""),
+            ("in model", wz_identity_late(), FunctionalSpec.late(),
+             True, True, True, True, ""),
+        ]
+
+    def test_every_report_branch(self):
+        """Each branch's verdict, the residuals it sets and its message."""
+        for (name, law, spec, in_model, positivity_ok, g_solved, q_solved,
+             message) in self._branch_cases():
+            report = check_model_membership(law, spec)
+            k_x = law.support.k_x
+            assert report.in_model is in_model, name
+            assert report.positivity_ok is positivity_ok, name
+            assert report.message == message, name
+            assert (report.g_residual is not None) is g_solved, name
+            assert len(report.g_residuals) == len(report.sigma_min) \
+                == len(report.sigma_max) == (k_x if g_solved else 0), name
+            assert (report.q_residual is not None) is q_solved, name
+            assert len(report.q_residuals) == (k_x if q_solved else 0), name
+            assert (report.phi is not None) is in_model, name
+            if g_solved:
+                assert report.g_residual == max(report.g_residuals), name
+                assert report.sigma_min <= report.sigma_max, name
+            if q_solved:
+                assert report.q_residual == max(report.q_residuals), name
+        report = check_model_membership(w_indep_z_law(), FunctionalSpec.late())
+        assert report.g_residual > DEFAULT_TOL
+        assert check_model_membership(wz_identity_late(), FunctionalSpec.late()) \
+            .phi == pytest.approx(0.4, abs=1e-12)
+
+    def test_spec_that_does_not_fit_the_support_raises(self):
+        law = random_law(np.random.default_rng(35), 2, 3, 3, 1)
+        for spec in (FunctionalSpec.late(), FunctionalSpec.ate_iv(),
+                     FunctionalSpec.generic(np.ones((3, 2)))):
+            with pytest.raises(ValueError):
+                check_model_membership(law, spec)
 
 
 class TestStructuralInvariants:
