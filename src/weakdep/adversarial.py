@@ -19,10 +19,12 @@ laws converge to the base in total variation while the functional stays
 pinned at ``zeta``: arbitrarily weak W-Z dependence with an arbitrary target
 value.  The search halves ``eta_w`` from just inside the Y-kernel
 positivity bound, skipping scales that ``perturb_kernels`` rejects or that
-miss the TV target.  Every generated law is certified two ways: through the
-explicit rank-one inverse (closed form) and through the generic stacked
-solver of ``functionals``, whose membership check supplies the solver value
-of the functional.
+miss the TV target.  One assembly builds every law from its kernels: the
+base is the perturbation at scale 0, and a candidate's kernels are built
+once, checked and assembled.  Every generated law is certified two ways:
+through the explicit rank-one inverse (closed form) and through the generic
+stacked solver of ``functionals``, whose membership check supplies the
+solver value of the functional.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class BaseLawSpec:
         if np.any(np.abs(y_norm - 1.0) > 1e-10):
             raise ValueError("pi_y_given_x rows must integrate to 1 against mu_y")
 
-        mass_wx = self._wx_mass(eta_w=0.0)
+        mass_wx = self._wx_mass(*_w_kernels(self, 0.0))
         alpha = alpha_from_wx_mass(self.functional, s, mass_wx)
         object.__setattr__(self, "alpha_tilde", alpha)
         spread = alpha.max(axis=0) - alpha.min(axis=0)
@@ -118,22 +120,17 @@ class BaseLawSpec:
     def f_x(self):
         return self.f_zx.sum(axis=0)
 
-    def _wx_mass(self, eta_w: float):
-        """(W, X) marginal mass of the law perturbed at scale eta_w."""
-        kernels, norm = _w_kernels(self, eta_w)
+    def _wx_mass(self, kernels, norm):
+        """(W, X) marginal mass of the law whose raw W kernels and
+        normalizers (:func:`_w_kernels`) are given."""
         weights = self.f_zx.T / norm                  # (k_x, k_z)
         return self.support.mu_w[:, None] * (weights[:, None, :] @ kernels)[:, 0, :].T
 
     def product_law(self) -> DiscreteLaw:
-        """Assemble the base law tensor."""
-        s = self.support
-        mass = np.einsum(
-            "mh,h,mj,j,lm->hljm",
-            self.pi_y_given_x, s.mu_y,
-            self.pi_w_given_x, s.mu_w,
-            self.f_zx,
-        )
-        return DiscreteLaw(s, mass)
+        """Assemble the base law tensor: the kernels of scale 0, which do not
+        depend on the Z row."""
+        return _assemble(self, self.pi_w_given_x[:, None, :],
+                         self.pi_y_given_x[:, None, :])
 
     def to_dict(self):
         return {
@@ -219,37 +216,40 @@ def _y_kernels(base: BaseLawSpec, params: PerturbationParams):
     return base.pi_y_given_x[:, None, :] + params.eta_y * base.M
 
 
+def _checked_kernels(base: BaseLawSpec, params: PerturbationParams):
+    """Names of violated perturbation constraints (empty when admissible),
+    and the raw W kernels, normalizers and Y kernels they were checked on."""
+    w_kernels, norm = _w_kernels(base, params.eta_w)
+    y_kernels = _y_kernels(base, params)
+    update = params.eta_w + base.pi_w_given_x.sum(axis=1)
+    failures = [name for name, low in (
+        ("w_kernel_positive", w_kernels.min()),
+        ("w_normalizer_positive", norm.min()),
+        ("rank_one_update_nonzero", np.abs(update).min()),
+        ("y_kernel_positive", y_kernels.min()),
+    ) if low <= POSITIVITY_SLACK]
+    return failures, (w_kernels, norm, y_kernels)
+
+
 def check_params(base: BaseLawSpec, params: PerturbationParams):
     """Names of violated perturbation constraints (empty when admissible)."""
-    failures = []
-    w_kernels, norm = _w_kernels(base, params.eta_w)
-    if w_kernels.min() <= POSITIVITY_SLACK:
-        failures.append("w_kernel_positive")
-    if norm.min() <= POSITIVITY_SLACK:
-        failures.append("w_normalizer_positive")
-    update = params.eta_w + base.pi_w_given_x.sum(axis=1)
-    if np.abs(update).min() <= POSITIVITY_SLACK:
-        failures.append("rank_one_update_nonzero")
-    y_kernels = _y_kernels(base, params)
-    if y_kernels.min() <= POSITIVITY_SLACK:
-        failures.append("y_kernel_positive")
-    return failures
+    return _checked_kernels(base, params)[0]
+
+
+def _assemble(base: BaseLawSpec, w_normed, y_kernels) -> DiscreteLaw:
+    """The law of the base's (Z, X) masses with the row-normalized W|Z
+    kernels and the Y|Z kernels, each (k_x, k_z or 1, k), by stratum."""
+    s = base.support
+    return DiscreteLaw(s, np.einsum("mlh,h,mlj,j,lm->hljm",
+                                    y_kernels, s.mu_y, w_normed, s.mu_w, base.f_zx))
 
 
 def perturb_kernels(base: BaseLawSpec, params: PerturbationParams) -> DiscreteLaw:
     """Assemble the perturbed law; its (Z, X) marginal equals the base exactly."""
-    failures = check_params(base, params)
+    failures, (w_kernels, norm, y_kernels) = _checked_kernels(base, params)
     if failures:
         raise InvalidPerturbation(", ".join(failures))
-    s = base.support
-    w_kernels, norm = _w_kernels(base, params.eta_w)
-    y_kernels = _y_kernels(base, params)
-    w_normed = w_kernels / norm[None, :, None]
-    mass = np.einsum(
-        "mlh,h,mlj,j,lm->hljm",
-        y_kernels, s.mu_y, w_normed, s.mu_w, base.f_zx,
-    )
-    return DiscreteLaw(s, mass)
+    return _assemble(base, w_kernels / norm[None, :, None], y_kernels)
 
 
 def sherman_morrison_inverse(pi_w, eta_w: float) -> np.ndarray:
@@ -273,9 +273,7 @@ def _phi_closed(base: BaseLawSpec, params: PerturbationParams) -> float:
     s = base.support
     w_kernels, norm = _w_kernels(base, params.eta_w)
     y_kernels = _y_kernels(base, params)
-    alpha = alpha_from_wx_mass(
-        base.functional, s, base._wx_mass(params.eta_w)
-    )
+    alpha = alpha_from_wx_mass(base.functional, s, base._wx_mass(w_kernels, norm))
     inv = sherman_morrison_inverse(base.pi_w_given_x, params.eta_w)
     g_dag = inv @ (norm * (y_kernels @ s.iota_y))[:, :, None]     # (k_x, k_w, 1)
     cond = (w_kernels / norm[:, None]) @ (alpha.T[:, :, None] * g_dag)
@@ -432,7 +430,7 @@ def generate_sequence(
             if tv > tv_target or tv >= prev_tv:
                 eta *= 0.5
                 continue
-            phi_c = closed_form_phi(base, params)
+            phi_c = _phi_closed(base, params)       # params checked just above
             report = check_model_membership(law, base.functional, cert_tol)
             phi_v = report.phi
             certified = (

@@ -83,11 +83,9 @@ def cmd_solve(args) -> int:
     if violations:
         return _invalid(violations)
     try:
-        spec.validate_against(law.support)
+        report = functionals.check_model_membership(law, spec, args.tol)
     except ValueError as exc:
         raise _InputError(f"functional spec does not fit the law support: {exc}")
-
-    report = functionals.check_model_membership(law, spec, args.tol)
     _emit({"phi": report.phi, "diagnostics": report.to_dict()}, args.pretty)
     return EXIT_OK if report.in_model else EXIT_NO_SOLUTION
 

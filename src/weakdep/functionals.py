@@ -21,7 +21,8 @@ empirical laws, and :func:`check_model_membership`, the one law-level
 solve behind ``weakdep solve`` and every sequence certificate, on the
 stack of one.  :func:`solve_g`, :func:`solve_q` and :func:`evaluate_phi`
 solve one equation of one law at a time and raise on an empty conditioning
-cell or a vanishing density; they are the reference path.
+cell or a vanishing density; they are the reference path, and give a law
+the residuals and the functional of the membership check, bit for bit.
 Marginals sum an axis of 2 to 7 cells by slice adds in numpy's own order
 (:func:`~weakdep.laws._reduce_short`) and a longer one by ``ndarray.sum``,
 with the same bits either way, and never by a matmul over the stack, so a
@@ -142,7 +143,10 @@ class FunctionalSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """The spec of a JSON object; omega and alpha must hold numbers only."""
+        """The spec of a JSON object; omega and alpha must hold numbers only.
+        Raises ValueError for anything but an object."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a functional must be a JSON object; got {d!r}")
         coefficients = {name: _numbers(d[name], name)
                         for name in ("omega", "alpha") if d.get(name) is not None}
         return cls(kind=d["kind"], **coefficients)
@@ -235,14 +239,8 @@ def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
     (:func:`_rotation_solve`), any other shape by one batched SVD.  Either
     way, singular values at or below numpy's default least-squares cutoff
     eps * max(r, c) * sigma_max count as zero, so a singular system gets its
-    minimum-norm solution.  Every system is solved on its own, so a system
-    gets the same bits alone as in a stack of the same memory order (matmul
-    may sum a strided operand in another order, which moves a residual's
-    last bits).  :func:`_nuisances` stacks g's systems and q's adjoint
-    systems, all square (k_z == k_w), into one C-ordered stack, so Wald and
-    the membership check give a law the same bits; :func:`solve_g` and
-    :func:`solve_q` hand over the strided operators, whose residuals may
-    differ from those in their last bits.
+    minimum-norm solution.  Every system is solved on its own and in C
+    order, so a system gets the same bits alone as in any stack.
     Returns the solutions (..., k_x, c), the residual norms (..., k_x), the
     mask of consistent strata (residual <= tol * max(1, |rhs|)) and the
     singular values (..., k_x, min(r, c)), largest first.
@@ -254,7 +252,11 @@ def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
 
 
 def _svd_solve(lhs, rhs):
-    """Solutions, residual norms, |rhs| and singular values by one batched SVD."""
+    """Solutions, residual norms, |rhs| and singular values by one batched SVD.
+
+    The systems are solved in C order, so their products sum in one order
+    whatever layout the operators and right-hand sides come in."""
+    lhs, rhs = np.ascontiguousarray(lhs), np.ascontiguousarray(rhs)
     u, sigma, vt = np.linalg.svd(lhs, full_matrices=False)
     keep = sigma > _EPS * max(lhs.shape[-2:]) * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
@@ -527,13 +529,13 @@ def check_model_membership(
     The report names the first failure in the order a serial solve meets
     them: an empty (Z, X) row leaves both residuals None; then a vanishing
     representer density (``positivity_ok`` False) or an empty (W, X) row
-    leaves q's None.  The masses are read as a C-ordered copy, so the
-    report does not depend on how the law's tensor is laid out in memory.
+    leaves q's None.  The residuals and ``phi`` are those of the reference
+    :func:`solve_g`, :func:`solve_q` and :func:`evaluate_phi`, bit for bit.
     Raises ValueError when the spec does not fit the law's support.
     """
     spec.validate_against(law.support)
     (g, _), (alpha, mass_wx), ((g_res, q_res), ok, sigma), (empty_g, bad, empty_q) = \
-        _nuisances(np.ascontiguousarray(law.mass), spec, law.support, tol)
+        _nuisances(law.mass, spec, law.support, tol)
     if empty_g.any():
         return ModelReport(in_model=False, g_residual=None, q_residual=None,
                            positivity_ok=True, message=str(_zero_mass(empty_g)))

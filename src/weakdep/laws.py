@@ -3,7 +3,9 @@
 A law is a 4-index probability-mass tensor over a product grid of cells.
 Each cell carries a positive reference measure; densities are the derived
 view mass / product-of-cell-measures.  Tensor axes are ordered (Y, Z, W, X)
-throughout, row-major on disk.
+throughout, row-major on disk and in memory: every array of a law and of
+its support is a read-only C-ordered copy, whatever layout it was built
+from, so a law's reductions give the same bits as its file read back.
 
 The Y axis additionally carries per-cell integrals of the identity,
 ``iota_y[h]``, so conditional means of Y are computable without fixing
@@ -58,7 +60,7 @@ def _is_collinear(u, v):
 
 
 def _ro(a):
-    out = np.array(a, dtype=float)
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

@@ -97,6 +97,20 @@ class TestPerturbKernels:
             law.mass, base.product_law().mass, atol=1e-15
         )
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), k_y=st.integers(2, 4),
+           k_x=st.integers(1, 8), tame=st.booleans())
+    def test_scale_zero_assembles_the_product_law(self, seed, k, k_y, k_x, tame):
+        """On admissible random bases the perturbation (0, 0) is the product
+        law bit for bit, C-ordered like every law."""
+        base = random_base(np.random.default_rng(seed), k=k, k_y=k_y, k_x=k_x, tame=tame)
+        params = PerturbationParams(0.0, 0.0)
+        assume(not check_params(base, params))
+        law = perturb_kernels(base, params)
+        product = base.product_law().mass
+        assert law.mass.flags.c_contiguous and product.flags.c_contiguous
+        assert law.mass.tobytes() == product.tobytes()
+
     def test_w_rows_integrate_to_one(self):
         rng = np.random.default_rng(42)
         base = random_base(rng, k=3, k_y=3, k_x=2)

@@ -35,6 +35,10 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# JSON values that are not an object, where a functional spec must be one
+_NOT_OBJECTS = ([{"kind": "late"}], "late", 3, None)
+
+
 @pytest.fixture
 def valid_law_file(tmp_path):
     path = tmp_path / "law.json"
@@ -145,17 +149,20 @@ class TestSolve:
     @pytest.mark.parametrize("spec", [
         {"kind": "generic", "alpha": [[float("nan")], [1.0]]},
         {"kind": "npiv", "omega": [float("inf"), 1.0]},
+        *_NOT_OBJECTS,
     ])
     def test_non_finite_spec_exit_two(self, tmp_path, valid_law_file, capsys, spec):
-        """A NaN or infinite representer coefficient or weight is refused
-        with one line, not solved into non-strict JSON."""
+        """A NaN or infinite representer coefficient or weight, or a spec
+        that is not a JSON object, is refused with one line, not solved into
+        non-strict JSON."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         assert cli.main(["solve", str(valid_law_file), str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
-        assert "must be finite" in captured.err and "Traceback" not in captured.err
+        reason = "must be finite" if isinstance(spec, dict) else "must be a JSON object"
+        assert reason in captured.err and "Traceback" not in captured.err
 
     def test_adversarial_law_matches_certificate(
         self, tmp_path, base_file, late_spec_file, capsys
@@ -195,7 +202,8 @@ class TestAdversarial:
         """On a 3x3 base with four strata, stdout is certificates.json's
         text, and each certificate's phi_verified, g_residual and q_residual
         are the bits that solve prints for its law file, although the law
-        the certificate was computed on was laid out by an einsum."""
+        the certificate was computed on was laid out by an einsum; and its
+        tv_to_base is the TV distance of that file read back to the base."""
         base = random_base(np.random.default_rng(5), k=3, k_y=2, k_x=4, tame=True)
         base_path, spec_path = tmp_path / "base.json", tmp_path / "spec.json"
         base_path.write_text(json.dumps(base.to_dict()))
@@ -212,6 +220,41 @@ class TestAdversarial:
             assert solved["phi"] == step["phi_verified"]
             assert solved["diagnostics"]["g_residual"] == step["g_residual"]
             assert solved["diagnostics"]["q_residual"] == step["q_residual"]
+            law = laws.law_from_dict(json.loads((out_dir / step["file"]).read_text()))
+            assert laws.tv_distance(law, base.product_law()) == step["tv_to_base"]
+
+    def test_certificate_tv_is_that_of_each_law_file(self, tmp_path, capsys):
+        """On a 3x3 base with sixteen strata and three Y cells, each
+        certificate's tv_to_base is the TV distance of its law file read
+        back to the base, bit for bit: a law's sums do not depend on the
+        layout it was assembled in."""
+        base = random_base(np.random.default_rng(5), k=3, k_y=3, k_x=16, tame=True)
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps(base.to_dict()))
+        out_dir = tmp_path / "seq"
+        assert cli.main(["adversarial", str(base_path), "--zeta", "5", "--tv-targets",
+                         "0.05,0.01,0.002", "--out", str(out_dir)]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        assert len(steps) == 3
+        for step in steps:
+            law = laws.law_from_dict(json.loads((out_dir / step["file"]).read_text()))
+            assert laws.tv_distance(law, base.product_law()) == step["tv_to_base"]
+
+    @pytest.mark.parametrize("functional", _NOT_OBJECTS)
+    def test_functional_not_an_object_exit_two(self, tmp_path, functional, capsys):
+        """A base file whose functional is not a JSON object exits 2 with
+        one line."""
+        doc = acceptance_base().to_dict()
+        doc["functional"] = functional
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["adversarial", str(path), "--zeta", "5", "--tv-targets",
+                         "0.05", "--out", str(tmp_path / "seq")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "seq").exists()
 
     def test_infeasible_target_exit_four(self, tmp_path, base_file, capsys):
         assert cli.main([
@@ -428,6 +471,7 @@ class TestCoverage:
         ("duplicate_labels", 2),
         ("true_phi_outside_s", 2),
         ("level_rounds_to_one", 2),
+        *((f"wald_functional_{i}", 2) for i in range(len(_NOT_OBJECTS))),
     ])
     def test_invalid_plan_exit_code(self, demo_plan, tmp_path, capsys,
                                     defect, code):
@@ -459,6 +503,9 @@ class TestCoverage:
             plan["s"] = [1.0, 2.0]                      # the law's true_phi is 0.4
         elif defect == "level_rounds_to_one":
             plan["level"] = 0.9999999999999999         # 1 - 2**-53
+        elif defect.startswith("wald_functional_"):
+            functional = _NOT_OBJECTS[int(defect.rsplit("_", 1)[1])]
+            plan["methods"] = [{"name": "wald", "functional": functional}]
         elif defect == "plan_is_array_with_seed_flag":
             plan, flags = [plan], ["--seed", "3"]
         else:

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakdep import (
@@ -15,12 +15,13 @@ from weakdep import (
     check_model_membership,
     cond_mean_operator,
     evaluate_phi,
+    generate_sequence,
     response_vector,
     riesz_alpha,
     solve_g,
     solve_q,
 )
-from weakdep.errors import PositivityViolation
+from weakdep.errors import PositivityViolation, WeakdepError
 from weakdep.functionals import (
     DEFAULT_TOL,
     _nuisances,
@@ -35,6 +36,7 @@ from helpers import (
     kind_spec,
     kind_support,
     late_law,
+    random_base,
     random_law,
     random_support,
     spec_for_support,
@@ -516,6 +518,31 @@ def kind_laws(draw):
     return DiscreteLaw(support, mass / mass.sum()), kind_spec(rng, kind, support)
 
 
+@st.composite
+def wide_laws(draw):
+    """A law on a support with k 2-9 and k_x 1-16, with its spec: the first
+    law of a generated sequence, or a strictly positive random law whose
+    mass tensor is Fortran-ordered or C-ordered over permuted axes."""
+    k, k_x = draw(st.integers(2, 9)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = random_base(rng, k=k, k_y=draw(st.integers(2, 3)), k_x=k_x, tame=True)
+        try:
+            sequence = generate_sequence(base, draw(st.floats(0.5, 2.0)), [0.05])
+        except WeakdepError:
+            assume(False)
+        return sequence.steps[0].law, base.functional
+    support = random_support(rng, draw(st.integers(2, 3)), k, k, k_x)
+    mass = rng.gamma(2.0, size=support.shape) + 0.05
+    mass /= mass.sum()
+    if draw(st.booleans()):
+        mass = np.asfortranarray(mass)
+    else:
+        axes = draw(st.permutations(range(4)))
+        mass = np.ascontiguousarray(mass.transpose(axes)).transpose(np.argsort(axes))
+    return DiscreteLaw(support, mass), spec_for_support(rng, support)
+
+
 def _nuisance_rows(out, r):
     """Every array of a _nuisances result, at stack row r (r None: a result
     of masses without a stack axis)."""
@@ -546,11 +573,28 @@ class TestNuisances:
     @given(case=kind_laws())
     def test_membership_phi_matches_the_reference(self, case):
         """In the model, the check's phi is the reference evaluate_phi (solve_g,
-        riesz_alpha and the law's (W, X) marginal) to 1e-12 relative."""
+        riesz_alpha and the law's (W, X) marginal), bit for bit."""
         law, spec = case
         report = check_model_membership(law, spec)
         if report.in_model:
-            assert report.phi == pytest.approx(evaluate_phi(law, spec), rel=1e-12, abs=0)
+            assert report.phi == evaluate_phi(law, spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=wide_laws())
+    def test_reference_path_gives_the_membership_bits(self, case):
+        """On supports with k 2-9 and k_x 1-16, generated or laid out in any
+        order, the systems solve_g and solve_q solve have the check's
+        per-stratum residuals, and evaluate_phi is its phi, bit for bit."""
+        law, spec = case
+        report = check_model_membership(law, spec)
+        assert report.in_model
+        g_res = _solve_strata(cond_mean_operator(law), response_vector(law),
+                              DEFAULT_TOL)[1]
+        q_res = _solve_strata(adjoint_mean_operator(law), riesz_alpha(law, spec).T,
+                              DEFAULT_TOL)[1]
+        assert tuple(g_res.tolist()) == report.g_residuals
+        assert tuple(q_res.tolist()) == report.q_residuals
+        assert evaluate_phi(law, spec) == report.phi
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=kind_laws(), fortran=st.booleans())

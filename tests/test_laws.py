@@ -171,6 +171,34 @@ class TestValidate:
         assert any(v.startswith("total mass 0.98") for v in violations)
 
 
+class TestLayout:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5),
+           axes=st.permutations(range(4)), fortran=st.booleans())
+    def test_arrays_are_read_only_c_ordered_copies(self, seed, k, axes, fortran):
+        """A law's mass and its support's vectors are C-ordered and read-only
+        whatever layout they come in, so a law built from a Fortran-ordered
+        or axis-permuted tensor has the bits of its file read back."""
+        rng = np.random.default_rng(seed)
+        given_support = random_support(rng, 3, k, k, 4)
+        vectors = {name: np.repeat(getattr(given_support, name), 2)[::2]
+                   for name in ("mu_y", "mu_z", "mu_w", "mu_x", "iota_y")}
+        support = SupportSpec(**vectors)
+        raw = rng.gamma(2.0, size=support.shape)
+        mass = np.asfortranarray(raw) if fortran else \
+            np.ascontiguousarray(raw.transpose(axes)).transpose(np.argsort(axes))
+        law = DiscreteLaw(support, mass)
+        for name, vector in vectors.items():
+            array = getattr(support, name)
+            assert array.flags.c_contiguous and not array.flags.writeable
+            assert array.tobytes() == np.ascontiguousarray(vector).tobytes()
+        assert law.mass.flags.c_contiguous and not law.mass.flags.writeable
+        assert law.mass.tobytes() == np.ascontiguousarray(raw).tobytes()
+        back = law_from_dict(law_to_dict(law))
+        for which in (("W", "X"), ("Z", "X"), ("Y",)):
+            assert marginal(law, which).tobytes() == marginal(back, which).tobytes()
+
+
 class TestMarginal:
     def test_uniform_zx(self):
         got = marginal(uniform_law(), ("Z", "X"))
