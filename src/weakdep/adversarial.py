@@ -268,14 +268,21 @@ def sherman_morrison_inverse(pi_w, eta_w: float) -> np.ndarray:
     return np.eye(pi_w.shape[-1]) / eta_w - (coef * pi_w)[..., None, :]
 
 
-def _phi_closed(base: BaseLawSpec, params: PerturbationParams) -> float:
-    """Closed-form functional value of the perturbed law (no admissibility checks)."""
-    s = base.support
-    w_kernels, norm = _w_kernels(base, params.eta_w)
+def _w_side(base: BaseLawSpec, eta_w: float):
+    """What the closed form needs of scale eta_w alone, whatever gamma: the
+    raw W kernels, their normalizers, the representer and the rank-one
+    inverse."""
+    w_kernels, norm = _w_kernels(base, eta_w)
+    alpha = alpha_from_wx_mass(base.functional, base.support, base._wx_mass(w_kernels, norm))
+    return w_kernels, norm, alpha, sherman_morrison_inverse(base.pi_w_given_x, eta_w)
+
+
+def _phi_closed(base: BaseLawSpec, w_side, params: PerturbationParams) -> float:
+    """Closed-form functional value of the perturbed law (no admissibility
+    checks), from the W side of its scale."""
+    w_kernels, norm, alpha, inv = w_side
     y_kernels = _y_kernels(base, params)
-    alpha = alpha_from_wx_mass(base.functional, s, base._wx_mass(w_kernels, norm))
-    inv = sherman_morrison_inverse(base.pi_w_given_x, params.eta_w)
-    g_dag = inv @ (norm * (y_kernels @ s.iota_y))[:, :, None]     # (k_x, k_w, 1)
+    g_dag = inv @ (norm * (y_kernels @ base.support.iota_y))[:, :, None]   # (k_x, k_w, 1)
     cond = (w_kernels / norm[:, None]) @ (alpha.T[:, :, None] * g_dag)
     return float(np.sum(base.f_zx.T * cond[:, :, 0]))
 
@@ -289,7 +296,7 @@ def closed_form_phi(base: BaseLawSpec, params: PerturbationParams) -> float:
     failures = check_params(base, params)
     if failures:
         raise InvalidPerturbation(", ".join(failures))
-    return _phi_closed(base, params)
+    return _phi_closed(base, _w_side(base, params.eta_w), params)
 
 
 def limit_phi_coefficients(base: BaseLawSpec):
@@ -354,15 +361,15 @@ class AdversarialSequence:
     steps: tuple
 
 
-def _exact_gamma(base: BaseLawSpec, eta_w: float, zeta: float) -> float:
-    """gamma making the functional equal zeta at this eta_w.
+def _exact_gamma(base: BaseLawSpec, w_side, eta_w: float, zeta: float) -> float:
+    """gamma making the functional equal zeta at this eta_w, whose W side
+    (:func:`_w_side`) is given.
 
     At fixed eta_w the closed form is affine in gamma (the representer of
     the perturbed law does not depend on the Y tilt), so two evaluations
     pin it down exactly.
     """
-    p0 = _phi_closed(base, PerturbationParams(eta_w, 0.0))
-    p1 = _phi_closed(base, PerturbationParams(eta_w, 1.0))
+    p0, p1 = (_phi_closed(base, w_side, PerturbationParams(eta_w, g)) for g in (0.0, 1.0))
     slope = p1 - p0
     if slope == 0.0 or not np.isfinite(slope):
         raise DegenerateBase(f"functional insensitive to gamma at eta_w={eta_w}")
@@ -419,7 +426,8 @@ def generate_sequence(
                     f"no admissible eta_w above {ETA_FLOOR:g} reaches "
                     f"tv <= {tv_target:g} (last tv {prev_tv:g})",
                 )
-            gamma = _exact_gamma(base, eta, zeta)
+            w_side = _w_side(base, eta)
+            gamma = _exact_gamma(base, w_side, eta, zeta)
             params = default_params(base, eta, gamma)
             try:
                 law = perturb_kernels(base, params)
@@ -430,7 +438,7 @@ def generate_sequence(
             if tv > tv_target or tv >= prev_tv:
                 eta *= 0.5
                 continue
-            phi_c = _phi_closed(base, params)       # params checked just above
+            phi_c = _phi_closed(base, w_side, params)   # params checked just above
             report = check_model_membership(law, base.functional, cert_tol)
             phi_v = report.phi
             certified = (

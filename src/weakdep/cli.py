@@ -16,7 +16,9 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -160,9 +162,13 @@ def cmd_coverage(args) -> int:
         try:
             # opened before the run, so an unwritable path costs no
             # replications, and without truncating, so a report path that
-            # cannot be opened leaves the others as they were
+            # cannot be opened, or that is the other report or the plan,
+            # leaves every file as it was
             outputs = [stack.enter_context(open(path, "a", encoding="utf-8"))
                        for path in (args.out, args.json) if path]
+            files = [os.stat(args.plan)] + [os.fstat(output.fileno()) for output in outputs]
+            if any(itertools.starmap(os.path.samestat, itertools.combinations(files, 2))):
+                raise _InputError("cannot write report: it is the plan or the other report")
             for output in outputs:
                 output.seek(0)
                 output.truncate()

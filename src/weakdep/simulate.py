@@ -29,11 +29,15 @@ row-wise means and fractions, and the Wilson bounds of every cell at once),
 with the arithmetic of a cell summarised alone.  A block holds at most
 :data:`BLOCK_BYTES` of float cell counts over all its laws, so a block's
 memory does not grow with the number of replications; the tables hold 11
-bytes per replication, method and law.  A stream yields the same samples
-however it is split into blocks, and every constructor gives a sample the
-same bits in any stack, on every support, so the report does not depend on
-the block size or on which laws share a block, and the first R'
-replications of a plan are those of the same plan with ``reps=R'``.
+bytes per replication, method and law.  The report keeps the code and
+diameter tables, 9 bytes per replication, method and law: each cell's
+``diameters`` and ``outcomes`` are read-only rows of them, and the
+full-range and reason tables are dropped once summarised.  A stream yields
+the same samples however it is split into blocks, and every constructor
+gives a sample the same bits in any stack, on every support, so the report
+does not depend on the block size or on which laws share a block, and the
+first R' replications of a plan are those of the same plan with
+``reps=R'``.
 Coverage along a weak-dependence sequence is a plan with one
 :class:`LawCase` per step of :func:`~weakdep.adversarial.generate_sequence`.
 """
@@ -220,9 +224,22 @@ def _bind_method(cfg: MethodConfig, alpha: float, s: Interval, cases):
     return lambda counts, phi: interval_arrays(phi - half, phi + half, s)
 
 
-@dataclass(frozen=True)
+# a replication's outcome, by code
+OUTCOMES = ("cover", "miss", "error")
+_COVER, _MISS, _ERROR = range(3)
+
+
+def _inf_as_text(v):
+    """A value as the reports write it: an infinity as ``"inf"``."""
+    return "inf" if isinstance(v, float) and math.isinf(v) else v
+
+
+@dataclass(frozen=True, eq=False)
 class CellReport:
-    """Tallies for one (law, method) pair."""
+    """Tallies for one (law, method) pair.  ``diameters`` and ``outcomes``
+    are read-only rows of the run's tables, one entry per replication: the
+    float64 diameter and the int8 outcome code, an index into
+    :data:`OUTCOMES`."""
 
     label: str
     method: str
@@ -240,29 +257,20 @@ class CellReport:
     frac_fullrange: float
     frac_error: float
     frac_diam_ge_s: float
-    diameters: tuple
-    outcomes: tuple
+    diameters: np.ndarray
+    outcomes: np.ndarray
     errors_by_kind: dict    # reason -> count of degenerate replications
 
     def csv_row(self):
-        def fmt(v):
-            if isinstance(v, float):
-                return "inf" if math.isinf(v) else repr(v)
-            return str(v)
-
-        return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
+        # str of a float is its repr
+        return [str(_inf_as_text(getattr(self, c))) for c in CSV_COLUMNS]
 
     def to_dict(self):
-        def clean(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-
-        d = {c: clean(getattr(self, c)) for c in CSV_COLUMNS}
+        d = {c: _inf_as_text(getattr(self, c)) for c in CSV_COLUMNS}
         d.update(
             covered=self.covered, missed=self.missed, errors=self.errors,
-            diameters=[clean(v) for v in self.diameters],
-            outcomes=list(self.outcomes),
+            diameters=[_inf_as_text(v) for v in self.diameters.tolist()],
+            outcomes=[OUTCOMES[c] for c in self.outcomes.tolist()],
             errors_by_kind=dict(self.errors_by_kind),
         )
         return d
@@ -295,11 +303,6 @@ class CoverageReport:
         raise KeyError((label, method))
 
 
-# a replication's outcome, by code
-_OUTCOMES = ("cover", "miss", "error")
-_COVER, _MISS, _ERROR = range(3)
-
-
 def _quantiles(ordered: np.ndarray, q: float) -> np.ndarray:
     """Linear-interpolation quantile of every row of sorted values; equal
     order statistics, infinite ones included, give their value."""
@@ -312,11 +315,14 @@ def _quantiles(ordered: np.ndarray, q: float) -> np.ndarray:
 def _cell_reports(code, diam, full, reason, labels, methods, plan):
     """The report of every cell of one support group, from its tables of
     shape (methods, laws, reps): outcome code, diameter, full-range flag and
-    reason per replication.  Returns the reports in (method, law) order."""
+    reason per replication.  Returns the reports in (method, law) order;
+    their diameters and outcomes are rows of diam and code, which it makes
+    read-only."""
     n_methods, n_laws, reps = code.shape
+    code.flags.writeable = diam.flags.writeable = False
     cell = np.arange(n_methods * n_laws).reshape(n_methods, n_laws, 1)
-    tallies = np.bincount((cell * len(_OUTCOMES) + code).ravel(),
-                          minlength=cell.size * len(_OUTCOMES)).reshape(-1, len(_OUTCOMES))
+    tallies = np.bincount((cell * len(OUTCOMES) + code).ravel(),
+                          minlength=cell.size * len(OUTCOMES)).reshape(-1, len(OUTCOMES))
     kinds = np.bincount((cell * len(REASONS) + reason).ravel(),
                         minlength=cell.size * len(REASONS))
     ordered = np.sort(diam, axis=-1)
@@ -330,11 +336,9 @@ def _cell_reports(code, diam, full, reason, labels, methods, plan):
         _quantiles(ordered, 90).ravel().tolist(),
         np.count_nonzero(full, axis=-1).ravel().tolist(),
         np.count_nonzero(diam >= plan.s.hi - plan.s.lo, axis=-1).ravel().tolist(),
-        diam.reshape(-1, reps).tolist(),
-        np.array(_OUTCOMES, dtype=object)[code].reshape(-1, reps).tolist(),
     )
     reports = []
-    for (m, j), outcomes, kind, wl, wh, mean, p50, p90, fulls, wide, diams, names in summaries:
+    for (m, j), outcomes, kind, wl, wh, mean, p50, p90, fulls, wide in summaries:
         covered, _, errors = outcomes
         reports.append(CellReport(
             label=labels[j],
@@ -353,8 +357,8 @@ def _cell_reports(code, diam, full, reason, labels, methods, plan):
             frac_fullrange=fulls / reps,
             frac_error=errors / reps,
             frac_diam_ge_s=wide / reps,
-            diameters=tuple(diams),
-            outcomes=tuple(names),
+            diameters=diam[m, j],
+            outcomes=code[m, j],
             errors_by_kind=dict(sorted(
                 (REASONS[k], count) for k, count in enumerate(kind) if k and count)),
         ))

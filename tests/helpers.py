@@ -4,8 +4,9 @@ references for the test suite.
 Each layer of the package has one kind of reference per level of detail:
 the row-level constructors (``row_*``) read raw rows, the serial ones
 (``serial_*``) take one sample's counts at a time, and ``serial_run`` runs
-a plan law by law and summarises each cell alone (``_SerialTally``).  Tests
-check the package against them on the same inputs."""
+a plan law by law and summarises each cell alone (``_SerialTally``, whose
+per-replication lists ``serial_tallies`` returns).  Tests check the package
+against them on the same inputs."""
 
 import math
 import time
@@ -52,6 +53,7 @@ from weakdep.functionals import (
 )
 from weakdep.laws import _number, law_to_dict, sample
 from weakdep.simulate import (
+    OUTCOMES,
     CellReport,
     CoverageReport,
 )
@@ -1027,15 +1029,16 @@ class _SerialTally:
             frac_fullrange=sum(self.fulls) / plan.reps,
             frac_error=errors / plan.reps,
             frac_diam_ge_s=float(np.mean(diam_arr >= plan.s.hi - plan.s.lo)),
-            diameters=tuple(self.diameters),
-            outcomes=outcomes,
+            diameters=diam_arr,
+            outcomes=np.array([OUTCOMES.index(name) for name in outcomes], np.int8),
             errors_by_kind=dict(sorted(self.errors_by_kind.items())),
         )
 
 
-def serial_run(plan):
+def serial_tallies(plan):
     """Execute the plan law by law; deterministic given the master seed.
-    ``method_seconds`` sums each method's constructor calls over every law."""
+    Returns each cell's tally, in (law, method) order, and each method's
+    seconds, summed over every law."""
     cells = []
     seconds = [0.0] * len(plan.methods)
     for law_idx, case in enumerate(plan.laws):
@@ -1053,8 +1056,16 @@ def serial_run(plan):
                 arrays = construct(counts)
                 seconds[m] += time.perf_counter() - started
                 tally.add_stack(arrays)
-        cells.extend(tally.report(case.label, method.name, plan)
-                     for method, tally in zip(plan.methods, tallies))
+        cells.extend(tallies)
+    return cells, seconds
+
+
+def serial_run(plan):
+    """The report of :func:`serial_tallies`, each cell summarised alone."""
+    tallies, seconds = serial_tallies(plan)
+    names = [(case.label, method.name) for case in plan.laws for method in plan.methods]
+    cells = [tally.report(label, method, plan)
+             for (label, method), tally in zip(names, tallies)]
     return CoverageReport(cells=tuple(cells), method_seconds=tuple(seconds))
 
 

@@ -11,6 +11,7 @@ from weakdep import (
     FunctionalSpec,
     NoSolution,
     PerturbationParams,
+    adversarial,
     build_M,
     check_model_membership,
     closed_form_phi,
@@ -386,6 +387,25 @@ class TestGenerateSequence:
             gaps.append(float(np.abs(alpha - base.alpha_tilde).max()))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 1e-3
+
+    def test_each_scale_builds_its_w_side_once(self, monkeypatch):
+        """The closed form at gamma 0, at gamma 1 and at the chosen gamma
+        shares one rank-one inverse and one representer per candidate scale;
+        perturb_kernels builds the W kernels a second time."""
+        base = acceptance_base()
+        calls = dict.fromkeys(["sherman_morrison_inverse", "alpha_from_wx_mass",
+                               "default_params", "perturb_kernels", "_w_kernels"], 0)
+        for name in calls:
+            def counted(*args, _call=getattr(adversarial, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(adversarial, name, counted)
+        seq = generate_sequence(base, 5.0, (0.05, 0.01, 0.002))
+        candidates = calls["default_params"]
+        assert candidates > len(seq.steps) == 3         # some scales are rejected
+        assert calls["perturb_kernels"] == calls["sherman_morrison_inverse"] \
+            == calls["alpha_from_wx_mass"] == candidates
+        assert calls["_w_kernels"] == 2 * candidates
 
     def test_roots_stay_clear_of_constraint_boundaries(self):
         base = acceptance_base()

@@ -19,7 +19,6 @@ from helpers import (
     acceptance_base,
     kind_spec,
     kind_support,
-    late_law,
     limit_phi,
     random_base,
     random_law,
@@ -614,6 +613,30 @@ class TestCoverage:
                          "--json", str(tmp_path / "missing" / "r.json")]) == 2
         assert out.read_bytes() == b"an earlier report\n"
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("clash", ["json_is_out", "json_links_to_out",
+                                       "out_is_plan", "json_is_plan"])
+    def test_report_over_another_file_exit_two(self, demo_plan, tmp_path, capsys, clash):
+        """A report that is the other report, by name or through a symlink,
+        or that is the plan, is refused, and every file stays as it was."""
+        out, js = tmp_path / "r.csv", tmp_path / "r.json"
+        for path in (out, js):
+            path.write_bytes(b"an earlier report\n")
+        if clash == "json_is_out":
+            js = out
+        elif clash == "json_links_to_out":
+            js.unlink()
+            js.symlink_to(out)
+        elif clash == "out_is_plan":
+            out = demo_plan
+        else:
+            js = demo_plan
+        before = {path: path.read_bytes() for path in (out, js, demo_plan)}
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out),
+                         "--json", str(js)]) == 2
+        assert {path: path.read_bytes() for path in before} == before
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     def test_reports_replace_longer_files(self, demo_plan, tmp_path, capsys):
         fresh, out, js = tmp_path / "fresh.csv", tmp_path / "r.csv", tmp_path / "r.json"

@@ -21,12 +21,13 @@ def test_star_import_binds_the_public_names_and_no_module():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """Every name a module of the package imports is read somewhere in it.
-    ``__init__`` is left out: its imports are the public names it re-exports."""
+    """Every name a module of the package or of the tests imports is read
+    somewhere in it.  The package's ``__init__`` is left out: its imports
+    are the public names it re-exports."""
     unused = []
-    for path in sorted(Path(weakdep.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    modules = [path for path in Path(weakdep.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"]
+    for path in sorted(modules) + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):

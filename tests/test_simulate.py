@@ -1,8 +1,10 @@
 """The Monte Carlo harness: tallies, determinism, seeds, plan handling."""
 
+import json
 import math
 import time
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from helpers import (
     multinomial_pmf,
     plan_to_dict,
     serial_run,
+    serial_tallies,
     serial_wilson_interval,
     wald_ratio,
 )
@@ -136,13 +139,15 @@ class TestDeterminism:
         a = run(small_plan(methods))
         b = run(small_plan(methods))
         assert a.to_csv() == b.to_csv()
-        assert [c.diameters for c in a.cells] == [c.diameters for c in b.cells]
+        assert [c.diameters.tobytes() for c in a.cells] == \
+            [c.diameters.tobytes() for c in b.cells]
 
     def test_seed_changes_results(self):
         methods = [MethodConfig("wald", {"functional": {"kind": "late"}})]
         a = run(small_plan(methods, seed=5))
         b = run(small_plan(methods, seed=6))
-        assert [c.diameters for c in a.cells] != [c.diameters for c in b.cells]
+        assert [c.diameters.tobytes() for c in a.cells] != \
+            [c.diameters.tobytes() for c in b.cells]
 
     def test_each_law_draws_its_own_prefix_stable_stream(self):
         """A law listed twice gets different draws; a law's cell does not
@@ -153,18 +158,18 @@ class TestDeterminism:
         cases = (LawCase("a", law, phi), LawCase("b", law, phi),
                  LawCase("c", late_law(p_z1=0.3), 0.0))
 
-        def cells(laws, reps):
+        def cells(laws, reps, keep=None):
+            """Each cell's first keep diameters and outcomes, as bytes."""
             report = run(ExperimentPlan(laws=laws, methods=(WALD,), n=60, reps=reps,
                                         level=0.95, seed=9, s=S))
-            return {c.label: (c.diameters, c.outcomes) for c in report.cells}
+            return {c.label: (c.diameters[:keep].tobytes(), c.outcomes[:keep].tobytes())
+                    for c in report.cells}
 
         full = cells(cases, 30)
         assert full["a"][0] != full["b"][0]
         assert cells(cases[:1], 30)["a"] == full["a"]
         assert cells(cases[:2], 30)["b"] == full["b"]
-        short = cells(cases, 11)
-        for label, (diameters, outcomes) in full.items():
-            assert short[label] == (diameters[:11], outcomes[:11])
+        assert cells(cases, 11) == cells(cases, 30, keep=11)
 
 
 class TestReportFormats:
@@ -535,10 +540,15 @@ class TestAgainstSerialRun:
         assert got.to_csv() == want.to_csv()
         assert len(got.cells) == len(want.cells)
         for a, b in zip(got.cells, want.cells):
-            assert (a.label, a.method) == (b.label, b.method)
-            assert np.array(a.diameters).tobytes() == np.array(b.diameters).tobytes()
-            assert a.outcomes == b.outcomes
-            assert a.errors_by_kind == b.errors_by_kind
+            assert _fields(a) == _fields(b)
+
+
+def _fields(cell):
+    """A cell's fields: its rows as bytes, which numpy's repr would abbreviate
+    past 1,000 entries, and every other field by repr, which tells signed
+    zeros apart and shows NaN."""
+    return [getattr(cell, f.name).tobytes() if f.name in ("diameters", "outcomes")
+            else repr(getattr(cell, f.name)) for f in fields(cell)]
 
 
 class TestColumnarSummary:
@@ -580,8 +590,71 @@ class TestColumnarSummary:
             for j in range(n_laws):
                 tally = _SerialTally(true_phi=0.0)
                 for lo, hi in zip([0] + cuts, cuts + [reps]):
-                    tally.add([simulate._OUTCOMES[c] for c in code[m, j, lo:hi]],
+                    tally.add([simulate.OUTCOMES[c] for c in code[m, j, lo:hi]],
                               diam[m, j, lo:hi], full[m, j, lo:hi], reason[m, j, lo:hi])
                 want = tally.report(labels[j], methods[m], plan)
-                # repr tells signed zeros apart and shows NaN
-                assert repr(got[m * n_laws + j]) == repr(want)
+                assert _fields(got[m * n_laws + j]) == _fields(want)
+
+
+class TestReportRows:
+    """A cell's diameters and outcomes are read-only rows of run's tables;
+    the JSON report writes them as the serial tally records them."""
+
+    @staticmethod
+    def _plan(s):
+        """Three laws, two of them on one support, weak and strong."""
+        return ExperimentPlan(
+            laws=(LawCase("a", late_law(), 0.1),
+                  LawCase("b", late_law(p_z1=0.3, p_w=(0.5, 0.55)), 0.0),
+                  LawCase("c", _y_inexact(late_law()), 0.2)),
+            methods=ALL_METHODS, n=12, reps=9, level=0.95, seed=4, s=s)
+
+    def test_rows_are_read_only_codes_and_diameters(self):
+        for cell in run(self._plan(S)).cells:
+            assert cell.diameters.dtype == np.float64 and cell.diameters.shape == (9,)
+            assert cell.outcomes.dtype == np.int8 and cell.outcomes.shape == (9,)
+            for row in (cell.diameters, cell.outcomes):
+                with pytest.raises(ValueError):
+                    row[0] = 0
+            names = [simulate.OUTCOMES[code] for code in cell.outcomes]
+            assert (names.count("cover"), names.count("miss"), names.count("error")) \
+                == (cell.covered, cell.missed, cell.errors)
+
+    @pytest.mark.parametrize("s", [S, Interval(-1.0, 0.5), Interval(-math.inf, math.inf)])
+    def test_json_rows_are_the_serial_tallies(self, s):
+        """Floats, "inf" for infinities and outcome names, in replication
+        order; repr tells signed zeros apart."""
+        plan = self._plan(s)
+        tallies, _ = serial_tallies(plan)
+        cells = json.loads(run(plan).to_json())["cells"]
+        assert len(cells) == len(tallies) == 21
+        for cell, tally in zip(cells, tallies):
+            assert list(map(repr, cell["diameters"])) == \
+                [repr("inf" if math.isinf(d) else d) for d in tally.diameters]
+            assert cell["outcomes"] == tally.outcomes
+        if math.isinf(s.hi):
+            assert "inf" in cells[4]["diameters"]       # law a, fullrange
+
+    def test_run_keeps_at_most_ten_bytes_per_replication_and_method(self):
+        """The report holds the code and diameter tables, 9 bytes per
+        replication and method of its one law, and nothing that grows
+        faster."""
+        law = late_law()
+        methods = (WALD, MethodConfig("score"), MethodConfig("union"))
+
+        def retained(reps):
+            plan = ExperimentPlan(laws=(LawCase("a", law, wald_ratio(law)),),
+                                  methods=methods, n=2000, reps=reps, level=0.95,
+                                  seed=1, s=S)
+            run(replace(plan, reps=2))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                report = run(plan)
+                held = tracemalloc.get_traced_memory()[0] - before
+                assert len(report.cells[0].diameters) == reps
+                return held
+            finally:
+                tracemalloc.stop()
+
+        assert retained(16_000) - retained(4_000) <= 10 * 12_000 * len(methods)
