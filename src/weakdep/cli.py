@@ -3,8 +3,9 @@
 Subcommands: ``validate`` a law file, ``solve`` a functional on a law,
 ``adversarial`` to generate a certified weak-dependence sequence, and
 ``coverage`` to execute a Monte Carlo plan.  All randomness flows from the
-plan/flag seed; outputs are machine-first (JSON and CSV), with ``--pretty``
-adding human-readable tables.
+plan seed, which ``coverage --seed`` alone may override; outputs are
+machine-first: ``solve`` and ``adversarial`` print one line of JSON, and
+``coverage`` writes CSV (and JSON) and prints the CSV's path.
 
 Exit codes: 0 success, 1 validation failure, 2 input parse error,
 3 model-membership failure, 4 generation failure.
@@ -56,10 +57,6 @@ def _check_tol(tol):
         raise _InputError(f"bad --tol: must be a finite number >= 0; got {tol}")
 
 
-def _emit(payload, pretty):
-    print(json.dumps(payload, indent=2 if pretty else None))
-
-
 def _invalid(violations):
     for violation in violations:
         print(violation, file=sys.stderr)
@@ -88,7 +85,7 @@ def cmd_solve(args) -> int:
         report = functionals.check_model_membership(law, spec, args.tol)
     except ValueError as exc:
         raise _InputError(f"functional spec does not fit the law support: {exc}")
-    _emit({"phi": report.phi, "diagnostics": report.to_dict()}, args.pretty)
+    print(json.dumps({"phi": report.phi, "diagnostics": report.to_dict()}))
     return EXIT_OK if report.in_model else EXIT_NO_SOLUTION
 
 
@@ -110,7 +107,6 @@ def cmd_adversarial(args) -> int:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
 
-    indent = 2 if args.pretty else None
     certificates = []
     out_dir = Path(args.out)
     try:
@@ -120,14 +116,10 @@ def cmd_adversarial(args) -> int:
             certificate = step.certificate()
             payload = laws.law_to_dict(step.law)
             payload["certificate"] = certificate
-            (out_dir / name).write_text(
-                json.dumps(payload, indent=indent), encoding="utf-8"
-            )
+            (out_dir / name).write_text(json.dumps(payload), encoding="utf-8")
             certificates.append({"file": name, **certificate})
-        summary = json.dumps({
-            "target_zeta": sequence.target_zeta,
-            "steps": certificates,
-        }, indent=indent)
+        summary = json.dumps({"target_zeta": sequence.target_zeta,
+                              "steps": certificates})
         (out_dir / "certificates.json").write_text(summary, encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot write --out: {exc}") from exc
@@ -135,22 +127,21 @@ def cmd_adversarial(args) -> int:
     return EXIT_OK
 
 
+def _open_report(path, created):
+    """Opens a report for writing without emptying it.  A file this call
+    creates is removed again when the ExitStack ``created`` closes."""
+    try:
+        output = open(path, "x", encoding="utf-8")
+    except FileExistsError:
+        return open(path, "a", encoding="utf-8")
+    created.callback(os.unlink, path)
+    return output
+
+
 def cmd_coverage(args) -> int:
     plan = _parse(_load_json(args.plan), simulate.plan_from_dict, "experiment plan")
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.level is not None:
-        overrides["level"] = args.level
-    if args.methods is not None:
-        wanted = [m.strip() for m in args.methods.split(",")]
-        if "" in wanted:
-            raise _InputError(f"bad --methods: empty item in {args.methods!r}")
-        missing = [m for m in wanted if m not in {c.name for c in plan.methods}]
-        if missing:
-            raise _InputError(f"methods not in plan: {missing}")
-        overrides["methods"] = tuple(c for c in plan.methods if c.name in wanted)
-    plan = _parse(overrides, lambda o: dataclasses.replace(plan, **o), "flag overrides")
+        plan = _parse(args.seed, lambda seed: dataclasses.replace(plan, seed=seed), "--seed")
     violations = [
         f"law {case.label!r}: {violation}"
         for case in plan.laws
@@ -163,12 +154,14 @@ def cmd_coverage(args) -> int:
             # opened before the run, so an unwritable path costs no
             # replications, and without truncating, so a report path that
             # cannot be opened, or that is the other report or the plan,
-            # leaves every file as it was
-            outputs = [stack.enter_context(open(path, "a", encoding="utf-8"))
-                       for path in (args.out, args.json) if path]
-            files = [os.stat(args.plan)] + [os.fstat(output.fileno()) for output in outputs]
-            if any(itertools.starmap(os.path.samestat, itertools.combinations(files, 2))):
-                raise _InputError("cannot write report: it is the plan or the other report")
+            # leaves every file as it was and creates none
+            with contextlib.ExitStack() as created:
+                outputs = [stack.enter_context(_open_report(path, created))
+                           for path in (args.out, args.json) if path]
+                files = [os.stat(args.plan)] + [os.fstat(out.fileno()) for out in outputs]
+                if any(itertools.starmap(os.path.samestat, itertools.combinations(files, 2))):
+                    raise _InputError("cannot write report: it is the plan or the other report")
+                created.pop_all()
             for output in outputs:
                 output.seek(0)
                 output.truncate()
@@ -178,18 +171,8 @@ def cmd_coverage(args) -> int:
         outputs[0].write(report.to_csv())
         if args.json:
             outputs[1].write(report.to_json())
-    if args.pretty:
-        _print_table(report)
-    else:
-        print(args.out)
+    print(args.out)
     return EXIT_OK
-
-
-def _print_table(report):
-    rows = [simulate.CSV_COLUMNS] + [cell.csv_row() for cell in report.cells]
-    widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
 
 
 @functools.cache
@@ -211,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="functional spec JSON file")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="consistency tolerance for the per-stratum systems")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("adversarial",
@@ -224,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="certification tolerance")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_adversarial)
 
     p = sub.add_parser("coverage", help="run a Monte Carlo coverage plan")
@@ -232,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV report path")
     p.add_argument("--json", help="optional full JSON report path")
     p.add_argument("--seed", type=int, help="override the plan seed")
-    p.add_argument("--level", type=float, help="override the plan level")
-    p.add_argument("--methods", help="comma-separated subset of plan methods")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_coverage)
 
     return parser

@@ -407,6 +407,34 @@ class TestGenerateSequence:
             == calls["alpha_from_wx_mass"] == candidates
         assert calls["_w_kernels"] == 2 * candidates
 
+    def test_rejected_scales_are_halved_away(self, monkeypatch):
+        """A start scale eight times the admissible bound on the ratio base
+        is halved through three scales whose Y kernels go negative; the
+        search then emits the unpatched search's steps bit for bit."""
+        base = acceptance_base()
+        expected = generate_sequence(base, 5.0, (0.05, 0.01, 0.002))
+        max_eta, perturb = adversarial._max_eta, adversarial.perturb_kernels
+        rejected = []
+
+        def recorded(base, params):
+            try:
+                return perturb(base, params)
+            except InvalidPerturbation as exc:
+                rejected.append((params.eta_w, str(exc)))
+                raise
+
+        monkeypatch.setattr(adversarial, "_max_eta", lambda *args: 8.0 * max_eta(*args))
+        monkeypatch.setattr(adversarial, "perturb_kernels", recorded)
+        seq = generate_sequence(base, 5.0, (0.05, 0.01, 0.002))
+        start = max_eta(base, gamma_for_target(base, 5.0))
+        assert [eta for eta, _ in rejected] == [8.0 * start, 4.0 * start, 2.0 * start]
+        assert {message for _, message in rejected} == {
+            "perturbation constraint violated: y_kernel_positive"}
+        assert len(seq.steps) == len(expected.steps) == 3
+        for got, want in zip(seq.steps, expected.steps):
+            assert got.certificate() == want.certificate()      # eta_w and gamma too
+            assert got.law.mass.tobytes() == want.law.mass.tobytes()
+
     def test_roots_stay_clear_of_constraint_boundaries(self):
         base = acceptance_base()
         seq = generate_sequence(base, 5.0, (0.05, 0.01))

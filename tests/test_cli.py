@@ -163,6 +163,35 @@ class TestSolve:
         reason = "must be finite" if isinstance(spec, dict) else "must be a JSON object"
         assert reason in captured.err and "Traceback" not in captured.err
 
+    def test_invalid_law_exit_one(self, tmp_path, late_spec_file, capsys):
+        """A law that fails validate is not solved: exit 1, its violations
+        on stderr and nothing on stdout."""
+        law = wz_identity_late()
+        bad = laws.DiscreteLaw(law.support, law.mass * 0.98)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(laws.law_to_dict(bad)))
+        assert cli.main(["solve", str(path), str(late_spec_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == laws.validate(bad)
+        assert "total mass" in captured.err
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "generic", "alpha": [[1.0, 2.0], [3.0, 4.0]]},    # k_x is 1
+        {"kind": "proximal_ate"},                                   # needs even k_x
+    ])
+    def test_spec_off_the_support_exit_two(self, tmp_path, valid_law_file, capsys, spec):
+        """A spec that does not fit the law's support exits 2 with one line
+        and no traceback."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["solve", str(valid_law_file), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "does not fit the law support" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_adversarial_law_matches_certificate(
         self, tmp_path, base_file, late_spec_file, capsys
     ):
@@ -196,8 +225,7 @@ class TestAdversarial:
         tvs = [s["tv_to_base"] for s in summary["steps"]]
         assert tvs == sorted(tvs, reverse=True)
 
-    @pytest.mark.parametrize("pretty", [False, True])
-    def test_certificates_are_the_solve_of_each_law_file(self, tmp_path, capsys, pretty):
+    def test_certificates_are_the_solve_of_each_law_file(self, tmp_path, capsys):
         """On a 3x3 base with four strata, stdout is certificates.json's
         text, and each certificate's phi_verified, g_residual and q_residual
         are the bits that solve prints for its law file, although the law
@@ -209,8 +237,7 @@ class TestAdversarial:
         spec_path.write_text(json.dumps(base.functional.to_dict()))
         out_dir = tmp_path / "seq"
         assert cli.main(["adversarial", str(base_path), "--zeta", "5", "--tv-targets",
-                         "0.05,0.01,0.002", "--out", str(out_dir)]
-                        + ["--pretty"] * pretty) == 0
+                         "0.05,0.01,0.002", "--out", str(out_dir)]) == 0
         text = (out_dir / "certificates.json").read_text()
         assert capsys.readouterr().out == text + "\n"
         for step in json.loads(text)["steps"]:
@@ -302,34 +329,62 @@ _BAD_FLAGS = {
     "coverage_out_missing_dir": ("coverage", ["--out", "{dir}/missing/r.csv"]),
     "coverage_out_is_dir": ("coverage", ["--out", "{dir}"]),
     "coverage_json_missing_dir": ("coverage", ["--json", "{dir}/missing/r.json"]),
-    "coverage_methods_blank": ("coverage", ["--methods", ""]),
-    "coverage_methods_only_comma": ("coverage", ["--methods", ","]),
-    "coverage_methods_empty_item": ("coverage", ["--methods", "wald,,score"]),
     "coverage_seed_negative": ("coverage", ["--seed", "-1", "--out", "{file}"]),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_FLAGS))
-def test_bad_flag_exit_two(case, tmp_path, base_file, valid_law_file,
-                           late_spec_file, capsys):
-    command, flags = _BAD_FLAGS[case]
-    existing = tmp_path / "existing.txt"
-    existing.write_text("keep")
-    flags = [f.format(file=existing, dir=tmp_path) for f in flags]
+@pytest.fixture
+def command_argv(tmp_path, base_file, valid_law_file, late_spec_file):
+    """A valid invocation of solve, adversarial and coverage, by name; the
+    last two write under tmp_path (to seq/ and r.csv)."""
     plan = tmp_path / "plan.json"
     plan.write_text(resources.files("weakdep").joinpath("data/demo_plan.json").read_text())
-    argv = {
+    return {
         "adversarial": ["adversarial", str(base_file), "--zeta", "5",
                         "--tv-targets", "0.05,0.01", "--out", str(tmp_path / "seq")],
         "solve": ["solve", str(valid_law_file), str(late_spec_file)],
         "coverage": ["coverage", str(plan), "--out", str(tmp_path / "r.csv")],
-    }[command]
-    assert cli.main(argv + flags) == 2
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FLAGS))
+def test_bad_flag_exit_two(case, tmp_path, command_argv, capsys):
+    command, flags = _BAD_FLAGS[case]
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep")
+    flags = [f.format(file=existing, dir=tmp_path) for f in flags]
+    assert cli.main(command_argv[command] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert existing.read_text() == "keep"
+
+
+# flags the commands do not define: the plan file alone sets a report's
+# level and methods, and each command prints one format
+_REMOVED_FLAGS = {
+    "solve_pretty": ("solve", ["--pretty"]),
+    "adversarial_pretty": ("adversarial", ["--pretty"]),
+    "coverage_pretty": ("coverage", ["--pretty"]),
+    "coverage_level": ("coverage", ["--level", "0.8"]),
+    "coverage_methods": ("coverage", ["--methods", "wald"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REMOVED_FLAGS))
+def test_removed_flag_exit_two(case, tmp_path, command_argv, capsys):
+    """Exit 2 with argparse's usage message, and nothing is written."""
+    command, flags = _REMOVED_FLAGS[case]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command_argv[command] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: weakdep")
+    assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "seq").exists() and not (tmp_path / "r.csv").exists()
 
 
 # (input file, path to one entry, value) that puts something other than a
@@ -419,18 +474,6 @@ class TestCoverage:
         ]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
 
-    def test_methods_filter(self, demo_plan, tmp_path, capsys):
-        out = tmp_path / "two.csv"
-        assert cli.main([
-            "coverage", str(demo_plan), "--out", str(out),
-            "--methods", "wald,union",
-        ]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert cli.main([
-            "coverage", str(demo_plan), "--out", str(out), "--methods", "nope",
-        ]) == 2
-
     def test_json_report_and_threads(self, demo_plan, tmp_path, capsys):
         out = tmp_path / "r.csv"
         js = tmp_path / "r.json"
@@ -460,7 +503,7 @@ class TestCoverage:
         ("wald_without_functional", 2),
         ("score_points_option", 2),
         ("plan_is_array_with_seed_flag", 2),
-        ("method_not_object_with_methods_flag", 2),
+        ("method_not_object", 2),
         ("score_on_binary_x", 2),
         ("union_on_three_x", 2),
         ("score_on_three_zw", 2),
@@ -509,7 +552,6 @@ class TestCoverage:
             plan, flags = [plan], ["--seed", "3"]
         else:
             plan["methods"].append("wald")
-            flags = ["--methods", "wald"]
         demo_plan.write_text(json.dumps(plan))
         out = tmp_path / "r.csv"
         assert cli.main(["coverage", str(demo_plan), "--out", str(out), *flags]) == code
@@ -571,30 +613,6 @@ class TestCoverage:
         if key == "tol":
             assert "unknown options ['tol']" in err
 
-    def test_level_flag_whose_quantile_rounds_to_one(self, demo_plan, tmp_path, capsys):
-        """--level 1 - 2**-53 leaves 1 - (1 - level)/6 at 1: exit 2 with one
-        line, before the report file is truncated."""
-        out = tmp_path / "r.csv"
-        out.write_bytes(b"an earlier report\n")
-        assert cli.main(["coverage", str(demo_plan), "--out", str(out),
-                         "--level", "0.9999999999999999"]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert out.read_bytes() == b"an earlier report\n"
-
-    def test_level_flag_rebinds_the_methods(self, demo_plan, tmp_path, capsys):
-        """--level 0.8 gives the bytes of the plan file with "level": 0.8:
-        the override reaches every method's constructor."""
-        flagged, written = tmp_path / "flag.csv", tmp_path / "file.csv"
-        assert cli.main(["coverage", str(demo_plan), "--out", str(flagged),
-                         "--level", "0.8"]) == 0
-        plan = json.loads(demo_plan.read_text())
-        assert plan["level"] != 0.8
-        plan["level"] = 0.8
-        demo_plan.write_text(json.dumps(plan))
-        assert cli.main(["coverage", str(demo_plan), "--out", str(written)]) == 0
-        assert flagged.read_bytes() == written.read_bytes()
-
     def test_largest_n_runs(self, demo_plan, tmp_path, capsys):
         """n = 2**53, the largest size whose counts stay exact in float64,
         runs, and every method covers the true value in both replications."""
@@ -635,6 +653,19 @@ class TestCoverage:
         assert cli.main(["coverage", str(demo_plan), "--out", str(out),
                          "--json", str(js)]) == 2
         assert {path: path.read_bytes() for path in before} == before
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("clash", ["json_is_out", "json_in_missing_dir"])
+    def test_refused_run_creates_no_file(self, demo_plan, tmp_path, capsys, clash):
+        """A new --out that is also --json, or a new --out next to a --json
+        in a missing directory, exits 2 and creates no file."""
+        out = tmp_path / "new.csv"
+        js = out if clash == "json_is_out" else tmp_path / "missing" / "r.json"
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out),
+                         "--json", str(js)]) == 2
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 

@@ -18,6 +18,7 @@ from weakdep import (
     sample,
 )
 from weakdep import functionals
+from weakdep.errors import ZeroConditioningMass
 from weakdep.confsets import (
     FULL_LINE,
     REASONS,
@@ -743,6 +744,19 @@ class TestBinaryUnionSet:
             emp = empirical_law(ds, law.support)
             plug_in = binary_union_estimand(emp)
             assert res.region.contains(plug_in)
+
+    @pytest.mark.parametrize("k_x, z", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_estimand_names_the_empty_conditioning_cell(self, k_x, z):
+        """A law without mass on the conditioning cell (Z = z, X = k_x - 1)
+        has no union target: the estimand raises ZeroConditioningMass naming
+        that cell."""
+        law = late_law() if k_x == 1 else binary_x_law(dep=0.5, py=0.5)
+        mass = law.mass.copy()
+        mass[:, z, :, k_x - 1] = 0.0
+        with pytest.raises(ZeroConditioningMass) as exc:
+            binary_union_estimand(DiscreteLaw(law.support, mass / mass.sum()))
+        assert exc.value.cell == (z, k_x - 1)
+        assert f"cell {(z, k_x - 1)}" in str(exc.value)
 
     def test_estimand_matches_generic_representer(self):
         from weakdep import evaluate_phi
