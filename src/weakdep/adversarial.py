@@ -29,6 +29,7 @@ solver value of the functional.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,15 +41,9 @@ from .errors import (
     InvalidPerturbation,
     SingularPerturbation,
 )
-from .functionals import FunctionalSpec, alpha_from_wx_mass, check_model_membership
-from .laws import (
-    DiscreteLaw,
-    SupportSpec,
-    _numbers,
-    support_from_dict,
-    support_to_dict,
-    tv_distance,
-)
+from .functionals import DEFAULT_TOL, FunctionalSpec, alpha_from_wx_mass, check_model_membership
+from .laws import (MASS_TOL, DiscreteLaw, SupportSpec, _is_collinear, _numbers, _ro,
+                   support_from_dict, support_to_dict, tv_distance, validate)
 
 # strict inequalities of the construction are enforced with this slack
 POSITIVITY_SLACK = 1e-12
@@ -82,7 +77,7 @@ class BaseLawSpec:
     def __post_init__(self):
         s = self.support
         for name in ("f_zx", "pi_w_given_x", "pi_y_given_x"):
-            value = np.asarray(getattr(self, name), dtype=float)
+            value = _ro(getattr(self, name))
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
@@ -92,15 +87,15 @@ class BaseLawSpec:
             raise ValueError(f"pi_w_given_x must have shape {(s.k_x, s.k_w)}")
         if self.pi_y_given_x.shape != (s.k_x, s.k_y):
             raise ValueError(f"pi_y_given_x must have shape {(s.k_x, s.k_y)}")
-        if np.any(self.f_zx <= 0.0) or abs(self.f_zx.sum() - 1.0) > 1e-10:
+        if np.any(self.f_zx <= 0.0) or abs(self.f_zx.sum() - 1.0) > MASS_TOL:
             raise ValueError("f_zx must be strictly positive masses summing to 1")
         if np.any(self.pi_w_given_x <= 0.0) or np.any(self.pi_y_given_x <= 0.0):
             raise ValueError("conditional densities must be strictly positive")
         w_norm = self.pi_w_given_x @ s.mu_w
         y_norm = self.pi_y_given_x @ s.mu_y
-        if np.any(np.abs(w_norm - 1.0) > 1e-10):
+        if np.any(np.abs(w_norm - 1.0) > MASS_TOL):
             raise ValueError("pi_w_given_x rows must integrate to 1 against mu_w")
-        if np.any(np.abs(y_norm - 1.0) > 1e-10):
+        if np.any(np.abs(y_norm - 1.0) > MASS_TOL):
             raise ValueError("pi_y_given_x rows must integrate to 1 against mu_y")
 
         mass_wx = self._wx_mass(*_w_kernels(self, 0.0))
@@ -112,9 +107,8 @@ class BaseLawSpec:
             raise DegenerateBase(
                 "base representer is constant in W on every stratum"
             )
-        M = build_M(alpha.T, s.iota_y, s.mu_y)
-        M.flags.writeable = False     # the tilt of every perturbation of this base
-        object.__setattr__(self, "M", M)
+        # the tilt of every perturbation of this base
+        object.__setattr__(self, "M", _ro(build_M(alpha.T, s.iota_y, s.mu_y)))
 
     @property
     def f_x(self):
@@ -163,14 +157,12 @@ def build_M(alpha_tilde_m, iota_y, mu_y) -> np.ndarray:
     alpha_tilde_m = np.asarray(alpha_tilde_m, dtype=float)
     iota_y = np.asarray(iota_y, dtype=float)
     mu_y = np.asarray(mu_y, dtype=float)
-    basis = np.vstack([iota_y, mu_y])
-    gram = basis @ basis.T
-    scale = max(gram[0, 0] * gram[1, 1], 1e-300)
-    if np.linalg.det(gram) <= 1e-12 * scale:
+    if _is_collinear(iota_y, mu_y):
         raise CollinearSupport(
             "per-cell Y integrals are proportional to the Y cell measures"
         )
-    u1 = basis.T @ np.linalg.solve(gram, np.array([1.0, 0.0]))
+    basis = np.vstack([iota_y, mu_y])
+    u1 = basis.T @ np.linalg.solve(basis @ basis.T, np.array([1.0, 0.0]))
     M = alpha_tilde_m[..., None] * u1
     alpha_scale = np.maximum(1.0, np.abs(alpha_tilde_m).max(axis=-1))
     if np.any(
@@ -391,7 +383,7 @@ def generate_sequence(
     base: BaseLawSpec,
     zeta: float,
     tv_targets,
-    cert_tol: float = 1e-8,
+    cert_tol: float = DEFAULT_TOL,
 ) -> AdversarialSequence:
     """Generate laws with functional value zeta at decreasing distance to the base.
 
@@ -400,10 +392,12 @@ def generate_sequence(
     at each candidate scale the tilt ratio gamma is solved exactly (the
     functional is affine in gamma), seeded from the eta -> 0 limit formula.
     Every emitted law is certified: closed-form and solver values of the
-    functional agree with zeta within cert_tol and the law passes the model
-    membership check.  Raises ValueError for a non-finite zeta or targets
-    that are not finite, positive and strictly decreasing, and
-    BracketingFailure when no admissible scale above ETA_FLOOR meets a target.
+    functional agree with zeta within cert_tol, and the law passes
+    :func:`~weakdep.laws.validate` and the model membership check.  Raises
+    ValueError for a non-finite zeta or targets that are not finite,
+    positive and strictly decreasing, and BracketingFailure when no
+    admissible scale above ETA_FLOOR meets a target or an emitted law fails
+    its certificate.
     """
     tv_targets = [float(t) for t in tv_targets]
     if not np.isfinite(zeta):
@@ -414,58 +408,59 @@ def generate_sequence(
         raise ValueError("tv_targets must be finite, positive and strictly decreasing")
 
     base_law = base.product_law()
-    gamma_seed = gamma_for_target(base, zeta)
-    eta = _max_eta(base, gamma_seed)
+    eta_max = _max_eta(base, gamma_for_target(base, zeta))
+    # the halving grid, exact above ETA_FLOOR, shared by the targets: each
+    # target resumes below the scale of the step before it
+    scales = itertools.takewhile(lambda eta: eta >= ETA_FLOOR,
+                                 (eta_max * 0.5**k for k in itertools.count()))
     steps = []
     prev_tv = float("inf")
     for t, tv_target in enumerate(tv_targets):
-        while True:
-            if eta < ETA_FLOOR:
-                raise BracketingFailure(
-                    t,
-                    f"no admissible eta_w above {ETA_FLOOR:g} reaches "
-                    f"tv <= {tv_target:g} (last tv {prev_tv:g})",
-                )
+        for eta in scales:
             w_side = _w_side(base, eta)
             gamma = _exact_gamma(base, w_side, eta, zeta)
             params = default_params(base, eta, gamma)
             try:
                 law = perturb_kernels(base, params)
             except InvalidPerturbation:
-                eta *= 0.5
                 continue
             tv = tv_distance(law, base_law)
-            if tv > tv_target or tv >= prev_tv:
-                eta *= 0.5
-                continue
-            phi_c = _phi_closed(base, w_side, params)   # params checked just above
-            report = check_model_membership(law, base.functional, cert_tol)
-            phi_v = report.phi
-            certified = (
-                report.in_model
-                and abs(phi_c - zeta) <= cert_tol
-                and abs(phi_v - zeta) <= cert_tol
+            if tv <= tv_target and tv < prev_tv:
+                break
+        else:
+            raise BracketingFailure(
+                t,
+                f"no admissible eta_w above {ETA_FLOOR:g} reaches "
+                f"tv <= {tv_target:g} (last tv {prev_tv:g})",
             )
-            if not certified:
-                # conditioning degrades as eta shrinks, so retrying smaller
-                # scales cannot help
-                raise BracketingFailure(
-                    t,
-                    f"certification failed at eta_w={eta:g}: "
-                    f"phi_closed={phi_c!r}, phi_solver={phi_v!r}, "
-                    f"in_model={report.in_model}",
-                )
-            sigma_min = np.array(report.sigma_min)
-            cond = np.divide(report.sigma_max, sigma_min,
-                             out=np.full_like(sigma_min, np.inf),
-                             where=sigma_min > 0.0)
-            steps.append(SequenceStep(
-                eta_w=eta, gamma=gamma, law=law,
-                phi_closed=phi_c, phi_verified=phi_v, tv_to_base=tv,
-                g_residual=report.g_residual, q_residual=report.q_residual,
-                sigma_min=float(sigma_min.min()), cond=float(cond.max()),
-            ))
-            prev_tv = tv
-            eta *= 0.5
-            break
+        phi_c = _phi_closed(base, w_side, params)   # params checked just above
+        report = check_model_membership(law, base.functional, cert_tol)
+        phi_v = report.phi
+        violations = validate(law)
+        certified = (
+            not violations
+            and report.in_model
+            and abs(phi_c - zeta) <= cert_tol
+            and abs(phi_v - zeta) <= cert_tol
+        )
+        if not certified:
+            # conditioning degrades as eta shrinks, so retrying smaller
+            # scales cannot help
+            raise BracketingFailure(
+                t,
+                f"certification failed at eta_w={eta:g}: "
+                f"phi_closed={phi_c!r}, phi_solver={phi_v!r}, "
+                f"in_model={report.in_model}, violations={violations}",
+            )
+        sigma_min = np.array(report.sigma_min)
+        cond = np.divide(report.sigma_max, sigma_min,
+                         out=np.full_like(sigma_min, np.inf),
+                         where=sigma_min > 0.0)
+        steps.append(SequenceStep(
+            eta_w=eta, gamma=gamma, law=law,
+            phi_closed=phi_c, phi_verified=phi_v, tv_to_base=tv,
+            g_residual=report.g_residual, q_residual=report.q_residual,
+            sigma_min=float(sigma_min.min()), cond=float(cond.max()),
+        ))
+        prev_tv = tv
     return AdversarialSequence(base=base, target_zeta=zeta, steps=tuple(steps))

@@ -5,7 +5,10 @@ Subcommands: ``validate`` a law file, ``solve`` a functional on a law,
 ``coverage`` to execute a Monte Carlo plan.  All randomness flows from the
 plan seed, which ``coverage --seed`` alone may override; outputs are
 machine-first: ``solve`` and ``adversarial`` print one line of JSON, and
-``coverage`` writes CSV (and JSON) and prints the CSV's path.
+``coverage`` writes CSV (and JSON) and prints the CSV's path.  ``coverage``
+replaces its reports only once the run has succeeded: a refused, failed or
+interrupted run leaves every file as it was, and a plan too large to hold
+in memory exits 2.
 
 Exit codes: 0 success, 1 validation failure, 2 input parse error,
 3 model-membership failure, 4 generation failure.
@@ -149,28 +152,27 @@ def cmd_coverage(args) -> int:
     ]
     if violations:
         return _invalid(violations)
-    with contextlib.ExitStack() as stack:
+    # the reports are opened before the run, so an unwritable path costs no
+    # replications, and emptied only after it, so a refused, failed or
+    # interrupted run leaves every file as it was and creates none
+    with contextlib.ExitStack() as opened, contextlib.ExitStack() as created:
         try:
-            # opened before the run, so an unwritable path costs no
-            # replications, and without truncating, so a report path that
-            # cannot be opened, or that is the other report or the plan,
-            # leaves every file as it was and creates none
-            with contextlib.ExitStack() as created:
-                outputs = [stack.enter_context(_open_report(path, created))
-                           for path in (args.out, args.json) if path]
-                files = [os.stat(args.plan)] + [os.fstat(out.fileno()) for out in outputs]
-                if any(itertools.starmap(os.path.samestat, itertools.combinations(files, 2))):
-                    raise _InputError("cannot write report: it is the plan or the other report")
-                created.pop_all()
-            for output in outputs:
-                output.seek(0)
-                output.truncate()
+            outputs = [opened.enter_context(_open_report(path, created))
+                       for path in (args.out, args.json) if path]
+            files = [os.stat(args.plan)] + [os.fstat(out.fileno()) for out in outputs]
         except OSError as exc:
             raise _InputError(f"cannot write report: {exc}") from exc
-        report = simulate.run(plan)
-        outputs[0].write(report.to_csv())
-        if args.json:
-            outputs[1].write(report.to_json())
+        if any(itertools.starmap(os.path.samestat, itertools.combinations(files, 2))):
+            raise _InputError("cannot write report: it is the plan or the other report")
+        try:
+            report = simulate.run(plan)
+        except MemoryError as exc:
+            raise _InputError(f"plan too large: {exc}") from exc
+        for output, render in zip(outputs, (report.to_csv, report.to_json)):
+            output.seek(0)
+            output.truncate()
+            output.write(render())
+        created.pop_all()
     print(args.out)
     return EXIT_OK
 
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="evaluate the functional on a law")
     p.add_argument("law", help="law JSON file")
     p.add_argument("spec", help="functional spec JSON file")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=functionals.DEFAULT_TOL,
                    help="consistency tolerance for the per-stratum systems")
     p.set_defaults(func=cmd_solve)
 
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tv-targets", required=True,
                    help="comma-separated decreasing total-variation targets")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=functionals.DEFAULT_TOL,
                    help="certification tolerance")
     p.set_defaults(func=cmd_adversarial)
 

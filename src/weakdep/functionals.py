@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation, ZeroConditioningMass
-from .laws import DiscreteLaw, SupportSpec, _numbers, _reduce_short, marginal
+from .laws import DiscreteLaw, SupportSpec, _numbers, _reduce_short, _ro, marginal
 
 DEFAULT_TOL = 1e-8
 _EPS = np.finfo(float).eps
@@ -68,7 +68,7 @@ class FunctionalSpec:
             raise ValueError(f"unknown functional kind {self.kind!r}")
         for name in ("omega", "alpha"):
             if getattr(self, name) is not None:
-                value = np.asarray(getattr(self, name), dtype=float)
+                value = _ro(getattr(self, name))
                 if not np.isfinite(value).all():
                     raise ValueError(f"{name} must be finite")
                 object.__setattr__(self, name, value)

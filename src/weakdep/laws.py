@@ -209,7 +209,7 @@ def validate(law: DiscreteLaw):
         violations.append(f"negative mass at {cell}")
     total = float(mass.sum())
     if abs(total - 1.0) > MASS_TOL:
-        violations.append(f"total mass {total:.12g} != 1")
+        violations.append(f"total mass {total!r} != 1")
     return violations
 
 
@@ -252,7 +252,9 @@ def sample(law: DiscreteLaw, n: int, seed, reps=1):
     ``Generator`` is used as it is, so successive calls continue its stream.
     R single draws from the same generator give the same stack as one draw
     of R, so it does not matter how replications are split into calls.
-    ``n``, ``reps`` and a numeric ``seed`` must be integers, not bools.
+    ``n``, ``reps`` and a numeric ``seed`` must be integers, not bools, and
+    a law that :func:`validate` rejects raises ValueError naming its
+    violations: it is not renormalised into another law.
     """
     _require_integer(n, "n")
     _require_integer(reps, "reps")
@@ -272,7 +274,10 @@ def sample(law: DiscreteLaw, n: int, seed, reps=1):
 @computed_once
 def _live_cells(law: DiscreteLaw):
     """The flat indices of the law's cells with mass, and their masses
-    normalised to sum to one."""
+    normalised to sum to one; raises ValueError for a law that
+    :func:`validate` rejects."""
+    if violations := validate(law):
+        raise ValueError(f"cannot sample an invalid law: {'; '.join(violations)}")
     flat = law.mass.ravel()
     live = np.flatnonzero(flat)
     return live, flat[live] / flat[live].sum()

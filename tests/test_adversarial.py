@@ -470,6 +470,19 @@ class TestGenerateSequence:
             BaseLawSpec(support=acceptance_base().support,
                         functional=FunctionalSpec.late(), **fields)
 
+    def test_base_keeps_copies_of_its_arrays(self):
+        """The base's arrays are read-only copies: a later write to the
+        caller's array cannot put a negative mass past the positivity check."""
+        fields = {"f_zx": np.array([[0.4], [0.6]]), "pi_w_given_x": np.array([[0.3, 0.7]]),
+                  "pi_y_given_x": np.array([[0.5, 0.5]])}
+        base = BaseLawSpec(support=acceptance_base().support,
+                           functional=FunctionalSpec.late(), **fields)
+        for name, array in fields.items():
+            array[0, 0] = -1.0
+            assert getattr(base, name)[0, 0] > 0.0
+            assert not getattr(base, name).flags.writeable
+        assert not base.M.flags.writeable
+
     def test_degenerate_base_rejected(self):
         # constant representer: uniform W with a generic constant alpha
         with pytest.raises(DegenerateBase):

@@ -282,6 +282,29 @@ class TestAdversarial:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "seq").exists()
 
+    @pytest.mark.parametrize("case, code", [("f_zx_off_by_5e-11", 2),
+                                            ("each_sum_off_by_9e-13", 4)])
+    def test_no_base_leads_to_a_law_validate_rejects(self, tmp_path, case, code, capsys):
+        """A base whose masses sum to 1 + 5e-11 is refused as a bad base;
+        one whose three sums are each 9e-13 off, inside the mass tolerance,
+        builds laws of total mass 1 + 2.7e-12, which their certificate
+        refuses.  Neither run writes a law file."""
+        d = 5e-11 if case == "f_zx_off_by_5e-11" else 9e-13
+        base = acceptance_base().to_dict()
+        base["f_zx"] = [[0.5 + d], [0.5]]
+        if case == "each_sum_off_by_9e-13":
+            base["pi_w_given_x"] = base["pi_y_given_x"] = [[0.5 + d, 0.5]]
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(base))
+        out = tmp_path / "seq"
+        assert cli.main(["adversarial", str(path), "--zeta", "5",
+                         "--tv-targets", "0.05,0.01", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        if code == 4:
+            assert "total mass 1.0000000000026" in err
+        assert not out.exists()
+
     def test_infeasible_target_exit_four(self, tmp_path, base_file, capsys):
         assert cli.main([
             "adversarial", str(base_file), "--zeta", "5", "--tv-targets",
@@ -678,6 +701,40 @@ class TestCoverage:
                          "--json", str(js)]) == 0
         assert out.read_bytes() == fresh.read_bytes()
         assert len(json.loads(js.read_text())["cells"]) == 3
+
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, RuntimeError])
+    def test_failed_run_leaves_every_report_as_it_was(self, demo_plan, tmp_path,
+                                                      monkeypatch, raised):
+        """A run interrupted or failing inside simulate.run empties no
+        earlier report and leaves no new one behind."""
+        def failing(plan):
+            raise raised("stopped")
+        monkeypatch.setattr(cli.simulate, "run", failing)
+        out, js = tmp_path / "r.csv", tmp_path / "r.json"
+        out.write_bytes(b"an earlier report\n")
+        js.write_bytes(b"{}")
+        for argv in ([str(out), "--json", str(js)],
+                     [str(tmp_path / "new.csv"), "--json", str(tmp_path / "new.json")]):
+            before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+            with pytest.raises(raised):
+                cli.main(["coverage", str(demo_plan), "--out", *argv])
+            assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_oversized_plan_exit_two(self, demo_plan, tmp_path, capsys):
+        """A plan whose outcome tables numpy cannot allocate (3 methods times
+        10**15 replications) exits 2 with one line, and changes no file."""
+        plan = json.loads(demo_plan.read_text())
+        plan["reps"] = 10**15
+        demo_plan.write_text(json.dumps(plan))
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"an earlier report\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out),
+                         "--json", str(tmp_path / "new.json")]) == 2
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("plan too large: ")
 
     def test_bad_plan_exit_two(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

@@ -430,6 +430,16 @@ class TestRieszAlpha:
         alpha = riesz_alpha(law, FunctionalSpec.generic(coef))
         np.testing.assert_array_equal(alpha, coef)
 
+    def test_spec_keeps_copies_of_its_arrays(self):
+        """A spec's coefficients are read-only copies: a later write to the
+        caller's array cannot put a NaN past the finite check."""
+        alpha, omega = np.ones((3, 2)), np.ones(3)
+        specs = (FunctionalSpec.generic(alpha), FunctionalSpec.npiv(omega))
+        alpha[0, 0] = omega[0] = np.nan
+        for spec, name in zip(specs, ("alpha", "omega")):
+            assert np.isfinite(getattr(spec, name)).all()
+            assert not getattr(spec, name).flags.writeable
+
 
 class TestSolveQ:
     def test_identity_adjoint(self):

@@ -170,6 +170,15 @@ class TestValidate:
         violations = validate(DiscreteLaw(support, mass))
         assert any(v.startswith("total mass 0.98") for v in violations)
 
+    def test_total_mass_message_differs_from_one(self):
+        """A total just outside the mass tolerance is printed with the
+        digits that tell it from 1."""
+        mass = late_law().mass * (1.0 + 2.7e-12)
+        violations = validate(DiscreteLaw(late_law().support, mass))
+        assert len(violations) == 1
+        total = violations[0].removeprefix("total mass ").removesuffix(" != 1")
+        assert float(total) == float(mass.sum()) != 1.0
+
 
 class TestLayout:
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -293,6 +302,22 @@ def sparse_law(shape, law_seed):
 
 
 class TestSample:
+    @pytest.mark.parametrize("defect, message", [("total_0.8", "total mass 0.8"),
+                                                 ("negative", "negative mass at")])
+    def test_invalid_law_refused(self, defect, message):
+        """A law that validate rejects is not renormalised into another law
+        and sampled: sample raises ValueError naming the violations."""
+        mass = late_law().mass.copy()
+        if defect == "total_0.8":
+            mass *= 0.8
+        else:
+            mass[0, 0, 0, 0], mass[1, 0, 0, 0] = -0.1, mass[1, 0, 0, 0] + mass[0, 0, 0, 0] + 0.1
+        law = DiscreteLaw(late_law().support, mass)
+        assert validate(law)
+        for _ in range(2):                  # refused on every call, not only the first
+            with pytest.raises(ValueError, match=message):
+                sample(law, 1000, seed=0)
+
     def test_point_mass_rows_identical(self):
         support = unit_support()
         mass = np.zeros(support.shape)

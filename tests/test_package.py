@@ -1,10 +1,12 @@
-"""The package's public surface."""
+"""The package's public surface, its imports and the counter of its code lines."""
 
 import ast
 import types
 from pathlib import Path
 
 import weakdep
+
+import code_lines
 
 
 def test_star_import_binds_the_public_names_and_no_module():
@@ -41,3 +43,36 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+
+# a comment line
+class Box:
+    """A class docstring."""
+
+    def size(self, x):
+        """A function docstring."""
+        total = sum(
+            [x, os.sep],
+        )
+        text = """a string that is not a docstring
+        spans two lines"""
+        return total, text
+'''
+
+
+def test_code_line_counter_counts_a_fixture_exactly(tmp_path, capsys):
+    """The counter skips docstrings, comments and blank lines, and counts
+    every line of a multi-line expression or string: here the import, the
+    class and def lines, the three lines of the sum, the two of the string
+    and the return."""
+    assert code_lines.count_code_lines(_FIXTURE) == 9
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "box.py").write_text(_FIXTURE)
+    assert code_lines.main([str(tmp_path / "pkg")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["9", "total"]
