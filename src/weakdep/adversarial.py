@@ -99,7 +99,7 @@ class BaseLawSpec:
             raise ValueError("pi_y_given_x rows must integrate to 1 against mu_y")
 
         mass_wx = self._wx_mass(*_w_kernels(self, 0.0))
-        alpha = alpha_from_wx_mass(self.functional, s, mass_wx)
+        alpha = _ro(alpha_from_wx_mass(self.functional, s, mass_wx))
         object.__setattr__(self, "alpha_tilde", alpha)
         spread = alpha.max(axis=0) - alpha.min(axis=0)
         scale = max(1.0, float(np.abs(alpha).max()))
@@ -379,12 +379,7 @@ def _max_eta(base: BaseLawSpec, gamma: float) -> float:
     return (1.0 - ETA_MARGIN) * bound
 
 
-def generate_sequence(
-    base: BaseLawSpec,
-    zeta: float,
-    tv_targets,
-    cert_tol: float = DEFAULT_TOL,
-) -> AdversarialSequence:
+def generate_sequence(base: BaseLawSpec, zeta: float, tv_targets) -> AdversarialSequence:
     """Generate laws with functional value zeta at decreasing distance to the base.
 
     For each target, the perturbation scale eta_w is walked down a geometric
@@ -392,7 +387,7 @@ def generate_sequence(
     at each candidate scale the tilt ratio gamma is solved exactly (the
     functional is affine in gamma), seeded from the eta -> 0 limit formula.
     Every emitted law is certified: closed-form and solver values of the
-    functional agree with zeta within cert_tol, and the law passes
+    functional agree with zeta within DEFAULT_TOL, and the law passes
     :func:`~weakdep.laws.validate` and the model membership check.  Raises
     ValueError for a non-finite zeta or targets that are not finite,
     positive and strictly decreasing, and BracketingFailure when no
@@ -416,6 +411,7 @@ def generate_sequence(
     steps = []
     prev_tv = float("inf")
     for t, tv_target in enumerate(tv_targets):
+        reached = float("inf")          # the smallest tv of an admissible scale
         for eta in scales:
             w_side = _w_side(base, eta)
             gamma = _exact_gamma(base, w_side, eta, zeta)
@@ -427,21 +423,24 @@ def generate_sequence(
             tv = tv_distance(law, base_law)
             if tv <= tv_target and tv < prev_tv:
                 break
+            reached = min(reached, tv)
         else:
+            found = (f"smallest tv reached {reached:g}" if reached < float("inf")
+                     else "no scale was admissible")
             raise BracketingFailure(
                 t,
                 f"no admissible eta_w above {ETA_FLOOR:g} reaches "
-                f"tv <= {tv_target:g} (last tv {prev_tv:g})",
+                f"tv <= {tv_target:g} ({found})",
             )
         phi_c = _phi_closed(base, w_side, params)   # params checked just above
-        report = check_model_membership(law, base.functional, cert_tol)
+        report = check_model_membership(law, base.functional)
         phi_v = report.phi
         violations = validate(law)
         certified = (
             not violations
             and report.in_model
-            and abs(phi_c - zeta) <= cert_tol
-            and abs(phi_v - zeta) <= cert_tol
+            and abs(phi_c - zeta) <= DEFAULT_TOL
+            and abs(phi_v - zeta) <= DEFAULT_TOL
         )
         if not certified:
             # conditioning degrades as eta shrinks, so retrying smaller

@@ -55,11 +55,6 @@ def _parse(obj, builder, what):
         raise _InputError(f"bad {what}: {exc}") from exc
 
 
-def _check_tol(tol):
-    if not 0.0 <= tol < float("inf"):
-        raise _InputError(f"bad --tol: must be a finite number >= 0; got {tol}")
-
-
 def _invalid(violations):
     for violation in violations:
         print(violation, file=sys.stderr)
@@ -77,7 +72,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_tol(args.tol)
     law = _parse(_load_json(args.law), laws.law_from_dict, "law file")
     spec = _parse(_load_json(args.spec), functionals.FunctionalSpec.from_dict,
                   "functional spec")
@@ -85,7 +79,7 @@ def cmd_solve(args) -> int:
     if violations:
         return _invalid(violations)
     try:
-        report = functionals.check_model_membership(law, spec, args.tol)
+        report = functionals.check_model_membership(law, spec)
     except ValueError as exc:
         raise _InputError(f"functional spec does not fit the law support: {exc}")
     print(json.dumps({"phi": report.phi, "diagnostics": report.to_dict()}))
@@ -93,7 +87,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_adversarial(args) -> int:
-    _check_tol(args.tol)
     base = _parse(_load_json(args.base), adversarial.BaseLawSpec.from_dict,
                   "base law spec")
     try:
@@ -101,9 +94,7 @@ def cmd_adversarial(args) -> int:
     except ValueError as exc:
         raise _InputError(f"bad --tv-targets: {exc}")
     try:
-        sequence = adversarial.generate_sequence(
-            base, args.zeta, tv_targets, cert_tol=args.tol
-        )
+        sequence = adversarial.generate_sequence(base, args.zeta, tv_targets)
     except ValueError as exc:
         raise _InputError(f"bad --zeta or --tv-targets: {exc}")
     except WeakdepError as exc:
@@ -194,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="evaluate the functional on a law")
     p.add_argument("law", help="law JSON file")
     p.add_argument("spec", help="functional spec JSON file")
-    p.add_argument("--tol", type=float, default=functionals.DEFAULT_TOL,
-                   help="consistency tolerance for the per-stratum systems")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("adversarial",
@@ -206,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tv-targets", required=True,
                    help="comma-separated decreasing total-variation targets")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tol", type=float, default=functionals.DEFAULT_TOL,
-                   help="certification tolerance")
     p.set_defaults(func=cmd_adversarial)
 
     p = sub.add_parser("coverage", help="run a Monte Carlo coverage plan")

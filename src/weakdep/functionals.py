@@ -315,27 +315,27 @@ def _no_solution(residuals, ok, equation):
     return NoSolution(stratum=m, residual=float(residuals[m]), equation=equation)
 
 
-def solve_g(law: DiscreteLaw, tol: float = DEFAULT_TOL):
+def solve_g(law: DiscreteLaw):
     """Solve the conditional-moment equation for g on the (W, X) grid.
 
     Returns the value matrix g[j][m], or NoSolution carrying the first
-    stratum whose residual exceeds tol (relative to the response norm):
-    the response is then outside the operator range.
+    stratum whose residual exceeds DEFAULT_TOL (relative to the response
+    norm): the response is then outside the operator range.
     """
     g, residuals, ok, _ = _solve_strata(
-        cond_mean_operator(law), response_vector(law), tol
+        cond_mean_operator(law), response_vector(law), DEFAULT_TOL
     )
     return g.T if ok.all() else _no_solution(residuals, ok, "g")
 
 
-def solve_q(law: DiscreteLaw, alpha: np.ndarray, tol: float = DEFAULT_TOL):
+def solve_q(law: DiscreteLaw, alpha: np.ndarray):
     """Solve the adjoint equation E[q(Z,X) | W,X] = alpha(W,X) for q.
 
     Returns the value matrix q[l][m], or NoSolution when alpha is outside
     the adjoint range on some stratum.
     """
     alpha = np.asarray(alpha, dtype=float)
-    q, residuals, ok, _ = _solve_strata(adjoint_mean_operator(law), alpha.T, tol)
+    q, residuals, ok, _ = _solve_strata(adjoint_mean_operator(law), alpha.T, DEFAULT_TOL)
     return q.T if ok.all() else _no_solution(residuals, ok, "q")
 
 
@@ -440,9 +440,9 @@ def _m_cells(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.nd
     return spec.alpha * g
 
 
-def evaluate_phi(law: DiscreteLaw, spec: FunctionalSpec, tol: float = DEFAULT_TOL):
+def evaluate_phi(law: DiscreteLaw, spec: FunctionalSpec):
     """phi(P) = sum over (W, X) cells of alpha * g * P(W, X); or NoSolution."""
-    g = solve_g(law, tol)
+    g = solve_g(law)
     if isinstance(g, NoSolution):
         return g
     return float(np.sum(riesz_alpha(law, spec) * g * marginal(law, ("W", "X"))))
@@ -532,6 +532,7 @@ def check_model_membership(
     leaves q's None.  The residuals and ``phi`` are those of the reference
     :func:`solve_g`, :func:`solve_q` and :func:`evaluate_phi`, bit for bit.
     Raises ValueError when the spec does not fit the law's support.
+    ``tol`` is kept for ``bench/workloads.py``, which passes it positionally.
     """
     spec.validate_against(law.support)
     (g, _), (alpha, mass_wx), ((g_res, q_res), ok, sigma), (empty_g, bad, empty_q) = \

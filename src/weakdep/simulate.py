@@ -437,18 +437,28 @@ _PLAN_KEYS = {"laws", "methods", "n", "reps", "level", "seed", "s"}
 _LAW_KEYS = {"label", "law", "true_phi"}
 
 
+def _json(value, kind, what):
+    """value, if it is the JSON ``kind`` (dict for an object, list for an
+    array); raises ValueError naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def plan_from_dict(d) -> ExperimentPlan:
     """Parse a plan from its JSON form.  The plan's dataclasses check every
-    value as given; n, reps and seed may also be integer-valued floats."""
-    unknown = set(d) - _PLAN_KEYS
+    value as given; n, reps and seed may also be integer-valued floats.  The
+    plan, each law and each method are JSON objects, and ``laws`` and
+    ``methods`` JSON arrays."""
+    unknown = set(_json(d, dict, "the plan")) - _PLAN_KEYS
     if unknown:
         raise ValueError(f"unknown plan keys {sorted(unknown)}")
     missing = _PLAN_KEYS - set(d)
     if missing:
         raise ValueError(f"missing plan keys {sorted(missing)}")
     laws = []
-    for entry in d["laws"]:
-        unknown = set(entry) - _LAW_KEYS
+    for i, entry in enumerate(_json(d["laws"], list, "laws")):
+        unknown = set(_json(entry, dict, f"laws[{i}]")) - _LAW_KEYS
         if unknown:
             raise ValueError(f"unknown law keys {sorted(unknown)}")
         laws.append(LawCase(
@@ -457,8 +467,8 @@ def plan_from_dict(d) -> ExperimentPlan:
             true_phi=entry["true_phi"],
         ))
     methods = []
-    for entry in d["methods"]:
-        entry = dict(entry)
+    for i, entry in enumerate(_json(d["methods"], list, "methods")):
+        entry = dict(_json(entry, dict, f"methods[{i}]"))
         name = entry.pop("name")
         methods.append(MethodConfig(name=name, options=entry))
     lo, hi = d["s"]

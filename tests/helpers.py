@@ -491,15 +491,15 @@ def svd_solve_strata(lhs, rhs, tol):
 # path against it on the same counts.
 
 
-def _nuisances(law, spec, tol):
-    g = solve_g(law, tol)
+def _nuisances(law, spec):
+    g = solve_g(law)
     if isinstance(g, NoSolution):
         raise DegenerateSample(
             f"equation for g inconsistent on stratum {g.stratum} "
             f"(residual {g.residual:.3g})"
         )
     alpha = riesz_alpha(law, spec)
-    q = solve_q(law, alpha, tol)
+    q = solve_q(law, alpha)
     if isinstance(q, NoSolution):
         raise DegenerateSample(
             f"adjoint equation inconsistent on stratum {q.stratum} "
@@ -508,8 +508,7 @@ def _nuisances(law, spec, tol):
     return g, q
 
 
-def serial_wald_ci(counts, spec, support, alpha, s=FULL_LINE, cross_fit=False,
-                   tol=1e-8):
+def serial_wald_ci(counts, spec, support, alpha, s=FULL_LINE, cross_fit=False):
     """Wald interval of one sample's counts, shape (2, k_y, k_z, k_w, k_x),
     solved fold by fold (the reference)."""
     n = int(counts.sum())
@@ -530,7 +529,7 @@ def serial_wald_ci(counts, spec, support, alpha, s=FULL_LINE, cross_fit=False,
             folds = ((law, law, 1.0),)
         parts = []
         for fit, held_out, share in folds:
-            g, q = _nuisances(fit, spec, tol)
+            g, q = _nuisances(fit, spec)
             parts.append((held_out.mass * share, psi1_values(support, spec, g, q)))
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
         return _full_result(type(exc).__name__)
@@ -575,7 +574,7 @@ def _row_law(rows, support):
                          support)
 
 
-def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e-8):
+def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False):
     """Row-level Wald interval: mean and ddof=1 deviation of the per-row values."""
     n = len(rows)
     if n == 0:
@@ -589,13 +588,13 @@ def row_wald_ci(rows, spec, support, alpha, s=FULL_LINE, cross_fit=False, tol=1e
             values = np.empty(n)
             for fit_idx, eval_idx in ((idx_a, idx_b), (idx_b, idx_a)):
                 law = _row_law(rows.subset(fit_idx), support)
-                g, q = _nuisances(law, spec, tol)
+                g, q = _nuisances(law, spec)
                 values[eval_idx] = row_psi1_values(
                     rows.subset(eval_idx), support, spec, g, q
                 )
         else:
             law = _row_law(rows, support)
-            g, q = _nuisances(law, spec, tol)
+            g, q = _nuisances(law, spec)
             values = row_psi1_values(rows, support, spec, g, q)
     except (DegenerateSample, ZeroConditioningMass, PositivityViolation) as exc:
         return _full_result(type(exc).__name__)

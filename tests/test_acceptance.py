@@ -91,11 +91,11 @@ def test_criterion_1_solver_oracle_equivalence():
             )
         law = random_law(rng, support=support)
         spec = spec_for_support(rng, support)
-        report = check_model_membership(law, spec, tol=1e-8)
+        report = check_model_membership(law, spec)
         if not report.in_model:
             continue
         accepted += 1
-        g = solve_g(law, tol=1e-8)
+        g = solve_g(law)
         assert not isinstance(g, NoSolution)
         for m in range(support.k_x):
             res = float(np.linalg.norm(
@@ -125,7 +125,7 @@ def test_criterion_2_construction_certificates():
     worst_res = 0.0
     ok = True
     for zeta in (-10.0, 0.0, 3.7, 5.0):
-        seq = generate_sequence(base, zeta, targets, cert_tol=1e-8)
+        seq = generate_sequence(base, zeta, targets)
         prev_tv = float("inf")
         base_law = base.product_law()
         for step, target in zip(seq.steps, targets):
@@ -133,7 +133,7 @@ def test_criterion_2_construction_certificates():
                 worst_phi_gap,
                 abs(step.phi_verified - zeta), abs(step.phi_closed - zeta),
             )
-            report = check_model_membership(step.law, base.functional, 1e-8)
+            report = check_model_membership(step.law, base.functional)
             ok = ok and report.in_model
             worst_res = max(worst_res, report.g_residual, report.q_residual)
             tv = tv_distance(step.law, base_law)

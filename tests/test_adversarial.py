@@ -329,7 +329,7 @@ class TestGenerateSequence:
             assert step.tv_to_base < prev
             prev = step.tv_to_base
             assert tv_distance(step.law, base_law) == step.tv_to_base
-            report = check_model_membership(step.law, base.functional, 1e-8)
+            report = check_model_membership(step.law, base.functional)
             assert report.in_model
         assert [s.tv_to_base for s in seq.steps] <= [0.05, 0.01, 0.002]
 
@@ -344,7 +344,7 @@ class TestGenerateSequence:
         for base in bases:
             seq = generate_sequence(base, 5.0, (0.05, 0.01, 0.002))
             for step in seq.steps:
-                report = check_model_membership(step.law, base.functional, 1e-8)
+                report = check_model_membership(step.law, base.functional)
                 sigma = np.array(report.sigma_min)
                 assert sigma.shape == (base.support.k_x,)
                 assert np.all(sigma >= 0.5 * step.eta_w)
@@ -368,6 +368,40 @@ class TestGenerateSequence:
         base = acceptance_base()
         with pytest.raises(BracketingFailure):
             generate_sequence(base, 5.0, (0.05, 1e-12))
+
+    @pytest.mark.parametrize("targets", [(1e-300,), (0.05, 1e-300)])
+    def test_bracketing_failure_names_the_smallest_tv_reached(self, targets):
+        """The failure names the smallest TV that an admissible scale of
+        the failing target's search reached, walked here by hand: neither
+        the previous step's TV nor inf at step 0."""
+        base, zeta = acceptance_base(), 5.0
+        with pytest.raises(BracketingFailure) as exc:
+            generate_sequence(base, zeta, targets)
+        step = len(targets) - 1
+        assert exc.value.step == step
+        below = (generate_sequence(base, zeta, targets[:step]).steps[-1].eta_w
+                 if step else np.inf)
+        eta_max = adversarial._max_eta(base, gamma_for_target(base, zeta))
+        tvs = []
+        for k in range(64):
+            eta = eta_max * 0.5**k
+            if not adversarial.ETA_FLOOR <= eta < below:
+                continue
+            w_side = adversarial._w_side(base, eta)
+            gamma = adversarial._exact_gamma(base, w_side, eta, zeta)
+            if not check_params(base, default_params(base, eta, gamma)):
+                law = perturb_kernels(base, default_params(base, eta, gamma))
+                tvs.append(tv_distance(law, base.product_law()))
+        assert tvs and f"(smallest tv reached {min(tvs):g})" in str(exc.value)
+        assert "inf" not in str(exc.value)
+
+    def test_bracketing_failure_without_an_admissible_scale(self, monkeypatch):
+        """When no scale of the search is admissible, the failure says so."""
+        def refuse(base, params):
+            raise InvalidPerturbation("y_kernel_positive")
+        monkeypatch.setattr(adversarial, "perturb_kernels", refuse)
+        with pytest.raises(BracketingFailure, match=r"\(no scale was admissible\)$"):
+            generate_sequence(acceptance_base(), 5.0, (0.05,))
 
     def test_alpha_converges_to_base_representer(self):
         # asymmetric base: the perturbation genuinely moves the W marginal
@@ -472,7 +506,8 @@ class TestGenerateSequence:
 
     def test_base_keeps_copies_of_its_arrays(self):
         """The base's arrays are read-only copies: a later write to the
-        caller's array cannot put a negative mass past the positivity check."""
+        caller's array cannot put a negative mass past the positivity check,
+        and the representer and tilt it derives cannot be written at all."""
         fields = {"f_zx": np.array([[0.4], [0.6]]), "pi_w_given_x": np.array([[0.3, 0.7]]),
                   "pi_y_given_x": np.array([[0.5, 0.5]])}
         base = BaseLawSpec(support=acceptance_base().support,
@@ -481,7 +516,9 @@ class TestGenerateSequence:
             array[0, 0] = -1.0
             assert getattr(base, name)[0, 0] > 0.0
             assert not getattr(base, name).flags.writeable
-        assert not base.M.flags.writeable
+        for name in ("alpha_tilde", "M"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(base, name)[0, 0] = 0.0
 
     def test_degenerate_base_rejected(self):
         # constant representer: uniform W with a generic constant alpha
@@ -516,6 +553,6 @@ class TestDegenerateLimit:
         tilted = DiscreteLaw(s, mass)
         T = cond_mean_operator(tilted)[0]
         assert np.linalg.matrix_rank(T, tol=1e-10) == 1
-        result = solve_g(tilted, tol=1e-8)
+        result = solve_g(tilted)
         assert isinstance(result, NoSolution)
         assert law.mass.shape == tilted.mass.shape

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakdep import cli, laws
-from weakdep.functionals import FunctionalSpec
+from weakdep.functionals import DEFAULT_TOL, FunctionalSpec
 
 from helpers import (
     acceptance_base,
@@ -305,6 +305,20 @@ class TestAdversarial:
             assert "total mass 1.0000000000026" in err
         assert not out.exists()
 
+    def test_negative_zeta_in_exponent_form(self, tmp_path, base_file, capsys):
+        """argparse takes "-1e3" for a flag, so a negative zeta in exponent
+        form is given as --zeta=-1e3, and it writes a certified sequence."""
+        out_dir = tmp_path / "seq"
+        assert cli.main(["adversarial", str(base_file), "--zeta=-1e3", "--tv-targets",
+                         "0.05,0.01", "--out", str(out_dir)]) == 0
+        summary = _strict_json(capsys.readouterr().out)
+        assert summary["target_zeta"] == -1000.0 and len(summary["steps"]) == 2
+        for step in summary["steps"]:
+            assert abs(step["phi_closed"] + 1000.0) <= DEFAULT_TOL
+            assert abs(step["phi_verified"] + 1000.0) <= DEFAULT_TOL
+            law = laws.law_from_dict(json.loads((out_dir / step["file"]).read_text()))
+            assert laws.validate(law) == []
+
     def test_infeasible_target_exit_four(self, tmp_path, base_file, capsys):
         assert cli.main([
             "adversarial", str(base_file), "--zeta", "5", "--tv-targets",
@@ -345,10 +359,7 @@ _BAD_FLAGS = {
     "tv_targets_empty_item": ("adversarial", ["--tv-targets", "0.05,,0.01"]),
     "zeta_nan": ("adversarial", ["--zeta", "nan"]),
     "zeta_inf": ("adversarial", ["--zeta", "inf"]),
-    "adversarial_tol_nan": ("adversarial", ["--tol", "nan"]),
     "adversarial_out_is_file": ("adversarial", ["--out", "{file}"]),
-    "solve_tol_nan": ("solve", ["--tol", "nan"]),
-    "solve_tol_negative": ("solve", ["--tol", "-1"]),
     "coverage_out_missing_dir": ("coverage", ["--out", "{dir}/missing/r.csv"]),
     "coverage_out_is_dir": ("coverage", ["--out", "{dir}"]),
     "coverage_json_missing_dir": ("coverage", ["--json", "{dir}/missing/r.json"]),
@@ -385,10 +396,16 @@ def test_bad_flag_exit_two(case, tmp_path, command_argv, capsys):
 
 
 # flags the commands do not define: the plan file alone sets a report's
-# level and methods, and each command prints one format
+# level and methods, each command prints one format, and the consistency
+# tolerance is a constant
 _REMOVED_FLAGS = {
     "solve_pretty": ("solve", ["--pretty"]),
     "adversarial_pretty": ("adversarial", ["--pretty"]),
+    "solve_tol": ("solve", ["--tol", "1e-3"]),
+    "solve_tol_nan": ("solve", ["--tol", "nan"]),
+    "solve_tol_negative": ("solve", ["--tol", "-1"]),
+    "adversarial_tol": ("adversarial", ["--tol", "1e-3"]),
+    "adversarial_tol_nan": ("adversarial", ["--tol", "nan"]),
     "coverage_pretty": ("coverage", ["--pretty"]),
     "coverage_level": ("coverage", ["--level", "0.8"]),
     "coverage_methods": ("coverage", ["--methods", "wald"]),
@@ -735,6 +752,46 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("plan too large: ")
+
+    @pytest.mark.parametrize("case, field", [
+        ("plan_array", "the plan"),
+        ("plan_string", "the plan"),
+        ("laws_object", "laws"),
+        ("methods_object", "methods"),
+        ("law_pairs", "laws[0]"),
+        ("method_pairs", "methods[0]"),
+        ("method_string", "methods[1]"),
+    ])
+    def test_plan_shape_is_read_as_written(self, demo_plan, tmp_path, capsys,
+                                           case, field):
+        """A plan that is not a JSON object, laws or methods that are not an
+        array, and a law or method that is not an object each exit 2 with
+        one line naming the field: a method given as [key, value] pairs is
+        not converted into one."""
+        plan = json.loads(demo_plan.read_text())
+        if case == "plan_array":
+            plan = [plan]
+        elif case == "plan_string":
+            plan = "plan"
+        elif case == "laws_object":
+            plan["laws"] = {"late": plan["laws"][0]}
+        elif case == "methods_object":
+            plan["methods"] = plan["methods"][0]
+        elif case == "law_pairs":
+            plan["laws"] = [list(plan["laws"][0].items())]
+        elif case == "method_pairs":
+            plan["methods"] = [[["name", "wald"], ["functional", {"kind": "late"}]]]
+        else:
+            plan["methods"] = [plan["methods"][0], "wald"]
+        demo_plan.write_text(json.dumps(plan))
+        out = tmp_path / "r.csv"
+        assert cli.main(["coverage", str(demo_plan), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            f"bad experiment plan: {field} must be a JSON "
+            f"{'array' if case.endswith('_object') else 'object'}"]
+        assert not out.exists()
 
     def test_bad_plan_exit_two(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

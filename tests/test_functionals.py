@@ -365,7 +365,7 @@ class TestSolveG:
 
     def test_rank_one_mismatch_gives_no_solution(self):
         law = w_indep_z_law(r=(0.3, 0.7))
-        result = solve_g(law, tol=1e-8)
+        result = solve_g(law)
         assert isinstance(result, NoSolution)
         assert result.residual > 1e-8
         assert result.stratum == 0
@@ -476,7 +476,7 @@ class TestSolveQ:
     def test_rank_one_adjoint_no_solution(self):
         law = w_indep_z_law()
         alpha = np.array([[1.0], [3.0]])   # non-constant in W
-        result = solve_q(law, alpha, tol=1e-8)
+        result = solve_q(law, alpha)
         assert isinstance(result, NoSolution)
 
 
