@@ -42,7 +42,7 @@ from .errors import (
     SingularPerturbation,
 )
 from .functionals import DEFAULT_TOL, FunctionalSpec, alpha_from_wx_mass, check_model_membership
-from .laws import (MASS_TOL, DiscreteLaw, SupportSpec, _is_collinear, _numbers, _ro,
+from .laws import (MASS_TOL, DiscreteLaw, SupportSpec, _is_collinear, _json, _numbers, _ro,
                    support_from_dict, support_to_dict, tv_distance, validate)
 
 # strict inequalities of the construction are enforced with this slack
@@ -137,6 +137,7 @@ class BaseLawSpec:
 
     @classmethod
     def from_dict(cls, d):
+        _json(d, dict, "base")
         return cls(
             support=support_from_dict(d["support"]),
             functional=FunctionalSpec.from_dict(d["functional"]),
@@ -348,7 +349,6 @@ class SequenceStep:
 
 @dataclass(frozen=True)
 class AdversarialSequence:
-    base: BaseLawSpec
     target_zeta: float
     steps: tuple
 
@@ -462,4 +462,4 @@ def generate_sequence(base: BaseLawSpec, zeta: float, tv_targets) -> Adversarial
             sigma_min=float(sigma_min.min()), cond=float(cond.max()),
         ))
         prev_tv = tv
-    return AdversarialSequence(base=base, target_zeta=zeta, steps=tuple(steps))
+    return AdversarialSequence(target_zeta=zeta, steps=tuple(steps))

@@ -16,17 +16,17 @@ class SupportMismatch(WeakdepError):
 class ZeroConditioningMass(WeakdepError):
     """A conditioning cell has zero probability."""
 
-    def __init__(self, cell, message=None):
+    def __init__(self, cell):
         self.cell = cell
-        super().__init__(message or f"zero probability on conditioning cell {cell}")
+        super().__init__(f"zero probability on conditioning cell {cell}")
 
 
 class PositivityViolation(WeakdepError):
     """A representer denominator density is zero on some cell."""
 
-    def __init__(self, cell, message=None):
+    def __init__(self, cell):
         self.cell = cell
-        super().__init__(message or f"zero density at cell {cell}")
+        super().__init__(f"zero density at cell {cell}")
 
 
 class CollinearSupport(WeakdepError):

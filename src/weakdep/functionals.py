@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation, ZeroConditioningMass
-from .laws import DiscreteLaw, SupportSpec, _numbers, _reduce_short, _ro, marginal
+from .laws import DiscreteLaw, SupportSpec, _json, _numbers, _reduce_short, _ro, marginal
 
 DEFAULT_TOL = 1e-8
 _EPS = np.finfo(float).eps
@@ -72,10 +72,11 @@ class FunctionalSpec:
                 if not np.isfinite(value).all():
                     raise ValueError(f"{name} must be finite")
                 object.__setattr__(self, name, value)
-        if self.kind == "npiv" and self.omega is None:
-            raise ValueError("npiv needs per-cell weights omega")
-        if self.kind == "generic" and self.alpha is None:
-            raise ValueError("generic needs representer coefficients alpha")
+        if (self.omega is None) == (self.kind == "npiv"):
+            raise ValueError("npiv needs per-cell weights omega, and only npiv takes them")
+        if (self.alpha is None) == (self.kind == "generic"):
+            raise ValueError("generic needs representer coefficients alpha, "
+                             "and only generic takes them")
 
     @classmethod
     def late(cls):
@@ -143,12 +144,14 @@ class FunctionalSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """The spec of a JSON object; omega and alpha must hold numbers only.
-        Raises ValueError for anything but an object."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a functional must be a JSON object; got {d!r}")
+        """The spec of a JSON object with the keys ``kind`` and, for their
+        kinds, ``omega`` and ``alpha``, which must hold numbers only.
+        Raises ValueError for anything but an object and for another key."""
+        unknown = set(_json(d, dict, "functional")) - {"kind", "omega", "alpha"}
+        if unknown:
+            raise ValueError(f"unknown functional keys {sorted(unknown)}")
         coefficients = {name: _numbers(d[name], name)
-                        for name in ("omega", "alpha") if d.get(name) is not None}
+                        for name in ("omega", "alpha") if name in d}
         return cls(kind=d["kind"], **coefficients)
 
 
@@ -234,16 +237,17 @@ def adjoint_mean_operator(law: DiscreteLaw) -> np.ndarray:
 def _solve_strata(lhs: np.ndarray, rhs: np.ndarray, tol: float):
     """Minimum-norm least-squares solve of a stack of per-stratum systems.
 
-    ``lhs`` has shape (..., k_x, r, c) and ``rhs`` (..., k_x, r).  A stack
-    of 2x2 systems (binary Z and W) is solved by closed-form rotations
-    (:func:`_rotation_solve`), any other shape by one batched SVD.  Either
+    ``lhs`` has shape (..., k_x, k, k), every stratum system square as the
+    support requires k_z == k_w, and ``rhs`` (..., k_x, k).  A stack of 2x2
+    systems (binary Z and W) is solved by closed-form rotations
+    (:func:`_rotation_solve`), any other size by one batched SVD.  Either
     way, singular values at or below numpy's default least-squares cutoff
-    eps * max(r, c) * sigma_max count as zero, so a singular system gets its
+    eps * k * sigma_max count as zero, so a singular system gets its
     minimum-norm solution.  Every system is solved on its own and in C
     order, so a system gets the same bits alone as in any stack.
-    Returns the solutions (..., k_x, c), the residual norms (..., k_x), the
+    Returns the solutions (..., k_x, k), the residual norms (..., k_x), the
     mask of consistent strata (residual <= tol * max(1, |rhs|)) and the
-    singular values (..., k_x, min(r, c)), largest first.
+    singular values (..., k_x, k), largest first.
     """
     solve = _rotation_solve if lhs.shape[-2:] == (2, 2) else _svd_solve
     sol, residuals, rhs_norm, sigma = solve(lhs, rhs)
@@ -258,7 +262,7 @@ def _svd_solve(lhs, rhs):
     whatever layout the operators and right-hand sides come in."""
     lhs, rhs = np.ascontiguousarray(lhs), np.ascontiguousarray(rhs)
     u, sigma, vt = np.linalg.svd(lhs, full_matrices=False)
-    keep = sigma > _EPS * max(lhs.shape[-2:]) * sigma[..., :1]
+    keep = sigma > _EPS * lhs.shape[-1] * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
     b = rhs[..., None]
     sol = vt.mT @ (inv[..., None] * (u.mT @ b))
@@ -415,17 +419,12 @@ def riesz_alpha(law: DiscreteLaw, spec: FunctionalSpec) -> np.ndarray:
     return alpha_from_wx_mass(spec, law.support, marginal(law, ("W", "X")))
 
 
-def m_cell_values(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.ndarray:
+def _m_cells(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.ndarray:
     """Value of m(O, g) as a function of the observed (W, X) cell.
 
     ``g`` is (..., k_w, k_x), with any leading batch axes; so is the result.
+    The spec must have been checked against the support.
     """
-    spec.validate_against(support)
-    return _m_cells(spec, g, support)
-
-
-def _m_cells(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.ndarray:
-    """:func:`m_cell_values` of a spec already checked against the support."""
     if spec.kind == "late":
         return np.broadcast_to((g[..., 1:, :1] - g[..., :1, :1]), g.shape)
     if spec.kind == "ate_iv":

@@ -24,10 +24,10 @@ uses of them: marginals, the total variation distance, and the dict form
 (:func:`law_to_dict` / :func:`law_from_dict`) that the CLI reads and writes.
 
 Constants that depend on a support or a law alone are computed on first
-use and kept on it, read-only (:func:`computed_once`): a support's
-``y_cell_means`` and the flat cell vectors of the score and union sets
-(``confsets._coordinates``), and a law's cells with mass and their
-normalised masses, which :func:`sample` draws from.
+use and kept on it, read-only: a support's ``y_cell_means``, a cached
+property, and through :func:`computed_once` the flat cell vectors of the
+score and union sets (``confsets._coordinates``) and a law's cells with
+mass and their normalised masses, which :func:`sample` draws from.
 """
 
 from __future__ import annotations
@@ -167,10 +167,13 @@ class SupportSpec:
         return _ro(self.iota_y / self.mu_y)
 
     def __eq__(self, other):
+        """Equal bit for bit: each of the five arrays has the same bytes.
+        The bits decide every output, so a -0.0 entry of ``iota_y`` differs
+        from 0.0 (``y_cell_means`` keeps the sign)."""
         if not isinstance(other, SupportSpec):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
+        return self is other or all(
+            getattr(self, f).tobytes() == getattr(other, f).tobytes()
             for f in ("mu_y", "mu_z", "mu_w", "mu_x", "iota_y")
         )
 
@@ -354,6 +357,14 @@ def _require_integer(value, what):
         raise ValueError(f"{what} must be an integer; got {value!r}")
 
 
+def _json(value, kind, what):
+    """value, if it is the JSON ``kind`` (dict for an object, list for an
+    array); raises ValueError naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def _numbers(value, what):
     """A JSON number or (nested) array of numbers as a float array.
 
@@ -375,6 +386,7 @@ def _numbers(value, what):
 
 
 def support_from_dict(d) -> SupportSpec:
+    _json(d, dict, "support")
     spec = SupportSpec(**{
         name: _numbers(d[name], name)
         for name in ("mu_y", "mu_z", "mu_w", "mu_x", "iota_y")
@@ -393,7 +405,7 @@ def law_to_dict(law: DiscreteLaw):
 
 
 def law_from_dict(d) -> DiscreteLaw:
-    support = support_from_dict(d["support"])
+    support = support_from_dict(_json(d, dict, "law")["support"])
     mass = _numbers(d["mass"], "mass")
     if mass.size != support.n_cells:
         raise ValueError(

@@ -64,7 +64,7 @@ from .confsets import (
     wald_ci,
 )
 from .functionals import FunctionalSpec
-from .laws import _MAX_N, DiscreteLaw, _number, _require_integer, law_from_dict, sample
+from .laws import _MAX_N, DiscreteLaw, _json, _number, _require_integer, law_from_dict, sample
 
 CSV_COLUMNS = (
     "label", "method", "n", "reps", "coverage", "wilson_lo", "wilson_hi",
@@ -197,11 +197,9 @@ def _bind_method(cfg: MethodConfig, alpha: float, s: Interval, cases):
     true functional value, shape (R,), to RegionArrays."""
     support = cases[0].law.support
     if cfg.name == "wald":
-        func = cfg.options.get("functional")
-        if func is None:
+        if "functional" not in cfg.options:
             raise ValueError("method 'wald' needs a 'functional' option")
-        if not isinstance(func, FunctionalSpec):
-            func = FunctionalSpec.from_dict(func)
+        func = FunctionalSpec.from_dict(cfg.options["functional"])
         cross_fit = cfg.options.get("cross_fit", False)
         if not isinstance(cross_fit, bool):
             raise ValueError(f"method 'wald': cross_fit must be true or false; "
@@ -365,21 +363,14 @@ def _cell_reports(code, diam, full, reason, labels, methods, plan):
     return reports
 
 
-def _same_bits(a, b) -> bool:
-    """Whether two supports are equal bit for bit (so -0.0 differs from 0.0)."""
-    return a is b or all(
-        getattr(a, f).tobytes() == getattr(b, f).tobytes()
-        for f in ("mu_y", "mu_z", "mu_w", "mu_x", "iota_y")
-    )
-
-
 def _support_groups(laws):
-    """Plan indices of the laws, grouped by support (bit for bit) in order of
-    first appearance; supports do not hash, so the few groups are scanned."""
+    """Plan indices of the laws, grouped by support (``SupportSpec.__eq__``,
+    bit for bit) in order of first appearance; supports do not hash, so the
+    few groups are scanned."""
     groups = []
     for i, case in enumerate(laws):
         for members in groups:
-            if _same_bits(laws[members[0]].law.support, case.law.support):
+            if laws[members[0]].law.support == case.law.support:
                 members.append(i)
                 break
         else:
@@ -437,19 +428,11 @@ _PLAN_KEYS = {"laws", "methods", "n", "reps", "level", "seed", "s"}
 _LAW_KEYS = {"label", "law", "true_phi"}
 
 
-def _json(value, kind, what):
-    """value, if it is the JSON ``kind`` (dict for an object, list for an
-    array); raises ValueError naming ``what`` otherwise."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
-    return value
-
-
 def plan_from_dict(d) -> ExperimentPlan:
     """Parse a plan from its JSON form.  The plan's dataclasses check every
     value as given; n, reps and seed may also be integer-valued floats.  The
-    plan, each law and each method are JSON objects, and ``laws`` and
-    ``methods`` JSON arrays."""
+    plan, each law and each method are JSON objects, ``laws`` and
+    ``methods`` JSON arrays, and ``s`` a JSON array of two numbers."""
     unknown = set(_json(d, dict, "the plan")) - _PLAN_KEYS
     if unknown:
         raise ValueError(f"unknown plan keys {sorted(unknown)}")
@@ -471,6 +454,8 @@ def plan_from_dict(d) -> ExperimentPlan:
         entry = dict(_json(entry, dict, f"methods[{i}]"))
         name = entry.pop("name")
         methods.append(MethodConfig(name=name, options=entry))
+    if len(_json(d["s"], list, "s")) != 2:
+        raise ValueError(f"s must be a JSON array of two numbers; got {d['s']!r}")
     lo, hi = d["s"]
     return ExperimentPlan(
         laws=tuple(laws),

@@ -44,8 +44,8 @@ from weakdep.errors import (
 )
 from weakdep.functionals import (
     NoSolution,
+    _m_cells,
     _svd_solve,
-    m_cell_values,
     psi1_values,
     riesz_alpha,
     solve_g,
@@ -564,7 +564,7 @@ def _check_binary(values, name):
 
 def row_psi1_values(rows, support, spec, g, q):
     """Per-row values of the estimating function m(O,g) + q(Z,X){Y - g(W,X)}."""
-    mcell = m_cell_values(spec, g, support)
+    mcell = _m_cells(spec, g, support)
     mvals = mcell[rows.w, rows.x]
     return mvals + q[rows.z, rows.x] * (rows.y - g[rows.w, rows.x])
 
@@ -961,9 +961,7 @@ def _serial_bind_method(cfg, plan, case):
     alpha = 1.0 - plan.level
     support = case.law.support
     if cfg.name == "wald":
-        func = cfg.options["functional"]
-        if not isinstance(func, FunctionalSpec):
-            func = FunctionalSpec.from_dict(func)
+        func = FunctionalSpec.from_dict(cfg.options["functional"])
         cross_fit = cfg.options.get("cross_fit", False)
         return lambda counts: wald_ci(counts, func, support, alpha, plan.s, cross_fit)
     if cfg.name == "score":

@@ -481,6 +481,60 @@ def test_input_numbers_are_not_repaired(case, tmp_path, valid_law_file, capsys):
     assert "Traceback" not in captured.err
 
 
+# (input file, function of its document giving the file's content, the one
+# line on stderr): a value of the wrong JSON shape, or a key or coefficient
+# a functional does not take
+_MISSHAPEN = {
+    "law_array": ("law", lambda doc: [1, 2], "bad law file: law must be a JSON object"),
+    "support_string": ("law", lambda doc: {**doc, "support": "x"},
+                       "bad law file: support must be a JSON object"),
+    "base_array": ("base", lambda doc: [1, 2],
+                   "bad base law spec: base must be a JSON object"),
+    "spec_unknown_key": ("spec", lambda doc: {**doc, "bogus": 1},
+                         "bad functional spec: unknown functional keys ['bogus']"),
+    "spec_alpha_off_kind": ("spec", lambda doc: {**doc, "alpha": [[1.0], [2.0]]},
+                            "bad functional spec: generic needs representer "
+                            "coefficients alpha, and only generic takes them"),
+    "plan_law_array": ("plan", lambda doc: {**doc, "laws": [{**doc["laws"][0], "law": [1, 2]}]},
+                       "bad experiment plan: law must be a JSON object"),
+    "s_string": ("plan", lambda doc: {**doc, "s": "ab"},
+                 "bad experiment plan: s must be a JSON array"),
+    "s_number": ("plan", lambda doc: {**doc, "s": 5},
+                 "bad experiment plan: s must be a JSON array"),
+    "s_three": ("plan", lambda doc: {**doc, "s": [1, 2, 3]},
+                "bad experiment plan: s must be a JSON array of two numbers; got [1, 2, 3]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_input_shapes_are_read_as_written(case, tmp_path, valid_law_file, capsys):
+    """A law, support, base or plan value of the wrong JSON shape, and a
+    functional spec with a key or coefficient its kind does not take, exit
+    2 with one line naming the field."""
+    which, edit, line = _MISSHAPEN[case]
+    doc = {
+        "law": lambda: laws.law_to_dict(wz_identity_late()),
+        "base": lambda: acceptance_base().to_dict(),
+        "spec": lambda: FunctionalSpec.late().to_dict(),
+        "plan": lambda: json.loads(resources.files("weakdep").joinpath(
+            "data/demo_plan.json").read_text()),
+    }[which]()
+    file = tmp_path / f"{which}.json"
+    file.write_text(json.dumps(edit(doc)))
+    argv = {
+        "law": ["validate", str(file)],
+        "spec": ["solve", str(valid_law_file), str(file)],
+        "base": ["adversarial", str(file), "--zeta", "5", "--tv-targets", "0.05",
+                 "--out", str(tmp_path / "seq")],
+        "plan": ["coverage", str(file), "--out", str(tmp_path / "r.csv")],
+    }[which]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    assert not (tmp_path / "seq").exists() and not (tmp_path / "r.csv").exists()
+
+
 class TestCoverage:
     @pytest.fixture
     def demo_plan(self, tmp_path):

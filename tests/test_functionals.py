@@ -1,6 +1,7 @@
 """Conditional-mean operator, equation solving, representers, functional values."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from weakdep import (
 from weakdep.errors import PositivityViolation, WeakdepError
 from weakdep.functionals import (
     DEFAULT_TOL,
+    _m_cells,
     _nuisances,
     _solve_strata,
     adjoint_mean_operator,
-    m_cell_values,
     psi1_values,
 )
 from weakdep.laws import marginal
@@ -441,6 +442,36 @@ class TestRieszAlpha:
             assert not getattr(spec, name).flags.writeable
 
 
+class TestFunctionalSpec:
+    @pytest.mark.parametrize("kind, coefficients", [
+        ("late", {"alpha": [[1.0], [2.0]]}),
+        ("ate_iv", {"omega": [1.0, 2.0]}),
+        ("npiv", {"omega": [1.0, 2.0], "alpha": [[1.0], [2.0]]}),
+        ("generic", {"alpha": [[1.0], [2.0]], "omega": [1.0, 2.0]}),
+    ])
+    def test_coefficient_its_kind_does_not_take_is_refused(self, kind, coefficients):
+        """A spec carries no coefficient its kind never reads: omega is
+        npiv's alone and alpha generic's alone."""
+        with pytest.raises(ValueError, match="and only"):
+            FunctionalSpec(kind=kind, **coefficients)
+        with pytest.raises(ValueError, match="and only"):
+            FunctionalSpec.from_dict({"kind": kind, **coefficients})
+
+    def test_unknown_key_is_refused_and_every_kind_reads_back(self):
+        """A key other than kind, omega and alpha is refused, and so is a
+        null coefficient; every spec reads back from what to_dict writes."""
+        with pytest.raises(ValueError, match=r"unknown functional keys \['bogus'\]"):
+            FunctionalSpec.from_dict({"kind": "late", "bogus": 1})
+        with pytest.raises(ValueError, match="omega must hold numbers only"):
+            FunctionalSpec.from_dict({"kind": "late", "omega": None})
+        specs = (FunctionalSpec.late(), FunctionalSpec.ate_iv(),
+                 FunctionalSpec.proximal_ate(), FunctionalSpec.npiv([0.5, 1.0]),
+                 FunctionalSpec.generic([[-1.0], [1.0]]))
+        for spec in specs:
+            d = json.loads(json.dumps(spec.to_dict()))
+            assert FunctionalSpec.from_dict(d).to_dict() == d
+
+
 class TestSolveQ:
     def test_identity_adjoint(self):
         law = wz_identity_late()
@@ -770,7 +801,7 @@ class TestStructuralInvariants:
             g = solve_g(law)
             alpha = riesz_alpha(law, spec)
             mass_wx = marginal(law, ("W", "X"))
-            lhs = float(np.sum(m_cell_values(spec, g, law.support) * mass_wx))
+            lhs = float(np.sum(_m_cells(spec, g, law.support) * mass_wx))
             rhs = float(np.sum(alpha * g * mass_wx))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -783,7 +814,7 @@ class TestStructuralInvariants:
         law = random_law(rng, support=support)
         spec = FunctionalSpec.proximal_ate()
         g = solve_g(law)
-        mcell = m_cell_values(spec, g, support)
+        mcell = _m_cells(spec, g, support)
         for j, m in itertools.product(range(2), range(4)):
             lcell = m // 2
             assert mcell[j, m] == pytest.approx(

@@ -266,6 +266,14 @@ class TestDivergences:
         with pytest.raises(SupportMismatch):
             tv_distance(random_law(rng, 2, 2, 2, 1), random_law(rng, 2, 2, 2, 1))
 
+    def test_tv_refuses_a_support_of_other_bits(self):
+        """A support whose zero Y integral is -0.0 is another support."""
+        law = uniform_law()                 # its iota_y is [0.0, 1.0]
+        signed = SupportSpec(mu_y=[1, 1], mu_z=[1, 1], mu_w=[1, 1], mu_x=[1],
+                             iota_y=[-0.0, 1.0])
+        with pytest.raises(SupportMismatch):
+            tv_distance(law, DiscreteLaw(signed, law.mass))
+
     def test_tv_equals_subset_enumeration_oracle(self):
         # sup over events of the probability gap, brute forced on <= 12 cells
         rng = np.random.default_rng(12)

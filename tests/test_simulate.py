@@ -20,6 +20,7 @@ from weakdep.confsets import (
     score_invert_late,
     wald_ci,
 )
+from weakdep.laws import law_from_dict, law_to_dict
 from weakdep.simulate import (
     ExperimentPlan,
     LawCase,
@@ -222,6 +223,12 @@ class TestPlanSerialization:
     def test_unknown_method_name_rejected(self):
         with pytest.raises(ValueError):
             MethodConfig("bogus")
+
+    def test_wald_functional_is_a_json_object(self):
+        """Wald's functional has one form, the JSON object of a plan file: a
+        FunctionalSpec object is refused, not read."""
+        with pytest.raises(ValueError, match="functional must be a JSON object"):
+            small_plan([MethodConfig("wald", {"functional": FunctionalSpec.late()})])
 
     def test_plans_refuse_what_they_cannot_report(self):
         """No law, no method, two laws with one label, or a true value outside
@@ -465,6 +472,26 @@ def _signed_zero(law):
     return DiscreteLaw(support, law.mass)
 
 
+@st.composite
+def support_pairs(draw):
+    """Two supports on binary Y, Z and W and one or two X cells, their
+    measures drawn from two values and ``iota_y`` from (+-0.0, 1.0).  Each
+    measure of the second is most often a copy of the first's, so that the
+    two often hold the same values, with or without the same bits."""
+    def values(pool, size):
+        return draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+
+    def arrays():
+        few = (0.5, 1.0)
+        return {"mu_y": values(few, 2), "mu_z": values(few, 2), "mu_w": values(few, 2),
+                "mu_x": values(few, draw(st.integers(1, 2))),
+                "iota_y": values((0.0, -0.0), 1) + [1.0]}
+    first, fresh = arrays(), arrays()
+    second = {name: first[name] if name != "iota_y" and draw(st.integers(0, 3))
+              else fresh[name] for name in first}
+    return SupportSpec(**first), SupportSpec(**second)
+
+
 ALL_METHODS = (WALD, WALD_CF, MethodConfig("score"), MethodConfig("union"),
                MethodConfig("fullrange"), MethodConfig("empty"),
                MethodConfig("oracle", {"epsilon": 0.25}))
@@ -476,9 +503,29 @@ class TestSupportGroups:
         cases = (LawCase("a", law, 0.0), LawCase("b", _signed_zero(law), 0.0),
                  LawCase("c", late_law(p_z1=0.3), 0.0), LawCase("d", _y_scaled(law), 0.0),
                  LawCase("e", _signed_zero(law), 0.0))
-        # equal as values, but -0.0 in iota_y keeps b and e apart from a and c
-        assert cases[0].law.support == cases[1].law.support
+        # equal as values, but -0.0 in iota_y makes b and e another support
+        assert cases[0].law.support != cases[1].law.support
         assert simulate._support_groups(cases) == [[0, 2], [1, 4], [3]]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pair=support_pairs())
+    def test_support_identity_is_its_bits(self, pair):
+        """Two supports are equal exactly when each of their five arrays has
+        the same bytes, a plan puts two laws in one group exactly then, and
+        a law's support reads back from its file equal to itself."""
+        a, b = pair
+        same = all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+                   for x, y in ((getattr(a, f), getattr(b, f))
+                                for f in ("mu_y", "mu_z", "mu_w", "mu_x", "iota_y")))
+        assert (a == b) is (b == a) is same
+        cases = tuple(LawCase(label, DiscreteLaw(s, np.full(s.shape, 1.0 / s.n_cells)), 0.0)
+                      for label, s in (("a", a), ("b", b)))
+        plan = ExperimentPlan(laws=cases, methods=(MethodConfig("fullrange"),), n=1,
+                              reps=1, level=0.95, seed=0, s=S)
+        assert [members for members, _, _ in plan.groups] == ([[0, 1]] if same else [[0], [1]])
+        for case in cases:
+            text = json.dumps(law_to_dict(case.law))
+            assert law_from_dict(json.loads(text)).support == case.law.support
 
     def test_parsed_plan_grouped_by_value(self):
         """A parsed plan gives every law its own support object."""
