@@ -19,9 +19,10 @@ laws converge to the base in total variation while the functional stays
 pinned at ``zeta``: arbitrarily weak W-Z dependence with an arbitrary target
 value.  The search halves ``eta_w`` from just inside the Y-kernel
 positivity bound, skipping scales that ``perturb_kernels`` rejects or that
-miss the TV target.  One assembly builds every law from its kernels: the
-base is the perturbation at scale 0, and a candidate's kernels are built
-once, checked and assembled.  Every generated law is certified two ways:
+miss the TV target.  The base's kernel entries exceed POSITIVITY_SLACK and
+a scale is never negative, so a candidate's Y kernels are the only ones
+checked.  One assembly builds every law from its kernels: the base is the
+perturbation at scale 0.  Every generated law is certified two ways:
 through the explicit rank-one inverse (closed form) and through the generic
 stacked solver of ``functionals``, whose membership check supplies the
 solver value of the functional.
@@ -59,9 +60,11 @@ class BaseLawSpec:
     """Product base law: f(y,z,w,x) = pi_y(y|x) pi_w(w|x) f(z,x).
 
     ``f_zx`` holds (Z, X) masses; ``pi_w_given_x`` and ``pi_y_given_x`` hold
-    per-stratum conditional densities.  The representer of the assembled
-    product law must be non-constant in W on at least one stratum, otherwise
-    no perturbation can move the functional and the base is rejected.
+    per-stratum conditional densities, each entry above POSITIVITY_SLACK, so
+    that every W kernel of a perturbation stays above it.  The representer
+    of the assembled product law must be non-constant in W on at least one
+    stratum, otherwise no perturbation can move the functional and the base
+    is rejected.
     The minimum-norm tilt matrices ``M`` depend on the base alone and are
     built once here.
     """
@@ -89,8 +92,10 @@ class BaseLawSpec:
             raise ValueError(f"pi_y_given_x must have shape {(s.k_x, s.k_y)}")
         if np.any(self.f_zx <= 0.0) or abs(self.f_zx.sum() - 1.0) > MASS_TOL:
             raise ValueError("f_zx must be strictly positive masses summing to 1")
-        if np.any(self.pi_w_given_x <= 0.0) or np.any(self.pi_y_given_x <= 0.0):
-            raise ValueError("conditional densities must be strictly positive")
+        for name in ("pi_w_given_x", "pi_y_given_x"):
+            if np.any(getattr(self, name) <= POSITIVITY_SLACK):
+                raise ValueError(f"{name} densities must be strictly positive, "
+                                 f"above {POSITIVITY_SLACK:g}")
         w_norm = self.pi_w_given_x @ s.mu_w
         y_norm = self.pi_y_given_x @ s.mu_y
         if np.any(np.abs(w_norm - 1.0) > MASS_TOL):
@@ -181,11 +186,18 @@ class PerturbationParams:
     The W kernels get the bump eta_w * I and the Y kernels the tilt
     eta_y * base.M, with eta_y = gamma * eta_w; the tilt matrices belong to
     the base.  eta_w = 0 assembles the unperturbed product law; the explicit
-    inverse and the closed-form functional need a nonzero scale.
+    inverse and the closed-form functional need a nonzero scale.  Raises
+    ValueError unless eta_w is finite and non-negative and gamma and eta_y
+    are finite.
     """
 
     eta_w: float
     gamma: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.eta_w < np.inf and np.isfinite(self.eta_y)):
+            raise ValueError("eta_w must be finite and non-negative, and gamma and eta_y "
+                             f"finite; got eta_w = {self.eta_w}, gamma = {self.gamma}")
 
     @property
     def eta_y(self):
@@ -211,17 +223,15 @@ def _y_kernels(base: BaseLawSpec, params: PerturbationParams):
 
 def _checked_kernels(base: BaseLawSpec, params: PerturbationParams):
     """Names of violated perturbation constraints (empty when admissible),
-    and the raw W kernels, normalizers and Y kernels they were checked on."""
-    w_kernels, norm = _w_kernels(base, params.eta_w)
+    and the Y kernels they were checked on.
+
+    The base's kernel entries exceed POSITIVITY_SLACK and eta_w >= 0, so the
+    raw W kernels, their normalizers and the rank-one update factor exceed
+    it at every scale: only the Y tilt can break positivity.
+    """
     y_kernels = _y_kernels(base, params)
-    update = params.eta_w + base.pi_w_given_x.sum(axis=1)
-    failures = [name for name, low in (
-        ("w_kernel_positive", w_kernels.min()),
-        ("w_normalizer_positive", norm.min()),
-        ("rank_one_update_nonzero", np.abs(update).min()),
-        ("y_kernel_positive", y_kernels.min()),
-    ) if low <= POSITIVITY_SLACK]
-    return failures, (w_kernels, norm, y_kernels)
+    failures = ["y_kernel_positive"] if y_kernels.min() <= POSITIVITY_SLACK else []
+    return failures, y_kernels
 
 
 def check_params(base: BaseLawSpec, params: PerturbationParams):
@@ -239,9 +249,10 @@ def _assemble(base: BaseLawSpec, w_normed, y_kernels) -> DiscreteLaw:
 
 def perturb_kernels(base: BaseLawSpec, params: PerturbationParams) -> DiscreteLaw:
     """Assemble the perturbed law; its (Z, X) marginal equals the base exactly."""
-    failures, (w_kernels, norm, y_kernels) = _checked_kernels(base, params)
+    failures, y_kernels = _checked_kernels(base, params)
     if failures:
-        raise InvalidPerturbation(", ".join(failures))
+        raise InvalidPerturbation(failures[0])
+    w_kernels, norm = _w_kernels(base, params.eta_w)
     return _assemble(base, w_kernels / norm[None, :, None], y_kernels)
 
 
@@ -288,7 +299,7 @@ def closed_form_phi(base: BaseLawSpec, params: PerturbationParams) -> float:
     """
     failures = check_params(base, params)
     if failures:
-        raise InvalidPerturbation(", ".join(failures))
+        raise InvalidPerturbation(failures[0])
     return _phi_closed(base, _w_side(base, params.eta_w), params)
 
 
@@ -369,7 +380,7 @@ def _exact_gamma(base: BaseLawSpec, w_side, eta_w: float, zeta: float) -> float:
 
 
 def _max_eta(base: BaseLawSpec, gamma: float) -> float:
-    """Largest positive eta_w keeping all constraints satisfied with a margin."""
+    """Largest positive eta_w keeping the Y kernels positive with a margin."""
     tilt = gamma * base.M
     neg = tilt < 0.0
     bound = 1.0

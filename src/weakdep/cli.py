@@ -5,10 +5,10 @@ Subcommands: ``validate`` a law file, ``solve`` a functional on a law,
 ``coverage`` to execute a Monte Carlo plan.  All randomness flows from the
 plan seed, which ``coverage --seed`` alone may override; outputs are
 machine-first: ``solve`` and ``adversarial`` print one line of JSON, and
-``coverage`` writes CSV (and JSON) and prints the CSV's path.  ``coverage``
-replaces its reports only once the run has succeeded: a refused, failed or
-interrupted run leaves every file as it was, and a plan too large to hold
-in memory exits 2.
+``coverage`` writes CSV (and JSON) and prints the CSV's path; a closed
+stdout changes no exit code.  ``coverage`` replaces its reports only once
+the run has succeeded: a refused, failed or interrupted run leaves every
+file as it was, and a plan too large to hold in memory exits 2.
 
 Exit codes: 0 success, 1 validation failure, 2 input parse error,
 3 model-membership failure, 4 generation failure.
@@ -52,7 +52,20 @@ def _parse(obj, builder, what):
     try:
         return builder(obj)
     except (KeyError, TypeError, ValueError, OverflowError, WeakdepError) as exc:
-        raise _InputError(f"bad {what}: {exc}") from exc
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise _InputError(f"bad {what}: {detail}") from exc
+
+
+def _emit(text, code):
+    """Print a command's stdout and return its exit code.  A closed stdout
+    keeps the code: stdout then points at os.devnull, so the interpreter's
+    flush at exit writes nowhere instead of printing a traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return code
 
 
 def _invalid(violations):
@@ -64,11 +77,7 @@ def _invalid(violations):
 def cmd_validate(args) -> int:
     law = _parse(_load_json(args.law), laws.law_from_dict, "law file")
     violations = laws.validate(law)
-    for violation in violations:
-        print(violation)
-    if not violations:
-        print("ok")
-    return EXIT_INVALID if violations else EXIT_OK
+    return _emit("\n".join(violations) or "ok", EXIT_INVALID if violations else EXIT_OK)
 
 
 def cmd_solve(args) -> int:
@@ -82,8 +91,8 @@ def cmd_solve(args) -> int:
         report = functionals.check_model_membership(law, spec)
     except ValueError as exc:
         raise _InputError(f"functional spec does not fit the law support: {exc}")
-    print(json.dumps({"phi": report.phi, "diagnostics": report.to_dict()}))
-    return EXIT_OK if report.in_model else EXIT_NO_SOLUTION
+    return _emit(json.dumps({"phi": report.phi, "diagnostics": report.to_dict()}),
+                 EXIT_OK if report.in_model else EXIT_NO_SOLUTION)
 
 
 def cmd_adversarial(args) -> int:
@@ -117,8 +126,7 @@ def cmd_adversarial(args) -> int:
         (out_dir / "certificates.json").write_text(summary, encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot write --out: {exc}") from exc
-    print(summary)
-    return EXIT_OK
+    return _emit(summary, EXIT_OK)
 
 
 def _open_report(path, created):
@@ -164,8 +172,7 @@ def cmd_coverage(args) -> int:
             output.truncate()
             output.write(render())
         created.pop_all()
-    print(args.out)
-    return EXIT_OK
+    return _emit(args.out, EXIT_OK)
 
 
 @functools.cache

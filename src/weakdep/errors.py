@@ -33,6 +33,16 @@ class CollinearSupport(WeakdepError):
     """Per-cell outcome integrals are collinear with cell measures."""
 
 
+class NoSolution(WeakdepError):
+    """A per-stratum linear system is inconsistent: its right-hand side is
+    outside the operator's range on ``stratum``."""
+
+    def __init__(self, stratum, residual, equation):
+        self.stratum, self.residual, self.equation = stratum, residual, equation
+        super().__init__(f"equation for {equation} inconsistent on stratum {stratum} "
+                         f"(residual {residual:.3g})")
+
+
 class InvalidPerturbation(WeakdepError):
     """A kernel perturbation violates one of its positivity constraints."""
 

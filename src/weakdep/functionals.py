@@ -21,8 +21,9 @@ empirical laws, and :func:`check_model_membership`, the one law-level
 solve behind ``weakdep solve`` and every sequence certificate, on the
 stack of one.  :func:`solve_g`, :func:`solve_q` and :func:`evaluate_phi`
 solve one equation of one law at a time and raise on an empty conditioning
-cell or a vanishing density; they are the reference path, and give a law
-the residuals and the functional of the membership check, bit for bit.
+cell, a vanishing density or an inconsistent system (:class:`NoSolution`);
+they are the reference path, and give a law the residuals and the
+functional of the membership check, bit for bit.
 Marginals sum an axis of 2 to 7 cells by slice adds in numpy's own order
 (:func:`~weakdep.laws._reduce_short`) and a longer one by ``ndarray.sum``,
 with the same bits either way, and never by a matmul over the stack, so a
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityViolation, ZeroConditioningMass
+from .errors import NoSolution, PositivityViolation, ZeroConditioningMass
 from .laws import DiscreteLaw, SupportSpec, _json, _numbers, _reduce_short, _ro, marginal
 
 DEFAULT_TOL = 1e-8
@@ -153,18 +154,6 @@ class FunctionalSpec:
         coefficients = {name: _numbers(d[name], name)
                         for name in ("omega", "alpha") if name in d}
         return cls(kind=d["kind"], **coefficients)
-
-
-@dataclass(frozen=True)
-class NoSolution:
-    """Marker result: the per-stratum linear system is inconsistent."""
-
-    stratum: int
-    residual: float
-    equation: str = "g"
-
-    def __bool__(self):
-        return False
 
 
 def _condition_rows(joint: np.ndarray):
@@ -314,33 +303,37 @@ def _pairs(first, second):
     return out
 
 
-def _no_solution(residuals, ok, equation):
-    m = int(np.argmin(ok))
-    return NoSolution(stratum=m, residual=float(residuals[m]), equation=equation)
+def _solved(solution, residuals, ok, equation):
+    """The solutions, one column per stratum; raises NoSolution naming the
+    first inconsistent stratum."""
+    if not ok.all():
+        m = int(np.argmin(ok))
+        raise NoSolution(m, float(residuals[m]), equation)
+    return solution.T
 
 
 def solve_g(law: DiscreteLaw):
     """Solve the conditional-moment equation for g on the (W, X) grid.
 
-    Returns the value matrix g[j][m], or NoSolution carrying the first
+    Returns the value matrix g[j][m].  Raises NoSolution carrying the first
     stratum whose residual exceeds DEFAULT_TOL (relative to the response
     norm): the response is then outside the operator range.
     """
     g, residuals, ok, _ = _solve_strata(
         cond_mean_operator(law), response_vector(law), DEFAULT_TOL
     )
-    return g.T if ok.all() else _no_solution(residuals, ok, "g")
+    return _solved(g, residuals, ok, "g")
 
 
 def solve_q(law: DiscreteLaw, alpha: np.ndarray):
     """Solve the adjoint equation E[q(Z,X) | W,X] = alpha(W,X) for q.
 
-    Returns the value matrix q[l][m], or NoSolution when alpha is outside
-    the adjoint range on some stratum.
+    Returns the value matrix q[l][m].  Raises NoSolution when alpha is
+    outside the adjoint range on some stratum.
     """
     alpha = np.asarray(alpha, dtype=float)
     q, residuals, ok, _ = _solve_strata(adjoint_mean_operator(law), alpha.T, DEFAULT_TOL)
-    return q.T if ok.all() else _no_solution(residuals, ok, "q")
+    return _solved(q, residuals, ok, "q")
 
 
 def _representer(spec: FunctionalSpec, support: SupportSpec, mass_wx: np.ndarray):
@@ -440,11 +433,9 @@ def _m_cells(spec: FunctionalSpec, g: np.ndarray, support: SupportSpec) -> np.nd
 
 
 def evaluate_phi(law: DiscreteLaw, spec: FunctionalSpec):
-    """phi(P) = sum over (W, X) cells of alpha * g * P(W, X); or NoSolution."""
-    g = solve_g(law)
-    if isinstance(g, NoSolution):
-        return g
-    return float(np.sum(riesz_alpha(law, spec) * g * marginal(law, ("W", "X"))))
+    """phi(P) = sum over (W, X) cells of alpha * g * P(W, X).  Raises
+    NoSolution when the g equation is inconsistent."""
+    return float(np.sum(solve_g(law) * riesz_alpha(law, spec) * marginal(law, ("W", "X"))))
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,11 @@ from weakdep.confsets import (
 )
 from weakdep.errors import (
     DegenerateSample,
+    NoSolution,
     PositivityViolation,
     ZeroConditioningMass,
 )
 from weakdep.functionals import (
-    NoSolution,
     _m_cells,
     _svd_solve,
     psi1_values,
@@ -492,19 +492,11 @@ def svd_solve_strata(lhs, rhs, tol):
 
 
 def _nuisances(law, spec):
-    g = solve_g(law)
-    if isinstance(g, NoSolution):
-        raise DegenerateSample(
-            f"equation for g inconsistent on stratum {g.stratum} "
-            f"(residual {g.residual:.3g})"
-        )
-    alpha = riesz_alpha(law, spec)
-    q = solve_q(law, alpha)
-    if isinstance(q, NoSolution):
-        raise DegenerateSample(
-            f"adjoint equation inconsistent on stratum {q.stratum} "
-            f"(residual {q.residual:.3g})"
-        )
+    try:
+        g = solve_g(law)
+        q = solve_q(law, riesz_alpha(law, spec))
+    except NoSolution as exc:
+        raise DegenerateSample(str(exc)) from exc
     return g, q
 
 

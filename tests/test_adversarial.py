@@ -179,6 +179,34 @@ class TestPerturbKernels:
         with pytest.raises(InvalidPerturbation):
             perturb_kernels(base, params)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), k_y=st.integers(2, 4),
+           k_x=st.integers(1, 4), tame=st.booleans(),
+           eta_w=st.one_of(st.just(0.0), st.floats(1e-12, 1e6)),
+           gamma=st.floats(-50.0, 50.0))
+    def test_only_the_y_tilt_can_break_positivity(self, seed, k, k_y, k_x, tame,
+                                                  eta_w, gamma):
+        """At any scale >= 0 the raw W kernels, their normalizers and the
+        rank-one update factor stay above POSITIVITY_SLACK, because the
+        base's kernel entries do: the Y tilt is the one constraint a
+        perturbation can violate."""
+        base = random_base(np.random.default_rng(seed), k=k, k_y=k_y, k_x=k_x, tame=tame)
+        kernels, norm = adversarial._w_kernels(base, eta_w)
+        update = eta_w + base.pi_w_given_x.sum(axis=1)
+        assert min(kernels.min(), norm.min(), update.min()) > adversarial.POSITIVITY_SLACK
+        assert set(check_params(base, PerturbationParams(eta_w, gamma))) <= {
+            "y_kernel_positive"}
+
+    @pytest.mark.parametrize("eta_w, gamma", [
+        (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (-0.01, 0.0), (-1e-300, 0.5),
+        (0.01, np.nan), (0.01, np.inf), (0.0, np.inf), (1e200, 1e200),
+    ])
+    def test_scale_refusals(self, eta_w, gamma):
+        """A negative or non-finite scale and a non-finite gamma or eta_y
+        are refused where they are given, not assembled into NaN masses."""
+        with pytest.raises(ValueError, match="must be finite"):
+            PerturbationParams(eta_w, gamma)
+
 
 class TestShermanMorrison:
     def test_inverts_the_kernel(self):
@@ -221,14 +249,13 @@ class TestClosedFormPhi:
             k_y = int(rng.integers(2, 5))
             k_x = int(rng.integers(1, 4))
             base = random_base(rng, k=k, k_y=k_y, k_x=k_x)
-            eta = float(rng.uniform(0.005, 0.05)) * (1 if rng.random() < 0.5 else -1)
+            eta = float(rng.uniform(0.005, 0.05))
             gamma = float(rng.uniform(-1.5, 1.5))
             params = default_params(base, eta, gamma)
             if check_params(base, params):
                 continue
             law = perturb_kernels(base, params)
             phi_solver = evaluate_phi(law, base.functional)
-            assert not isinstance(phi_solver, NoSolution)
             assert closed_form_phi(base, params) == pytest.approx(
                 phi_solver, abs=1e-8
             )
@@ -425,10 +452,12 @@ class TestGenerateSequence:
     def test_each_scale_builds_its_w_side_once(self, monkeypatch):
         """The closed form at gamma 0, at gamma 1 and at the chosen gamma
         shares one rank-one inverse and one representer per candidate scale;
-        perturb_kernels builds the W kernels a second time."""
+        perturb_kernels builds the W kernels a second time for an admissible
+        scale, whose law is then measured by tv_distance."""
         base = acceptance_base()
         calls = dict.fromkeys(["sherman_morrison_inverse", "alpha_from_wx_mass",
-                               "default_params", "perturb_kernels", "_w_kernels"], 0)
+                               "default_params", "perturb_kernels", "_w_kernels",
+                               "tv_distance"], 0)
         for name in calls:
             def counted(*args, _call=getattr(adversarial, name), _name=name):
                 calls[_name] += 1
@@ -439,7 +468,7 @@ class TestGenerateSequence:
         assert candidates > len(seq.steps) == 3         # some scales are rejected
         assert calls["perturb_kernels"] == calls["sherman_morrison_inverse"] \
             == calls["alpha_from_wx_mass"] == candidates
-        assert calls["_w_kernels"] == 2 * candidates
+        assert calls["_w_kernels"] == candidates + calls["tv_distance"]
 
     def test_rejected_scales_are_halved_away(self, monkeypatch):
         """A start scale eight times the admissible bound on the ratio base
@@ -491,10 +520,13 @@ class TestGenerateSequence:
         ("pi_w_given_x", (0, 0), np.nan, "pi_w_given_x must be finite"),
         ("pi_y_given_x", (0, 1), np.nan, "pi_y_given_x must be finite"),
         ("pi_y_given_x", (0, 1), np.inf, "pi_y_given_x must be finite"),
+        ("pi_w_given_x", (0, 1), 1e-13, "pi_w_given_x densities .* above 1e-12"),
+        ("pi_y_given_x", (0, 0), 1e-12, "pi_y_given_x densities .* above 1e-12"),
     ])
     def test_bad_base_inputs_rejected(self, name, cell, value, message):
         # NaN passes every "<= 0" and "|sum - 1| > tol" check, so it is caught
-        # first and named, not reported as a constant representer
+        # first and named, not reported as a constant representer; a kernel
+        # entry at or below POSITIVITY_SLACK is refused before any perturbation
         fields = {"f_zx": [[0.4], [0.6]], "pi_w_given_x": [[0.3, 0.7]],
                   "pi_y_given_x": [[0.5, 0.5]]}
         bad = np.array(fields[name])
@@ -553,6 +585,6 @@ class TestDegenerateLimit:
         tilted = DiscreteLaw(s, mass)
         T = cond_mean_operator(tilted)[0]
         assert np.linalg.matrix_rank(T, tol=1e-10) == 1
-        result = solve_g(tilted)
-        assert isinstance(result, NoSolution)
+        with pytest.raises(NoSolution):
+            solve_g(tilted)
         assert law.mass.shape == tilted.mass.shape

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -95,6 +98,23 @@ def test_parser_is_built_once(valid_law_file, late_spec_file, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == first
     assert cli.build_parser() is parser
+
+
+def test_closed_stdout_keeps_the_exit_code(valid_law_file, late_spec_file):
+    """`weakdep solve` on an in-model law whose reader has gone exits 0, as
+    it would have printed, and writes nothing to stderr."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weakdep.cli", "solve", str(valid_law_file),
+         str(late_spec_file)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 class TestSolve:
@@ -281,6 +301,24 @@ class TestAdversarial:
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
         assert not (tmp_path / "seq").exists()
+
+    def test_base_kernel_at_the_slack_exit_two(self, tmp_path, capsys):
+        """A base whose pi_w_given_x has an entry of 1e-13 is refused when it
+        is parsed, with one line naming the densities, instead of running
+        the whole halving search to "no scale was admissible"."""
+        base = acceptance_base().to_dict()
+        base["pi_w_given_x"] = [[1e-13, 1.0 - 1e-13]]
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(base))
+        out = tmp_path / "seq"
+        assert cli.main(["adversarial", str(path), "--zeta", "5",
+                         "--tv-targets", "0.05", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "bad base law spec: pi_w_given_x densities must be strictly positive, "
+            "above 1e-12"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("case, code", [("f_zx_off_by_5e-11", 2),
                                             ("each_sum_off_by_9e-13", 4)])
@@ -482,8 +520,8 @@ def test_input_numbers_are_not_repaired(case, tmp_path, valid_law_file, capsys):
 
 
 # (input file, function of its document giving the file's content, the one
-# line on stderr): a value of the wrong JSON shape, or a key or coefficient
-# a functional does not take
+# line on stderr): a value of the wrong JSON shape, a missing key, or a key
+# or coefficient a functional does not take
 _MISSHAPEN = {
     "law_array": ("law", lambda doc: [1, 2], "bad law file: law must be a JSON object"),
     "support_string": ("law", lambda doc: {**doc, "support": "x"},
@@ -503,14 +541,20 @@ _MISSHAPEN = {
                  "bad experiment plan: s must be a JSON array"),
     "s_three": ("plan", lambda doc: {**doc, "s": [1, 2, 3]},
                 "bad experiment plan: s must be a JSON array of two numbers; got [1, 2, 3]"),
+    "law_empty": ("law", lambda doc: {}, "bad law file: missing key 'support'"),
+    "spec_empty": ("spec", lambda doc: {}, "bad functional spec: missing key 'kind'"),
+    "plan_method_unnamed": (
+        "plan", lambda doc: {**doc, "methods": [
+            {key: value for key, value in doc["methods"][0].items() if key != "name"}]},
+        "bad experiment plan: missing key 'name'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MISSHAPEN))
 def test_input_shapes_are_read_as_written(case, tmp_path, valid_law_file, capsys):
-    """A law, support, base or plan value of the wrong JSON shape, and a
-    functional spec with a key or coefficient its kind does not take, exit
-    2 with one line naming the field."""
+    """A law, support, base or plan value of the wrong JSON shape, a
+    missing key, and a functional spec with a key or coefficient its kind
+    does not take, exit 2 with one line naming the field."""
     which, edit, line = _MISSHAPEN[case]
     doc = {
         "law": lambda: laws.law_to_dict(wz_identity_late()),

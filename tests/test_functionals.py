@@ -145,12 +145,12 @@ class TestBatchedSolver:
                 sigma, [np.linalg.svd(a, compute_uv=False) for a in lhs],
                 rtol=1e-12, atol=1e-15,
             )
-            result = solve(law, *extra)
             if ref_ok.all():
-                np.testing.assert_array_equal(result, sol.T)
+                np.testing.assert_array_equal(solve(law, *extra), sol.T)
             else:
-                assert isinstance(result, NoSolution)
-                assert result.stratum == int(np.flatnonzero(~ref_ok)[0])
+                with pytest.raises(NoSolution) as exc:
+                    solve(law, *extra)
+                assert exc.value.stratum == int(np.flatnonzero(~ref_ok)[0])
 
 
 def _rotation(t):
@@ -366,10 +366,11 @@ class TestSolveG:
 
     def test_rank_one_mismatch_gives_no_solution(self):
         law = w_indep_z_law(r=(0.3, 0.7))
-        result = solve_g(law)
-        assert isinstance(result, NoSolution)
-        assert result.residual > 1e-8
-        assert result.stratum == 0
+        with pytest.raises(NoSolution, match="equation for g inconsistent") as exc:
+            solve_g(law)
+        assert isinstance(exc.value, WeakdepError)
+        assert exc.value.residual > 1e-8
+        assert exc.value.stratum == 0
 
 
 class TestRieszAlpha:
@@ -507,8 +508,9 @@ class TestSolveQ:
     def test_rank_one_adjoint_no_solution(self):
         law = w_indep_z_law()
         alpha = np.array([[1.0], [3.0]])   # non-constant in W
-        result = solve_q(law, alpha)
-        assert isinstance(result, NoSolution)
+        with pytest.raises(NoSolution) as exc:
+            solve_q(law, alpha)
+        assert exc.value.equation == "q"
 
 
 class TestEvaluatePhi:
@@ -536,8 +538,9 @@ class TestEvaluatePhi:
 
     def test_no_solution_propagates(self):
         law = w_indep_z_law()
-        result = evaluate_phi(law, FunctionalSpec.late())
-        assert isinstance(result, NoSolution)
+        with pytest.raises(NoSolution) as exc:
+            evaluate_phi(law, FunctionalSpec.late())
+        assert exc.value.equation == "g"
 
 
 @st.composite
@@ -759,10 +762,8 @@ class TestStructuralInvariants:
         law = w_indep_z_law(r=(0.4, 0.4))
         spec = FunctionalSpec.generic(np.full((2, 1), 1.7))
         g = solve_g(law)
-        assert not isinstance(g, NoSolution)
         alpha = riesz_alpha(law, spec)
         q = solve_q(law, alpha)
-        assert not isinstance(q, NoSolution)
         T = cond_mean_operator(law)[0]
         # kernel direction of the rank-one operator
         null = np.array([1.0, -T[0, 0] / T[0, 1]])
