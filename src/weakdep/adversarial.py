@@ -90,14 +90,15 @@ class BaseLawSpec:
             raise ValueError(f"pi_w_given_x must have shape {(s.k_x, s.k_w)}")
         if self.pi_y_given_x.shape != (s.k_x, s.k_y):
             raise ValueError(f"pi_y_given_x must have shape {(s.k_x, s.k_y)}")
-        if np.any(self.f_zx <= 0.0) or abs(self.f_zx.sum() - 1.0) > MASS_TOL:
+        with np.errstate(over="ignore"):        # a sum that overflows is inf, refused below
+            total, w_norm, y_norm = (self.f_zx.sum(), self.pi_w_given_x @ s.mu_w,
+                                     self.pi_y_given_x @ s.mu_y)
+        if np.any(self.f_zx <= 0.0) or abs(total - 1.0) > MASS_TOL:
             raise ValueError("f_zx must be strictly positive masses summing to 1")
         for name in ("pi_w_given_x", "pi_y_given_x"):
             if np.any(getattr(self, name) <= POSITIVITY_SLACK):
                 raise ValueError(f"{name} densities must be strictly positive, "
                                  f"above {POSITIVITY_SLACK:g}")
-        w_norm = self.pi_w_given_x @ s.mu_w
-        y_norm = self.pi_y_given_x @ s.mu_y
         if np.any(np.abs(w_norm - 1.0) > MASS_TOL):
             raise ValueError("pi_w_given_x rows must integrate to 1 against mu_w")
         if np.any(np.abs(y_norm - 1.0) > MASS_TOL):
@@ -221,22 +222,15 @@ def _y_kernels(base: BaseLawSpec, params: PerturbationParams):
     return base.pi_y_given_x[:, None, :] + params.eta_y * base.M
 
 
-def _checked_kernels(base: BaseLawSpec, params: PerturbationParams):
-    """Names of violated perturbation constraints (empty when admissible),
-    and the Y kernels they were checked on.
+def check_params(base: BaseLawSpec, params: PerturbationParams) -> bool:
+    """Whether the perturbation is admissible: its Y kernels exceed
+    POSITIVITY_SLACK.
 
-    The base's kernel entries exceed POSITIVITY_SLACK and eta_w >= 0, so the
-    raw W kernels, their normalizers and the rank-one update factor exceed
-    it at every scale: only the Y tilt can break positivity.
+    The base's kernel entries exceed the slack and eta_w >= 0, so the raw W
+    kernels, their normalizers and the rank-one update factor exceed it at
+    every scale: only the Y tilt can break positivity.
     """
-    y_kernels = _y_kernels(base, params)
-    failures = ["y_kernel_positive"] if y_kernels.min() <= POSITIVITY_SLACK else []
-    return failures, y_kernels
-
-
-def check_params(base: BaseLawSpec, params: PerturbationParams):
-    """Names of violated perturbation constraints (empty when admissible)."""
-    return _checked_kernels(base, params)[0]
+    return bool(_y_kernels(base, params).min() > POSITIVITY_SLACK)
 
 
 def _assemble(base: BaseLawSpec, w_normed, y_kernels) -> DiscreteLaw:
@@ -249,9 +243,9 @@ def _assemble(base: BaseLawSpec, w_normed, y_kernels) -> DiscreteLaw:
 
 def perturb_kernels(base: BaseLawSpec, params: PerturbationParams) -> DiscreteLaw:
     """Assemble the perturbed law; its (Z, X) marginal equals the base exactly."""
-    failures, y_kernels = _checked_kernels(base, params)
-    if failures:
-        raise InvalidPerturbation(failures[0])
+    y_kernels = _y_kernels(base, params)
+    if not y_kernels.min() > POSITIVITY_SLACK:
+        raise InvalidPerturbation("perturbation constraint violated: y_kernel_positive")
     w_kernels, norm = _w_kernels(base, params.eta_w)
     return _assemble(base, w_kernels / norm[None, :, None], y_kernels)
 
@@ -297,9 +291,8 @@ def closed_form_phi(base: BaseLawSpec, params: PerturbationParams) -> float:
     Independent of the generic solver path: the (W, X) marginal, the
     representer and the equation solution are all evaluated in closed form.
     """
-    failures = check_params(base, params)
-    if failures:
-        raise InvalidPerturbation(failures[0])
+    if not check_params(base, params):
+        raise InvalidPerturbation("perturbation constraint violated: y_kernel_positive")
     return _phi_closed(base, _w_side(base, params.eta_w), params)
 
 

@@ -8,7 +8,8 @@ machine-first: ``solve`` and ``adversarial`` print one line of JSON, and
 ``coverage`` writes CSV (and JSON) and prints the CSV's path; a closed
 stdout changes no exit code.  ``coverage`` replaces its reports only once
 the run has succeeded: a refused, failed or interrupted run leaves every
-file as it was, and a plan too large to hold in memory exits 2.
+file as it was, and a plan too large to hold in memory or a report that
+cannot be written exits 2.
 
 Exit codes: 0 success, 1 validation failure, 2 input parse error,
 3 model-membership failure, 4 generation failure.
@@ -44,7 +45,8 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # a ValueError is bad JSON or undecodable bytes, a RecursionError nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
@@ -167,10 +169,17 @@ def cmd_coverage(args) -> int:
             report = simulate.run(plan)
         except MemoryError as exc:
             raise _InputError(f"plan too large: {exc}") from exc
-        for output, render in zip(outputs, (report.to_csv, report.to_json)):
-            output.seek(0)
-            output.truncate()
-            output.write(render())
+        # both texts are rendered before either file is emptied; each file
+        # is closed here, so a write that fails raises here and nowhere later
+        texts = [render() for _, render in zip(outputs, (report.to_csv, report.to_json))]
+        for output, text in zip(outputs, texts):
+            try:
+                with output:
+                    output.seek(0)
+                    output.truncate()
+                    output.write(text)
+            except OSError as exc:
+                raise _InputError(f"cannot write report: {output.name}: {exc}") from exc
         created.pop_all()
     return _emit(args.out, EXIT_OK)
 

@@ -44,11 +44,7 @@ class NoSolution(WeakdepError):
 
 
 class InvalidPerturbation(WeakdepError):
-    """A kernel perturbation violates one of its positivity constraints."""
-
-    def __init__(self, which):
-        self.which = which
-        super().__init__(f"perturbation constraint violated: {which}")
+    """A kernel perturbation breaks the positivity of its Y kernels."""
 
 
 class SingularPerturbation(WeakdepError):

@@ -53,8 +53,12 @@ _MAX_N = 2**53
 
 
 def _is_collinear(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Whether u and v are parallel within _COLLINEAR_TOL.  Each is first
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    which is exact short of subnormals and keeps the products below finite
+    for any finite entries."""
+    u, v = (np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1])
+            for a in (np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
     gram = (u @ u) * (v @ v) - (u @ v) ** 2
     return gram <= _COLLINEAR_TOL * max((u @ u) * (v @ v), 1e-300)
 
@@ -210,7 +214,8 @@ def validate(law: DiscreteLaw):
     for idx in neg[:8]:
         cell = tuple(int(i) for i in idx)
         violations.append(f"negative mass at {cell}")
-    total = float(mass.sum())
+    with np.errstate(over="ignore"):        # a sum that overflows is the inf reported
+        total = float(mass.sum())
     if abs(total - 1.0) > MASS_TOL:
         violations.append(f"total mass {total!r} != 1")
     return violations

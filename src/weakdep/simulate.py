@@ -153,10 +153,10 @@ class ExperimentPlan:
         for name in ("n", "reps", "seed"):
             _require_integer(getattr(self, name), name)
         _number(self.level, "level")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if not 1 <= self.n <= _MAX_N:
-            raise ValueError(f"n must lie in [1, 2**53]; got {self.n}")
+        # reps, like n, must stay exact in float64: a report divides by it
+        for name in ("n", "reps"):
+            if not 1 <= getattr(self, name) <= _MAX_N:
+                raise ValueError(f"{name} must lie in [1, 2**53]; got {getattr(self, name)}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
         # the narrowest split, the binary-X union set's alpha/3 per

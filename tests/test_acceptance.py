@@ -162,7 +162,7 @@ def test_criterion_3_closed_form_agreement():
         eta = float(rng.uniform(0.003, 0.08))
         gamma = float(rng.uniform(-2.0, 2.0))
         params = default_params(base, eta, gamma)
-        if check_params(base, params):
+        if not check_params(base, params):
             continue
         checked += 1
         law = perturb_kernels(base, params)
@@ -219,7 +219,7 @@ def test_criterion_4_limit_law():
             gaps = []
             for k in (3, 4, 5):
                 params = default_params(base, 10.0**-k, gamma)
-                assert not check_params(base, params)
+                assert check_params(base, params)
                 gaps.append(abs(closed_form_phi(base, params) - target))
             for a, b in zip(gaps, gaps[1:]):
                 ok = ok and (a > b or b <= noise_floor)

@@ -106,7 +106,7 @@ class TestPerturbKernels:
         law bit for bit, C-ordered like every law."""
         base = random_base(np.random.default_rng(seed), k=k, k_y=k_y, k_x=k_x, tame=tame)
         params = PerturbationParams(0.0, 0.0)
-        assume(not check_params(base, params))
+        assume(check_params(base, params))
         law = perturb_kernels(base, params)
         product = base.product_law().mass
         assert law.mass.flags.c_contiguous and product.flags.c_contiguous
@@ -157,7 +157,7 @@ class TestPerturbKernels:
         # eta_w up to one, or up to where pi_y + eta_w * gamma * M turns negative
         ratio = -gamma * base.M / base.pi_y_given_x[:, None, :]
         params = default_params(base, scale / max(1.0, float(ratio.max())), gamma)
-        assume(not check_params(base, params))
+        assume(check_params(base, params))
         law = perturb_kernels(base, params)
         np.testing.assert_allclose(marginal(law, ("Z", "X")), base.f_zx,
                                    rtol=0.0, atol=1e-14)
@@ -174,10 +174,11 @@ class TestPerturbKernels:
         base = acceptance_base()
         # eta large enough to break Y-kernel positivity at this gamma
         params = default_params(base, eta_w=0.3, gamma=3.0)
-        failures = check_params(base, params)
-        assert "y_kernel_positive" in failures
-        with pytest.raises(InvalidPerturbation):
-            perturb_kernels(base, params)
+        assert not check_params(base, params)
+        for refused in (perturb_kernels, closed_form_phi):
+            with pytest.raises(InvalidPerturbation,
+                               match="^perturbation constraint violated: y_kernel_positive$"):
+                refused(base, params)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), k_y=st.integers(2, 4),
@@ -189,13 +190,15 @@ class TestPerturbKernels:
         """At any scale >= 0 the raw W kernels, their normalizers and the
         rank-one update factor stay above POSITIVITY_SLACK, because the
         base's kernel entries do: the Y tilt is the one constraint a
-        perturbation can violate."""
+        perturbation can violate, and check_params tests it alone."""
         base = random_base(np.random.default_rng(seed), k=k, k_y=k_y, k_x=k_x, tame=tame)
         kernels, norm = adversarial._w_kernels(base, eta_w)
         update = eta_w + base.pi_w_given_x.sum(axis=1)
         assert min(kernels.min(), norm.min(), update.min()) > adversarial.POSITIVITY_SLACK
-        assert set(check_params(base, PerturbationParams(eta_w, gamma))) <= {
-            "y_kernel_positive"}
+        params = PerturbationParams(eta_w, gamma)
+        y_kernels = base.pi_y_given_x[:, None, :] + params.eta_y * base.M
+        assert check_params(base, params) is bool(
+            y_kernels.min() > adversarial.POSITIVITY_SLACK)
 
     @pytest.mark.parametrize("eta_w, gamma", [
         (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (-0.01, 0.0), (-1e-300, 0.5),
@@ -252,7 +255,7 @@ class TestClosedFormPhi:
             eta = float(rng.uniform(0.005, 0.05))
             gamma = float(rng.uniform(-1.5, 1.5))
             params = default_params(base, eta, gamma)
-            if check_params(base, params):
+            if not check_params(base, params):
                 continue
             law = perturb_kernels(base, params)
             phi_solver = evaluate_phi(law, base.functional)
@@ -311,7 +314,7 @@ class TestLimitPhi:
             gaps = []
             for k in (3, 4, 5, 6):
                 params = default_params(base, 10.0**-k, gamma)
-                assert not check_params(base, params)
+                assert check_params(base, params)
                 gaps.append(abs(closed_form_phi(base, params) - target))
             assert gaps[0] > gaps[1] > gaps[2]
             assert gaps[2] <= 1e-4
@@ -416,7 +419,7 @@ class TestGenerateSequence:
                 continue
             w_side = adversarial._w_side(base, eta)
             gamma = adversarial._exact_gamma(base, w_side, eta, zeta)
-            if not check_params(base, default_params(base, eta, gamma)):
+            if check_params(base, default_params(base, eta, gamma)):
                 law = perturb_kernels(base, default_params(base, eta, gamma))
                 tvs.append(tv_distance(law, base.product_law()))
         assert tvs and f"(smallest tv reached {min(tvs):g})" in str(exc.value)
@@ -425,7 +428,7 @@ class TestGenerateSequence:
     def test_bracketing_failure_without_an_admissible_scale(self, monkeypatch):
         """When no scale of the search is admissible, the failure says so."""
         def refuse(base, params):
-            raise InvalidPerturbation("y_kernel_positive")
+            raise InvalidPerturbation("perturbation constraint violated: y_kernel_positive")
         monkeypatch.setattr(adversarial, "perturb_kernels", refuse)
         with pytest.raises(BracketingFailure, match=r"\(no scale was admissible\)$"):
             generate_sequence(acceptance_base(), 5.0, (0.05,))

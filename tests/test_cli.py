@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -84,6 +86,26 @@ class TestValidate:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"support": {}, "mass": []}))
         assert cli.main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "adversarial", "coverage"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not_utf8", "too_deep"])
+def test_undecodable_input_exit_two(tmp_path, capsys, command, content):
+    """An input file that is not UTF-8, or JSON nested beyond the recursion
+    limit, exits 2 with one line naming the file, whichever command reads it."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = {"validate": [str(path)], "solve": [str(path), str(path)],
+            "adversarial": [str(path), "--zeta", "5", "--tv-targets", "0.05",
+                            "--out", str(tmp_path / "seq")],
+            "coverage": [str(path), "--out", str(tmp_path / "r.csv")]}[command]
+    assert cli.main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"{path}: ")
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_parser_is_built_once(valid_law_file, late_spec_file, capsys):
@@ -579,6 +601,42 @@ def test_input_shapes_are_read_as_written(case, tmp_path, valid_law_file, capsys
     assert not (tmp_path / "seq").exists() and not (tmp_path / "r.csv").exists()
 
 
+# (exit code, the one output line) of an input with entries of 1e308
+_HUGE = {
+    "law_measure": (0, "ok"),
+    "law_masses": (1, "total mass inf != 1"),
+    "base_measure": (2, "bad base law spec: pi_y_given_x rows must integrate to 1 against mu_y"),
+    "base_kernel": (2, "bad base law spec: pi_w_given_x rows must integrate to 1 against mu_w"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE))
+def test_huge_finite_values_are_read_as_written(case, tmp_path, capsys):
+    """Entries of 1e308, finite but too large to sum or square, are read
+    without an overflow warning: a Y measure of 1e308 makes no collinear
+    support, masses whose sum overflows total inf, and base kernel rows
+    whose integral overflows do not integrate to 1."""
+    if case.startswith("law"):
+        doc = laws.law_to_dict(wz_identity_late())
+        argv = ["validate"]
+    else:
+        doc = acceptance_base().to_dict()
+        argv = ["adversarial", "--zeta", "5", "--tv-targets", "0.05",
+                "--out", str(tmp_path / "seq")]
+    if case.endswith("measure"):
+        doc["support"]["mu_y"][0] = 1e308
+    elif case == "law_masses":
+        doc["mass"][1] = doc["mass"][5] = 1e308
+    else:
+        doc["pi_w_given_x"] = [[1e308, 1e308]]
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(doc))
+    code, line = _HUGE[case]
+    assert cli.main(argv[:1] + [str(file)] + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).splitlines() == [line]
+
+
 class TestCoverage:
     @pytest.fixture
     def demo_plan(self, tmp_path):
@@ -724,15 +782,19 @@ class TestCoverage:
         ("label", None),
         ("label", 5),
         ("label", True),
+        ("reps", 0),
+        ("reps", 2**53 + 1),
+        ("reps", 2**63),
+        ("reps", 10**40),
     ])
     def test_plan_values_are_not_repaired(self, demo_plan, tmp_path, capsys,
                                           key, value):
         """A value of the wrong type (a label that is not a string among
         them), a fractional count, a negative seed, a true_phi that is not
-        finite, an n beyond 2**53 or a range s with no finite value exits 2
-        with one line instead of running a rounded, coerced or meaningless
-        plan.  Wald has no tol option, so a plan that
-        carries one, of any value, exits 2 as an unknown option."""
+        finite, an n or reps outside [1, 2**53] or a range s with no finite
+        value exits 2 with one line instead of running a rounded, coerced or
+        meaningless plan.  Wald has no tol option, so a plan that carries
+        one, of any value, exits 2 as an unknown option."""
         plan = json.loads(demo_plan.read_text())
         if key in ("cross_fit", "tol"):
             plan["methods"] = [{"name": "wald", "functional": {"kind": "late"},
@@ -834,6 +896,61 @@ class TestCoverage:
             with pytest.raises(raised):
                 cli.main(["coverage", str(demo_plan), "--out", *argv])
             assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_failed_render_leaves_every_report_as_it_was(self, demo_plan, tmp_path,
+                                                         monkeypatch):
+        """Both reports are rendered before either file is emptied, so a
+        render that raises leaves the CSV report as it was too."""
+        def failing(report):
+            raise RuntimeError("stopped")
+        monkeypatch.setattr(cli.simulate.CoverageReport, "to_json", failing)
+        out, js = tmp_path / "r.csv", tmp_path / "r.json"
+        out.write_bytes(b"an earlier report\n")
+        js.write_bytes(b"{}")
+        with pytest.raises(RuntimeError):
+            cli.main(["coverage", str(demo_plan), "--out", str(out), "--json", str(js)])
+        assert (out.read_bytes(), js.read_bytes()) == (b"an earlier report\n", b"{}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["out", "json"])
+    def test_unwritable_report_exit_two(self, demo_plan, tmp_path, capsys, full):
+        """A report that cannot be emptied or written after the run exits 2
+        with one line naming it, and a report file the run created is
+        removed."""
+        reports = {"out": str(tmp_path / "new.csv"), "json": str(tmp_path / "new.json")}
+        reports[full] = "/dev/full"
+        assert cli.main(["coverage", str(demo_plan), "--out", reports["out"],
+                         "--json", reports["json"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("cannot write report: /dev/full: ")
+        assert sorted(tmp_path.iterdir()) == [demo_plan]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+    def test_report_write_past_the_file_size_limit_exit_two(self, demo_plan, tmp_path):
+        """A write that fails part way, as on a full disk (here a 300-byte
+        file size limit on the process), exits 2 with one line naming the
+        report: the CSV holds what was written, the JSON report is as it was."""
+        # SIGXFSZ ignored, so a write past the limit fails with EFBIG
+        limited = ("import resource, signal, sys; "
+                   "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+                   "resource.setrlimit(resource.RLIMIT_FSIZE, (300, 300)); "
+                   "from weakdep import cli; sys.exit(cli.main(sys.argv[1:]))")
+        out, js = tmp_path / "r.csv", tmp_path / "r.json"
+        out.write_bytes(b"an earlier report\n")
+        js.write_bytes(b"{}")
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "coverage", str(demo_plan),
+             "--out", str(out), "--json", str(js)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"cannot write report: {out}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"]
+        assert len(out.read_bytes()) == 300 and js.read_bytes() == b"{}"
 
     def test_oversized_plan_exit_two(self, demo_plan, tmp_path, capsys):
         """A plan whose outcome tables numpy cannot allocate (3 methods times
@@ -952,3 +1069,67 @@ def test_fuzzed_coverage_plans_never_raise(plan):
             report = json.loads((Path(tmp) / "r.json").read_text())
             for cell in report["cells"]:
                 assert sum(cell["errors_by_kind"].values()) == cell["errors"]
+
+
+# values a mutation puts in place of a key's or an item's value
+_ODD_VALUES = (None, True, "x", float("nan"), 1e308, 2**63, 10**40, [], {})
+
+
+@st.composite
+def _mutated(draw, document):
+    """document with one key dropped or one value replaced by an odd value,
+    at a position reached by descending through its objects and arrays."""
+    if not isinstance(document, (dict, list)) or not document:
+        return draw(st.sampled_from(_ODD_VALUES))
+    out = document.copy()
+    key = draw(st.sampled_from(list(out) if isinstance(out, dict) else range(len(out))))
+    if draw(st.booleans()):
+        out[key] = draw(_mutated(out[key]))
+    elif isinstance(out, dict) and draw(st.booleans()):
+        del out[key]
+    else:
+        out[key] = draw(st.sampled_from(_ODD_VALUES))
+    return out
+
+
+def _valid_inputs():
+    """A valid law, spec, base and plan (n 100, reps 5), by role."""
+    plan = json.loads(resources.files("weakdep").joinpath("data/demo_plan.json").read_text())
+    plan.update(n=100, reps=5)
+    return {"law": laws.law_to_dict(wz_identity_late()),
+            "spec": FunctionalSpec.late().to_dict(),
+            "base": acceptance_base().to_dict(), "plan": plan}
+
+
+_VALID_INPUTS = _valid_inputs()
+_COMMAND_FILES = {"validate": ("law",), "solve": ("law", "spec"),
+                  "adversarial": ("base",), "coverage": ("plan",)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(sorted(_COMMAND_FILES)))
+def test_no_input_makes_the_cli_raise(data, command):
+    """Every command, given for each of its files a valid document, a
+    mutation of one (repeated up to three times) or arbitrary bytes, exits
+    with a code of its own and lets no exception escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for role in _COMMAND_FILES[command]:
+            document = _VALID_INPUTS[role]
+            kind = data.draw(st.sampled_from(["valid", "mutated", "bytes"]))
+            if kind == "bytes":
+                content = data.draw(st.binary(max_size=64))
+            else:
+                for _ in range(data.draw(st.integers(1, 3)) if kind == "mutated" else 0):
+                    document = data.draw(_mutated(document))
+                content = json.dumps(document).encode()
+            paths.append(Path(tmp) / f"{role}.json")
+            paths[-1].write_bytes(content)
+        flags = {"adversarial": ["--zeta", "5", "--tv-targets", "0.05",
+                                 "--out", str(Path(tmp) / "seq")],
+                 "coverage": ["--out", str(Path(tmp) / "r.csv")]}.get(command, [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, *map(str, paths), *flags])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
